@@ -7,20 +7,22 @@ into native control flow: branching on a symbolic boolean, ``int()``,
 ``len()`` and friends raise, and the driver reports the harness as
 unsupported rather than silently checking the wrong thing.
 
-Truth over a box of intervals is three-valued (true / false / unknown), with
-comparisons decided by interval separation.  ``branch_and_prune`` splits
-undecided boxes along their widest dimension until every box is decided, a
-concrete witness refutes the property, or the box budget runs out.  Interval
-division truncates toward zero and a divisor interval that straddles zero is
-not narrowed — it aborts the analysis (soundly) instead.
+``compile`` turns a recorded formula, once, into closures: interval
+evaluation over ``(lo, hi)`` tuples, three-valued truth (true / false /
+maybe, with comparisons decided by interval separation) and concrete
+evaluation at a point.  ``branch_and_prune`` runs the truth closure over
+tuple boxes, splitting undecided ones along their widest dimension until
+every box is decided, a concrete witness refutes the property, or the box
+budget runs out.  Interval division truncates toward zero and a divisor
+interval that straddles zero aborts the analysis (soundly) instead.
 
-Every claim this module makes is anchored concretely: a refutation is only
-returned after the claimed witness fails the predicate under ordinary integer
-evaluation.
+Every refutation is anchored concretely: the witness must fail the recorded
+formula under integer evaluation, and then the real predicate too.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 import threading
 import time
@@ -29,7 +31,8 @@ from enum import Enum
 from typing import Any
 
 from . import strategies as st
-from .harness import DeadlineReached, Property, RunConfig, StopRequested, Ticker
+from .harness import (DeadlineReached, Property, RunConfig, StopRequested, Ticker,
+                      eval_predicate)
 from .prng import SplitMix64
 from .results import Counterexample, UnknownReason, Verdict
 
@@ -89,14 +92,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval [{self.lo}, {self.hi}] is empty")
 
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, x: int) -> bool:
         return self.lo <= x <= self.hi
 
@@ -116,25 +111,40 @@ def tdiv(a, b):
     """
     if isinstance(a, SymExpr) or isinstance(b, SymExpr):
         return Div(_as_expr(a), _as_expr(b), _caller_location())
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
+    return _tq(a, b)
 
 
 def trem(a, b):
     """Remainder with the sign of the dividend (pairs with ``tdiv``)."""
     if isinstance(a, SymExpr) or isinstance(b, SymExpr):
         return Rem(_as_expr(a), _as_expr(b), _caller_location())
-    return a - b * tdiv(a, b)
+    return a - b * _tq(a, b)
+
+
+def _tq(a: int, b: int) -> int:
+    """``tdiv`` on plain ints."""
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
 
 
 # --------------------------------------------------------------------------
 # carrier expressions
 
+_CMP_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
+
+
+def _comparison(op: str):
+    def compare(self, other):
+        return Cmp(op, self, _as_expr(other))
+    compare.__name__ = f"__{op}__"
+    return compare
+
+
 class SymExpr:
     """Base of the expression carriers.  Arithmetic builds nodes; anything
     that would need a concrete answer right now raises SymbolicCoercion."""
 
-    __slots__ = ()
+    __slots__ = ("_compiled",)
 
     def __add__(self, other):
         return Add(self, _as_expr(other))
@@ -157,24 +167,7 @@ class SymExpr:
     def __neg__(self):
         return Neg(self)
 
-    def __lt__(self, other):
-        return Cmp("lt", self, _as_expr(other))
-
-    def __le__(self, other):
-        return Cmp("le", self, _as_expr(other))
-
-    def __gt__(self, other):
-        return Cmp("gt", self, _as_expr(other))
-
-    def __ge__(self, other):
-        return Cmp("ge", self, _as_expr(other))
-
-    def __eq__(self, other):  # type: ignore[override]
-        return Cmp("eq", self, _as_expr(other))
-
-    def __ne__(self, other):  # type: ignore[override]
-        return Cmp("ne", self, _as_expr(other))
-
+    __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = map(_comparison, _CMP_OPS)
     __hash__ = None  # equality builds formulas, so these are not hashable
 
     def __bool__(self):
@@ -209,6 +202,8 @@ class Var(SymExpr):
     __slots__ = ("vid",)
 
     def __init__(self, vid: int) -> None:
+        if vid < 0:  # vids index tuple boxes, where a negative index wraps
+            raise ValueError(f"variable id {vid} is negative")
         self.vid = vid
 
     def __repr__(self) -> str:
@@ -288,7 +283,7 @@ class SymBool:
     """Symbolic truth value.  Combine with ``&``, ``|``, ``~`` — the native
     ``and``/``or``/``not`` need a concrete bool and are trapped."""
 
-    __slots__ = ()
+    __slots__ = ("_compiled",)
 
     def __and__(self, other):
         return And(self, _as_bool(other))
@@ -372,7 +367,7 @@ def _as_bool(value) -> SymBool:
 
 
 # --------------------------------------------------------------------------
-# evaluation: intervals, three-valued truth, concrete
+# compilation: interval, three-valued and concrete closures
 
 class Truth3(Enum):
     TRUE = "true"
@@ -380,169 +375,179 @@ class Truth3(Enum):
     MAYBE = "maybe"
 
 
-def _t3_not(t: Truth3) -> Truth3:
-    if t is Truth3.TRUE:
-        return Truth3.FALSE
-    if t is Truth3.FALSE:
-        return Truth3.TRUE
-    return Truth3.MAYBE
+_TRUE, _FALSE, _MAYBE = Truth3.TRUE, Truth3.FALSE, Truth3.MAYBE
 
 
-def _t3_and(a: Truth3, b: Truth3) -> Truth3:
-    if a is Truth3.FALSE or b is Truth3.FALSE:
-        return Truth3.FALSE
-    if a is Truth3.TRUE and b is Truth3.TRUE:
-        return Truth3.TRUE
-    return Truth3.MAYBE
+def compile(node: SymExpr | SymBool) -> tuple:
+    """``(over_box, at_point)`` closures for ``node``, memoized on it.
+
+    ``over_box(box)`` reads ``box[vid]`` as ``(lo, hi)`` (a tuple indexed by
+    vid, or a dict) and returns an expression's sound ``(lo, hi)`` range or a
+    formula's Truth3; a divisor range containing zero raises DivMaybeZero.
+    ``at_point(valuation)`` evaluates over ``{vid: int}``; Div/Rem truncate
+    toward zero and raise EvalError on a zero divisor.
+    """
+    try:
+        return node._compiled
+    except AttributeError:
+        pass
+    fns = (_compile_expr if isinstance(node, SymExpr) else _compile_formula)(node)
+    node._compiled = fns  # a racing thread would build equivalent closures
+    return fns
 
 
-def _t3_or(a: Truth3, b: Truth3) -> Truth3:
-    if a is Truth3.TRUE or b is Truth3.TRUE:
-        return Truth3.TRUE
-    if a is Truth3.FALSE and b is Truth3.FALSE:
-        return Truth3.FALSE
-    return Truth3.MAYBE
+def _expr(node) -> tuple:
+    if not isinstance(node, SymExpr):
+        raise TypeError(f"not an expression node: {node!r}")
+    return compile(node)
+
+
+def _formula(node) -> tuple:
+    if not isinstance(node, SymBool):
+        raise TypeError(f"not a formula node: {node!r}")
+    return compile(node)
+
+
+def _compile_expr(e: SymExpr) -> tuple:
+    if isinstance(e, Const):
+        c = e.value
+        point = (c, c)
+        return (lambda box: point), (lambda val: c)
+    if isinstance(e, Var):
+        get = operator.itemgetter(e.vid)
+        return get, get
+    if isinstance(e, Neg):
+        fi, gi = _expr(e.inner)
+
+        def neg(box):
+            lo, hi = fi(box)
+            return -hi, -lo
+        return neg, (lambda val: -gi(val))
+    if not isinstance(e, (Add, Sub, Mul, Div, Rem)):
+        raise TypeError(f"not an expression node: {e!r}")
+    (fa, ga), (fb, gb) = _expr(e.lhs), _expr(e.rhs)
+    if isinstance(e, Add):
+        def add(box):
+            (alo, ahi), (blo, bhi) = fa(box), fb(box)
+            return alo + blo, ahi + bhi
+        return add, (lambda val: ga(val) + gb(val))
+    if isinstance(e, Sub):
+        def sub(box):
+            (alo, ahi), (blo, bhi) = fa(box), fb(box)
+            return alo - bhi, ahi - blo
+        return sub, (lambda val: ga(val) - gb(val))
+    if isinstance(e, Mul):
+        def mul(box):
+            (alo, ahi), (blo, bhi) = fa(box), fb(box)
+            p, q, r, s = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+            return min(p, q, r, s), max(p, q, r, s)
+        return mul, (lambda val: ga(val) * gb(val))
+    location, is_div = e.location, isinstance(e, Div)
+
+    def div(box):
+        (alo, ahi), (blo, bhi) = fa(box), fb(box)
+        if blo <= 0 <= bhi:
+            raise DivMaybeZero(location)
+        # truncating division is monotone in each argument once the divisor
+        # has a fixed sign, so endpoint combinations bound the image
+        p, q, r, s = _tq(alo, blo), _tq(alo, bhi), _tq(ahi, blo), _tq(ahi, bhi)
+        return min(p, q, r, s), max(p, q, r, s)
+
+    def rem(box):
+        (alo, ahi), (blo, bhi) = fa(box), fb(box)
+        if blo <= 0 <= bhi:
+            raise DivMaybeZero(location)
+        if alo == ahi and blo == bhi:
+            r = alo - blo * _tq(alo, blo)
+            return r, r
+        m = max(abs(blo), abs(bhi)) - 1  # |remainder| < |divisor|, sign of the dividend
+        return (0 if alo >= 0 else max(alo, -m)), (0 if ahi <= 0 else min(ahi, m))
+
+    def at_point(val):
+        a, b = ga(val), gb(val)
+        if b == 0:
+            raise EvalError("div_by_zero", location)
+        return _tq(a, b) if is_div else a - b * _tq(a, b)
+    return (div if is_div else rem), at_point
+
+
+def _compile_formula(f: SymBool) -> tuple:
+    if isinstance(f, BoolConst):
+        value = f.value
+        truth = _TRUE if value else _FALSE
+        return (lambda box: truth), (lambda val: value)
+    if isinstance(f, Not):
+        fi, gi = _formula(f.inner)
+
+        def negation(box):
+            t = fi(box)
+            return _FALSE if t is _TRUE else _TRUE if t is _FALSE else _MAYBE
+        return negation, (lambda val: not gi(val))
+    if isinstance(f, (And, Or)):
+        # over a box both sides are evaluated, so a divisor range straddling
+        # zero anywhere in the formula aborts the analysis
+        (fa, ga), (fb, gb) = _formula(f.lhs), _formula(f.rhs)
+        if isinstance(f, And):
+            def conj(box):
+                a, b = fa(box), fb(box)
+                if a is _FALSE or b is _FALSE:
+                    return _FALSE
+                return _TRUE if a is _TRUE and b is _TRUE else _MAYBE
+            return conj, (lambda val: ga(val) and gb(val))
+
+        def disj(box):
+            a, b = fa(box), fb(box)
+            if a is _TRUE or b is _TRUE:
+                return _TRUE
+            return _FALSE if a is _FALSE and b is _FALSE else _MAYBE
+        return disj, (lambda val: ga(val) or gb(val))
+    if not isinstance(f, Cmp):
+        raise TypeError(f"not a formula node: {f!r}")
+    op = f.op
+    if op not in _CMP_OPS:
+        raise ValueError(f"unknown comparison {op!r}")
+    (fa, ga), (fb, gb) = _expr(f.lhs), _expr(f.rhs)
+    concrete = getattr(operator, op)
+    # each comparison is lt or eq, negated for ge/le/ne, with the operands'
+    # roles swapped for gt/le (the lhs is still evaluated first)
+    yes, no = (_FALSE, _TRUE) if op in ("ge", "le", "ne") else (_TRUE, _FALSE)
+    if op in ("lt", "ge"):
+        def cmp(box):
+            (alo, ahi), (blo, bhi) = fa(box), fb(box)
+            return yes if ahi < blo else no if alo >= bhi else _MAYBE
+    elif op in ("gt", "le"):
+        def cmp(box):
+            (alo, ahi), (blo, bhi) = fa(box), fb(box)
+            return yes if bhi < alo else no if blo >= ahi else _MAYBE
+    else:
+        def cmp(box):
+            (alo, ahi), (blo, bhi) = fa(box), fb(box)
+            if ahi < blo or bhi < alo:
+                return no
+            return yes if alo == ahi == blo == bhi else _MAYBE
+    return cmp, (lambda val: concrete(ga(val), gb(val)))
 
 
 def interval_eval(expr: SymExpr, box: Box) -> Interval:
     """Sound range of ``expr`` over ``box``: the concrete value at any point
     of the box lies inside the returned interval."""
-    if isinstance(expr, Const):
-        return Interval(expr.value, expr.value)
-    if isinstance(expr, Var):
-        return box[expr.vid]
-    if isinstance(expr, Neg):
-        i = interval_eval(expr.inner, box)
-        return Interval(-i.hi, -i.lo)
-    if isinstance(expr, Add):
-        a, b = interval_eval(expr.lhs, box), interval_eval(expr.rhs, box)
-        return Interval(a.lo + b.lo, a.hi + b.hi)
-    if isinstance(expr, Sub):
-        a, b = interval_eval(expr.lhs, box), interval_eval(expr.rhs, box)
-        return Interval(a.lo - b.hi, a.hi - b.lo)
-    if isinstance(expr, Mul):
-        a, b = interval_eval(expr.lhs, box), interval_eval(expr.rhs, box)
-        products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-        return Interval(min(products), max(products))
-    if isinstance(expr, Div):
-        a, b = interval_eval(expr.lhs, box), interval_eval(expr.rhs, box)
-        if b.lo <= 0 <= b.hi:
-            raise DivMaybeZero(expr.location)
-        # truncating division is monotone in each argument once the divisor
-        # has a fixed sign, so endpoint combinations bound the image
-        quots = (tdiv(a.lo, b.lo), tdiv(a.lo, b.hi), tdiv(a.hi, b.lo), tdiv(a.hi, b.hi))
-        return Interval(min(quots), max(quots))
-    if isinstance(expr, Rem):
-        a, b = interval_eval(expr.lhs, box), interval_eval(expr.rhs, box)
-        if b.lo <= 0 <= b.hi:
-            raise DivMaybeZero(expr.location)
-        if a.is_point and b.is_point:
-            r = trem(a.lo, b.lo)
-            return Interval(r, r)
-        m = max(abs(b.lo), abs(b.hi)) - 1  # |remainder| < |divisor|
-        if a.lo >= 0:
-            return Interval(0, min(a.hi, m))
-        if a.hi <= 0:
-            return Interval(max(a.lo, -m), 0)
-        return Interval(max(a.lo, -m), min(a.hi, m))
-    raise TypeError(f"not an expression node: {expr!r}")
+    return Interval(*_expr(expr)[0]({vid: (iv.lo, iv.hi) for vid, iv in box.items()}))
 
 
 def truth_eval(formula: SymBool, box: Box) -> Truth3:
-    """Three-valued truth of ``formula`` over ``box``.
-
-    TRUE / FALSE are sound for every point of the box; MAYBE means the
-    intervals were too coarse to separate the comparison.
-    """
-    if isinstance(formula, BoolConst):
-        return Truth3.TRUE if formula.value else Truth3.FALSE
-    if isinstance(formula, Not):
-        return _t3_not(truth_eval(formula.inner, box))
-    if isinstance(formula, And):
-        return _t3_and(truth_eval(formula.lhs, box), truth_eval(formula.rhs, box))
-    if isinstance(formula, Or):
-        return _t3_or(truth_eval(formula.lhs, box), truth_eval(formula.rhs, box))
-    if isinstance(formula, Cmp):
-        a = interval_eval(formula.lhs, box)
-        b = interval_eval(formula.rhs, box)
-        op = formula.op
-        if op == "lt":
-            if a.hi < b.lo:
-                return Truth3.TRUE
-            if a.lo >= b.hi:
-                return Truth3.FALSE
-        elif op == "le":
-            if a.hi <= b.lo:
-                return Truth3.TRUE
-            if a.lo > b.hi:
-                return Truth3.FALSE
-        elif op == "gt":
-            if a.lo > b.hi:
-                return Truth3.TRUE
-            if a.hi <= b.lo:
-                return Truth3.FALSE
-        elif op == "ge":
-            if a.lo >= b.hi:
-                return Truth3.TRUE
-            if a.hi < b.lo:
-                return Truth3.FALSE
-        elif op == "eq":
-            if a.is_point and b.is_point and a.lo == b.lo:
-                return Truth3.TRUE
-            if a.hi < b.lo or b.hi < a.lo:
-                return Truth3.FALSE
-        elif op == "ne":
-            if a.hi < b.lo or b.hi < a.lo:
-                return Truth3.TRUE
-            if a.is_point and b.is_point and a.lo == b.lo:
-                return Truth3.FALSE
-        else:
-            raise ValueError(f"unknown comparison {op!r}")
-        return Truth3.MAYBE
-    raise TypeError(f"not a formula node: {formula!r}")
+    """Three-valued truth of ``formula`` over ``box``: TRUE / FALSE are sound
+    for every point of the box, MAYBE is undecided."""
+    return _formula(formula)[0]({vid: (iv.lo, iv.hi) for vid, iv in box.items()})
 
 
 def concrete_eval(expr: SymExpr, valuation: dict) -> int:
     """Ordinary integer evaluation; Div/Rem truncate toward zero and raise
     EvalError on a zero divisor."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return valuation[expr.vid]
-    if isinstance(expr, Neg):
-        return -concrete_eval(expr.inner, valuation)
-    if isinstance(expr, Add):
-        return concrete_eval(expr.lhs, valuation) + concrete_eval(expr.rhs, valuation)
-    if isinstance(expr, Sub):
-        return concrete_eval(expr.lhs, valuation) - concrete_eval(expr.rhs, valuation)
-    if isinstance(expr, Mul):
-        return concrete_eval(expr.lhs, valuation) * concrete_eval(expr.rhs, valuation)
-    if isinstance(expr, (Div, Rem)):
-        a = concrete_eval(expr.lhs, valuation)
-        b = concrete_eval(expr.rhs, valuation)
-        if b == 0:
-            raise EvalError("div_by_zero", expr.location)
-        return tdiv(a, b) if isinstance(expr, Div) else trem(a, b)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return _expr(expr)[1](valuation)
 
 
 def concrete_truth(formula: SymBool, valuation: dict) -> bool:
-    if isinstance(formula, BoolConst):
-        return formula.value
-    if isinstance(formula, Not):
-        return not concrete_truth(formula.inner, valuation)
-    if isinstance(formula, And):
-        return concrete_truth(formula.lhs, valuation) and concrete_truth(formula.rhs, valuation)
-    if isinstance(formula, Or):
-        return concrete_truth(formula.lhs, valuation) or concrete_truth(formula.rhs, valuation)
-    if isinstance(formula, Cmp):
-        a = concrete_eval(formula.lhs, valuation)
-        b = concrete_eval(formula.rhs, valuation)
-        return {
-            "lt": a < b, "le": a <= b, "gt": a > b,
-            "ge": a >= b, "eq": a == b, "ne": a != b,
-        }[formula.op]
-    raise TypeError(f"not a formula node: {formula!r}")
+    return _formula(formula)[1](valuation)
 
 
 # --------------------------------------------------------------------------
@@ -677,40 +682,16 @@ class SolveOutcome:
     note: str | None = None
 
 
-def _widest_dim(box: Box) -> int | None:
-    best = None
-    best_width = 0
-    for vid in sorted(box):
-        w = box[vid].width
-        if w > best_width:
-            best, best_width = vid, w
-    return best
-
-
-def _split_box(box: Box, dim: int) -> tuple[Box, Box]:
-    iv = box[dim]
-    mid = (iv.lo + iv.hi) // 2
-    lo_half = dict(box)
-    hi_half = dict(box)
-    lo_half[dim] = Interval(iv.lo, mid)
-    hi_half[dim] = Interval(mid + 1, iv.hi)
-    return lo_half, hi_half
-
-
-def _midpoint(box: Box) -> dict:
-    return {vid: (iv.lo + iv.hi) // 2 for vid, iv in box.items()}
-
-
-def _sample_remaining(formula: SymBool, work: list, seed: int) -> dict | None:
+def _sample_remaining(holds, work: list, keys: list, seed: int) -> dict | None:
     """Last-ditch concrete probing of the undecided region."""
     if not work:
         return None
     rng = SplitMix64(seed)
     for i in range(FALLBACK_SAMPLES):
         box = work[i % len(work)]
-        val = {vid: rng.uniform_in(iv.lo, iv.hi) for vid, iv in box.items()}
+        val = {vid: rng.uniform_in(*box[vid]) for vid in keys}
         try:
-            if not concrete_truth(formula, val):
+            if not holds(val):
                 return val
         except EvalError:
             # a div-by-zero here does not witness anything about the formula
@@ -727,14 +708,21 @@ def branch_and_prune(formula: SymBool, box: Box,
     Proved means every sub-box evaluated TRUE.  A FALSE box (or an undecided
     single point that concretely fails) yields a witness, always re-checked
     concretely before being returned.  Budget or deadline exhaustion first
-    probes the remaining region with concrete samples.
+    probes the remaining region with concrete samples.  Splits take the
+    widest dimension (ties to the lowest vid) and search the lower half first.
     """
-    work: list[Box] = [dict(box)]
+    truth, holds = _formula(formula)
+    keys = list(box)  # witnesses and samples follow the caller's order
+    vids = sorted(keys)
+    if vids and vids[0] < 0:
+        raise ValueError(f"variable id {vids[0]} is negative")
+    size = vids[-1] + 1 if vids else 0
+    work = [tuple((box[v].lo, box[v].hi) if v in box else None for v in range(size))]
     boxes = 0
     splits = 0
     while work:
         if boxes >= budget:
-            val = _sample_remaining(formula, work, sample_seed)
+            val = _sample_remaining(holds, work, keys, sample_seed)
             if val is not None:
                 return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
             return SolveOutcome("undecided", boxes=boxes, splits=splits,
@@ -743,7 +731,7 @@ def branch_and_prune(formula: SymBool, box: Box,
             try:
                 ticker.tick()
             except DeadlineReached:
-                val = _sample_remaining(formula, work, sample_seed)
+                val = _sample_remaining(holds, work, keys, sample_seed)
                 if val is not None:
                     return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
                 return SolveOutcome("timeout", boxes=boxes, splits=splits)
@@ -752,32 +740,37 @@ def branch_and_prune(formula: SymBool, box: Box,
         current = work.pop()
         boxes += 1
         try:
-            truth = truth_eval(formula, current)
+            t = truth(current)
         except DivMaybeZero as exc:
             return SolveOutcome("unsupported", boxes=boxes, splits=splits, note=str(exc))
-        if truth is Truth3.TRUE:
+        if t is _TRUE:
             continue
-        if truth is Truth3.FALSE:
-            val = _midpoint(current)
-            if concrete_truth(formula, val):  # pragma: no cover - soundness guard
+        if t is _FALSE:
+            val = {vid: (current[vid][0] + current[vid][1]) // 2 for vid in keys}
+            if holds(val):  # pragma: no cover - soundness guard
                 raise AssertionError("interval refutation failed concrete confirmation")
             return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
-        dim = _widest_dim(current)
-        if dim is None:
+        dim, width = -1, 0
+        for vid in vids:
+            lo, hi = current[vid]
+            if hi - lo > width:
+                dim, width = vid, hi - lo
+        if dim < 0:
             # single point left undecided by intervals: decide it concretely
-            val = {vid: iv.lo for vid, iv in current.items()}
+            val = {vid: current[vid][0] for vid in keys}
             try:
-                holds = concrete_truth(formula, val)
+                if not holds(val):
+                    return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
             except EvalError:
                 return SolveOutcome("unsupported", boxes=boxes, splits=splits,
                                     note="division by zero at a concrete point")
-            if not holds:
-                return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
             continue
-        lo_half, hi_half = _split_box(current, dim)
+        lo, hi = current[dim]
+        mid = (lo + hi) // 2
+        head, tail = current[:dim], current[dim + 1:]
         splits += 1
-        work.append(hi_half)
-        work.append(lo_half)
+        work.append(head + ((mid + 1, hi),) + tail)
+        work.append(head + ((lo, mid),) + tail)
     return SolveOutcome("proved", boxes=boxes, splits=splits)
 
 
@@ -802,7 +795,8 @@ def run_symbolic(prop: Property, config: RunConfig, *,
     all must prove, any witness refutes.  Filter hypotheses weaken the goal
     to "hypothesis implies assertion"; an alternative whose hypothesis is
     false over its whole box is vacuously proved and flags the verdict.
-    Witnesses are reported unshrunk.
+    Witnesses are reported unshrunk, and only once the real predicate fails
+    on them too; a plain bool or None from the carrier is unsupported.
     """
     t0 = time.monotonic()
 
@@ -841,17 +835,16 @@ def run_symbolic(prop: Property, config: RunConfig, *,
                 UnknownReason.UNSUPPORTED,
                 detail=f"predicate not symbolically evaluable: {exc}"),
                 total_boxes, total_splits)
-        if isinstance(raw, SymBool):
-            assertion = raw
-        elif isinstance(raw, bool) or raw is None:
-            assertion = BoolConst(raw is not False)
-        else:
+        if not isinstance(raw, SymBool):
+            # a plain bool or None was decided without looking at the carrier
+            blind = isinstance(raw, bool) or raw is None
             return finish(Verdict.unknown(
                 UnknownReason.UNSUPPORTED,
-                detail="predicate did not yield a symbolic boolean"),
+                detail="predicate did not observe its input" if blind
+                else "predicate did not yield a symbolic boolean"),
                 total_boxes, total_splits)
 
-        formula: SymBool = assertion
+        formula: SymBool = raw
         if alt.hypothesis is not None:
             try:
                 hyp_truth = truth_eval(alt.hypothesis, alt.box)
@@ -862,7 +855,7 @@ def run_symbolic(prop: Property, config: RunConfig, *,
                 vacuous = True  # the whole box violates the filter: nothing to check
                 total_boxes += 1
                 continue
-            formula = Or(Not(alt.hypothesis), assertion)
+            formula = Or(Not(alt.hypothesis), raw)
 
         remaining = budget - total_boxes
         if remaining <= 0:
@@ -882,6 +875,12 @@ def run_symbolic(prop: Property, config: RunConfig, *,
                 return finish(Verdict.unknown(
                     UnknownReason.UNSUPPORTED,
                     detail=f"witness value aborts during evaluation: {exc}"),
+                    total_boxes, total_splits)
+            if eval_predicate(prop, value)[0]:
+                return finish(Verdict.unknown(
+                    UnknownReason.UNSUPPORTED,
+                    detail=f"the recorded formula fails at {value!r} but the "
+                           "predicate passes there: they disagree"),
                     total_boxes, total_splits)
             return finish(Verdict.falsified(Counterexample(
                 original=value, shrunk=value, seed=None, case_index=None)),

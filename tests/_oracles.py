@@ -14,6 +14,8 @@ import itertools
 
 from tricheck import strategies as st
 from tricheck import patterns as pat
+from tricheck import symbolic as sym
+from tricheck.prng import SplitMix64
 
 
 # --------------------------------------------------------------------------
@@ -193,3 +195,143 @@ def min_failing_int(lo, hi, fails):
         if fails(x):
             return x
     return None
+
+
+# --------------------------------------------------------------------------
+# reference symbolic evaluation: the tree walkers the compiled closures
+# replaced, dispatching on node type at every visit, over dict boxes of
+# Intervals and dict valuations
+
+def _tq(a, b):
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def interval_oracle(expr, box):
+    """(lo, hi) hull of ``expr`` over ``box``, or DivMaybeZero."""
+    if isinstance(expr, sym.Const):
+        return expr.value, expr.value
+    if isinstance(expr, sym.Var):
+        return box[expr.vid].lo, box[expr.vid].hi
+    if isinstance(expr, sym.Neg):
+        lo, hi = interval_oracle(expr.inner, box)
+        return -hi, -lo
+    (alo, ahi), (blo, bhi) = interval_oracle(expr.lhs, box), interval_oracle(expr.rhs, box)
+    if isinstance(expr, sym.Add):
+        return alo + blo, ahi + bhi
+    if isinstance(expr, sym.Sub):
+        return alo - bhi, ahi - blo
+    if isinstance(expr, sym.Mul):
+        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        return min(products), max(products)
+    if blo <= 0 <= bhi:
+        raise sym.DivMaybeZero(expr.location)
+    if isinstance(expr, sym.Div):
+        quots = (_tq(alo, blo), _tq(alo, bhi), _tq(ahi, blo), _tq(ahi, bhi))
+        return min(quots), max(quots)
+    if alo == ahi and blo == bhi:
+        r = alo - blo * _tq(alo, blo)
+        return r, r
+    m = max(abs(blo), abs(bhi)) - 1
+    if alo >= 0:
+        return 0, min(ahi, m)
+    if ahi <= 0:
+        return max(alo, -m), 0
+    return max(alo, -m), min(ahi, m)
+
+
+def truth_oracle(formula, box):
+    """Kleene truth of ``formula`` over ``box`` as "true", "false" or
+    "maybe"; both operands of a connective are always evaluated."""
+    if isinstance(formula, sym.BoolConst):
+        return "true" if formula.value else "false"
+    if isinstance(formula, sym.Not):
+        return {"true": "false", "false": "true", "maybe": "maybe"}[
+            truth_oracle(formula.inner, box)]
+    if isinstance(formula, (sym.And, sym.Or)):
+        pair = {truth_oracle(formula.lhs, box), truth_oracle(formula.rhs, box)}
+        absorbing = "false" if isinstance(formula, sym.And) else "true"
+        if absorbing in pair:
+            return absorbing
+        return "maybe" if "maybe" in pair else pair.pop()
+    (alo, ahi), (blo, bhi) = interval_oracle(formula.lhs, box), interval_oracle(formula.rhs, box)
+    points_equal = alo == ahi == blo == bhi
+    disjoint = ahi < blo or bhi < alo
+    decided = {
+        "lt": (ahi < blo, alo >= bhi), "le": (ahi <= blo, alo > bhi),
+        "gt": (alo > bhi, ahi <= blo), "ge": (alo >= bhi, ahi < blo),
+        "eq": (points_equal, disjoint), "ne": (disjoint, points_equal),
+    }[formula.op]
+    return "true" if decided[0] else "false" if decided[1] else "maybe"
+
+
+def concrete_oracle(node, val):
+    """Integer value of an expression or bool of a formula at ``val``."""
+    if isinstance(node, (sym.Const, sym.BoolConst)):
+        return node.value
+    if isinstance(node, sym.Var):
+        return val[node.vid]
+    if isinstance(node, sym.Neg):
+        return -concrete_oracle(node.inner, val)
+    if isinstance(node, sym.Not):
+        return not concrete_oracle(node.inner, val)
+    if isinstance(node, sym.And):
+        return concrete_oracle(node.lhs, val) and concrete_oracle(node.rhs, val)
+    if isinstance(node, sym.Or):
+        return concrete_oracle(node.lhs, val) or concrete_oracle(node.rhs, val)
+    a, b = concrete_oracle(node.lhs, val), concrete_oracle(node.rhs, val)
+    if isinstance(node, sym.Cmp):
+        return {"lt": a < b, "le": a <= b, "gt": a > b,
+                "ge": a >= b, "eq": a == b, "ne": a != b}[node.op]
+    if isinstance(node, (sym.Add, sym.Sub, sym.Mul)):
+        return a + b if isinstance(node, sym.Add) else a - b if isinstance(node, sym.Sub) else a * b
+    if b == 0:
+        raise sym.EvalError("div_by_zero", node.location)
+    return _tq(a, b) if isinstance(node, sym.Div) else a - b * _tq(a, b)
+
+
+def branch_and_prune_oracle(formula, box, budget, seed=0):
+    """(status, witness, boxes, splits, note) from dict-box splitting: widest
+    dimension first (ties to the lowest vid), lower half searched first,
+    seeded samples from the remaining boxes once the budget runs out."""
+    work, boxes, splits = [dict(box)], 0, 0
+    while work:
+        if boxes >= budget:
+            rng = SplitMix64(seed)
+            for i in range(sym.FALLBACK_SAMPLES):
+                b = work[i % len(work)]
+                val = {v: rng.uniform_in(iv.lo, iv.hi) for v, iv in b.items()}
+                try:
+                    if not concrete_oracle(formula, val):
+                        return "witness", val, boxes, splits, None
+                except sym.EvalError:
+                    continue
+            return "undecided", None, boxes, splits, f"box budget {budget} exhausted"
+        current = work.pop()
+        boxes += 1
+        try:
+            truth = truth_oracle(formula, current)
+        except sym.DivMaybeZero as exc:
+            return "unsupported", None, boxes, splits, str(exc)
+        if truth == "false":
+            val = {v: (iv.lo + iv.hi) // 2 for v, iv in current.items()}
+            return "witness", val, boxes, splits, None
+        if truth == "true":
+            continue
+        widths = [(iv.hi - iv.lo, -v) for v, iv in current.items() if iv.hi > iv.lo]
+        if not widths:
+            val = {v: iv.lo for v, iv in current.items()}
+            try:
+                if not concrete_oracle(formula, val):
+                    return "witness", val, boxes, splits, None
+            except sym.EvalError:
+                return ("unsupported", None, boxes, splits,
+                        "division by zero at a concrete point")
+            continue
+        dim = -max(widths)[1]
+        iv = current[dim]
+        mid = (iv.lo + iv.hi) // 2
+        splits += 1
+        work.append({**current, dim: sym.Interval(mid + 1, iv.hi)})
+        work.append({**current, dim: sym.Interval(iv.lo, mid)})
+    return "proved", None, boxes, splits, None

@@ -19,7 +19,7 @@ from tricheck.cli import main, update_history
 from tricheck.corpus import REGISTRY
 from tricheck.exhaustive import run_exhaustive
 from tricheck.fuzz import run_fuzz
-from tricheck.harness import Property, RunConfig
+from tricheck.harness import Property, PropertyRegistry, RunConfig
 from tricheck.prng import SplitMix64
 from tricheck.results import Verdict, VerdictKind, UnknownReason
 from tricheck.runner import (
@@ -347,3 +347,70 @@ def test_criterion_10_pattern_strings_satisfy_the_ast_matcher():
         for _ in range(25):
             s = st.random_tree(strategy, rng).current
             assert match_ast(ast, s), f"{text}: drew {s!r} that fails to match"
+
+
+# --------------------------------------------------------------------------
+# a symbolic verdict must be true of the real predicate
+
+def _ensemble_report(tmp_path, capsys, name, strategy, predicate):
+    """Exit code and the single result of ``tricheck run --backend ensemble``
+    over a one-property registry."""
+    registry = PropertyRegistry()
+    registry.register(name, strategy, predicate)
+    out = tmp_path / "report.json"
+    rc = main(["run", "--backend", "ensemble", "--report", str(out)], registry=registry)
+    capsys.readouterr()
+    (result,) = json.loads(out.read_text())["results"]
+    return rc, result
+
+
+def _raises_below_zero(a):
+    if isinstance(a, int) and a < 0:
+        raise ValueError("negative")
+
+
+def test_symbolic_unobserved_input_is_unsupported_not_proved(tmp_path, capsys):
+    """A predicate that returns None on the carrier never looked at it: the
+    symbolic backend must not prove it, and the ensemble reports the
+    concrete falsification at -5 instead of InconsistentBackends."""
+    prop = Property("acc.raises", st.int_range(-5, 5), _raises_below_zero)
+    v = run_symbolic(prop, RunConfig())
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert v.detail == "predicate did not observe its input"
+    assert run_exhaustive(prop, RunConfig()).counterexample.shrunk == -5
+
+    rc, result = _ensemble_report(tmp_path, capsys, "acc.raises",
+                                  st.int_range(-5, 5), _raises_below_zero)
+    assert rc == 1  # falsified, not 3 (InconsistentBackends)
+    assert result["verdict"] == "falsified"
+    assert result["counterexample"]["shrunk"] == "-5"
+
+
+def test_symbolic_witness_is_confirmed_on_the_real_predicate(tmp_path, capsys):
+    """A witness of the recorded formula that the real predicate accepts is
+    not a counterexample: the verdict is Unsupported, and the ensemble no
+    longer aborts with InconsistentBackends."""
+    def is_int(a):
+        return isinstance(a, int)
+
+    v = run_symbolic(Property("acc.is_int", st.int_range(-5, 5), is_int), RunConfig())
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    rc, result = _ensemble_report(tmp_path, capsys, "acc.is_int", st.int_range(-5, 5), is_int)
+    assert rc == 0
+    assert result["verdict"] == "proved"
+
+    # the carrier records ``a > 0``, which fails at -5, but the predicate
+    # takes the other branch on every concrete int
+    def disagrees(a):
+        return True if isinstance(a, int) else a > 0
+
+    v = run_symbolic(Property("acc.disagrees", st.int_range(-5, 5), disagrees), RunConfig())
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert "disagree" in v.detail
+    rc, result = _ensemble_report(tmp_path, capsys, "acc.disagrees",
+                                  st.int_range(-5, 5), disagrees)
+    assert rc == 0
+    assert result["verdict"] == "proved"

@@ -1,11 +1,15 @@
 """Symbolic backend: interval arithmetic, three-valued truth, carrier
 recording, branch-and-prune, and the driver's verdict mapping."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from tricheck.corpus import REGISTRY
 from tricheck.harness import Property, RunConfig
+from tricheck.prng import SplitMix64
 from tricheck.results import UnknownReason, VerdictKind
 from tricheck.strategies import (int_range, just, list_of, one_of,
                                  optional_of, tuple_of)
@@ -15,14 +19,18 @@ from tricheck.symbolic import (
     Box,
     Cmp,
     Const,
+    Div,
     DivMaybeZero,
+    EvalError,
     Interval,
     Not,
     Or,
+    Rem,
     SymbolicCoercion,
     Truth3,
     Var,
     branch_and_prune,
+    compile,
     concrete_eval,
     concrete_truth,
     interval_eval,
@@ -33,7 +41,9 @@ from tricheck.symbolic import (
     truth_eval,
 )
 
-from _oracles import tdiv_oracle, trem_oracle
+from _oracles import (branch_and_prune_oracle, concrete_oracle, interval_oracle,
+                      tdiv_oracle, trem_oracle, truth_oracle)
+from test_acceptance import _gen_expr
 
 X, Y = Var(0), Var(1)
 
@@ -392,3 +402,174 @@ def test_driver_reports_boxes_as_cases():
     v2 = run(int_range(0, 100), lambda x: x >= 0)
     assert v2.kind is VerdictKind.PROVED
     assert v2.cases >= 1
+
+
+def test_driver_unobserved_carrier_is_unsupported():
+    for result in (None, True, False):
+        v = run(int_range(0, 10), lambda x, r=result: r)
+        assert v.kind is VerdictKind.UNKNOWN
+        assert v.reason is UnknownReason.UNSUPPORTED
+        assert v.detail == "predicate did not observe its input"
+    v = run(int_range(0, 10), lambda x: x + 1)
+    assert v.detail == "predicate did not yield a symbolic boolean"
+
+
+def test_driver_filter_hypothesis_may_be_a_plain_bool():
+    v = run(int_range(0, 10).filter("all", lambda x: True), lambda x: x >= 0)
+    assert v.kind is VerdictKind.PROVED
+
+
+# --------------------------------------------------------------------------
+# pinned work: verdict, boxes and splits of every corpus property the
+# symbolic backend decides, at the default config
+
+CORPUS_SYMBOLIC_WORK = {
+    "div.recompose": ("proved", 8014, 4006, None),
+    "even.rebuild": ("proved", 401, 200, None),
+    "filter.vacuous": ("proved", 1, 0, None),
+    "multiply": ("proved", 1, 0, None),
+    "multiply.strict": ("falsified", 37, 18, (1000, 1000)),
+    "neg.involution": ("proved", 255, 127, None),
+    "ordered.pair": ("proved", 151, 75, None),
+    "rem.range": ("proved", 1521, 760, None),
+    "scale.range": ("proved", 9, 4, None),
+    "sign.cases": ("proved", 2, 0, None),
+    "square.nonneg": ("proved", 3, 1, None),
+    "sub.self_zero": ("proved", 199, 99, None),
+    "sum.assoc": ("proved", 8191, 4095, None),
+    "threshold.wide": ("falsified", 19, 12, 50007),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_SYMBOLIC_WORK))
+def test_corpus_symbolic_work_is_pinned(name):
+    v = run_symbolic(REGISTRY.get(name), RunConfig())
+    witness = v.counterexample.original if v.counterexample else None
+    assert (v.kind.value, v.cases, v.splits, witness) == CORPUS_SYMBOLIC_WORK[name]
+
+
+def test_identity_wide_spends_its_whole_budget():
+    # x == x never separates on intervals, so every box up to the budget is
+    # split; at the default budget this reads 1048576 boxes, 524312 splits
+    v = run_symbolic(REGISTRY.get("identity.wide"), RunConfig(budget=4096))
+    assert (v.kind, v.reason, v.cases, v.splits) == (
+        VerdictKind.UNKNOWN, UnknownReason.UNDECIDED, 4096, 2076)
+
+
+# --------------------------------------------------------------------------
+# compiled closures against the reference tree walkers
+
+OPS = ("lt", "le", "gt", "ge", "eq", "ne")
+
+
+def _gen_formula(rng: SplitMix64, depth: int, nvars: int):
+    kind = rng.uniform_in(0, 6 if depth > 0 else 2)
+    if kind == 0:
+        return BoolConst(rng.uniform_in(0, 1) == 1)
+    if kind <= 3:
+        return Cmp(OPS[rng.uniform_in(0, 5)], _gen_expr(rng, rng.uniform_in(0, 4), nvars),
+                   _gen_expr(rng, rng.uniform_in(0, 2), nvars))
+    if kind == 4:
+        return Not(_gen_formula(rng, depth - 1, nvars))
+    a, b = _gen_formula(rng, depth - 1, nvars), _gen_formula(rng, depth - 1, nvars)
+    return And(a, b) if kind == 5 else Or(a, b)
+
+
+def _gen_box(rng: SplitMix64, nvars: int, max_width: int) -> Box:
+    vids = list(range(nvars))
+    if rng.uniform_in(0, 1):
+        vids.reverse()  # insertion order decides witness and sample order
+    out = {}
+    for v in vids:
+        lo = rng.uniform_in(-60, 60)
+        out[v] = Interval(lo, lo + rng.uniform_in(0, max_width))
+    return out
+
+
+def _name_divisions(node, counter) -> None:
+    """Give every Div/Rem its own location, so a raise names the node that
+    raised and the evaluation order shows."""
+    if isinstance(node, (Div, Rem)):
+        node.location = f"division {next(counter)}"
+    for part in ("lhs", "rhs", "inner"):
+        child = getattr(node, part, None)
+        if child is not None:
+            _name_divisions(child, counter)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DivMaybeZero, EvalError) as exc:
+        return type(exc).__name__, exc.location
+
+
+def test_compiled_evaluation_matches_the_reference_walkers():
+    rng = SplitMix64(11)
+    raised = {"DivMaybeZero": 0, "EvalError": 0}
+    for _ in range(4000):
+        nvars = rng.uniform_in(1, 3)
+        expr = _gen_expr(rng, rng.uniform_in(1, 5), nvars)
+        formula = _gen_formula(rng, 3, nvars)
+        _name_divisions(expr, itertools.count())
+        _name_divisions(formula, itertools.count())
+        b = _gen_box(rng, nvars, (3, 40)[rng.uniform_in(0, 1)])
+        point = {v: rng.uniform_in(iv.lo, iv.hi) for v, iv in b.items()}
+
+        hull = _outcome(interval_eval, expr, b)
+        if isinstance(hull, Interval):
+            hull = (hull.lo, hull.hi)
+        assert hull == _outcome(interval_oracle, expr, b), (expr, b)
+        truth = _outcome(truth_eval, formula, b)
+        if isinstance(truth, Truth3):
+            truth = truth.value
+        assert truth == _outcome(truth_oracle, formula, b), (formula, b)
+        assert _outcome(concrete_eval, expr, point) == _outcome(concrete_oracle, expr, point)
+        got = _outcome(concrete_truth, formula, point)
+        assert got == _outcome(concrete_oracle, formula, point), (formula, point)
+        for result in (hull, truth, got):
+            if isinstance(result, tuple) and isinstance(result[0], str):
+                raised[result[0]] += 1
+    # the zero-divisor paths are exercised too
+    assert raised["DivMaybeZero"] >= 100 and raised["EvalError"] >= 30, raised
+
+
+def test_branch_and_prune_matches_the_reference_search():
+    rng = SplitMix64(12)
+    statuses = set()
+    for i in range(600):
+        nvars = rng.uniform_in(1, 3)
+        formula = _gen_formula(rng, 2, nvars)
+        _name_divisions(formula, itertools.count())
+        b = _gen_box(rng, nvars, 40)
+        budget = (4, 60, 400)[i % 3]
+        out = branch_and_prune(formula, b, budget, sample_seed=i)
+        expected = branch_and_prune_oracle(formula, b, budget, seed=i)
+        got = (out.status, out.witness, out.boxes, out.splits, out.note)
+        assert got == expected, (formula, b)
+        statuses.add(out.status)
+    assert statuses == {"proved", "witness", "undecided", "unsupported"}
+
+
+def test_compile_is_memoized_on_every_node():
+    inner = X * Y
+    formula = (inner >= 0) | (X < 3)
+    fns = compile(formula)
+    assert compile(formula) is fns
+    assert inner._compiled is compile(inner)  # built while compiling the formula
+
+
+def test_evaluators_reject_the_wrong_node_kind():
+    with pytest.raises(TypeError):
+        interval_eval(X < 3, box((0, 1)))
+    with pytest.raises(TypeError):
+        truth_eval(X, box((0, 1)))
+    with pytest.raises(TypeError):
+        concrete_eval(Cmp("lt", X, X + (X < 1)), {0: 1})
+
+
+def test_negative_variable_ids_are_refused():
+    with pytest.raises(ValueError):
+        Var(-1)
+    with pytest.raises(ValueError):
+        branch_and_prune(BoolConst(True), {-1: Interval(0, 1)})
