@@ -25,7 +25,9 @@ def run_exhaustive(prop: Property, config: RunConfig, *,
     """Prove by enumerating every value, or refute with the first failure.
 
     * Finite cardinality n <= budget: full enumeration; Proved only after
-      exactly n evaluations (asserted).
+      one evaluation per base position walked, and no more positions than
+      n (asserted).  Under ``map``, n is an upper bound, so fewer positions
+      than n may be walked.
     * Finite n > budget, or TooLarge: Unknown{BudgetExceeded} without
       evaluating anything, reporting the needed count when known.
     * Unknown cardinality (a filter is present): enumerate the filtered
@@ -65,10 +67,15 @@ def run_exhaustive(prop: Property, config: RunConfig, *,
             ok, message = eval_predicate(prop, tree.current)
             ticker.tick()
             if not ok:
-                shrunk, incomplete = shrink_failure(prop, tree, ticker)
+                # the predicate may mutate what it is given, and shrink
+                # candidates share parts with their parent: shrink a tree
+                # rebuilt from the base position, report one rebuilt after
+                fresh = prop.strategy._unrank(tree.index)
+                shrunk, incomplete = shrink_failure(prop, fresh, ticker)
+                original = prop.strategy._unrank(tree.index).current
                 return finish(Verdict.falsified(Counterexample(
-                    original=tree.current,
-                    shrunk=shrunk.current,
+                    original=original,
+                    shrunk=original if shrunk is fresh else shrunk.current,
                     seed=None,
                     case_index=count,
                     message=message,
@@ -84,10 +91,10 @@ def run_exhaustive(prop: Property, config: RunConfig, *,
     except (DeadlineReached, StopRequested):
         return finish(Verdict.unknown(UnknownReason.TIMEOUT, cases=count))
 
-    if expected is not None and count != expected:
+    if expected is not None and not count == (span := prop.strategy._span()) <= expected:
         raise AssertionError(
             f"enumeration of {prop.name!r} yielded {count} values, "
-            f"cardinality said {expected}")
+            f"its span is {span}, cardinality said at most {expected}")
     verdict = Verdict.proved("exhaustive", count)
     if count == 0:
         verdict.vacuity_warning = True  # nothing satisfied the filters

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Any, Iterator
 
 from . import strategies
 from .strategies import Cardinality, EnumStats, Strategy, ValueTree, _GenContext
@@ -352,11 +352,14 @@ class Pattern(Strategy):
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         return self._compiled._random_tree(ctx)
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        return self._compiled._iter_trees(stats)
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        return self._compiled._values(stats)
 
-    def _simplest_tree(self) -> ValueTree | None:
-        return self._compiled._simplest_tree()
+    def _unrank(self, index: int) -> ValueTree:
+        return self._compiled._unrank(index)
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        return self._compiled._span(stats)
 
     def __repr__(self) -> str:
         return f"pattern({self.text!r})"

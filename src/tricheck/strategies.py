@@ -8,11 +8,20 @@ every backend shares them:
 * ``random_tree``     -- one seeded draw, returned as a :class:`ValueTree`
                          (the value plus its ordered shrink candidates);
 * ``iter_trees``      -- the canonical, deterministic enumeration of the
-                         whole domain, also as trees;
+                         whole domain, walked as plain values (below);
 * ``cardinality``     -- the exact or bounding size of the domain.
 
 The symbolic interpretation lives in :mod:`tricheck.symbolic` so this module
 stays free of solver machinery.
+
+Enumeration is index-addressed.  A node's base positions are its values in
+canonical order, except that a filter keeps its inner domain's positions
+(rejected ones too) and ``ordered_map_of`` deduplicates its keys.  ``_span()``
+counts them, ``_values(stats)`` streams the plain value at each lazily (rejected
+ones as ``_Skip``), and ``_unrank(i)`` builds the tree at position ``i``: mixed
+radix for products (last component fastest), offsets for sums, combinadic ranks
+over the key universe for maps.  ``iter_trees``, ``enumerate_values`` and
+``simplest_tree`` derive from these: a tree is built only where one is asked.
 
 Shrink candidates are ordered simplest-first and are *strictly* simpler than
 their parent under a per-constructor complexity measure (`ValueTree.complexity`),
@@ -24,9 +33,10 @@ absent, containers toward fewer elements and then element-wise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Callable, Iterator, Sequence
+import math
+import operator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .prng import SplitMix64
 
@@ -108,20 +118,12 @@ TOO_LARGE = Cardinality("too_large")
 UNKNOWN = Cardinality("unknown")
 
 
-def _card_add(a: Cardinality, b: Cardinality) -> Cardinality:
+def _card_op(op: Callable[[int, int], int], a: Cardinality, b: Cardinality) -> Cardinality:
     if a.kind == "unknown" or b.kind == "unknown":
         return UNKNOWN
     if a.kind == "too_large" or b.kind == "too_large":
         return TOO_LARGE
-    return Cardinality.finite(a.count + b.count)
-
-
-def _card_mul(a: Cardinality, b: Cardinality) -> Cardinality:
-    if a.kind == "unknown" or b.kind == "unknown":
-        return UNKNOWN
-    if a.kind == "too_large" or b.kind == "too_large":
-        return TOO_LARGE
-    return Cardinality.finite(a.count * b.count)
+    return Cardinality.finite(op(a.count, b.count))
 
 
 def _card_sum_powers(inner: Cardinality, lo: int, hi: int) -> Cardinality:
@@ -257,7 +259,7 @@ class _UnionTree(ValueTree):
         for j in range(self.index):
             alt = self._alts[j]
             if self._salt is None:
-                t = alt._simplest_tree()
+                t = simplest_tree(alt)
             else:
                 ctx = _GenContext(SplitMix64((self._salt + j) & ((1 << 64) - 1)),
                                   rejection_budget=MAX_REJECTIONS_PER_VALUE * 10)
@@ -346,9 +348,9 @@ class _ListTree(ValueTree):
         return (len(self._elems), tuple(e.complexity() for e in self._elems))
 
 
-def _sorted_entries(entries: list[tuple[ValueTree, ValueTree]]) -> list[tuple[ValueTree, ValueTree]]:
+def _key_sorted(entries: list, key: Callable[[Any], Any]) -> list:
     try:
-        return sorted(entries, key=lambda kv: kv[0].current)
+        return sorted(entries, key=key)
     except TypeError:  # keys not mutually orderable; keep construction order
         return entries
 
@@ -359,7 +361,7 @@ class _MapEntriesTree(ValueTree):
     __slots__ = ("current", "_entries", "_min_size")
 
     def __init__(self, entries: list[tuple[ValueTree, ValueTree]], min_size: int) -> None:
-        entries = _sorted_entries(entries)
+        entries = _key_sorted(entries, lambda kv: kv[0].current)
         self._entries = entries
         self._min_size = min_size
         self.current = {k.current: v.current for k, v in entries}
@@ -410,17 +412,18 @@ class _GenContext:
 
 
 class EnumStats:
-    """Counters threaded through enumeration; lets callers bound the number
-    of filter-rejected elements walked in the base domain."""
+    """Counters threaded through enumeration; lets callers bound the filter
+    rejections walked, and the items of any one ``ordered_map_of`` key walk."""
 
-    __slots__ = ("accepted", "rejected", "max_rejected", "on_reject")
+    __slots__ = ("rejected", "max_rejected", "on_reject", "max_key_walk")
 
     def __init__(self, max_rejected: int | None = None,
-                 on_reject: Callable[[], None] | None = None) -> None:
-        self.accepted = 0
+                 on_reject: Callable[[], None] | None = None,
+                 max_key_walk: int | None = None) -> None:
         self.rejected = 0
         self.max_rejected = max_rejected
         self.on_reject = on_reject
+        self.max_key_walk = max_key_walk
 
     def note_reject(self, label: str) -> None:
         self.rejected += 1
@@ -431,24 +434,81 @@ class EnumStats:
                 label, f"filter {label!r}: base-domain traversal bound exceeded")
 
 
-def _lazy_product(stream_fns: Sequence[Callable[[], Iterator[Any]]]) -> Iterator[tuple]:
-    """Row-major product of replayable streams (first component slowest).
+class _Skip(NamedTuple):
+    """``count`` rejected values in a ``_values`` stream, each heading the whole
+    product of ``rest``.  The span is resolved only once an accepted value
+    follows, so a skipped tail is never walked for nothing."""
 
-    Unlike itertools.product this never materializes an input stream, so a
-    budgeted caller can walk the front of an astronomically large product.
-    """
-    if not stream_fns:
-        yield ()
+    count: int
+    rest: tuple = ()
+
+    def span(self, stats: EnumStats | None) -> int:
+        return self.count * math.prod(c._span(stats) for c in self.rest)
+
+
+def _positions(stream: Iterator[Any], stats: EnumStats | None) -> Iterator[tuple[int, Any]]:
+    """(base position, value) of each accepted value of a ``_values`` stream."""
+    index = 0
+    skipped: list[_Skip] = []
+    for v in stream:
+        if type(v) is _Skip:
+            skipped.append(v)
+            continue
+        if skipped:
+            index += sum(s.span(stats) for s in skipped)
+            skipped.clear()
+        yield index, v
+        index += 1
+
+
+def _bounded(stream: Iterator[Any], limit: int) -> Iterator[Any]:
+    """``stream``, refusing to walk past its first ``limit`` items."""
+    for n, v in enumerate(stream):
+        if n == limit:
+            raise NotEnumerable(f"walk passed {limit} items")
+        yield v
+
+
+def _product(comps: Sequence["Strategy"], stats: EnumStats | None,
+             prefix: tuple = ()) -> Iterator[Any]:
+    """``prefix`` extended by each tuple of the row-major product of
+    ``comps`` (last component fastest), or a ``_Skip``.  Unlike
+    itertools.product this never materializes a component stream: the tail is
+    walked afresh for each head value, and a skipped head skips it whole."""
+    if not comps:
+        yield prefix
         return
-    head = stream_fns[0]
-    rest = stream_fns[1:]
+    head, rest = comps[0], comps[1:]
     if not rest:
-        for h in head():
-            yield (h,)
+        for h in head._values(stats):
+            yield h if type(h) is _Skip else prefix + (h,)
         return
-    for h in head():
-        for tail in _lazy_product(rest):
-            yield (h,) + tail
+    for h in head._values(stats):
+        if type(h) is _Skip:
+            yield _Skip(h.count, h.rest + rest)
+        else:
+            yield from _product(rest, stats, prefix + (h,))
+
+
+def _unrank_digits(comps: Sequence["Strategy"], index: int) -> list[ValueTree]:
+    """The trees at the mixed-radix digits of ``index``, last component fastest."""
+    trees = []
+    for c in reversed(comps):
+        index, digit = divmod(index, c._span())
+        trees.append(c._unrank(digit))
+    return trees[::-1]
+
+
+def _unrank_combination(n: int, k: int, rank: int) -> list[int]:
+    """The ``rank``-th k-subset of range(n) in itertools.combinations order."""
+    out, x = [], 0
+    for left in range(k, 0, -1):
+        while rank >= (block := _choose(n - x - 1, left - 1)):
+            rank -= block
+            x += 1
+        out.append(x)
+        x += 1
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -477,10 +537,16 @@ class Strategy:
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         raise NotImplementedError
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        """The plain value at every base position, lazily; rejections as ``_Skip``."""
         raise NotImplementedError
 
-    def _simplest_tree(self) -> ValueTree | None:
+    def _unrank(self, index: int) -> ValueTree:
+        """The tree at base position ``index``."""
+        raise NotImplementedError
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        """The number of base positions."""
         raise NotImplementedError
 
 
@@ -494,11 +560,14 @@ class Just(Strategy):
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         return _LeafTree(self.value)
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        yield _LeafTree(self.value)
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        return iter((self.value,))
 
-    def _simplest_tree(self) -> ValueTree | None:
+    def _unrank(self, index: int) -> ValueTree:
         return _LeafTree(self.value)
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        return 1
 
     def __repr__(self) -> str:
         return f"just({self.value!r})"
@@ -533,13 +602,14 @@ class IntRange(Strategy):
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         return _IntTree(ctx.rng.uniform_in(self.lo, self.hi), self.lo)
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        lo = self.lo
-        for v in range(lo, self.hi + 1):
-            yield _IntTree(v, lo)
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        return iter(range(self.lo, self.hi + 1))
 
-    def _simplest_tree(self) -> ValueTree | None:
-        return _IntTree(self.lo, self.lo)
+    def _unrank(self, index: int) -> ValueTree:
+        return _IntTree(self.lo + index, self.lo)
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        return self.hi - self.lo + 1
 
     def __repr__(self) -> str:
         kind = "i" if self.signed else "u"
@@ -557,13 +627,16 @@ class Map(Strategy):
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         return _MapTree(self.transform, self.inner._random_tree(ctx))
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        for t in self.inner._iter_trees(stats):
-            yield _MapTree(self.transform, t)
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        fn = self.transform
+        for v in self.inner._values(stats):
+            yield v if type(v) is _Skip else fn(v)
 
-    def _simplest_tree(self) -> ValueTree | None:
-        t = self.inner._simplest_tree()
-        return None if t is None else _MapTree(self.transform, t)
+    def _unrank(self, index: int) -> ValueTree:
+        return _MapTree(self.transform, self.inner._unrank(index))
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        return self.inner._span(stats)
 
     def __repr__(self) -> str:
         name = getattr(self.transform, "__name__", "<fn>")
@@ -594,20 +667,20 @@ class Filter(Strategy):
             ctx.charge_rejection(self.label)
         raise RejectionExhausted(self.label)
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        for t in self.inner._iter_trees(stats):
-            if self._accepts(t.current):
-                yield _FilterTree(self.predicate, t)
-            elif stats is not None:
-                stats.note_reject(self.label)
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        for v in self.inner._values(stats):
+            if type(v) is _Skip or self._accepts(v):
+                yield v
+            else:
+                if stats is not None:
+                    stats.note_reject(self.label)
+                yield _Skip(1)
 
-    def _simplest_tree(self) -> ValueTree | None:
-        for i, t in enumerate(self.inner._iter_trees(None)):
-            if self._accepts(t.current):
-                return _FilterTree(self.predicate, t)
-            if i >= MAX_REJECTIONS_PER_VALUE:
-                return None
-        return None
+    def _unrank(self, index: int) -> ValueTree:
+        return _FilterTree(self.predicate, self.inner._unrank(index))
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        return self.inner._span(stats)
 
     def __repr__(self) -> str:
         return f"{self.inner!r}.filter({self.label!r})"
@@ -624,7 +697,7 @@ class OneOf(Strategy):
     def _cardinality(self) -> Cardinality:
         total = Cardinality.finite(0)
         for alt in self.alternatives:
-            total = _card_add(total, alt._cardinality())
+            total = _card_op(operator.add, total, alt._cardinality())
         return total
 
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
@@ -633,17 +706,20 @@ class OneOf(Strategy):
         inner = self.alternatives[i]._random_tree(ctx)
         return _UnionTree(i, inner, self.alternatives, salt)
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        for i, alt in enumerate(self.alternatives):
-            for t in alt._iter_trees(stats):
-                yield _UnionTree(i, t, self.alternatives, None)
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        for alt in self.alternatives:
+            yield from alt._values(stats)
 
-    def _simplest_tree(self) -> ValueTree | None:
+    def _unrank(self, index: int) -> ValueTree:
         for i, alt in enumerate(self.alternatives):
-            t = alt._simplest_tree()
-            if t is not None:
-                return _UnionTree(i, t, self.alternatives, None)
-        return None
+            span = alt._span()
+            if index < span:
+                return _UnionTree(i, alt._unrank(index), self.alternatives, None)
+            index -= span
+        raise IndexError("one_of: base position out of range")
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        return sum(alt._span(stats) for alt in self.alternatives)
 
     def __repr__(self) -> str:
         return f"one_of({', '.join(map(repr, self.alternatives))})"
@@ -656,22 +732,20 @@ class TupleOf(Strategy):
     def _cardinality(self) -> Cardinality:
         total = Cardinality.finite(1)
         for c in self.components:
-            total = _card_mul(total, c._cardinality())
+            total = _card_op(operator.mul, total, c._cardinality())
         return total
 
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         return _TupleTree([c._random_tree(ctx) for c in self.components])
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        fns = [(lambda c=c: c._iter_trees(stats)) for c in self.components]
-        for combo in _lazy_product(fns):
-            yield _TupleTree(combo)
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        return _product(self.components, stats)
 
-    def _simplest_tree(self) -> ValueTree | None:
-        comps = [c._simplest_tree() for c in self.components]
-        if any(t is None for t in comps):
-            return None
-        return _TupleTree(comps)
+    def _unrank(self, index: int) -> ValueTree:
+        return _TupleTree(_unrank_digits(self.components, index))
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        return math.prod(c._span(stats) for c in self.components)
 
     def __repr__(self) -> str:
         return f"tuple_of({', '.join(map(repr, self.components))})"
@@ -682,20 +756,22 @@ class OptionalOf(Strategy):
     inner: Strategy
 
     def _cardinality(self) -> Cardinality:
-        return _card_add(Cardinality.finite(1), self.inner._cardinality())
+        return _card_op(operator.add, Cardinality.finite(1), self.inner._cardinality())
 
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         if ctx.rng.uniform_in(0, 1) == 0:
             return _AbsentTree()
         return _PresentTree(self.inner._random_tree(ctx))
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        yield _AbsentTree()
-        for t in self.inner._iter_trees(stats):
-            yield _PresentTree(t)
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        yield None
+        yield from self.inner._values(stats)
 
-    def _simplest_tree(self) -> ValueTree | None:
-        return _AbsentTree()
+    def _unrank(self, index: int) -> ValueTree:
+        return _PresentTree(self.inner._unrank(index - 1)) if index else _AbsentTree()
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        return 1 + self.inner._span(stats)
 
     def __repr__(self) -> str:
         return f"optional_of({self.inner!r})"
@@ -718,20 +794,22 @@ class ListOf(Strategy):
         n = ctx.rng.uniform_in(self.min_len, self.max_len)
         return _ListTree([self.element._random_tree(ctx) for _ in range(n)], self.min_len)
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        elem = self.element
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         for n in range(self.min_len, self.max_len + 1):
-            fns = [(lambda: elem._iter_trees(stats))] * n
-            for combo in _lazy_product(fns):
-                yield _ListTree(combo, self.min_len)
+            for v in _product((self.element,) * n, stats):
+                yield v if type(v) is _Skip else list(v)
 
-    def _simplest_tree(self) -> ValueTree | None:
-        if self.min_len == 0:
-            return _ListTree([], 0)
-        t = self.element._simplest_tree()
-        if t is None:
-            return None
-        return _ListTree([t] * self.min_len, self.min_len)
+    def _unrank(self, index: int) -> ValueTree:
+        span = self.element._span()
+        for n in range(self.min_len, self.max_len + 1):
+            if index < span ** n:
+                return _ListTree(_unrank_digits((self.element,) * n, index), self.min_len)
+            index -= span ** n
+        raise IndexError("list_of: base position out of range")
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        span = self.element._span(stats)
+        return sum(span ** n for n in range(self.min_len, self.max_len + 1))
 
     def __repr__(self) -> str:
         return f"list_of({self.element!r}, {self.min_len}, {self.max_len})"
@@ -792,41 +870,56 @@ class OrderedMapOf(Strategy):
             entries.append((kt, self.values._random_tree(ctx)))
         return _MapEntriesTree(entries, self.min_size)
 
-    def _iter_trees(self, stats: EnumStats | None) -> Iterator[ValueTree]:
-        universe: list[ValueTree] = []
+    def _key_universe(self, stats: EnumStats | None) -> list[tuple[int, Any]]:
+        """(base position, key) of each distinct accepted key, first occurrence
+        first.  Every call walks (filter calls count); a completed walk memoizes."""
+        keys = self.keys._values(stats)
+        if stats is not None and stats.max_key_walk is not None:
+            keys = _bounded(keys, stats.max_key_walk)
+        universe: list[tuple[int, Any]] = []
         seen: set[Any] = set()  # keys end up as dict keys, so hashable by contract
-        for kt in self.keys._iter_trees(stats):
-            if kt.current in seen:
-                continue
-            seen.add(kt.current)
-            universe.append(kt)
-            if len(universe) > _KEY_UNIVERSE_CAP:
-                raise NotEnumerable("ordered_map_of: key universe too large to enumerate")
-        values = self.values
-        for size in range(self.min_size, min(self.max_size, len(universe)) + 1):
-            for key_combo in itertools.combinations(universe, size):
-                fns = [(lambda: values._iter_trees(stats))] * size
-                for val_combo in _lazy_product(fns):
-                    yield _MapEntriesTree(list(zip(key_combo, val_combo)), self.min_size)
+        for index, k in _positions(keys, stats):
+            if k not in seen:
+                seen.add(k)
+                universe.append((index, k))
+                if len(universe) > _KEY_UNIVERSE_CAP:
+                    raise NotEnumerable("ordered_map_of: key universe too large to enumerate")
+        self.__dict__["_walked_key_positions"] = [i for i, _ in universe]
+        return universe
 
-    def _simplest_tree(self) -> ValueTree | None:
-        if self.min_size == 0:
-            return _MapEntriesTree([], 0)
-        vt = self.values._simplest_tree()
-        if vt is None:
-            return None
-        entries: list[tuple[ValueTree, ValueTree]] = []
-        seen: list[Any] = []
-        for i, kt in enumerate(self.keys._iter_trees(None)):
-            if kt.current in seen:
-                continue
-            seen.append(kt.current)
-            entries.append((kt, vt))
-            if len(entries) == self.min_size:
-                return _MapEntriesTree(entries, self.min_size)
-            if i >= MAX_REJECTIONS_PER_VALUE * self.min_size:
-                break
-        return None
+    def _key_positions(self, stats: EnumStats | None = None) -> list[int]:
+        memo = self.__dict__.get("_walked_key_positions")
+        return [i for i, _ in self._key_universe(stats)] if memo is None else memo
+
+    def _sizes(self, n_keys: int) -> range:
+        return range(self.min_size, min(self.max_size, n_keys) + 1)
+
+    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+        keys = [k for _, k in self._key_universe(stats)]
+        for size in self._sizes(len(keys)):
+            for key_combo in itertools.combinations(keys, size):
+                for vals in _product((self.values,) * size, stats):
+                    yield vals if type(vals) is _Skip else dict(
+                        _key_sorted(list(zip(key_combo, vals)), lambda kv: kv[0]))
+
+    def _unrank(self, index: int) -> ValueTree:
+        positions = self._key_positions()
+        vspan = self.values._span()
+        for size in self._sizes(len(positions)):
+            block = vspan ** size
+            count = _choose(len(positions), size) * block
+            if index < count:
+                rank, index = divmod(index, block)
+                keys = [self.keys._unrank(positions[j])
+                        for j in _unrank_combination(len(positions), size, rank)]
+                vals = _unrank_digits((self.values,) * size, index)
+                return _MapEntriesTree(list(zip(keys, vals)), self.min_size)
+            index -= count
+        raise IndexError("ordered_map_of: base position out of range")
+
+    def _span(self, stats: EnumStats | None = None) -> int:
+        n, vspan = len(self._key_positions(stats)), self.values._span(stats)
+        return sum(_choose(n, k) * vspan ** k for k in self._sizes(n))
 
     def __repr__(self) -> str:
         return (f"ordered_map_of({self.keys!r}, {self.values!r}, "
@@ -888,10 +981,28 @@ def random_tree(strategy: Strategy, rng: SplitMix64,
     return strategy._random_tree(_GenContext(rng, rejection_budget))
 
 
+class _IndexedTree(ValueTree):
+    """An enumerated value and its base position; its tree is unranked on demand."""
+
+    __slots__ = ("current", "strategy", "index")
+
+    def __init__(self, value: Any, strategy: Strategy, index: int) -> None:
+        self.current = value
+        self.strategy = strategy
+        self.index = index
+
+    def candidates(self) -> Iterator[ValueTree]:
+        return self.strategy._unrank(self.index).candidates()
+
+    def complexity(self) -> tuple:
+        return self.strategy._unrank(self.index).complexity()
+
+
 def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[ValueTree]:
-    """Canonical enumeration as shrinkable trees.  No budget gating; callers
-    that rely on finiteness should consult ``cardinality`` first."""
-    return strategy._iter_trees(stats)
+    """Canonical enumeration as shrinkable trees carrying their base ``index``.
+    No budget gating; callers that rely on finiteness check ``cardinality``."""
+    for index, v in _positions(strategy._values(stats), stats):
+        yield _IndexedTree(v, strategy, index)
 
 
 def enumerate_values(strategy: Strategy, budget: int | None = None) -> Iterator[Any]:
@@ -904,10 +1015,19 @@ def enumerate_values(strategy: Strategy, budget: int | None = None) -> Iterator[
     card = strategy._cardinality()
     if card.kind == "too_large" and budget is None:
         raise NotEnumerable(f"{strategy!r} has more than 2**63 elements; pass a budget")
-    it = (t.current for t in strategy._iter_trees(None))
+    it = (v for v in strategy._values(None) if type(v) is not _Skip)
     return it if budget is None else itertools.islice(it, budget)
 
 
 def simplest_tree(strategy: Strategy) -> ValueTree | None:
-    """The canonically simplest value of the domain, if cheaply reachable."""
-    return strategy._simplest_tree()
+    """The canonically simplest value of the domain, if cheaply reachable: the
+    first accepted position among the first ``MAX_REJECTIONS_PER_VALUE + 1``
+    stream items, where no map may walk more key items than that."""
+    stats = EnumStats(max_key_walk=MAX_REJECTIONS_PER_VALUE + 1)
+    try:
+        for index, _ in _positions(_bounded(strategy._values(stats), stats.max_key_walk),
+                                   stats):
+            return strategy._unrank(index)
+    except NotEnumerable:
+        pass
+    return None

@@ -5,7 +5,9 @@ internals: the generator is transcribed separately from its public reference
 description, enumeration is eager recursion instead of lazy streams, and the
 pattern matcher interprets the AST directly rather than going through
 strategy compilation.  When a test says "matches the oracle", this module is
-the other side of that comparison.
+the other side of that comparison.  The reference enumeration at the end is
+the one exception: it is the library's previous per-node tree streams, kept
+as the baseline that index-addressed enumeration must reproduce.
 """
 
 from __future__ import annotations
@@ -335,3 +337,138 @@ def branch_and_prune_oracle(formula, box, budget, seed=0):
         work.append({**current, dim: sym.Interval(mid + 1, iv.hi)})
         work.append({**current, dim: sym.Interval(iv.lo, mid)})
     return "proved", None, boxes, splits, None
+
+
+# --------------------------------------------------------------------------
+# reference enumeration: the per-node tree streams that enumeration used
+# before it became index-addressed, kept as the other side of the
+# differential tests.  Each node's stream is transcribed from the
+# ``_iter_trees`` / ``_simplest_tree`` method it once had.
+
+def lazy_product_reference(stream_fns):
+    """Row-major product of replayable streams (first component slowest)."""
+    if not stream_fns:
+        yield ()
+        return
+    head = stream_fns[0]
+    rest = stream_fns[1:]
+    if not rest:
+        for h in head():
+            yield (h,)
+        return
+    for h in head():
+        for tail in lazy_product_reference(rest):
+            yield (h,) + tail
+
+
+def iter_trees_reference(s, stats=None):
+    """The canonical enumeration of ``s`` as shrinkable trees."""
+    if isinstance(s, pat.Pattern):
+        s = s._compiled
+    if isinstance(s, st.Just):
+        yield st._LeafTree(s.value)
+    elif isinstance(s, st.IntRange):
+        for v in range(s.lo, s.hi + 1):
+            yield st._IntTree(v, s.lo)
+    elif isinstance(s, st.Map):
+        for t in iter_trees_reference(s.inner, stats):
+            yield st._MapTree(s.transform, t)
+    elif isinstance(s, st.Filter):
+        for t in iter_trees_reference(s.inner, stats):
+            if s._accepts(t.current):
+                yield st._FilterTree(s.predicate, t)
+            elif stats is not None:
+                stats.note_reject(s.label)
+    elif isinstance(s, st.OneOf):
+        for i, alt in enumerate(s.alternatives):
+            for t in iter_trees_reference(alt, stats):
+                yield st._UnionTree(i, t, s.alternatives, None)
+    elif isinstance(s, st.TupleOf):
+        fns = [(lambda c=c: iter_trees_reference(c, stats)) for c in s.components]
+        for combo in lazy_product_reference(fns):
+            yield st._TupleTree(combo)
+    elif isinstance(s, st.OptionalOf):
+        yield st._AbsentTree()
+        for t in iter_trees_reference(s.inner, stats):
+            yield st._PresentTree(t)
+    elif isinstance(s, st.ListOf):
+        for n in range(s.min_len, s.max_len + 1):
+            fns = [(lambda: iter_trees_reference(s.element, stats))] * n
+            for combo in lazy_product_reference(fns):
+                yield st._ListTree(combo, s.min_len)
+    elif isinstance(s, st.OrderedMapOf):
+        universe = []
+        seen = set()
+        for kt in iter_trees_reference(s.keys, stats):
+            if kt.current in seen:
+                continue
+            seen.add(kt.current)
+            universe.append(kt)
+            if len(universe) > st._KEY_UNIVERSE_CAP:
+                raise st.NotEnumerable("ordered_map_of: key universe too large to enumerate")
+        for size in range(s.min_size, min(s.max_size, len(universe)) + 1):
+            for key_combo in itertools.combinations(universe, size):
+                fns = [(lambda: iter_trees_reference(s.values, stats))] * size
+                for val_combo in lazy_product_reference(fns):
+                    yield st._MapEntriesTree(list(zip(key_combo, val_combo)), s.min_size)
+    else:
+        raise TypeError(f"no reference enumeration for {s!r}")
+
+
+def simplest_tree_reference(s):
+    """The canonically simplest tree of ``s``, node by node."""
+    if isinstance(s, pat.Pattern):
+        s = s._compiled
+    if isinstance(s, st.Just):
+        return st._LeafTree(s.value)
+    if isinstance(s, st.IntRange):
+        return st._IntTree(s.lo, s.lo)
+    if isinstance(s, st.Map):
+        t = simplest_tree_reference(s.inner)
+        return None if t is None else st._MapTree(s.transform, t)
+    if isinstance(s, st.Filter):
+        for i, t in enumerate(iter_trees_reference(s.inner)):
+            if s._accepts(t.current):
+                return st._FilterTree(s.predicate, t)
+            if i >= st.MAX_REJECTIONS_PER_VALUE:
+                return None
+        return None
+    if isinstance(s, st.OneOf):
+        for i, alt in enumerate(s.alternatives):
+            t = simplest_tree_reference(alt)
+            if t is not None:
+                return st._UnionTree(i, t, s.alternatives, None)
+        return None
+    if isinstance(s, st.TupleOf):
+        comps = [simplest_tree_reference(c) for c in s.components]
+        if any(t is None for t in comps):
+            return None
+        return st._TupleTree(comps)
+    if isinstance(s, st.OptionalOf):
+        return st._AbsentTree()
+    if isinstance(s, st.ListOf):
+        if s.min_len == 0:
+            return st._ListTree([], 0)
+        t = simplest_tree_reference(s.element)
+        if t is None:
+            return None
+        return st._ListTree([t] * s.min_len, s.min_len)
+    if isinstance(s, st.OrderedMapOf):
+        if s.min_size == 0:
+            return st._MapEntriesTree([], 0)
+        vt = simplest_tree_reference(s.values)
+        if vt is None:
+            return None
+        entries = []
+        seen = []
+        for i, kt in enumerate(iter_trees_reference(s.keys)):
+            if kt.current in seen:
+                continue
+            seen.append(kt.current)
+            entries.append((kt, vt))
+            if len(entries) == s.min_size:
+                return st._MapEntriesTree(entries, s.min_size)
+            if i >= st.MAX_REJECTIONS_PER_VALUE * s.min_size:
+                break
+        return None
+    raise TypeError(f"no reference simplest tree for {s!r}")

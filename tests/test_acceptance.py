@@ -414,3 +414,48 @@ def test_symbolic_witness_is_confirmed_on_the_real_predicate(tmp_path, capsys):
                                   st.int_range(-5, 5), disagrees)
     assert rc == 0
     assert result["verdict"] == "proved"
+
+
+# --------------------------------------------------------------------------
+# exhaustive: counts what it walked, reports what it evaluated
+
+def test_ordered_map_over_merging_keys_is_proved(tmp_path, capsys):
+    """``map`` makes cardinality an upper bound: five keys merge into three,
+    so 18 distinct maps exist where the bound says 50.  The completeness
+    check compares against the positions actually walked, so the run proves
+    instead of aborting with an AssertionError."""
+    s = st.ordered_map_of(st.int_range(0, 4).map(lambda x: x // 2), st.int_range(0, 1), 1, 2)
+    assert s.cardinality() == st.Cardinality.finite(50)
+    v = run_exhaustive(Property("acc.merging_keys", s, lambda m: len(m) <= 2), RunConfig())
+    assert v.kind is VerdictKind.PROVED
+    assert v.cases == 18
+
+    rc, result = _ensemble_report(tmp_path, capsys, "acc.merging_keys", s,
+                                  lambda m: len(m) <= 2)
+    assert rc == 0
+    assert result["verdict"] == "proved"
+
+
+def test_exhaustive_reports_the_input_that_failed():
+    """A predicate that mutates its argument must not rewrite the reported
+    counterexample: the failing value is rebuilt from its position."""
+    def appends(xs):
+        xs.append(99)
+        return len(xs) < 4
+
+    prop = Property("acc.appends", st.list_of(st.int_range(0, 3), 0, 3), appends)
+    v = run_exhaustive(prop, RunConfig())
+    assert v.kind is VerdictKind.FALSIFIED
+    assert v.counterexample.original == [0, 0, 0]
+    assert v.counterexample.shrunk == [0, 0, 0]
+
+    # shrink candidates of a tuple share its list, which they append to
+    def nested(a, xs):
+        xs.append(99)
+        return a < 3 or len(xs) < 2
+
+    prop = Property("acc.nested", st.tuple_of(st.int_range(0, 3),
+                                              st.list_of(st.int_range(0, 3), 0, 3)), nested)
+    v = run_exhaustive(prop, RunConfig())
+    assert v.counterexample.original == (3, [0])
+    assert v.counterexample.shrunk == (3, [0])

@@ -123,6 +123,55 @@ def test_filtered_stream_bounds_base_traversal():
     assert "needle" in v.detail
 
 
+def test_budgeted_walk_maps_only_the_heads_it_reaches():
+    # the 101st accepted value, (10, 0), trips the budget: a stream that
+    # materialized the head component would call the transform 10^6 times
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x
+
+    s = tuple_of(int_range(0, 10**6).map(f), int_range(0, 9)).filter("all", lambda t: True)
+    v = run_exhaustive(prop(s, lambda t: True), RunConfig(budget=100))
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.BUDGET_EXCEEDED
+    assert len(calls) <= 11
+
+
+@pytest.mark.parametrize("tail", [lambda m: m, lambda m: list_of(m, 0, 1)],
+                         ids=["map", "list_of_map"])
+def test_rejected_head_walks_no_keys_outside_the_rejection_bound(tail):
+    # head 0 is rejected and skips its tail, whose span needs the sparse key
+    # universe; it is resolved only once head 1 leads to an accepted value,
+    # and every key walk is charged to the 10x budget rejection bound
+    calls = []
+
+    def needle(k):
+        calls.append(k)
+        return k < 3
+
+    keys = int_range(0, 10**8).filter("needle", needle)
+    s = tuple_of(int_range(0, 1).filter("one", lambda x: x == 1),
+                 tail(ordered_map_of(keys, int_range(0, 1), 0, 1)))
+    v = run_exhaustive(prop(s, lambda t: True), RunConfig(budget=100))
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.BUDGET_EXCEEDED
+    assert "needle" in v.detail
+    assert len(calls) <= 10 * 100 + 4
+
+
+def test_completeness_check_holds_the_span_to_the_cardinality(monkeypatch):
+    # a span and a stream that agree with each other but overshoot the
+    # independently computed cardinality still fail the self-check
+    import tricheck.strategies as st
+    monkeypatch.setattr(st.IntRange, "_span", lambda self, stats=None: self.hi - self.lo + 2)
+    monkeypatch.setattr(st.IntRange, "_values",
+                        lambda self, stats: iter(range(self.lo, self.hi + 2)))
+    with pytest.raises(AssertionError, match="cardinality said at most 3"):
+        run_exhaustive(prop(int_range(0, 2), lambda x: True), RunConfig())
+
+
 def test_oversized_key_universe_is_unknown_not_a_hang(monkeypatch):
     monkeypatch.setattr("tricheck.strategies._KEY_UNIVERSE_CAP", 50)
     s = ordered_map_of(int_range(0, 1000).filter("all", lambda x: True),
