@@ -15,7 +15,7 @@ import tempfile
 
 from tricheck.cli import main, update_history
 from tricheck.harness import Property, PropertyRegistry, RunConfig
-from tricheck.runner import Waiver, apply_waivers, profile_report, run_suite
+from tricheck.runner import Waiver, apply_waivers, run_suite
 from tricheck.strategies import int_range
 
 registry = PropertyRegistry()
@@ -37,9 +37,6 @@ waivers = [Waiver("demo.short", "tracked regression", expires)]
 apply_waivers(report, waivers)
 waived = [r.name for r in report.results if r.waived]
 print("waived:", waived, "->", report.totals())
-
-# profile_report ranks results by wall time, slowest first.
-print("slowest:", [(name, f"{ms}ms") for name, _backend, ms in profile_report(report, 2)])
 
 # History is JSON-lines, one record per (property, run).  A property whose
 # verdict kind changes across runs of identical code and configuration is

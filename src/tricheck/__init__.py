@@ -63,7 +63,6 @@ from .runner import (
     RunReport,
     Waiver,
     apply_waivers,
-    profile_report,
     run_ensemble,
     run_property,
     run_suite,
@@ -116,7 +115,6 @@ __all__ = [
     "ordered_map_of",
     "parse_pattern",
     "pattern",
-    "profile_report",
     "random_tree",
     "run_ensemble",
     "run_exhaustive",

@@ -15,6 +15,7 @@ which is a tool bug, not a harness verdict).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fnmatch
 import importlib.util
 import json
@@ -94,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("module", nargs="?", default=None)
     replay.add_argument("--property", required=True)
     replay.add_argument("--backend", choices=["fuzz", "exhaustive", "symbolic"],
-                        default="fuzz")
-    replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument("--cases", type=int, default=256)
-    replay.add_argument("--budget", type=int, default=1 << 20)
-    replay.add_argument("--timeout-ms", type=int, default=10_000)
+                        default=None)
+    replay.add_argument("--seed", type=int, default=None)
+    replay.add_argument("--cases", type=int, default=None)
+    replay.add_argument("--budget", type=int, default=None)
+    replay.add_argument("--timeout-ms", type=int, default=None)
 
     hist = sub.add_parser("history", help="print recorded runs")
     hist.add_argument("--history", default="tricheck-history.jsonl")
@@ -135,31 +136,14 @@ def read_config_file(path: str) -> dict[str, Any]:
     return data
 
 
-def load_config(path: str) -> RunConfig:
-    """RunConfig from a config file alone (flags, when present, win — that
-    merge happens in the run command)."""
-    return _make_config(read_config_file(path), {})
-
-
 def _make_config(file_values: dict[str, Any], flag_values: dict[str, Any]) -> RunConfig:
-    def pick(key: str, default: Any) -> Any:
-        if flag_values.get(key) is not None:
-            return flag_values[key]
-        if key in file_values:
-            return file_values[key]
-        return default
-
+    """RunConfig from file values, overridden by the flags that were given;
+    RunConfig's own defaults fill the rest."""
+    values = {f.name: file_values[f.name]
+              for f in dataclasses.fields(RunConfig) if f.name in file_values}
+    values.update((k, v) for k, v in flag_values.items() if v is not None)
     try:
-        return RunConfig(
-            backend=pick("backend", "fuzz"),
-            seed=pick("seed", 0),
-            cases=pick("cases", 256),
-            budget=pick("budget", 1 << 20),
-            timeout_ms=pick("timeout_ms", 10_000),
-            repetition_cap=pick("repetition_cap", 8),
-            filter=pick("filter", None),
-            code_fingerprint=pick("code_fingerprint", "unknown"),
-        )
+        return RunConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -381,11 +365,13 @@ def cmd_list(args: argparse.Namespace,
 
 def cmd_replay(args: argparse.Namespace,
                registry_override: PropertyRegistry | None) -> int:
-    try:
-        config = RunConfig(backend=args.backend, seed=args.seed, cases=args.cases,
-                           budget=args.budget, timeout_ms=args.timeout_ms)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = _make_config({}, {
+        "backend": args.backend,
+        "seed": args.seed,
+        "cases": args.cases,
+        "budget": args.budget,
+        "timeout_ms": args.timeout_ms,
+    })
     registry = load_registry(args.module, config.repetition_cap, registry_override)
     if args.property not in registry:
         raise UsageError(f"unknown property: {args.property}")

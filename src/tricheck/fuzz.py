@@ -16,7 +16,7 @@ from .harness import (DeadlineReached, Property, RunConfig, StopRequested,
                       Ticker, eval_predicate)
 from .prng import SplitMix64
 from .results import Counterexample, UnknownReason, Verdict
-from .strategies import RejectionExhausted, ValueTree, _GenContext
+from .strategies import RejectionExhausted, ValueTree, _GenContext, random_tree
 
 
 def shrink_failure(prop: Property, failing: ValueTree,
@@ -65,14 +65,20 @@ def run_fuzz(prop: Property, config: RunConfig, *,
     completed = 0
     try:
         for case_index in range(config.cases):
+            state = rng.state
             tree = prop.strategy._random_tree(ctx)
             ok, message = eval_predicate(prop, tree.current)
             ticker.tick()
             if not ok:
-                shrunk, incomplete = shrink_failure(prop, tree, ticker)
+                # the predicate may mutate what it is given, and shrink
+                # candidates share parts with their parent: shrink this case
+                # drawn afresh from its state, report one drawn after
+                fresh = random_tree(prop.strategy, SplitMix64(state))
+                shrunk, incomplete = shrink_failure(prop, fresh, ticker)
+                original = random_tree(prop.strategy, SplitMix64(state)).current
                 verdict = Verdict.falsified(Counterexample(
-                    original=tree.current,
-                    shrunk=shrunk.current,
+                    original=original,
+                    shrunk=original if shrunk is fresh else shrunk.current,
                     seed=config.seed,
                     case_index=case_index,
                     message=message,

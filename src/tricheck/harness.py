@@ -35,15 +35,14 @@ class Property:
     strategy: Strategy
     predicate: Callable[..., Any]
     tags: tuple[str, ...] = ()
+    #: whether the predicate takes a tuple's components as separate arguments
+    unpack: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not NAME_PATTERN.fullmatch(self.name):
             raise ValueError(
                 f"property name {self.name!r} must match [A-Za-z0-9_.:-]+")
-
-    @property
-    def unpack(self) -> bool:
-        return isinstance(self.strategy, TupleOf)
+        object.__setattr__(self, "unpack", isinstance(self.strategy, TupleOf))
 
     def __lt__(self, other: "Property") -> bool:
         return self.name < other.name

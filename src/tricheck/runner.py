@@ -1,4 +1,4 @@
-"""Suite execution: backend dispatch, ensemble racing, waivers, profiling.
+"""Suite execution: backend dispatch, ensemble racing, waivers.
 
 One registry of harnesses, several ways to check it.  The runner owns the
 verdict plumbing — per-property deadlines, cooperative cancellation between
@@ -16,7 +16,7 @@ import json
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .exhaustive import run_exhaustive
@@ -180,16 +180,8 @@ def utc_timestamp() -> str:
 
 
 def config_as_dict(config: RunConfig) -> dict:
-    return {
-        "backend": config.backend,
-        "seed": config.seed,
-        "cases": config.cases,
-        "budget": config.budget,
-        "timeout_ms": config.timeout_ms,
-        "repetition_cap": config.repetition_cap,
-        "filter": config.filter,
-        "code_fingerprint": config.code_fingerprint,
-    }
+    """Every field of ``config``, in declaration order."""
+    return asdict(config)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -271,13 +263,3 @@ def apply_waivers(report: RunReport, waivers: Iterable[Waiver], *,
         if not used:
             report.unused_waivers.append(w.glob)
     return report
-
-
-def profile_report(report: RunReport, n: int) -> list[tuple[str, str, int]]:
-    """Top-n slowest entries as (property, backend, duration_ms), slowest
-    first, ties broken by name."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rows = [(r.name, r.verdict.backend, r.verdict.duration_ms) for r in report.results]
-    rows.sort(key=lambda row: (-row[2], row[0]))
-    return rows[:n]

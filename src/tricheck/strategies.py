@@ -213,6 +213,14 @@ class _MapTree(ValueTree):
         return self._inner.complexity()
 
 
+def _accepted(predicate: Callable[[Any], Any], value: Any) -> bool:
+    """A filter's accept rule."""
+    try:
+        return bool(predicate(value))
+    except Exception:
+        return False  # a crashing filter rejects; the label shows up in diagnostics
+
+
 class _FilterTree(ValueTree):
     __slots__ = ("current", "_pred", "_inner")
 
@@ -225,11 +233,7 @@ class _FilterTree(ValueTree):
         # Candidates that no longer satisfy the predicate are dropped along
         # with their whole subtree; domain closure beats shrink reach here.
         for c in self._inner.candidates():
-            try:
-                ok = bool(self._pred(c.current))
-            except Exception:
-                ok = False
-            if ok:
+            if _accepted(self._pred, c.current):
                 yield _FilterTree(self._pred, c)
 
     def complexity(self) -> tuple:
@@ -239,10 +243,10 @@ class _FilterTree(ValueTree):
 class _UnionTree(ValueTree):
     """A value drawn from ``one_of``; shrinks first to earlier alternatives.
 
-    When built by the randomized path we carry a salt so that each earlier
-    alternative can be generated lazily from its own replayable child stream.
-    Enumeration-built trees instead offer each earlier alternative at its
-    canonically simplest value.
+    ``one_of`` draws carry a salt so that each earlier alternative can be
+    generated lazily from its own replayable child stream.  Trees without a
+    salt (enumerated ones, and ``optional_of`` draws) instead offer each
+    earlier alternative at its canonically simplest value.
     """
 
     __slots__ = ("current", "index", "_inner", "_alts", "_salt")
@@ -276,73 +280,39 @@ class _UnionTree(ValueTree):
         return (self.index, self._inner.complexity())
 
 
-class _TupleTree(ValueTree):
-    __slots__ = ("current", "_comps")
-
-    def __init__(self, comps: Sequence[ValueTree]) -> None:
-        self._comps = comps
-        self.current = tuple(c.current for c in comps)
-
-    def candidates(self) -> Iterator[ValueTree]:
-        comps = self._comps
-        for k in range(len(comps)):
-            for cand in comps[k].candidates():
-                replaced = list(comps)
-                replaced[k] = cand
-                yield _TupleTree(replaced)
-
-    def complexity(self) -> tuple:
-        return tuple(c.complexity() for c in self._comps)
-
-
-class _AbsentTree(ValueTree):
-    __slots__ = ("current",)
-
-    def __init__(self) -> None:
-        self.current = None
-
-    def complexity(self) -> tuple:
-        return (0,)
-
-
-class _PresentTree(ValueTree):
-    __slots__ = ("current", "_inner")
-
-    def __init__(self, inner: ValueTree) -> None:
-        self._inner = inner
-        self.current = inner.current
-
-    def candidates(self) -> Iterator[ValueTree]:
-        yield _AbsentTree()
-        for c in self._inner.candidates():
-            yield _PresentTree(c)
-
-    def complexity(self) -> tuple:
-        return (1, self._inner.complexity())
+def _fewer(items: Sequence, lo: int) -> Iterator[Sequence]:
+    """``items`` with fewer elements, never fewer than ``lo``: truncations
+    shortest-first, then single drops."""
+    n = len(items)
+    for target in range(lo, n):
+        yield items[:target]
+    if n - 1 >= lo:
+        for i in range(n - 1):  # dropping the last duplicates a truncation
+            yield items[:i] + items[i + 1:]
 
 
 class _ListTree(ValueTree):
-    __slots__ = ("current", "_elems", "_min_len")
+    """A list, or with ``make=tuple`` a tuple (whose ``min_len`` is its
+    length); shrinks to fewer elements first, then element-wise."""
 
-    def __init__(self, elems: Sequence[ValueTree], min_len: int) -> None:
+    __slots__ = ("current", "_elems", "_min_len", "_make")
+
+    def __init__(self, elems: Sequence[ValueTree], min_len: int, make: type = list) -> None:
         self._elems = elems
         self._min_len = min_len
-        self.current = [e.current for e in elems]
+        self._make = make
+        values = [e.current for e in elems]
+        self.current = values if make is list else make(values)
 
     def candidates(self) -> Iterator[ValueTree]:
-        elems, lo = self._elems, self._min_len
-        n = len(elems)
-        # fewer elements first: truncations shortest-first, then single drops
-        for target in range(lo, n):
-            yield _ListTree(elems[:target], lo)
-        if n - 1 >= lo:
-            for i in range(n - 1):  # dropping the last duplicates a truncation
-                yield _ListTree(list(elems[:i]) + list(elems[i + 1:]), lo)
-        for i in range(n):
+        elems, lo, make = self._elems, self._min_len, self._make
+        for fewer in _fewer(elems, lo):
+            yield _ListTree(fewer, lo, make)
+        for i in range(len(elems)):
             for cand in elems[i].candidates():
                 replaced = list(elems)
                 replaced[i] = cand
-                yield _ListTree(replaced, lo)
+                yield _ListTree(replaced, lo, make)
 
     def complexity(self) -> tuple:
         return (len(self._elems), tuple(e.complexity() for e in self._elems))
@@ -368,12 +338,8 @@ class _MapEntriesTree(ValueTree):
 
     def candidates(self) -> Iterator[ValueTree]:
         entries, lo = self._entries, self._min_size
-        n = len(entries)
-        for target in range(lo, n):
-            yield _MapEntriesTree(entries[:target], lo)
-        if n - 1 >= lo:
-            for i in range(n - 1):
-                yield _MapEntriesTree(entries[:i] + entries[i + 1:], lo)
+        for fewer in _fewer(entries, lo):
+            yield _MapEntriesTree(fewer, lo)
         for i, (ktree, vtree) in enumerate(entries):
             others = {e[0].current for j, e in enumerate(entries) if j != i}
             for kc in ktree.candidates():
@@ -491,10 +457,12 @@ def _product(comps: Sequence["Strategy"], stats: EnumStats | None,
 
 
 def _unrank_digits(comps: Sequence["Strategy"], index: int) -> list[ValueTree]:
-    """The trees at the mixed-radix digits of ``index``, last component fastest."""
+    """The trees at the mixed-radix digits of ``index``, last component
+    fastest.  Once what is left of ``index`` is 0, so is every digit, and no
+    span is needed (a map's span may walk its whole key universe)."""
     trees = []
     for c in reversed(comps):
-        index, digit = divmod(index, c._span())
+        index, digit = divmod(index, c._span()) if index else (0, 0)
         trees.append(c._unrank(digit))
     return trees[::-1]
 
@@ -650,10 +618,7 @@ class Filter(Strategy):
     predicate: Callable[[Any], Any]
 
     def _accepts(self, value: Any) -> bool:
-        try:
-            return bool(self.predicate(value))
-        except Exception:
-            return False  # a crashing filter rejects; the label shows up in diagnostics
+        return _accepted(self.predicate, value)
 
     def _cardinality(self) -> Cardinality:
         self.inner._cardinality()  # still validates the substructure
@@ -736,13 +701,14 @@ class TupleOf(Strategy):
         return total
 
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        return _TupleTree([c._random_tree(ctx) for c in self.components])
+        return _ListTree([c._random_tree(ctx) for c in self.components],
+                         len(self.components), tuple)
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return _product(self.components, stats)
 
     def _unrank(self, index: int) -> ValueTree:
-        return _TupleTree(_unrank_digits(self.components, index))
+        return _ListTree(_unrank_digits(self.components, index), len(self.components), tuple)
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return math.prod(c._span(stats) for c in self.components)
@@ -751,30 +717,19 @@ class TupleOf(Strategy):
         return f"tuple_of({', '.join(map(repr, self.components))})"
 
 
-@dataclass(frozen=True)
-class OptionalOf(Strategy):
-    inner: Strategy
+class OptionalOf(OneOf):
+    """``one_of(just(None), inner)``: absent first, so it shrinks to absent."""
 
-    def _cardinality(self) -> Cardinality:
-        return _card_op(operator.add, Cardinality.finite(1), self.inner._cardinality())
+    def __init__(self, inner: Strategy) -> None:
+        super().__init__((Just(None), inner))
 
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        if ctx.rng.uniform_in(0, 1) == 0:
-            return _AbsentTree()
-        return _PresentTree(self.inner._random_tree(ctx))
-
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        yield None
-        yield from self.inner._values(stats)
-
-    def _unrank(self, index: int) -> ValueTree:
-        return _PresentTree(self.inner._unrank(index - 1)) if index else _AbsentTree()
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        return 1 + self.inner._span(stats)
+        # one draw picks the case and no salt is drawn: absent needs no stream of its own
+        i = ctx.rng.uniform_in(0, 1)
+        return _UnionTree(i, self.alternatives[i]._random_tree(ctx), self.alternatives, None)
 
     def __repr__(self) -> str:
-        return f"optional_of({self.inner!r})"
+        return f"optional_of({self.alternatives[1]!r})"
 
 
 @dataclass(frozen=True)
@@ -800,11 +755,11 @@ class ListOf(Strategy):
                 yield v if type(v) is _Skip else list(v)
 
     def _unrank(self, index: int) -> ValueTree:
-        span = self.element._span()
         for n in range(self.min_len, self.max_len + 1):
-            if index < span ** n:
+            block = self.element._span() ** n if n else 1  # [] needs no element span
+            if index < block:
                 return _ListTree(_unrank_digits((self.element,) * n, index), self.min_len)
-            index -= span ** n
+            index -= block
         raise IndexError("list_of: base position out of range")
 
     def _span(self, stats: EnumStats | None = None) -> int:

@@ -656,7 +656,7 @@ def symbolize(strategy: st.Strategy) -> list[SymAlternative] | None:
                     for carrier, b, h in sub
                 ]
             return combos
-        return None  # OptionalOf, ListOf, OrderedMapOf, Pattern, unknown nodes
+        return None  # ListOf, OrderedMapOf, Pattern, unknown nodes
 
     alts = go(strategy)
     if alts is None:
@@ -826,7 +826,7 @@ def run_symbolic(prop: Property, config: RunConfig, *,
 
     for alt in alts:
         try:
-            if prop.unpack and isinstance(alt.carrier, tuple):
+            if prop.unpack:
                 raw = prop.predicate(*alt.carrier)
             else:
                 raw = prop.predicate(alt.carrier)

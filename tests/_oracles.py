@@ -67,8 +67,6 @@ def enumerate_oracle(strategy):
     if isinstance(strategy, st.TupleOf):
         pools = [enumerate_oracle(c) for c in strategy.components]
         return [tuple(combo) for combo in itertools.product(*pools)]
-    if isinstance(strategy, st.OptionalOf):
-        return [None] + enumerate_oracle(strategy.inner)
     if isinstance(strategy, st.ListOf):
         pool = enumerate_oracle(strategy.element)
         out = []
@@ -386,11 +384,7 @@ def iter_trees_reference(s, stats=None):
     elif isinstance(s, st.TupleOf):
         fns = [(lambda c=c: iter_trees_reference(c, stats)) for c in s.components]
         for combo in lazy_product_reference(fns):
-            yield st._TupleTree(combo)
-    elif isinstance(s, st.OptionalOf):
-        yield st._AbsentTree()
-        for t in iter_trees_reference(s.inner, stats):
-            yield st._PresentTree(t)
+            yield st._ListTree(combo, len(combo), tuple)
     elif isinstance(s, st.ListOf):
         for n in range(s.min_len, s.max_len + 1):
             fns = [(lambda: iter_trees_reference(s.element, stats))] * n
@@ -443,9 +437,7 @@ def simplest_tree_reference(s):
         comps = [simplest_tree_reference(c) for c in s.components]
         if any(t is None for t in comps):
             return None
-        return st._TupleTree(comps)
-    if isinstance(s, st.OptionalOf):
-        return st._AbsentTree()
+        return st._ListTree(comps, len(comps), tuple)
     if isinstance(s, st.ListOf):
         if s.min_len == 0:
             return st._ListTree([], 0)

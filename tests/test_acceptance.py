@@ -139,8 +139,6 @@ def _filter_free(s) -> bool:
         return all(_filter_free(a) for a in s.alternatives)
     if isinstance(s, st.TupleOf):
         return all(_filter_free(c) for c in s.components)
-    if isinstance(s, st.OptionalOf):
-        return _filter_free(s.inner)
     if isinstance(s, st.ListOf):
         return _filter_free(s.element)
     if isinstance(s, st.OrderedMapOf):
@@ -459,3 +457,23 @@ def test_exhaustive_reports_the_input_that_failed():
     v = run_exhaustive(prop, RunConfig())
     assert v.counterexample.original == (3, [0])
     assert v.counterexample.shrunk == (3, [0])
+
+
+def test_fuzz_reports_the_input_that_failed():
+    """Fuzz draws the failing case again from the generator state it started
+    at, so the reported original is the value the predicate was given, and
+    an unmoved shrink reports that same value."""
+    def appends(xs):
+        xs.append(99)
+        return len(xs) < 4
+
+    prop = Property("acc.appends", st.list_of(st.int_range(0, 3), 0, 6), appends)
+    v = run_fuzz(prop, RunConfig(seed=1, cases=256))
+    assert v.kind is VerdictKind.FALSIFIED
+    assert v.counterexample.original == [3, 1, 0, 1, 1, 0]
+
+    prop = Property("acc.appends_empty", st.list_of(st.just(0), 0, 0),
+                    lambda xs: xs.append(99) or False)
+    v = run_fuzz(prop, RunConfig(seed=1, cases=256))
+    assert v.counterexample.original == []
+    assert v.counterexample.shrunk == []

@@ -231,7 +231,7 @@ def test_enumeration_walks_values_without_building_trees(monkeypatch):
 
     s = tuple_of(list_of(ODD, 0, 2), ordered_map_of(D, optional_of(D), 0, 1))
     expected = list(st.enumerate_values(s))
-    for tree_type in ("_IntTree", "_TupleTree", "_ListTree", "_MapEntriesTree",
-                      "_FilterTree", "_PresentTree", "_AbsentTree"):
+    for tree_type in ("_LeafTree", "_IntTree", "_UnionTree", "_ListTree", "_MapEntriesTree",
+                      "_FilterTree"):
         monkeypatch.setattr(st, tree_type, forbidden)
     assert [t.current for t in iter_trees(s)] == expected

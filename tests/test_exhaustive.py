@@ -161,6 +161,23 @@ def test_rejected_head_walks_no_keys_outside_the_rejection_bound(tail):
     assert len(calls) <= 10 * 100 + 4
 
 
+def test_failure_at_the_first_position_walks_no_keys():
+    """Rebuilding the failing value unranks position 0: every digit is 0 and
+    the empty list comes first, so no span is asked of the unwalked map."""
+    calls = []
+
+    def sparse(k):
+        calls.append(k)
+        return k < 3
+
+    keys = int_range(0, 10**5).filter("sparse", sparse)
+    s = tuple_of(int_range(0, 1), list_of(ordered_map_of(keys, int_range(0, 1), 0, 1), 0, 1))
+    v = run_exhaustive(prop(s, lambda a, ms: False), RunConfig())
+    assert v.kind is VerdictKind.FALSIFIED
+    assert v.counterexample.original == v.counterexample.shrunk == (0, [])
+    assert calls == []
+
+
 def test_completeness_check_holds_the_span_to_the_cardinality(monkeypatch):
     # a span and a stream that agree with each other but overshoot the
     # independently computed cardinality still fail the self-check

@@ -1,5 +1,5 @@
-"""Suite runner: ensemble racing, agreement checking, waivers, profiling,
-and the config/report bookkeeping the CLI builds on."""
+"""Suite runner: ensemble racing, agreement checking, waivers, and the
+config/report bookkeeping the CLI builds on."""
 
 import datetime as dt
 import re
@@ -19,7 +19,6 @@ from tricheck.runner import (
     config_as_dict,
     config_hash,
     new_run_id,
-    profile_report,
     run_ensemble,
     run_property,
     run_suite,
@@ -315,25 +314,6 @@ def test_waiver_parse_validates_shape():
 
 
 # --------------------------------------------------------------------------
-# profiling
-
-def test_profile_sorts_by_duration_then_name():
-    def result(name, ms):
-        v = Verdict.pass_sampled(1)
-        v.backend = "fuzz"
-        v.duration_ms = ms
-        return PropertyResult(name=name, verdict=v)
-
-    report = RunReport(run_id="0" * 16, timestamp="t", config=RunConfig(),
-                       results=[result("b", 5), result("a", 5), result("c", 9)])
-    rows = profile_report(report, 3)
-    assert rows == [("c", "fuzz", 9), ("a", "fuzz", 5), ("b", "fuzz", 5)]
-    assert profile_report(report, 1) == [("c", "fuzz", 9)]
-    with pytest.raises(ValueError):
-        profile_report(report, 0)
-
-
-# --------------------------------------------------------------------------
 # config identity
 
 def test_config_dict_has_the_eight_committed_keys():
@@ -355,3 +335,9 @@ def test_config_hash_tracks_every_other_field():
     assert config_hash(base) != config_hash(RunConfig(backend="exhaustive"))
     assert config_hash(base) != config_hash(RunConfig(filter="x.*"))
     assert re.fullmatch(r"[0-9a-f]{16}", config_hash(base))
+
+
+def test_config_hash_of_the_defaults_is_stable():
+    # history files group runs by this hash, so it must not move when the
+    # config's serialization is refactored
+    assert config_hash(RunConfig()) == "e5b1631d2a0c5bd9"
