@@ -66,8 +66,7 @@ def run_fuzz(prop: Property, config: RunConfig, *,
     try:
         for case_index in range(config.cases):
             state = rng.state
-            tree = prop.strategy._random_tree(ctx)
-            ok, message = eval_predicate(prop, tree.current)
+            ok, message = eval_predicate(prop, prop.strategy._draw(ctx))
             ticker.tick()
             if not ok:
                 # the predicate may mutate what it is given, and shrink

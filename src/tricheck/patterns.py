@@ -352,6 +352,9 @@ class Pattern(Strategy):
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         return self._compiled._random_tree(ctx)
 
+    def _draw(self, ctx: _GenContext) -> Any:
+        return self._compiled._draw(ctx)
+
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return self._compiled._values(stats)
 

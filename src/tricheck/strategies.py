@@ -2,11 +2,15 @@
 
 A strategy is a small immutable description of a value domain.  Nothing here
 draws a value or proves anything by itself: strategies are *interpreted* by
-the checking backends.  Three interpretations live in this module because
+the checking backends.  These interpretations live in this module because
 every backend shares them:
 
-* ``random_tree``     -- one seeded draw, returned as a :class:`ValueTree`
-                         (the value plus its ordered shrink candidates);
+* ``_draw``           -- one seeded draw as a plain value: what the fuzz loop
+                         runs for every case;
+* ``random_tree``     -- the same draw (same PRNG calls, same rejections)
+                         returned as a :class:`ValueTree` (the value plus its
+                         ordered shrink candidates); the fuzz loop builds one
+                         only for a failing case, redrawn from its saved state;
 * ``iter_trees``      -- the canonical, deterministic enumeration of the
                          whole domain, walked as plain values (below);
 * ``cardinality``     -- the exact or bounding size of the domain.
@@ -20,7 +24,9 @@ canonical order, except that a filter keeps its inner domain's positions
 counts them, ``_values(stats)`` streams the plain value at each lazily (rejected
 ones as ``_Skip``), and ``_unrank(i)`` builds the tree at position ``i``: mixed
 radix for products (last component fastest), offsets for sums, combinadic ranks
-over the key universe for maps.  ``iter_trees``, ``enumerate_values`` and
+over the key universe for maps.  ``_nonempty()`` says whether a node has any
+position without sizing it, so rebuilding position 0 walks no key universe
+that enumeration did not.  ``iter_trees``, ``enumerate_values`` and
 ``simplest_tree`` derive from these: a tree is built only where one is asked.
 
 Shrink candidates are ordered simplest-first and are *strictly* simpler than
@@ -36,6 +42,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .prng import SplitMix64
@@ -505,6 +512,11 @@ class Strategy:
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         raise NotImplementedError
 
+    def _draw(self, ctx: _GenContext) -> Any:
+        """``self._random_tree(ctx).current`` without the tree: the same PRNG
+        calls, rejection charges and user callbacks, in the same order."""
+        raise NotImplementedError
+
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         """The plain value at every base position, lazily; rejections as ``_Skip``."""
         raise NotImplementedError
@@ -517,6 +529,11 @@ class Strategy:
         """The number of base positions."""
         raise NotImplementedError
 
+    def _nonempty(self) -> bool:
+        """Whether ``_span() > 0``, walking no key universe a first value
+        does not need."""
+        return self._span() > 0
+
 
 @dataclass(frozen=True)
 class Just(Strategy):
@@ -527,6 +544,9 @@ class Just(Strategy):
 
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         return _LeafTree(self.value)
+
+    def _draw(self, ctx: _GenContext) -> Any:
+        return self.value
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return iter((self.value,))
@@ -570,6 +590,9 @@ class IntRange(Strategy):
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         return _IntTree(ctx.rng.uniform_in(self.lo, self.hi), self.lo)
 
+    def _draw(self, ctx: _GenContext) -> Any:
+        return ctx.rng.uniform_in(self.lo, self.hi)
+
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return iter(range(self.lo, self.hi + 1))
 
@@ -595,6 +618,9 @@ class Map(Strategy):
     def _random_tree(self, ctx: _GenContext) -> ValueTree:
         return _MapTree(self.transform, self.inner._random_tree(ctx))
 
+    def _draw(self, ctx: _GenContext) -> Any:
+        return self.transform(self.inner._draw(ctx))
+
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         fn = self.transform
         for v in self.inner._values(stats):
@@ -605,6 +631,9 @@ class Map(Strategy):
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return self.inner._span(stats)
+
+    def _nonempty(self) -> bool:
+        return self.inner._nonempty()
 
     def __repr__(self) -> str:
         name = getattr(self.transform, "__name__", "<fn>")
@@ -632,6 +661,14 @@ class Filter(Strategy):
             ctx.charge_rejection(self.label)
         raise RejectionExhausted(self.label)
 
+    def _draw(self, ctx: _GenContext) -> Any:
+        for _ in range(MAX_REJECTIONS_PER_VALUE):
+            v = self.inner._draw(ctx)
+            if self._accepts(v):
+                return v
+            ctx.charge_rejection(self.label)
+        raise RejectionExhausted(self.label)
+
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         for v in self.inner._values(stats):
             if type(v) is _Skip or self._accepts(v):
@@ -646,6 +683,9 @@ class Filter(Strategy):
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return self.inner._span(stats)
+
+    def _nonempty(self) -> bool:
+        return self.inner._nonempty()
 
     def __repr__(self) -> str:
         return f"{self.inner!r}.filter({self.label!r})"
@@ -671,13 +711,19 @@ class OneOf(Strategy):
         inner = self.alternatives[i]._random_tree(ctx)
         return _UnionTree(i, inner, self.alternatives, salt)
 
+    def _draw(self, ctx: _GenContext) -> Any:
+        i = ctx.rng.uniform_in(0, len(self.alternatives) - 1)
+        ctx.rng.next_u64()  # the salt a tree would carry
+        return self.alternatives[i]._draw(ctx)
+
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         for alt in self.alternatives:
             yield from alt._values(stats)
 
     def _unrank(self, index: int) -> ValueTree:
         for i, alt in enumerate(self.alternatives):
-            span = alt._span()
+            # position 0 needs only emptiness; a span may walk a key universe
+            span = alt._span() if index else int(alt._nonempty())
             if index < span:
                 return _UnionTree(i, alt._unrank(index), self.alternatives, None)
             index -= span
@@ -685,6 +731,9 @@ class OneOf(Strategy):
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return sum(alt._span(stats) for alt in self.alternatives)
+
+    def _nonempty(self) -> bool:
+        return any(alt._nonempty() for alt in self.alternatives)
 
     def __repr__(self) -> str:
         return f"one_of({', '.join(map(repr, self.alternatives))})"
@@ -704,6 +753,9 @@ class TupleOf(Strategy):
         return _ListTree([c._random_tree(ctx) for c in self.components],
                          len(self.components), tuple)
 
+    def _draw(self, ctx: _GenContext) -> Any:
+        return tuple([c._draw(ctx) for c in self.components])
+
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return _product(self.components, stats)
 
@@ -712,6 +764,9 @@ class TupleOf(Strategy):
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return math.prod(c._span(stats) for c in self.components)
+
+    def _nonempty(self) -> bool:
+        return all(c._nonempty() for c in self.components)
 
     def __repr__(self) -> str:
         return f"tuple_of({', '.join(map(repr, self.components))})"
@@ -727,6 +782,9 @@ class OptionalOf(OneOf):
         # one draw picks the case and no salt is drawn: absent needs no stream of its own
         i = ctx.rng.uniform_in(0, 1)
         return _UnionTree(i, self.alternatives[i]._random_tree(ctx), self.alternatives, None)
+
+    def _draw(self, ctx: _GenContext) -> Any:
+        return self.alternatives[ctx.rng.uniform_in(0, 1)]._draw(ctx)
 
     def __repr__(self) -> str:
         return f"optional_of({self.alternatives[1]!r})"
@@ -749,6 +807,10 @@ class ListOf(Strategy):
         n = ctx.rng.uniform_in(self.min_len, self.max_len)
         return _ListTree([self.element._random_tree(ctx) for _ in range(n)], self.min_len)
 
+    def _draw(self, ctx: _GenContext) -> Any:
+        n = ctx.rng.uniform_in(self.min_len, self.max_len)
+        return [self.element._draw(ctx) for _ in range(n)]
+
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         for n in range(self.min_len, self.max_len + 1):
             for v in _product((self.element,) * n, stats):
@@ -765,6 +827,9 @@ class ListOf(Strategy):
     def _span(self, stats: EnumStats | None = None) -> int:
         span = self.element._span(stats)
         return sum(span ** n for n in range(self.min_len, self.max_len + 1))
+
+    def _nonempty(self) -> bool:
+        return self.min_len == 0 or self.element._nonempty()
 
     def __repr__(self) -> str:
         return f"list_of({self.element!r}, {self.min_len}, {self.max_len})"
@@ -804,26 +869,42 @@ class OrderedMapOf(Strategy):
                 return TOO_LARGE
         return Cardinality.finite(total)
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        hi = self.max_size
-        kcard = self.keys._cardinality()
-        if kcard.is_finite:
-            hi = min(hi, kcard.count)
-        size = ctx.rng.uniform_in(self.min_size, max(hi, self.min_size))
-        label = f"<distinct keys of {self!r}>"
-        entries: list[tuple[ValueTree, ValueTree]] = []
+    @cached_property
+    def _max_drawn_size(self) -> int:
+        kcard = self.keys._cardinality()  # at least min_size keys, or __post_init__ raised
+        return min(self.max_size, kcard.count) if kcard.is_finite else self.max_size
+
+    def _drawn_entries(self, ctx: _GenContext, key: Callable[[_GenContext], Any],
+                       value: Callable[[_GenContext], Any],
+                       plain: Callable[[Any], Any]) -> list[tuple[Any, Any]]:
+        """A drawn size, then that many (key, value) pairs with distinct keys,
+        drawn by ``key`` and ``value``; ``plain`` reads a drawn key's value."""
+        size = ctx.rng.uniform_in(self.min_size, self._max_drawn_size)
+        entries: list[tuple[Any, Any]] = []
         seen: list[Any] = []
         for _ in range(size):
             for _ in range(MAX_REJECTIONS_PER_VALUE):
-                kt = self.keys._random_tree(ctx)
-                if kt.current not in seen:
+                k = key(ctx)
+                if plain(k) not in seen:
                     break
-                ctx.charge_rejection(label)
+                ctx.charge_rejection(self._keys_label())
             else:
-                raise RejectionExhausted(label)
-            seen.append(kt.current)
-            entries.append((kt, self.values._random_tree(ctx)))
+                raise RejectionExhausted(self._keys_label())
+            seen.append(plain(k))
+            entries.append((k, value(ctx)))
+        return entries
+
+    def _keys_label(self) -> str:
+        return f"<distinct keys of {self!r}>"
+
+    def _random_tree(self, ctx: _GenContext) -> ValueTree:
+        entries = self._drawn_entries(ctx, self.keys._random_tree, self.values._random_tree,
+                                      operator.attrgetter("current"))
         return _MapEntriesTree(entries, self.min_size)
+
+    def _draw(self, ctx: _GenContext) -> Any:
+        entries = self._drawn_entries(ctx, self.keys._draw, self.values._draw, _identity)
+        return dict(_key_sorted(entries, operator.itemgetter(0)))
 
     def _key_universe(self, stats: EnumStats | None) -> list[tuple[int, Any]]:
         """(base position, key) of each distinct accepted key, first occurrence
@@ -876,9 +957,16 @@ class OrderedMapOf(Strategy):
         n, vspan = len(self._key_positions(stats)), self.values._span(stats)
         return sum(_choose(n, k) * vspan ** k for k in self._sizes(n))
 
+    def _nonempty(self) -> bool:
+        return self.min_size == 0 or len(self._key_positions()) >= self.min_size
+
     def __repr__(self) -> str:
         return (f"ordered_map_of({self.keys!r}, {self.values!r}, "
                 f"{self.min_size}, {self.max_size})")
+
+
+def _identity(x: Any) -> Any:
+    return x
 
 
 def _choose(n: int, k: int) -> int:

@@ -6,17 +6,28 @@ enumeration as it was before strategies learned ``_values``/``_unrank``/
 filter can sit, patterns, and every corpus domain that is not too large)
 the two must agree on accepted values, rejection counts and labels, and on
 the tree at every position.
+
+The same zoo, with the pinned draws of ``test_pins``, holds the fuzz draw
+``_draw`` to the value of the tree ``_random_tree`` builds: the same value,
+PRNG state, rejection budget and error.
 """
 
 import pytest
 
 import tricheck.strategies as st
 from _oracles import iter_trees_reference, simplest_tree_reference
+from test_pins import DRAWN
 from tricheck.corpus import REGISTRY
+from tricheck.exhaustive import run_exhaustive
+from tricheck.fuzz import run_fuzz
+from tricheck.harness import Property, RunConfig
 from tricheck.patterns import pattern
+from tricheck.prng import SplitMix64
+from tricheck.results import VerdictKind
 from tricheck.strategies import (
     EnumStats,
     RejectionExhausted,
+    ValueTree,
     int_range,
     iter_trees,
     just,
@@ -235,3 +246,107 @@ def test_enumeration_walks_values_without_building_trees(monkeypatch):
                       "_FilterTree"):
         monkeypatch.setattr(st, tree_type, forbidden)
     assert [t.current for t in iter_trees(s)] == expected
+
+
+def test_position_0_of_a_one_of_sizes_no_key_universe():
+    """A failure at ``[]`` rebuilds position 0, whose first alternative holds
+    a map: enumeration never walked its 100001 keys, nor does the rebuild."""
+    keys = []
+
+    def few(k):
+        keys.append(k)
+        return k < 3
+
+    inner = ordered_map_of(int_range(0, 10**5).filter("few", few), int_range(0, 1), 0, 1)
+    s = one_of(list_of(inner, 0, 1), just(0))
+    v = run_exhaustive(Property("p", s, lambda x: False), RunConfig(backend="exhaustive"))
+    assert v.counterexample.original == v.counterexample.shrunk == []
+    assert keys == []
+
+
+def test_position_0_falls_through_empty_alternatives():
+    """An alternative with no position at all (fewer keys than ``min_size``)
+    is passed over at position 0, as enumeration passes over it."""
+    empty = ordered_map_of(int_range(0, 5).filter("first", lambda k: k < 1), D, 2, 2)
+    for s in (one_of(empty, just("next")),
+              one_of(empty.map(len), tuple_of(D, empty), list_of(empty, 1, 1),
+                     one_of(empty, empty),
+                     empty.filter("any", lambda m: True),
+                     just("next"))):
+        assert list(st.enumerate_values(s)) == ["next"]
+        assert s._unrank(0).current == "next"
+
+
+#: every zoo entry and every pinned draw; ``filter.empty`` and
+#: ``map_of.too_few_keys`` exhaust their rejection budgets
+DRAWN_ZOO = {**ZOO, **{f"pinned.{n}": s for n, s in DRAWN.items()}}
+
+
+def _draws(draw, seed, budget):
+    """Type and repr of four draws from one context, or the error that ended
+    them, then the PRNG state and rejection budget left."""
+    ctx = st._GenContext(SplitMix64(seed), budget)
+    out = []
+    try:
+        for _ in range(4):
+            v = draw(ctx)
+            out.append((type(v), repr(v)))
+    except RejectionExhausted as exc:
+        out.append(str(exc))
+    return out, ctx.rng.state, ctx.rejection_budget
+
+
+@pytest.mark.parametrize("name", sorted(DRAWN_ZOO))
+def test_draw_is_the_value_of_the_random_tree(name):
+    s = DRAWN_ZOO[name]
+    for seed in range(40):
+        for budget in (None, 40):  # per-value and run-wide exhaustion
+            assert (_draws(s._draw, seed, budget)
+                    == _draws(lambda ctx: s._random_tree(ctx).current, seed, budget))
+
+
+def _counted():
+    """A strategy with every combinator, and the calls its counting map
+    transform and filter have seen."""
+    calls = {"map": 0, "filter": 0}
+
+    def double(x):
+        calls["map"] += 1
+        return 2 * x
+
+    def small(x):
+        calls["filter"] += 1
+        return x < 4
+
+    s = tuple_of(list_of(int_range(0, 9).map(double), 0, 3),
+                 one_of(ordered_map_of(int_range(0, 9).filter("small", small),
+                                       int_range(0, 9).map(double), 0, 3),
+                        optional_of(int_range(0, 9).filter("small", small))),
+                 pattern("[ab]{0,2}"))
+    return s, calls
+
+
+def test_a_passing_fuzz_run_builds_no_tree(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("a tree was built for a passing case")
+
+    s, _ = _counted()
+    for name, obj in list(vars(st).items()):
+        if isinstance(obj, type) and issubclass(obj, ValueTree):
+            monkeypatch.setattr(st, name, forbidden)
+    v = run_fuzz(Property("p", s, lambda *a: True), RunConfig(seed=5, cases=300))
+    assert v.kind is VerdictKind.PASS_SAMPLED and v.cases == 300
+
+
+@pytest.mark.parametrize("predicate, kind, calls", [
+    (lambda *a: True, VerdictKind.PASS_SAMPLED, {"map": 672, "filter": 918}),
+    (lambda xs, m, t: not (len(xs) == 3 and t == "ab"), VerdictKind.FALSIFIED,
+     {"map": 150, "filter": 210}),
+], ids=["passing", "failing_at_case_61"])
+def test_fuzz_draws_make_the_user_calls_tree_draws_made(predicate, kind, calls):
+    """The counts each case made when the fuzz loop built a tree for it,
+    the failing run's redraws and shrinking included."""
+    s, seen = _counted()
+    v = run_fuzz(Property("p", s, predicate), RunConfig(seed=5, cases=300))
+    assert v.kind is kind
+    assert seen == calls

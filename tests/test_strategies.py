@@ -270,6 +270,19 @@ def test_random_ordered_map_has_distinct_sorted_keys():
         assert ks == sorted(set(ks))
 
 
+def test_random_ordered_map_draws_no_more_entries_than_keys():
+    s = ordered_map_of(int_range(0, 1), int_range(0, 5), min_size=0, max_size=5)
+    assert {len(m) for m in _draws(s, 7, 200)} == {0, 1, 2}
+
+
+def test_duplicate_map_keys_charge_the_run_wide_budget():
+    s = ordered_map_of(int_range(0, 4).map(lambda x: 0), int_range(0, 1), 2, 2)
+    with pytest.raises(RejectionExhausted) as exc:
+        random_tree(s, SplitMix64(1), rejection_budget=3)
+    assert exc.value.label == f"<distinct keys of {s!r}>"
+    assert "run-wide" in str(exc.value)
+
+
 def test_enumerated_ordered_map_has_distinct_sorted_keys():
     s = ordered_map_of(int_range(0, 4), int_range(0, 1), min_size=1, max_size=3)
     for m in enumerate_values(s):
