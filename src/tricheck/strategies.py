@@ -514,8 +514,9 @@ class Strategy:
 
     def _draw(self, ctx: _GenContext) -> Any:
         """``self._random_tree(ctx).current`` without the tree: the same PRNG
-        calls, rejection charges and user callbacks, in the same order."""
-        raise NotImplementedError
+        calls, rejection charges and user callbacks, in the same order.  Nodes
+        override it only to skip building the tree."""
+        return self._random_tree(ctx).current
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         """The plain value at every base position, lazily; rejections as ``_Skip``."""
@@ -958,7 +959,8 @@ class OrderedMapOf(Strategy):
         return sum(_choose(n, k) * vspan ** k for k in self._sizes(n))
 
     def _nonempty(self) -> bool:
-        return self.min_size == 0 or len(self._key_positions()) >= self.min_size
+        return self.min_size == 0 or (self.values._nonempty()
+                                      and len(self._key_positions()) >= self.min_size)
 
     def __repr__(self) -> str:
         return (f"ordered_map_of({self.keys!r}, {self.values!r}, "

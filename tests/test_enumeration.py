@@ -264,17 +264,37 @@ def test_position_0_of_a_one_of_sizes_no_key_universe():
     assert keys == []
 
 
+#: strategies with no position at all: a map with fewer keys than its
+#: ``min_size``, a map whose values have none, and what is built over them
+EMPTY = ordered_map_of(int_range(0, 5).filter("first", lambda k: k < 1), D, 2, 2)
+OF_EMPTY = ordered_map_of(int_range(0, 3), EMPTY, 1, 1)
+EMPTIES = {
+    "map_of.too_few_keys": EMPTY,
+    "map_of.empty_values": OF_EMPTY,
+    "map": EMPTY.map(len),
+    "filter": EMPTY.filter("any", lambda m: True),
+    "tuple": tuple_of(D, EMPTY),
+    "list": list_of(EMPTY, 1, 1),
+    "list.of_empty_values": list_of(OF_EMPTY, 1, 1),
+    "one_of": one_of(EMPTY, OF_EMPTY),
+}
+
+
 def test_position_0_falls_through_empty_alternatives():
-    """An alternative with no position at all (fewer keys than ``min_size``)
-    is passed over at position 0, as enumeration passes over it."""
-    empty = ordered_map_of(int_range(0, 5).filter("first", lambda k: k < 1), D, 2, 2)
-    for s in (one_of(empty, just("next")),
-              one_of(empty.map(len), tuple_of(D, empty), list_of(empty, 1, 1),
-                     one_of(empty, empty),
-                     empty.filter("any", lambda m: True),
-                     just("next"))):
+    """An alternative with no position at all is passed over at position 0,
+    as enumeration passes over it."""
+    for s in (*(one_of(e, just("next")) for e in EMPTIES.values()),
+              one_of(*EMPTIES.values(), just("next"))):
         assert list(st.enumerate_values(s)) == ["next"]
-        assert s._unrank(0).current == "next"
+        assert s._unrank(0).current == simplest_tree(s).current == "next"
+        v = run_exhaustive(Property("p", s, lambda x: False), RunConfig(backend="exhaustive"))
+        assert v.counterexample.original == v.counterexample.shrunk == "next"
+
+
+@pytest.mark.parametrize("name", sorted(ZOO) + [f"empty.{n}" for n in sorted(EMPTIES)])
+def test_nonempty_is_a_positive_span(name):
+    s = EMPTIES[name[6:]] if name.startswith("empty.") else ZOO[name]
+    assert s._nonempty() == (s._span() > 0)
 
 
 #: every zoo entry and every pinned draw; ``filter.empty`` and
@@ -324,6 +344,16 @@ def _counted():
                         optional_of(int_range(0, 9).filter("small", small))),
                  pattern("[ab]{0,2}"))
     return s, calls
+
+
+def test_a_strategy_with_only_a_tree_draw_fuzzes():
+    """``_draw`` defaults to the value of ``_random_tree``."""
+    class Coin(st.Strategy):
+        def _random_tree(self, ctx):
+            return st._LeafTree(ctx.rng.uniform_in(0, 1))
+
+    v = run_fuzz(Property("p", Coin(), lambda x: x == 0), RunConfig(seed=5, cases=300))
+    assert v.kind is VerdictKind.FALSIFIED and v.counterexample.original == 1
 
 
 def test_a_passing_fuzz_run_builds_no_tree(monkeypatch):
