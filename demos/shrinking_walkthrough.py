@@ -2,10 +2,12 @@
 Shrinking: from the failure you found to the failure you can read
 =================================================================
 
-Random sampling finds failures at arbitrary points.  Every generated value
-carries an ordered list of simpler alternatives, and shrinking greedily
-re-walks those alternatives while the predicate keeps failing.  The report
-keeps both ends: the original hit and the minimized one.
+Random sampling finds failures at arbitrary points.  Every draw is a
+sequence of bounded integer choices, and a failing value is shrunk by
+editing that sequence, replaying each edit into a fresh value, and keeping
+it while the predicate still fails and the choices it used are
+shortlex-smaller.  The report keeps both ends: the original hit and the
+minimized one.
 """
 
 from tricheck.fuzz import run_fuzz
@@ -23,18 +25,20 @@ print("original failure:", cex.original)
 print("shrunk failure:  ", cex.shrunk)   # exactly the smallest failing value
 print("found at case:   ", cex.case_index, "with seed", cex.seed)
 
-# The alternatives behind an integer draw form a bisection ladder toward the
-# range's low end: for a value v the candidates are lo, then v minus half the
-# distance, a quarter, ... down to v-1.  Greedy descent over that ladder is
-# why the shrunk value above is the exact boundary, not just "smaller".
+# An integer draw is one choice: its offset from the range's low end.  The
+# edits of a choice v form a bisection ladder toward 0: 0 itself, then v
+# minus half of v, a quarter, ... down to v-1.  Greedy descent over that
+# ladder is why the shrunk value above is the exact boundary, not just
+# "smaller".
 tree = random_tree(int_range(0, 100), SplitMix64(9))
 print()
-print("a draw:       ", tree.current)
+print("a draw:       ", tree.current, "from the choices", tree.choices)
 print("its ladder:   ", [t.current for t in tree.candidates()])
 
-# Containers shrink structurally first, then element-wise: a failing list
-# tries truncations (shortest first), then dropping single positions, then
-# shrinking elements in place.
+# A list is a size choice followed by its elements' choices, so it shrinks
+# structurally first, then element-wise: a failing list tries truncations
+# (shortest first), then dropping single positions (the size lowered and the
+# element's choices deleted), then lowering each element's choice in place.
 def no_big_sum(xs):
     return sum(xs) < 150
 

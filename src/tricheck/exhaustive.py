@@ -15,7 +15,7 @@ from .fuzz import shrink_failure
 from .harness import (DeadlineReached, Property, RunConfig, StopRequested,
                       Ticker, eval_predicate)
 from .results import Counterexample, UnknownReason, Verdict
-from .strategies import (EnumStats, NotEnumerable, RejectionExhausted,
+from .strategies import (EnumStats, NotEnumerable, RejectionExhausted, _tree_at,
                          cardinality, iter_trees)
 
 
@@ -67,15 +67,13 @@ def run_exhaustive(prop: Property, config: RunConfig, *,
             ok, message = eval_predicate(prop, tree.current)
             ticker.tick()
             if not ok:
-                # the predicate may mutate what it is given, and shrink
-                # candidates share parts with their parent: shrink a tree
-                # rebuilt from the base position, report one rebuilt after
-                fresh = prop.strategy._unrank(tree.index)
-                shrunk, incomplete = shrink_failure(prop, fresh, ticker)
-                original = prop.strategy._unrank(tree.index).current
+                # the predicate may mutate what it is given, so it sees only
+                # fresh replays; the position replayed here never is
+                root = _tree_at(prop.strategy, tree.index)
+                shrunk, incomplete = shrink_failure(prop, root, ticker)
                 return finish(Verdict.falsified(Counterexample(
-                    original=original,
-                    shrunk=original if shrunk is fresh else shrunk.current,
+                    original=root.current,
+                    shrunk=shrunk.replay().current,
                     seed=None,
                     case_index=count,
                     message=message,

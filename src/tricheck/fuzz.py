@@ -69,15 +69,13 @@ def run_fuzz(prop: Property, config: RunConfig, *,
             ok, message = eval_predicate(prop, prop.strategy._draw(ctx))
             ticker.tick()
             if not ok:
-                # the predicate may mutate what it is given, and shrink
-                # candidates share parts with their parent: shrink this case
-                # drawn afresh from its state, report one drawn after
-                fresh = random_tree(prop.strategy, SplitMix64(state))
-                shrunk, incomplete = shrink_failure(prop, fresh, ticker)
-                original = random_tree(prop.strategy, SplitMix64(state)).current
+                # the predicate may mutate what it is given, so it sees only
+                # fresh replays; this case redrawn from its state never is
+                root = random_tree(prop.strategy, SplitMix64(state))
+                shrunk, incomplete = shrink_failure(prop, root, ticker)
                 verdict = Verdict.falsified(Counterexample(
-                    original=original,
-                    shrunk=original if shrunk is fresh else shrunk.current,
+                    original=root.current,
+                    shrunk=shrunk.replay().current,
                     seed=config.seed,
                     case_index=case_index,
                     message=message,

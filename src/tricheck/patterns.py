@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Any, Iterator
 
 from . import strategies
-from .strategies import Cardinality, EnumStats, Strategy, ValueTree, _GenContext
+from .strategies import Cardinality, EnumStats, Strategy, _Context
 
 PRINTABLE_LO = 0x20
 PRINTABLE_HI = 0x7E
@@ -349,16 +349,13 @@ class Pattern(Strategy):
     def _cardinality(self) -> Cardinality:
         return self._compiled._cardinality()
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        return self._compiled._random_tree(ctx)
-
-    def _draw(self, ctx: _GenContext) -> Any:
+    def _draw(self, ctx: _Context) -> Any:
         return self._compiled._draw(ctx)
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return self._compiled._values(stats)
 
-    def _unrank(self, index: int) -> ValueTree:
+    def _unrank(self, index: int) -> list[int]:
         return self._compiled._unrank(index)
 
     def _span(self, stats: EnumStats | None = None) -> int:

@@ -1,9 +1,9 @@
 """Deterministic 64-bit PRNG used by the randomized backend.
 
 SplitMix64 (Steele, Lea & Flood), ported from the public-domain C reference.
-It is tiny, splittable by reseeding, and passes BigCrush when used as a
-64-bit stream; most importantly for us it is trivially reproducible from a
-single integer seed, which is what makes failure replay byte-exact.
+It is tiny and passes BigCrush when used as a 64-bit stream; most importantly
+for us it is trivially reproducible from a single integer seed, which is what
+makes failure replay byte-exact.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ class SplitMix64:
             v = self.next_u64() & mask
             if v < n:
                 return lo + v
-
-    def fork(self, salt: int = 0) -> "SplitMix64":
-        """Child generator with a state derived from one draw; used where a
-        subtree needs its own replayable stream without disturbing ours."""
-        return SplitMix64(self.next_u64() ^ salt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SplitMix64(state=0x{self.state:016x})"

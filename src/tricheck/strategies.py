@@ -5,12 +5,10 @@ draws a value or proves anything by itself: strategies are *interpreted* by
 the checking backends.  These interpretations live in this module because
 every backend shares them:
 
-* ``_draw``           -- one seeded draw as a plain value: what the fuzz loop
-                         runs for every case;
-* ``random_tree``     -- the same draw (same PRNG calls, same rejections)
-                         returned as a :class:`ValueTree` (the value plus its
-                         ordered shrink candidates); the fuzz loop builds one
-                         only for a failing case, redrawn from its saved state;
+* ``_draw``           -- one draw, as a sequence of choices (below);
+* ``random_tree``     -- a seeded draw with its choices recorded, as a
+                         :class:`ValueTree` (the value plus its ordered shrink
+                         candidates);
 * ``iter_trees``      -- the canonical, deterministic enumeration of the
                          whole domain, walked as plain values (below);
 * ``cardinality``     -- the exact or bounding size of the domain.
@@ -18,22 +16,30 @@ every backend shares them:
 The symbolic interpretation lives in :mod:`tricheck.symbolic` so this module
 stays free of solver machinery.
 
+Each random decision a node makes (an integer, a ``one_of`` alternative, a
+list or map size) is one ``ctx.choice(lo, hi)``.  The fuzz loop's context
+answers from the PRNG; a recording context (``_Recorder``) notes each answer
+as its offset from ``lo``, and can read the offsets from a given sequence,
+so recorded choices *replay* into a fresh value with no PRNG.  A shrink tree
+is a strategy plus the choices that drew it, and its candidates are edits
+of them (containers truncated, then elements dropped, then each choice
+lowered), each replayed afresh and each using shortlex-smaller choices:
+fewer, or as many and lexicographically smaller.  That order makes greedy
+shrinking terminate: integers shrink toward the range's lower bound,
+``one_of`` toward earlier alternatives, containers toward fewer elements and
+then element-wise, and filters and maps through replay.
+
 Enumeration is index-addressed.  A node's base positions are its values in
 canonical order, except that a filter keeps its inner domain's positions
 (rejected ones too) and ``ordered_map_of`` deduplicates its keys.  ``_span()``
 counts them, ``_values(stats)`` streams the plain value at each lazily (rejected
-ones as ``_Skip``), and ``_unrank(i)`` builds the tree at position ``i``: mixed
-radix for products (last component fastest), offsets for sums, combinadic ranks
-over the key universe for maps.  ``_nonempty()`` says whether a node has any
+ones as ``_Skip``), and ``_unrank(i)`` gives the choices that draw position
+``i``: mixed-radix digits for products (last component fastest), offsets for
+sums and sizes, and for maps the key and value choices of the combination
+that a combinadic rank picks.  ``_nonempty()`` says whether a node has any
 position without sizing it, so rebuilding position 0 walks no key universe
 that enumeration did not.  ``iter_trees``, ``enumerate_values`` and
-``simplest_tree`` derive from these: a tree is built only where one is asked.
-
-Shrink candidates are ordered simplest-first and are *strictly* simpler than
-their parent under a per-constructor complexity measure (`ValueTree.complexity`),
-which is what makes greedy shrinking terminate.  Integers shrink toward the
-range's lower bound, choices toward earlier alternatives, options toward
-absent, containers toward fewer elements and then element-wise.
+``simplest_tree`` derive from these: a tree is replayed only where one is asked.
 """
 
 from __future__ import annotations
@@ -170,159 +176,75 @@ class ValueTree:
         raise NotImplementedError
 
 
-class _LeafTree(ValueTree):
-    __slots__ = ("current",)
+class _ChoiceTree(ValueTree):
+    """A value and the choices that drew it.  Its candidates are edits of
+    those choices, each replayed into a fresh value.  An edit lowers the
+    first choice it changes, and a replay reads no choice above its prefix
+    nor more choices than the parent, so each uses shortlex-smaller choices."""
 
-    def __init__(self, value: Any) -> None:
+    __slots__ = ("current", "strategy", "choices", "_containers")
+
+    def __init__(self, strategy: "Strategy", value: Any, rec: _Recorder) -> None:
         self.current = value
+        self.strategy = strategy
+        self.choices = tuple(rec.choices)
+        self._containers = rec.containers
 
-    def complexity(self) -> tuple:
-        return (0,)
-
-
-class _IntTree(ValueTree):
-    __slots__ = ("current", "lo")
-
-    def __init__(self, value: int, lo: int) -> None:
-        self.current = value
-        self.lo = lo
+    def replay(self) -> "_ChoiceTree":
+        """The same value drawn afresh from the same choices."""
+        return _replay(self.strategy, self.choices)
 
     def candidates(self) -> Iterator[ValueTree]:
-        v, lo = self.current, self.lo
-        d = v - lo
-        if d == 0:
-            return
-        yield _IntTree(lo, lo)
-        step = d // 2
-        while step > 0:
-            c = v - step
-            if c != lo:
-                yield _IntTree(c, lo)
-            step //= 2
+        for edit in _edits(self.choices, self._containers):
+            tree = _replay(self.strategy, edit, limit=len(self.choices))
+            if tree is not None:
+                yield tree
 
     def complexity(self) -> tuple:
-        return (self.current - self.lo,)
+        return (len(self.choices), self.choices)  # shortlex
 
 
-class _MapTree(ValueTree):
-    __slots__ = ("current", "_fn", "_inner")
-
-    def __init__(self, fn: Callable[[Any], Any], inner: ValueTree) -> None:
-        self._fn = fn
-        self._inner = inner
-        self.current = fn(inner.current)
-
-    def candidates(self) -> Iterator[ValueTree]:
-        for c in self._inner.candidates():
-            yield _MapTree(self._fn, c)
-
-    def complexity(self) -> tuple:
-        return self._inner.complexity()
-
-
-def _accepted(predicate: Callable[[Any], Any], value: Any) -> bool:
-    """A filter's accept rule."""
+def _replay(strategy: "Strategy", prefix: Sequence[int],
+            limit: int | None = None) -> _ChoiceTree | None:
+    """The tree that ``prefix``, then zeros, draws; None when that draw needs
+    more than ``limit`` choices or a filter gives up."""
+    rec = _Recorder(prefix, limit=limit)
     try:
-        return bool(predicate(value))
-    except Exception:
-        return False  # a crashing filter rejects; the label shows up in diagnostics
+        return _ChoiceTree(strategy, strategy._draw(rec), rec)
+    except (_Overrun, RejectionExhausted):
+        return None
 
 
-class _FilterTree(ValueTree):
-    __slots__ = ("current", "_pred", "_inner")
+def _edits(choices: tuple[int, ...],
+           containers: list[tuple[int, list[int], int]]) -> Iterator[list[int]]:
+    """Edits of ``choices``, simplest first: each container truncated,
+    shortest first; then each container's elements but the last dropped one
+    at a time (both lower the size choice and delete the elements' choices);
+    then each other choice ``v`` lowered to 0, then to v - v//2, v - v//4,
+    ..., v - 1."""
+    containers = sorted(containers)  # outermost first
+    sizes = {size_at for size_at, _, _ in containers}
 
-    def __init__(self, pred: Callable[[Any], Any], inner: ValueTree) -> None:
-        self._pred = pred
-        self._inner = inner
-        self.current = inner.current
+    def fewer(size_at: int, cut: int, start: int, end: int) -> list[int]:
+        edit = list(choices)
+        edit[size_at] -= cut
+        del edit[start:end]
+        return edit
 
-    def candidates(self) -> Iterator[ValueTree]:
-        # Candidates that no longer satisfy the predicate are dropped along
-        # with their whole subtree; domain closure beats shrink reach here.
-        for c in self._inner.candidates():
-            if _accepted(self._pred, c.current):
-                yield _FilterTree(self._pred, c)
-
-    def complexity(self) -> tuple:
-        return self._inner.complexity()
-
-
-class _UnionTree(ValueTree):
-    """A value drawn from ``one_of``; shrinks first to earlier alternatives.
-
-    ``one_of`` draws carry a salt so that each earlier alternative can be
-    generated lazily from its own replayable child stream.  Trees without a
-    salt (enumerated ones, and ``optional_of`` draws) instead offer each
-    earlier alternative at its canonically simplest value.
-    """
-
-    __slots__ = ("current", "index", "_inner", "_alts", "_salt")
-
-    def __init__(self, index: int, inner: ValueTree,
-                 alts: Sequence["Strategy"], salt: int | None) -> None:
-        self.index = index
-        self._inner = inner
-        self._alts = alts
-        self._salt = salt
-        self.current = inner.current
-
-    def candidates(self) -> Iterator[ValueTree]:
-        for j in range(self.index):
-            alt = self._alts[j]
-            if self._salt is None:
-                t = simplest_tree(alt)
-            else:
-                ctx = _GenContext(SplitMix64((self._salt + j) & ((1 << 64) - 1)),
-                                  rejection_budget=MAX_REJECTIONS_PER_VALUE * 10)
-                try:
-                    t = alt._random_tree(ctx)
-                except RejectionExhausted:
-                    t = None
-            if t is not None:
-                yield _UnionTree(j, t, self._alts, self._salt)
-        for c in self._inner.candidates():
-            yield _UnionTree(self.index, c, self._alts, self._salt)
-
-    def complexity(self) -> tuple:
-        return (self.index, self._inner.complexity())
-
-
-def _fewer(items: Sequence, lo: int) -> Iterator[Sequence]:
-    """``items`` with fewer elements, never fewer than ``lo``: truncations
-    shortest-first, then single drops."""
-    n = len(items)
-    for target in range(lo, n):
-        yield items[:target]
-    if n - 1 >= lo:
-        for i in range(n - 1):  # dropping the last duplicates a truncation
-            yield items[:i] + items[i + 1:]
-
-
-class _ListTree(ValueTree):
-    """A list, or with ``make=tuple`` a tuple (whose ``min_len`` is its
-    length); shrinks to fewer elements first, then element-wise."""
-
-    __slots__ = ("current", "_elems", "_min_len", "_make")
-
-    def __init__(self, elems: Sequence[ValueTree], min_len: int, make: type = list) -> None:
-        self._elems = elems
-        self._min_len = min_len
-        self._make = make
-        values = [e.current for e in elems]
-        self.current = values if make is list else make(values)
-
-    def candidates(self) -> Iterator[ValueTree]:
-        elems, lo, make = self._elems, self._min_len, self._make
-        for fewer in _fewer(elems, lo):
-            yield _ListTree(fewer, lo, make)
-        for i in range(len(elems)):
-            for cand in elems[i].candidates():
-                replaced = list(elems)
-                replaced[i] = cand
-                yield _ListTree(replaced, lo, make)
-
-    def complexity(self) -> tuple:
-        return (len(self._elems), tuple(e.complexity() for e in self._elems))
+    for size_at, starts, end in containers:
+        for cut in range(choices[size_at], 0, -1):  # the size offset bounds the cut
+            yield fewer(size_at, cut, starts[-cut], end)
+    for size_at, starts, _ in containers:
+        if choices[size_at]:
+            for start, after in zip(starts, starts[1:]):  # dropping the last is a truncation
+                yield fewer(size_at, 1, start, after)
+    for i, v in enumerate(choices):
+        if v and i not in sizes:
+            yield [*choices[:i], 0, *choices[i + 1:]]
+            step = v // 2
+            while step:
+                yield [*choices[:i], v - step, *choices[i + 1:]]
+                step //= 2
 
 
 def _key_sorted(entries: list, key: Callable[[Any], Any]) -> list:
@@ -332,49 +254,16 @@ def _key_sorted(entries: list, key: Callable[[Any], Any]) -> list:
         return entries
 
 
-class _MapEntriesTree(ValueTree):
-    """Key-ordered map with distinct keys; shrinks entries, then keys/values."""
-
-    __slots__ = ("current", "_entries", "_min_size")
-
-    def __init__(self, entries: list[tuple[ValueTree, ValueTree]], min_size: int) -> None:
-        entries = _key_sorted(entries, lambda kv: kv[0].current)
-        self._entries = entries
-        self._min_size = min_size
-        self.current = {k.current: v.current for k, v in entries}
-
-    def candidates(self) -> Iterator[ValueTree]:
-        entries, lo = self._entries, self._min_size
-        for fewer in _fewer(entries, lo):
-            yield _MapEntriesTree(fewer, lo)
-        for i, (ktree, vtree) in enumerate(entries):
-            others = {e[0].current for j, e in enumerate(entries) if j != i}
-            for kc in ktree.candidates():
-                if kc.current in others:
-                    continue  # keys must stay distinct
-                replaced = entries[:i] + [(kc, vtree)] + entries[i + 1:]
-                yield _MapEntriesTree(replaced, lo)
-        for i, (ktree, vtree) in enumerate(entries):
-            for vc in vtree.candidates():
-                replaced = entries[:i] + [(ktree, vc)] + entries[i + 1:]
-                yield _MapEntriesTree(replaced, lo)
-
-    def complexity(self) -> tuple:
-        pairs = sorted((k.complexity(), v.complexity()) for k, v in self._entries)
-        return (len(self._entries), tuple(pairs))
-
-
 # --------------------------------------------------------------------------
-# generation / enumeration contexts
+# draw and enumeration contexts
 
-class _GenContext:
-    """Carries the PRNG and the run-wide rejection budget through a draw."""
+class _Context:
+    """A draw's source of choices.  It holds a PRNG (or None) and the run-wide
+    rejection budget, and answers ``choice(lo, hi)``, one random decision;
+    ``spare_word()``, a PRNG word no choice reads; and ``many(lo, hi, draw)``,
+    a size chosen in [lo, hi], then that many elements drawn by ``draw``."""
 
     __slots__ = ("rng", "rejection_budget")
-
-    def __init__(self, rng: SplitMix64, rejection_budget: int | None = None) -> None:
-        self.rng = rng
-        self.rejection_budget = rejection_budget
 
     def charge_rejection(self, label: str) -> None:
         if self.rejection_budget is not None:
@@ -382,6 +271,70 @@ class _GenContext:
             if self.rejection_budget < 0:
                 raise RejectionExhausted(
                     label, f"filter {label!r} exhausted the run-wide rejection budget")
+
+
+class _GenContext(_Context):
+    """A plain seeded draw: every choice comes straight from the PRNG."""
+
+    __slots__ = ("choice", "spare_word")
+
+    def __init__(self, rng: SplitMix64, rejection_budget: int | None = None) -> None:
+        self.rng = rng
+        self.rejection_budget = rejection_budget
+        self.choice = rng.uniform_in
+        self.spare_word = rng.next_u64
+
+    def many(self, lo: int, hi: int, draw: Callable[[_Context], Any]) -> list:
+        return [draw(self) for _ in range(self.rng.uniform_in(lo, hi))]
+
+
+class _Overrun(Exception):
+    """A replay needed more choices than its limit allows."""
+
+
+class _Recorder(_Context):
+    """A draw that records each choice as its offset from ``lo``.  Offsets are
+    read from ``prefix`` first (clamped to the range asked for), then from
+    the PRNG, or are 0 when there is none; spare words are drawn only from a
+    PRNG.  Each list or map is also recorded, as the position of its size
+    choice in ``choices``, where each element starts, and where the last one
+    ends.  A draw that needs more than ``limit`` choices raises ``_Overrun``."""
+
+    __slots__ = ("prefix", "limit", "choices", "containers")
+
+    def __init__(self, prefix: Sequence[int] = (), rng: SplitMix64 | None = None,
+                 rejection_budget: int | None = None, limit: int | None = None) -> None:
+        self.rng = rng
+        self.rejection_budget = rejection_budget
+        self.prefix = prefix
+        self.limit = limit
+        self.choices: list[int] = []
+        self.containers: list[tuple[int, list[int], int]] = []
+
+    def choice(self, lo: int, hi: int) -> int:
+        i = len(self.choices)
+        if i == self.limit:
+            raise _Overrun
+        if i < len(self.prefix):
+            offset = min(self.prefix[i], hi - lo)
+        else:
+            offset = 0 if self.rng is None else self.rng.uniform_in(lo, hi) - lo
+        self.choices.append(offset)
+        return lo + offset
+
+    def spare_word(self) -> None:
+        if self.rng is not None:
+            self.rng.next_u64()
+
+    def many(self, lo: int, hi: int, draw: Callable[[_Context], Any]) -> list:
+        n = self.choice(lo, hi)
+        size_at = len(self.choices) - 1
+        starts, out = [], []
+        for _ in range(n):
+            starts.append(len(self.choices))
+            out.append(draw(self))
+        self.containers.append((size_at, starts, len(self.choices)))
+        return out
 
 
 class EnumStats:
@@ -463,15 +416,15 @@ def _product(comps: Sequence["Strategy"], stats: EnumStats | None,
             yield from _product(rest, stats, prefix + (h,))
 
 
-def _unrank_digits(comps: Sequence["Strategy"], index: int) -> list[ValueTree]:
-    """The trees at the mixed-radix digits of ``index``, last component
-    fastest.  Once what is left of ``index`` is 0, so is every digit, and no
-    span is needed (a map's span may walk its whole key universe)."""
-    trees = []
+def _unrank_digits(comps: Sequence["Strategy"], index: int) -> list[list[int]]:
+    """The choices of each component at the mixed-radix digits of ``index``,
+    last component fastest.  Once what is left of ``index`` is 0, so is every
+    digit, and no span is needed (a map's span may walk its whole key universe)."""
+    digits = []
     for c in reversed(comps):
         index, digit = divmod(index, c._span()) if index else (0, 0)
-        trees.append(c._unrank(digit))
-    return trees[::-1]
+        digits.append(c._unrank(digit))
+    return digits[::-1]
 
 
 def _unrank_combination(n: int, k: int, rank: int) -> list[int]:
@@ -509,21 +462,17 @@ class Strategy:
     def _cardinality(self) -> Cardinality:
         raise NotImplementedError
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
+    def _draw(self, ctx: _Context) -> Any:
+        """One value: each random decision is one ``ctx.choice(lo, hi)``, and
+        a list or map is built by one ``ctx.many``."""
         raise NotImplementedError
-
-    def _draw(self, ctx: _GenContext) -> Any:
-        """``self._random_tree(ctx).current`` without the tree: the same PRNG
-        calls, rejection charges and user callbacks, in the same order.  Nodes
-        override it only to skip building the tree."""
-        return self._random_tree(ctx).current
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         """The plain value at every base position, lazily; rejections as ``_Skip``."""
         raise NotImplementedError
 
-    def _unrank(self, index: int) -> ValueTree:
-        """The tree at base position ``index``."""
+    def _unrank(self, index: int) -> list[int]:
+        """The choices that draw the value at base position ``index``."""
         raise NotImplementedError
 
     def _span(self, stats: EnumStats | None = None) -> int:
@@ -543,17 +492,14 @@ class Just(Strategy):
     def _cardinality(self) -> Cardinality:
         return Cardinality.finite(1)
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        return _LeafTree(self.value)
-
-    def _draw(self, ctx: _GenContext) -> Any:
+    def _draw(self, ctx: _Context) -> Any:
         return self.value
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return iter((self.value,))
 
-    def _unrank(self, index: int) -> ValueTree:
-        return _LeafTree(self.value)
+    def _unrank(self, index: int) -> list[int]:
+        return []
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return 1
@@ -588,17 +534,14 @@ class IntRange(Strategy):
     def _cardinality(self) -> Cardinality:
         return Cardinality.finite(self.hi - self.lo + 1)
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        return _IntTree(ctx.rng.uniform_in(self.lo, self.hi), self.lo)
-
-    def _draw(self, ctx: _GenContext) -> Any:
-        return ctx.rng.uniform_in(self.lo, self.hi)
+    def _draw(self, ctx: _Context) -> Any:
+        return ctx.choice(self.lo, self.hi)
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return iter(range(self.lo, self.hi + 1))
 
-    def _unrank(self, index: int) -> ValueTree:
-        return _IntTree(self.lo + index, self.lo)
+    def _unrank(self, index: int) -> list[int]:
+        return [index]
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return self.hi - self.lo + 1
@@ -616,10 +559,7 @@ class Map(Strategy):
     def _cardinality(self) -> Cardinality:
         return self.inner._cardinality()  # upper bound: transform may merge
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        return _MapTree(self.transform, self.inner._random_tree(ctx))
-
-    def _draw(self, ctx: _GenContext) -> Any:
+    def _draw(self, ctx: _Context) -> Any:
         return self.transform(self.inner._draw(ctx))
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
@@ -627,8 +567,8 @@ class Map(Strategy):
         for v in self.inner._values(stats):
             yield v if type(v) is _Skip else fn(v)
 
-    def _unrank(self, index: int) -> ValueTree:
-        return _MapTree(self.transform, self.inner._unrank(index))
+    def _unrank(self, index: int) -> list[int]:
+        return self.inner._unrank(index)
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return self.inner._span(stats)
@@ -648,21 +588,16 @@ class Filter(Strategy):
     predicate: Callable[[Any], Any]
 
     def _accepts(self, value: Any) -> bool:
-        return _accepted(self.predicate, value)
+        try:
+            return bool(self.predicate(value))
+        except Exception:
+            return False  # a crashing filter rejects; the label shows up in diagnostics
 
     def _cardinality(self) -> Cardinality:
         self.inner._cardinality()  # still validates the substructure
         return UNKNOWN
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        for _ in range(MAX_REJECTIONS_PER_VALUE):
-            t = self.inner._random_tree(ctx)
-            if self._accepts(t.current):
-                return _FilterTree(self.predicate, t)
-            ctx.charge_rejection(self.label)
-        raise RejectionExhausted(self.label)
-
-    def _draw(self, ctx: _GenContext) -> Any:
+    def _draw(self, ctx: _Context) -> Any:
         for _ in range(MAX_REJECTIONS_PER_VALUE):
             v = self.inner._draw(ctx)
             if self._accepts(v):
@@ -679,8 +614,8 @@ class Filter(Strategy):
                     stats.note_reject(self.label)
                 yield _Skip(1)
 
-    def _unrank(self, index: int) -> ValueTree:
-        return _FilterTree(self.predicate, self.inner._unrank(index))
+    def _unrank(self, index: int) -> list[int]:
+        return self.inner._unrank(index)
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return self.inner._span(stats)
@@ -696,6 +631,9 @@ class Filter(Strategy):
 class OneOf(Strategy):
     alternatives: tuple[Strategy, ...]
 
+    #: whether a draw takes the spare word ``one_of`` always took, keeping seeded draws
+    _spare_word = True
+
     def __post_init__(self) -> None:
         if not self.alternatives:
             raise EmptyChoice("one_of needs at least one alternative")
@@ -706,27 +644,22 @@ class OneOf(Strategy):
             total = _card_op(operator.add, total, alt._cardinality())
         return total
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        i = ctx.rng.uniform_in(0, len(self.alternatives) - 1)
-        salt = ctx.rng.next_u64()
-        inner = self.alternatives[i]._random_tree(ctx)
-        return _UnionTree(i, inner, self.alternatives, salt)
-
-    def _draw(self, ctx: _GenContext) -> Any:
-        i = ctx.rng.uniform_in(0, len(self.alternatives) - 1)
-        ctx.rng.next_u64()  # the salt a tree would carry
+    def _draw(self, ctx: _Context) -> Any:
+        i = ctx.choice(0, len(self.alternatives) - 1)
+        if self._spare_word:
+            ctx.spare_word()
         return self.alternatives[i]._draw(ctx)
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         for alt in self.alternatives:
             yield from alt._values(stats)
 
-    def _unrank(self, index: int) -> ValueTree:
+    def _unrank(self, index: int) -> list[int]:
         for i, alt in enumerate(self.alternatives):
             # position 0 needs only emptiness; a span may walk a key universe
             span = alt._span() if index else int(alt._nonempty())
             if index < span:
-                return _UnionTree(i, alt._unrank(index), self.alternatives, None)
+                return [i, *alt._unrank(index)]
             index -= span
         raise IndexError("one_of: base position out of range")
 
@@ -750,18 +683,14 @@ class TupleOf(Strategy):
             total = _card_op(operator.mul, total, c._cardinality())
         return total
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        return _ListTree([c._random_tree(ctx) for c in self.components],
-                         len(self.components), tuple)
-
-    def _draw(self, ctx: _GenContext) -> Any:
+    def _draw(self, ctx: _Context) -> Any:
         return tuple([c._draw(ctx) for c in self.components])
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return _product(self.components, stats)
 
-    def _unrank(self, index: int) -> ValueTree:
-        return _ListTree(_unrank_digits(self.components, index), len(self.components), tuple)
+    def _unrank(self, index: int) -> list[int]:
+        return list(itertools.chain.from_iterable(_unrank_digits(self.components, index)))
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return math.prod(c._span(stats) for c in self.components)
@@ -776,16 +705,10 @@ class TupleOf(Strategy):
 class OptionalOf(OneOf):
     """``one_of(just(None), inner)``: absent first, so it shrinks to absent."""
 
+    _spare_word = False
+
     def __init__(self, inner: Strategy) -> None:
         super().__init__((Just(None), inner))
-
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        # one draw picks the case and no salt is drawn: absent needs no stream of its own
-        i = ctx.rng.uniform_in(0, 1)
-        return _UnionTree(i, self.alternatives[i]._random_tree(ctx), self.alternatives, None)
-
-    def _draw(self, ctx: _GenContext) -> Any:
-        return self.alternatives[ctx.rng.uniform_in(0, 1)]._draw(ctx)
 
     def __repr__(self) -> str:
         return f"optional_of({self.alternatives[1]!r})"
@@ -804,24 +727,20 @@ class ListOf(Strategy):
     def _cardinality(self) -> Cardinality:
         return _card_sum_powers(self.element._cardinality(), self.min_len, self.max_len)
 
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        n = ctx.rng.uniform_in(self.min_len, self.max_len)
-        return _ListTree([self.element._random_tree(ctx) for _ in range(n)], self.min_len)
-
-    def _draw(self, ctx: _GenContext) -> Any:
-        n = ctx.rng.uniform_in(self.min_len, self.max_len)
-        return [self.element._draw(ctx) for _ in range(n)]
+    def _draw(self, ctx: _Context) -> Any:
+        return ctx.many(self.min_len, self.max_len, self.element._draw)
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         for n in range(self.min_len, self.max_len + 1):
             for v in _product((self.element,) * n, stats):
                 yield v if type(v) is _Skip else list(v)
 
-    def _unrank(self, index: int) -> ValueTree:
+    def _unrank(self, index: int) -> list[int]:
         for n in range(self.min_len, self.max_len + 1):
             block = self.element._span() ** n if n else 1  # [] needs no element span
             if index < block:
-                return _ListTree(_unrank_digits((self.element,) * n, index), self.min_len)
+                return [n - self.min_len,
+                        *itertools.chain.from_iterable(_unrank_digits((self.element,) * n, index))]
             index -= block
         raise IndexError("list_of: base position out of range")
 
@@ -875,36 +794,25 @@ class OrderedMapOf(Strategy):
         kcard = self.keys._cardinality()  # at least min_size keys, or __post_init__ raised
         return min(self.max_size, kcard.count) if kcard.is_finite else self.max_size
 
-    def _drawn_entries(self, ctx: _GenContext, key: Callable[[_GenContext], Any],
-                       value: Callable[[_GenContext], Any],
-                       plain: Callable[[Any], Any]) -> list[tuple[Any, Any]]:
-        """A drawn size, then that many (key, value) pairs with distinct keys,
-        drawn by ``key`` and ``value``; ``plain`` reads a drawn key's value."""
-        size = ctx.rng.uniform_in(self.min_size, self._max_drawn_size)
-        entries: list[tuple[Any, Any]] = []
+    def _keys_label(self) -> str:
+        return f"<distinct keys of {self!r}>"
+
+    def _draw(self, ctx: _Context) -> Any:
+        """A size, then each entry: a key drawn until it is new, then its value."""
         seen: list[Any] = []
-        for _ in range(size):
+
+        def entry(ctx: _Context) -> tuple[Any, Any]:
             for _ in range(MAX_REJECTIONS_PER_VALUE):
-                k = key(ctx)
-                if plain(k) not in seen:
+                k = self.keys._draw(ctx)
+                if k not in seen:
                     break
                 ctx.charge_rejection(self._keys_label())
             else:
                 raise RejectionExhausted(self._keys_label())
-            seen.append(plain(k))
-            entries.append((k, value(ctx)))
-        return entries
+            seen.append(k)
+            return k, self.values._draw(ctx)
 
-    def _keys_label(self) -> str:
-        return f"<distinct keys of {self!r}>"
-
-    def _random_tree(self, ctx: _GenContext) -> ValueTree:
-        entries = self._drawn_entries(ctx, self.keys._random_tree, self.values._random_tree,
-                                      operator.attrgetter("current"))
-        return _MapEntriesTree(entries, self.min_size)
-
-    def _draw(self, ctx: _GenContext) -> Any:
-        entries = self._drawn_entries(ctx, self.keys._draw, self.values._draw, _identity)
+        entries = ctx.many(self.min_size, self._max_drawn_size, entry)
         return dict(_key_sorted(entries, operator.itemgetter(0)))
 
     def _key_universe(self, stats: EnumStats | None) -> list[tuple[int, Any]]:
@@ -939,7 +847,7 @@ class OrderedMapOf(Strategy):
                     yield vals if type(vals) is _Skip else dict(
                         _key_sorted(list(zip(key_combo, vals)), lambda kv: kv[0]))
 
-    def _unrank(self, index: int) -> ValueTree:
+    def _unrank(self, index: int) -> list[int]:
         positions = self._key_positions()
         vspan = self.values._span()
         for size in self._sizes(len(positions)):
@@ -950,7 +858,8 @@ class OrderedMapOf(Strategy):
                 keys = [self.keys._unrank(positions[j])
                         for j in _unrank_combination(len(positions), size, rank)]
                 vals = _unrank_digits((self.values,) * size, index)
-                return _MapEntriesTree(list(zip(keys, vals)), self.min_size)
+                return [size - self.min_size,
+                        *itertools.chain.from_iterable(k + v for k, v in zip(keys, vals))]
             index -= count
         raise IndexError("ordered_map_of: base position out of range")
 
@@ -965,10 +874,6 @@ class OrderedMapOf(Strategy):
     def __repr__(self) -> str:
         return (f"ordered_map_of({self.keys!r}, {self.values!r}, "
                 f"{self.min_size}, {self.max_size})")
-
-
-def _identity(x: Any) -> Any:
-    return x
 
 
 def _choose(n: int, k: int) -> int:
@@ -1021,13 +926,20 @@ def cardinality(strategy: Strategy) -> Cardinality:
 
 def random_tree(strategy: Strategy, rng: SplitMix64,
                 rejection_budget: int | None = None) -> ValueTree:
-    """One seeded draw.  ``rejection_budget`` bounds the *total* number of
-    filter rejections this draw may burn (on top of the per-value 100)."""
-    return strategy._random_tree(_GenContext(rng, rejection_budget))
+    """One seeded draw with its choices recorded, so that it shrinks.
+    ``rejection_budget`` bounds the *total* number of filter rejections this
+    draw may burn (on top of the per-value 100)."""
+    rec = _Recorder(rng=rng, rejection_budget=rejection_budget)
+    return _ChoiceTree(strategy, strategy._draw(rec), rec)
+
+
+def _tree_at(strategy: Strategy, index: int) -> _ChoiceTree:
+    """The tree at base position ``index``, replayed from its choices."""
+    return _replay(strategy, strategy._unrank(index))
 
 
 class _IndexedTree(ValueTree):
-    """An enumerated value and its base position; its tree is unranked on demand."""
+    """An enumerated value and its base position; its tree is replayed on demand."""
 
     __slots__ = ("current", "strategy", "index")
 
@@ -1037,10 +949,10 @@ class _IndexedTree(ValueTree):
         self.index = index
 
     def candidates(self) -> Iterator[ValueTree]:
-        return self.strategy._unrank(self.index).candidates()
+        return _tree_at(self.strategy, self.index).candidates()
 
     def complexity(self) -> tuple:
-        return self.strategy._unrank(self.index).complexity()
+        return _tree_at(self.strategy, self.index).complexity()
 
 
 def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[ValueTree]:
@@ -1072,7 +984,7 @@ def simplest_tree(strategy: Strategy) -> ValueTree | None:
     try:
         for index, _ in _positions(_bounded(strategy._values(stats), stats.max_key_walk),
                                    stats):
-            return strategy._unrank(index)
+            return _tree_at(strategy, index)
     except NotEnumerable:
         pass
     return None

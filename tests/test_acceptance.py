@@ -477,3 +477,24 @@ def test_fuzz_reports_the_input_that_failed():
     v = run_fuzz(prop, RunConfig(seed=1, cases=256))
     assert v.counterexample.original == []
     assert v.counterexample.shrunk == []
+
+
+def test_fuzz_shrinks_to_a_value_the_predicate_did_not_mutate():
+    """Every shrink candidate is replayed afresh from its choices, and the
+    shrunk value is replayed once more: a predicate that appends to its list
+    cannot leak 99s into the report, nor into the candidates after it."""
+    def appends(xs):
+        xs.append(99)
+        return len(xs) < 4
+
+    prop = Property("acc.appends", st.list_of(st.int_range(0, 3), 0, 6), appends)
+    v = run_fuzz(prop, RunConfig(seed=1, cases=256))
+    assert v.counterexample.original == [3, 1, 0, 1, 1, 0]
+    assert v.counterexample.shrunk == [0, 0, 0]
+
+    prop = Property("acc.nested", st.tuple_of(st.int_range(0, 3),
+                                              st.list_of(st.int_range(0, 3), 0, 4)),
+                    lambda a, xs: xs.append(99) or a < 3 or len(xs) < 3)
+    v = run_fuzz(prop, RunConfig(seed=3, cases=256))
+    assert v.counterexample.original == (3, [3, 0, 2, 2])
+    assert v.counterexample.shrunk == (3, [0, 0])

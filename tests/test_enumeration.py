@@ -1,15 +1,17 @@
-"""Index-addressed enumeration against the per-node tree streams it replaced.
+"""Index-addressed enumeration against the per-node streams it replaced.
 
 ``_oracles.iter_trees_reference`` and ``simplest_tree_reference`` are the
 enumeration as it was before strategies learned ``_values``/``_unrank``/
-``_span``.  Over a zoo of every combinator (filters nested everywhere a
-filter can sit, patterns, and every corpus domain that is not too large)
-the two must agree on accepted values, rejection counts and labels, and on
-the tree at every position.
+``_span``, written over plain values.  Over a zoo of every combinator
+(filters nested everywhere a filter can sit, patterns, and every corpus
+domain that is not too large) the two must agree on accepted values,
+rejection counts and labels, and the choices ``_unrank`` gives for every
+position must replay into the value the stream has there.
 
-The same zoo, with the pinned draws of ``test_pins``, holds the fuzz draw
-``_draw`` to the value of the tree ``_random_tree`` builds: the same value,
-PRNG state, rejection budget and error.
+The same zoo, with the pinned draws of ``test_pins``, holds the plain fuzz
+context and the recording context to the same draws: the same values, PRNG
+state, rejection budget and error, and a replay of the recorded choices
+with no PRNG draws the same values again.
 """
 
 import pytest
@@ -28,6 +30,7 @@ from tricheck.strategies import (
     EnumStats,
     RejectionExhausted,
     ValueTree,
+    _tree_at,
     int_range,
     iter_trees,
     just,
@@ -115,8 +118,8 @@ for _prop in REGISTRY:
         _corpus.setdefault(repr(_prop.strategy), _prop)
 ZOO.update((f"corpus.{p.name}", p.strategy) for p in _corpus.values())
 
-#: every tree is compared on domains up to this many positions; beyond it,
-#: the first ones and then every 997th (the corpus' 10^6-pair products)
+#: every position is replayed on domains up to this many positions; beyond
+#: it, the first ones and then every 997th (the corpus' 10^6-pair products)
 EVERY_TREE_UP_TO = 5000
 
 #: zoo entries whose ``simplest_tree`` differs from the per-node reference.
@@ -127,22 +130,21 @@ SIMPLEST_DIFFERS = {"one_of.late_first", "tuple.mid_pair", "list.mid_pair",
                     "map_of.mid_values"}
 
 
-def _signature(tree):
-    """What a tree shows a shrinker: its value, measure and first candidates."""
-    return (type(tree.current), repr(tree.current), tree.complexity(),
-            [(repr(c.current), c.complexity()) for c in tree.candidates()])
+def _shown(value):
+    return type(value), repr(value)
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_same_walk_as_the_reference(name):
-    """Same accepted values in the same order, same rejection count, and the
-    same tree at every index (past ``EVERY_TREE_UP_TO``, at a stride)."""
+    """Same accepted values in the same order and the same rejection count;
+    the choices at every index replay, all of them and no more, into the
+    value there (past ``EVERY_TREE_UP_TO``, at a stride)."""
     s = ZOO[name]
     ref_stats, stats = EnumStats(), EnumStats()
     ref = list(iter_trees_reference(s, ref_stats))
     got = list(iter_trees(s, stats))
-    assert [t.current for t in got] == [t.current for t in ref]
-    assert list(st.enumerate_values(s)) == [t.current for t in ref]
+    assert [_shown(t.current) for t in got] == [_shown(v) for v in ref]
+    assert [_shown(v) for v in st.enumerate_values(s)] == [_shown(v) for v in ref]
     assert stats.rejected == ref_stats.rejected
     indices = [t.index for t in got]
     assert indices == sorted(set(indices))
@@ -152,8 +154,14 @@ def test_same_walk_as_the_reference(name):
     for i, (r, g) in enumerate(zip(ref, got)):
         if big and i >= 1000 and i % 997:
             continue
-        assert _signature(s._unrank(g.index)) == _signature(r)
-        assert _signature(g) == _signature(r)
+        tree = _tree_at(s, g.index)
+        assert _shown(tree.current) == _shown(r)
+        assert tree.choices == tuple(s._unrank(g.index))
+        assert g.complexity() == tree.complexity()
+
+
+def _iter_values(s, stats):
+    return (t.current for t in iter_trees(s, stats))
 
 
 @pytest.mark.parametrize("name", sorted(n for n, s in ZOO.items()
@@ -165,11 +173,11 @@ def test_same_label_at_the_rejection_bound(name):
         pass
     for bound in sorted({0, total.rejected // 2, max(total.rejected - 1, 0)}):
         outcomes = []
-        for walk in (iter_trees_reference, iter_trees):
+        for walk in (iter_trees_reference, _iter_values):
             seen = []
             with pytest.raises(RejectionExhausted) as exc:
-                for t in walk(s, EnumStats(max_rejected=bound)):
-                    seen.append(repr(t.current))
+                for v in walk(s, EnumStats(max_rejected=bound)):
+                    seen.append(repr(v))
             outcomes.append((seen, exc.value.label, str(exc.value)))
         assert outcomes[0] == outcomes[1]
 
@@ -202,7 +210,7 @@ def test_same_simplest_tree(name):
     s = ZOO[name]
     ref, got = simplest_tree_reference(s), simplest_tree(s)
     same = (ref is None and got is None) or (
-        ref is not None and got is not None and _signature(ref) == _signature(got))
+        ref is not None and got is not None and _shown(ref[0]) == _shown(got.current))
     assert same == (name not in SIMPLEST_DIFFERS)
 
 
@@ -216,7 +224,7 @@ def test_simplest_tree_walks_at_most_101_keys_of_a_map(keys):
     the per-node reference answered ``{}`` here without walking any key."""
     seen = []
     s = ordered_map_of(keys(lambda k: seen.append(k) or k), D, 0, 1)
-    assert simplest_tree_reference(s).current == {}
+    assert simplest_tree_reference(s) == ({},)
     seen.clear()
     assert simplest_tree(s) is None
     assert len(seen) <= 2 * (st.MAX_REJECTIONS_PER_VALUE + 1)
@@ -230,21 +238,20 @@ def test_unranking_agrees_with_the_stream_past_the_first_size():
               ordered_map_of(int_range(0, 5), int_range(0, 2), 0, 3),
               one_of(just(0), tuple_of(int_range(0, 2), optional_of(D)))):
         values = list(st.enumerate_values(s))
-        assert [s._unrank(i).current for i in range(s._span())] == values
+        assert [_tree_at(s, i).current for i in range(s._span())] == values
         with pytest.raises(IndexError):
             s._unrank(len(values))
 
 
 def test_enumeration_walks_values_without_building_trees(monkeypatch):
-    """Walking the stream builds no shrink tree; only unranking does."""
+    """Walking the stream builds no shrink tree; only replaying does."""
     def forbidden(*args, **kw):
         raise AssertionError("a tree was built while walking")
 
     s = tuple_of(list_of(ODD, 0, 2), ordered_map_of(D, optional_of(D), 0, 1))
     expected = list(st.enumerate_values(s))
-    for tree_type in ("_LeafTree", "_IntTree", "_UnionTree", "_ListTree", "_MapEntriesTree",
-                      "_FilterTree"):
-        monkeypatch.setattr(st, tree_type, forbidden)
+    for name in ("_ChoiceTree", "_Recorder"):
+        monkeypatch.setattr(st, name, forbidden)
     assert [t.current for t in iter_trees(s)] == expected
 
 
@@ -286,7 +293,7 @@ def test_position_0_falls_through_empty_alternatives():
     for s in (*(one_of(e, just("next")) for e in EMPTIES.values()),
               one_of(*EMPTIES.values(), just("next"))):
         assert list(st.enumerate_values(s)) == ["next"]
-        assert s._unrank(0).current == simplest_tree(s).current == "next"
+        assert _tree_at(s, 0).current == simplest_tree(s).current == "next"
         v = run_exhaustive(Property("p", s, lambda x: False), RunConfig(backend="exhaustive"))
         assert v.counterexample.original == v.counterexample.shrunk == "next"
 
@@ -302,27 +309,36 @@ def test_nonempty_is_a_positive_span(name):
 DRAWN_ZOO = {**ZOO, **{f"pinned.{n}": s for n, s in DRAWN.items()}}
 
 
-def _draws(draw, seed, budget):
-    """Type and repr of four draws from one context, or the error that ended
-    them, then the PRNG state and rejection budget left."""
-    ctx = st._GenContext(SplitMix64(seed), budget)
+def _draws(s, ctx, n=4):
+    """Type and repr of ``n`` draws from one context, or the error that
+    ended them."""
     out = []
     try:
-        for _ in range(4):
-            v = draw(ctx)
-            out.append((type(v), repr(v)))
+        for _ in range(n):
+            out.append(_shown(s._draw(ctx)))
     except RejectionExhausted as exc:
         out.append(str(exc))
-    return out, ctx.rng.state, ctx.rejection_budget
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(DRAWN_ZOO))
 def test_draw_is_the_value_of_the_random_tree(name):
+    """The plain context and the recording one ``random_tree`` uses draw the
+    same values, leave the same PRNG state and rejection budget, and fail
+    alike; the recorded choices replay, with no PRNG, into the same values."""
     s = DRAWN_ZOO[name]
     for seed in range(40):
         for budget in (None, 40):  # per-value and run-wide exhaustion
-            assert (_draws(s._draw, seed, budget)
-                    == _draws(lambda ctx: s._random_tree(ctx).current, seed, budget))
+            plain = st._GenContext(SplitMix64(seed), budget)
+            rec = st._Recorder(rng=SplitMix64(seed), rejection_budget=budget)
+            drawn = _draws(s, plain)
+            assert _draws(s, rec) == drawn
+            assert rec.rng.state == plain.rng.state
+            assert rec.rejection_budget == plain.rejection_budget
+            values = [d for d in drawn if type(d) is tuple]
+            replay = st._Recorder(rec.choices)
+            assert _draws(s, replay, len(values)) == values
+            assert replay.choices == rec.choices[:len(replay.choices)]
 
 
 def _counted():
@@ -346,14 +362,16 @@ def _counted():
     return s, calls
 
 
-def test_a_strategy_with_only_a_tree_draw_fuzzes():
-    """``_draw`` defaults to the value of ``_random_tree``."""
-    class Coin(st.Strategy):
-        def _random_tree(self, ctx):
-            return st._LeafTree(ctx.rng.uniform_in(0, 1))
+def test_a_strategy_with_only_a_draw_fuzzes_and_shrinks():
+    """``_draw`` is the one draw a strategy needs: it fuzzes, and it shrinks
+    by replaying its choices."""
+    class Pair(st.Strategy):
+        def _draw(self, ctx):
+            return ctx.choice(0, 9), ctx.choice(0, 9)
 
-    v = run_fuzz(Property("p", Coin(), lambda x: x == 0), RunConfig(seed=5, cases=300))
-    assert v.kind is VerdictKind.FALSIFIED and v.counterexample.original == 1
+    v = run_fuzz(Property("p", Pair(), lambda p: sum(p) < 5), RunConfig(seed=5, cases=300))
+    assert v.kind is VerdictKind.FALSIFIED and sum(v.counterexample.original) >= 5
+    assert v.counterexample.shrunk == (0, 5)
 
 
 def test_a_passing_fuzz_run_builds_no_tree(monkeypatch):
@@ -364,6 +382,7 @@ def test_a_passing_fuzz_run_builds_no_tree(monkeypatch):
     for name, obj in list(vars(st).items()):
         if isinstance(obj, type) and issubclass(obj, ValueTree):
             monkeypatch.setattr(st, name, forbidden)
+    monkeypatch.setattr(st, "_Recorder", forbidden)
     v = run_fuzz(Property("p", s, lambda *a: True), RunConfig(seed=5, cases=300))
     assert v.kind is VerdictKind.PASS_SAMPLED and v.cases == 300
 
@@ -371,11 +390,12 @@ def test_a_passing_fuzz_run_builds_no_tree(monkeypatch):
 @pytest.mark.parametrize("predicate, kind, calls", [
     (lambda *a: True, VerdictKind.PASS_SAMPLED, {"map": 672, "filter": 918}),
     (lambda xs, m, t: not (len(xs) == 3 and t == "ab"), VerdictKind.FALSIFIED,
-     {"map": 150, "filter": 210}),
+     {"map": 223, "filter": 210}),
 ], ids=["passing", "failing_at_case_61"])
 def test_fuzz_draws_make_the_user_calls_tree_draws_made(predicate, kind, calls):
-    """The counts each case made when the fuzz loop built a tree for it,
-    the failing run's redraws and shrinking included."""
+    """A passing run makes the calls each case made when the fuzz loop built
+    a tree for it.  A failing run also makes those of its recording redraw
+    and of every shrink candidate, each replayed afresh."""
     s, seen = _counted()
     v = run_fuzz(Property("p", s, predicate), RunConfig(seed=5, cases=300))
     assert v.kind is kind

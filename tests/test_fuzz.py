@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from tricheck.corpus import REGISTRY
 from tricheck.fuzz import run_fuzz, shrink_failure
 from tricheck.harness import Property, RunConfig, Ticker
 from tricheck.prng import SplitMix64
@@ -113,6 +114,28 @@ def test_interrupted_shrink_is_flagged_in_the_verdict(monkeypatch):
     assert v.kind is VerdictKind.FALSIFIED
     assert v.counterexample.shrink_incomplete is True
     assert v.counterexample.shrunk >= 5000  # descent was cut short
+
+
+#: predicate calls made after the first failure, for each corpus property
+#: that fuzz falsifies at seed 7 with 512 cases: a count, so that a shrinker
+#: that does more work fails here while timings stay informational
+CORPUS_SHRINK_EVALS = {"list.no_triples": 17, "rem.total": 0, "threshold.wide": 56}
+
+
+def test_corpus_shrink_costs_are_pinned():
+    evals = {}
+    for p in REGISTRY:
+        calls = 0
+
+        def counted(*args, predicate=p.predicate):
+            nonlocal calls
+            calls += 1
+            return predicate(*args)
+
+        v = run_fuzz(prop(p.strategy, counted, p.name), RunConfig(seed=7, cases=512))
+        if v.kind is VerdictKind.FALSIFIED:
+            evals[p.name] = calls - (v.counterexample.case_index + 1)
+    assert evals == CORPUS_SHRINK_EVALS
 
 
 # --------------------------------------------------------------------------

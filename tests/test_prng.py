@@ -71,21 +71,3 @@ def test_uniform_in_covers_range():
     seen = {g.uniform_in(0, 3) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
-
-def test_fork_streams_differ_by_salt():
-    s1 = SplitMix64(5).fork(1)
-    s2 = SplitMix64(5).fork(2)
-    assert s1.next_u64() != s2.next_u64()
-
-
-def test_fork_consumes_exactly_one_parent_draw():
-    a, b = SplitMix64(11), SplitMix64(11)
-    a.fork(123)
-    b.next_u64()
-    assert a.next_u64() == b.next_u64()
-
-
-def test_fork_is_replayable():
-    c1 = SplitMix64(11).fork(7)
-    c2 = SplitMix64(11).fork(7)
-    assert [c1.next_u64() for _ in range(4)] == [c2.next_u64() for _ in range(4)]

@@ -27,7 +27,6 @@ from tricheck.strategies import (
     random_tree,
     tuple_of,
 )
-from tricheck.strategies import _IntTree
 from tricheck.patterns import pattern
 
 from _oracles import enumerate_oracle
@@ -327,18 +326,44 @@ def test_enumeration_reject_bound_via_stats():
 # --------------------------------------------------------------------------
 # shrink candidates
 
+class _Always:
+    """A generator stand-in whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform_in(self, lo, hi):
+        assert lo <= self.value <= hi
+        return self.value
+
+
+def _int_ladder(lo, hi, value):
+    return [c.current for c in random_tree(int_range(lo, hi), _Always(value)).candidates()]
+
+
 def test_int_shrink_ladder_order():
-    assert [c.current for c in _IntTree(10, 0).candidates()] == [0, 5, 8, 9]
-    assert [c.current for c in _IntTree(7, 3).candidates()] == [3, 5, 6]
-    assert [c.current for c in _IntTree(0, 0).candidates()] == []
+    assert _int_ladder(0, 10, 10) == [0, 5, 8, 9]
+    assert _int_ladder(3, 9, 7) == [3, 5, 6]
+    assert _int_ladder(0, 0, 0) == []
 
 
 def test_int_shrink_ladder_is_strictly_below_value():
-    t = _IntTree(52655, 0)
-    seen = [c.current for c in t.candidates()]
+    seen = _int_ladder(0, 2**16, 52655)
     assert seen[0] == 0
     assert all(v < 52655 for v in seen)
     assert seen[1:] == sorted(seen[1:])  # approach from below after the floor
+
+
+def test_a_candidate_replay_stops_at_the_parent_length():
+    """A candidate that asks for more choices than its parent drew is
+    dropped at that choice: lowering a filter's accepted draw to a rejected
+    value costs one filter call, not a run of rejections over zeros."""
+    calls = []
+    s = int_range(0, 100).filter("big", lambda x: calls.append(x) or x >= 50)
+    tree = random_tree(s, _Always(80))
+    calls.clear()
+    assert [c.current for c in tree.candidates()] == [60, 70, 75, 78, 79]
+    assert calls == [0, 40, 60, 70, 75, 78, 79]
 
 
 def test_list_shrinks_truncations_before_drops_before_elements():
