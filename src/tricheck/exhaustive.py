@@ -58,15 +58,20 @@ def run_exhaustive(prop: Property, config: RunConfig, *,
     stats = EnumStats(max_rejected=None if expected is not None else 10 * budget,
                       on_reject=ticker.tick)
     count = 0
+    limit = budget if expected is None else -1  # a finite domain is within budget
+    left = ticker.lease()
     try:
         for tree in iter_trees(prop.strategy, stats):
-            if expected is None and count >= budget:
+            if count == limit:
                 return finish(Verdict.unknown(
                     UnknownReason.BUDGET_EXCEEDED,
                     detail=f"accepted values exceeded budget {budget}"))
             ok, message = eval_predicate(prop, tree.current)
-            ticker.tick()
+            left -= 1
+            if not left:
+                left = ticker.renew()
             if not ok:
+                ticker.release(left)
                 # the predicate may mutate what it is given, so it sees only
                 # fresh replays; the position replayed here never is
                 root = _tree_at(prop.strategy, tree.index)

@@ -61,14 +61,19 @@ def run_fuzz(prop: Property, config: RunConfig, *,
     # one context for the whole run: the 10x budget is spent across cases,
     # not granted afresh to each draw
     ctx = _GenContext(rng, 10 * config.cases)
+    draw = prop.strategy._draw
     verdict: Verdict
     completed = 0
+    left = ticker.lease()
     try:
         for case_index in range(config.cases):
             state = rng.state
-            ok, message = eval_predicate(prop, prop.strategy._draw(ctx))
-            ticker.tick()
+            ok, message = eval_predicate(prop, draw(ctx))
+            left -= 1
+            if not left:
+                left = ticker.renew()
             if not ok:
+                ticker.release(left)
                 # the predicate may mutate what it is given, so it sees only
                 # fresh replays; this case redrawn from its state never is
                 root = random_tree(prop.strategy, SplitMix64(state))

@@ -131,7 +131,12 @@ class StopRequested(Exception):
 
 class Ticker:
     """Counts evaluations; every POLL_INTERVAL it checks the deadline and the
-    cooperative stop flag.  Cheap enough to call in the innermost loops."""
+    cooperative stop flag.  ``tick`` counts one.  A backend's per-unit loop
+    counts down locally instead: ``left = ticker.lease()``, then on each unit
+    ``left -= 1`` and, at 0, ``left = ticker.renew()``, which polls; it hands
+    back the units it did not use with ``release(left)`` before anything else
+    ticks.  So one cadence runs through the whole run, shrinking and every
+    symbolic alternative included."""
 
     __slots__ = ("deadline", "stop", "count")
 
@@ -146,6 +151,22 @@ class Ticker:
         self.count = before + n
         if before // POLL_INTERVAL != self.count // POLL_INTERVAL:
             self.poll()
+
+    def lease(self) -> int:
+        """Count ahead to the next poll boundary; returns the units leased."""
+        left = POLL_INTERVAL - self.count % POLL_INTERVAL
+        self.count += left
+        return left
+
+    def renew(self) -> int:
+        """Poll, then lease the next whole interval."""
+        self.poll()
+        self.count += POLL_INTERVAL
+        return POLL_INTERVAL
+
+    def release(self, left: int) -> None:
+        """Hand back ``left`` leased units that were not used."""
+        self.count -= left
 
     def poll(self) -> None:
         if self.stop is not None and self.stop.is_set():

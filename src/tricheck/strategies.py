@@ -372,6 +372,13 @@ class _Skip(NamedTuple):
         return self.count * math.prod(c._span(stats) for c in self.rest)
 
 
+def _skipped_span(skipped: list[_Skip], stats: EnumStats | None) -> int:
+    """The base positions the rejections in ``skipped`` cover; empties it."""
+    n = sum(s.span(stats) for s in skipped)
+    skipped.clear()
+    return n
+
+
 def _positions(stream: Iterator[Any], stats: EnumStats | None) -> Iterator[tuple[int, Any]]:
     """(base position, value) of each accepted value of a ``_values`` stream."""
     index = 0
@@ -381,8 +388,7 @@ def _positions(stream: Iterator[Any], stats: EnumStats | None) -> Iterator[tuple
             skipped.append(v)
             continue
         if skipped:
-            index += sum(s.span(stats) for s in skipped)
-            skipped.clear()
+            index += _skipped_span(skipped, stats)
         yield index, v
         index += 1
 
@@ -939,14 +945,10 @@ def _tree_at(strategy: Strategy, index: int) -> _ChoiceTree:
 
 
 class _IndexedTree(ValueTree):
-    """An enumerated value and its base position; its tree is replayed on demand."""
+    """An enumerated value and its base position; its tree is replayed on demand.
+    ``iter_trees`` builds one per value by slot stores, with no ``__init__``."""
 
     __slots__ = ("current", "strategy", "index")
-
-    def __init__(self, value: Any, strategy: Strategy, index: int) -> None:
-        self.current = value
-        self.strategy = strategy
-        self.index = index
 
     def candidates(self) -> Iterator[ValueTree]:
         return _tree_at(self.strategy, self.index).candidates()
@@ -957,9 +959,24 @@ class _IndexedTree(ValueTree):
 
 def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[ValueTree]:
     """Canonical enumeration as shrinkable trees carrying their base ``index``.
-    No budget gating; callers that rely on finiteness check ``cardinality``."""
-    for index, v in _positions(strategy._values(stats), stats):
-        yield _IndexedTree(v, strategy, index)
+    No budget gating; callers that rely on finiteness check ``cardinality``.
+    The index bookkeeping is ``_positions``', inlined: this is the exhaustive
+    backend's per-value loop."""
+    new, tree_type, skip = object.__new__, _IndexedTree, _Skip
+    index = 0
+    skipped: list[_Skip] = []
+    for v in strategy._values(stats):
+        if type(v) is skip:
+            skipped.append(v)
+            continue
+        if skipped:
+            index += _skipped_span(skipped, stats)
+        tree = new(tree_type)
+        tree.current = v
+        tree.strategy = strategy
+        tree.index = index
+        yield tree
+        index += 1
 
 
 def enumerate_values(strategy: Strategy, budget: int | None = None) -> Iterator[Any]:

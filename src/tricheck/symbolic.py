@@ -16,8 +16,10 @@ every box is decided, a concrete witness refutes the property, or the box
 budget runs out.  Interval division truncates toward zero and a divisor
 interval that straddles zero aborts the analysis (soundly) instead.
 
-Every refutation is anchored concretely: the witness must fail the recorded
-formula under integer evaluation, and then the real predicate too.
+Every verdict is anchored concretely.  A witness must fail the recorded
+formula under integer evaluation, and then the real predicate too; a proof
+stands only once the real predicate also holds at a few points of each box
+(its corners, its midpoint and each variable's bounds).
 """
 
 from __future__ import annotations
@@ -670,6 +672,37 @@ def _carrier_value(carrier, valuation: dict):
     return concrete_eval(carrier, valuation)
 
 
+def _confirmation_points(box: Box) -> list[dict]:
+    """Valuations of ``box`` a proof is checked at: both extreme corners, the
+    midpoint, and each variable at its bounds with the others at the
+    midpoint; at most 2k+3 for k variables, without repeats."""
+    mid = {vid: (iv.lo + iv.hi) // 2 for vid, iv in box.items()}
+    points = [{vid: iv.lo for vid, iv in box.items()},
+              {vid: iv.hi for vid, iv in box.items()}, mid]
+    for vid, iv in box.items():
+        points += [{**mid, vid: iv.lo}, {**mid, vid: iv.hi}]
+    return list({tuple(p.values()): p for p in points}.values())
+
+
+def _failing_point(prop: Property, alt: SymAlternative) -> tuple | None:
+    """(value, message) at the first confirmation point of a proved
+    alternative where the real predicate fails, or None.  Points outside
+    the filter hypothesis, or where building the value aborts, are skipped.
+    The formula held there, so a failure means the predicate and the formula
+    it recorded over the carrier disagree."""
+    for val in _confirmation_points(alt.box):
+        try:
+            if alt.hypothesis is not None and not concrete_truth(alt.hypothesis, val):
+                continue
+            value = _carrier_value(alt.carrier, val)
+        except EvalError:
+            continue
+        ok, message = eval_predicate(prop, value)
+        if not ok:
+            return value, message
+    return None
+
+
 # --------------------------------------------------------------------------
 # branch and prune
 
@@ -718,60 +751,70 @@ def branch_and_prune(formula: SymBool, box: Box,
         raise ValueError(f"variable id {vids[0]} is negative")
     size = vids[-1] + 1 if vids else 0
     work = [tuple((box[v].lo, box[v].hi) if v in box else None for v in range(size))]
+    push, pop = work.append, work.pop
+    if ticker is None:
+        ticker = Ticker()
+    left = ticker.lease()
     boxes = 0
     splits = 0
-    while work:
-        if boxes >= budget:
-            val = _sample_remaining(holds, work, keys, sample_seed)
-            if val is not None:
-                return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
-            return SolveOutcome("undecided", boxes=boxes, splits=splits,
-                                note=f"box budget {budget} exhausted")
-        if ticker is not None:
-            try:
-                ticker.tick()
-            except DeadlineReached:
+    try:
+        while work:
+            if boxes >= budget:
                 val = _sample_remaining(holds, work, keys, sample_seed)
                 if val is not None:
                     return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
-                return SolveOutcome("timeout", boxes=boxes, splits=splits)
-            except StopRequested:
-                return SolveOutcome("cancelled", boxes=boxes, splits=splits)
-        current = work.pop()
-        boxes += 1
-        try:
-            t = truth(current)
-        except DivMaybeZero as exc:
-            return SolveOutcome("unsupported", boxes=boxes, splits=splits, note=str(exc))
-        if t is _TRUE:
-            continue
-        if t is _FALSE:
-            val = {vid: (current[vid][0] + current[vid][1]) // 2 for vid in keys}
-            if holds(val):  # pragma: no cover - soundness guard
-                raise AssertionError("interval refutation failed concrete confirmation")
-            return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
-        dim, width = -1, 0
-        for vid in vids:
-            lo, hi = current[vid]
-            if hi - lo > width:
-                dim, width = vid, hi - lo
-        if dim < 0:
-            # single point left undecided by intervals: decide it concretely
-            val = {vid: current[vid][0] for vid in keys}
+                return SolveOutcome("undecided", boxes=boxes, splits=splits,
+                                    note=f"box budget {budget} exhausted")
+            left -= 1
+            if not left:
+                try:
+                    left = ticker.renew()
+                except DeadlineReached:
+                    val = _sample_remaining(holds, work, keys, sample_seed)
+                    if val is not None:
+                        return SolveOutcome("witness", witness=val, boxes=boxes,
+                                            splits=splits)
+                    return SolveOutcome("timeout", boxes=boxes, splits=splits)
+                except StopRequested:
+                    return SolveOutcome("cancelled", boxes=boxes, splits=splits)
+            current = pop()
+            boxes += 1
             try:
-                if not holds(val):
-                    return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
-            except EvalError:
-                return SolveOutcome("unsupported", boxes=boxes, splits=splits,
-                                    note="division by zero at a concrete point")
-            continue
-        lo, hi = current[dim]
-        mid = (lo + hi) // 2
-        head, tail = current[:dim], current[dim + 1:]
-        splits += 1
-        work.append(head + ((mid + 1, hi),) + tail)
-        work.append(head + ((lo, mid),) + tail)
-    return SolveOutcome("proved", boxes=boxes, splits=splits)
+                t = truth(current)
+            except DivMaybeZero as exc:
+                return SolveOutcome("unsupported", boxes=boxes, splits=splits, note=str(exc))
+            if t is _TRUE:
+                continue
+            if t is _FALSE:
+                val = {vid: (current[vid][0] + current[vid][1]) // 2 for vid in keys}
+                if holds(val):  # pragma: no cover - soundness guard
+                    raise AssertionError("interval refutation failed concrete confirmation")
+                return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
+            dim, width = -1, 0
+            for vid in vids:
+                lo, hi = current[vid]
+                if hi - lo > width:
+                    dim, width = vid, hi - lo
+            if dim < 0:
+                # single point left undecided by intervals: decide it concretely
+                val = {vid: current[vid][0] for vid in keys}
+                try:
+                    if not holds(val):
+                        return SolveOutcome("witness", witness=val, boxes=boxes,
+                                            splits=splits)
+                except EvalError:
+                    return SolveOutcome("unsupported", boxes=boxes, splits=splits,
+                                        note="division by zero at a concrete point")
+                continue
+            lo, hi = current[dim]
+            mid = (lo + hi) // 2
+            head, tail = current[:dim], current[dim + 1:]
+            splits += 1
+            push(head + ((mid + 1, hi),) + tail)
+            push(head + ((lo, mid),) + tail)
+        return SolveOutcome("proved", boxes=boxes, splits=splits)
+    finally:
+        ticker.release(left)
 
 
 # --------------------------------------------------------------------------
@@ -796,7 +839,9 @@ def run_symbolic(prop: Property, config: RunConfig, *,
     to "hypothesis implies assertion"; an alternative whose hypothesis is
     false over its whole box is vacuously proved and flags the verdict.
     Witnesses are reported unshrunk, and only once the real predicate fails
-    on them too; a plain bool or None from the carrier is unsupported.
+    on them too.  A plain bool or None from the carrier is unsupported, and
+    so is a proved alternative whose box has a confirmation point where the
+    real predicate fails.
     """
     t0 = time.monotonic()
 
@@ -867,6 +912,14 @@ def run_symbolic(prop: Property, config: RunConfig, *,
         total_boxes += out.boxes
         total_splits += out.splits
         if out.status == "proved":
+            failing = _failing_point(prop, alt)
+            if failing is not None:
+                value, message = failing
+                return finish(Verdict.unknown(
+                    UnknownReason.UNSUPPORTED,
+                    detail=f"the recorded formula holds at {value!r} but the "
+                           f"predicate fails there ({message}): they disagree"),
+                    total_boxes, total_splits)
             continue
         if out.status == "witness":
             try:

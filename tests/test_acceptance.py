@@ -414,6 +414,25 @@ def test_symbolic_witness_is_confirmed_on_the_real_predicate(tmp_path, capsys):
     assert result["verdict"] == "proved"
 
 
+def test_symbolic_proof_is_confirmed_on_the_real_predicate(tmp_path, capsys):
+    """A predicate that branches on its argument's type records ``a < 100``
+    over the carrier, which the boxes prove, while every concrete int takes
+    the ``a > 0`` branch.  The proof is checked at concrete points of the
+    box first: the verdict is Unsupported and names -5, and the ensemble
+    reports exhaustive's falsification instead of InconsistentBackends."""
+    def by_type(a):
+        return a > 0 if isinstance(a, int) else a < 100
+
+    v = run_symbolic(Property("acc.by_type", st.int_range(-5, 5), by_type), RunConfig())
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert "-5" in v.detail
+    rc, result = _ensemble_report(tmp_path, capsys, "acc.by_type", st.int_range(-5, 5), by_type)
+    assert rc == 1  # falsified, not 3 (InconsistentBackends)
+    assert result["verdict"] == "falsified"
+    assert result["counterexample"]["shrunk"] == "-5"
+
+
 # --------------------------------------------------------------------------
 # exhaustive: counts what it walked, reports what it evaluated
 

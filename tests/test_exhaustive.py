@@ -212,6 +212,15 @@ def test_expired_deadline_times_out_with_progress(monkeypatch):
     assert 0 < v.cases < 1000
 
 
+def test_expired_deadline_is_polled_on_the_interval(monkeypatch):
+    monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 4)
+    p = prop(int_range(0, 999), lambda x: True)
+    v = run_exhaustive(p, RunConfig(), deadline=time.monotonic() - 1.0)
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.TIMEOUT
+    assert v.cases == 3  # the deadline check fires after the fourth evaluation
+
+
 def test_preset_stop_cancels_within_poll_interval():
     stop = threading.Event()
     stop.set()

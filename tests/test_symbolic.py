@@ -2,6 +2,8 @@
 recording, branch-and-prune, and the driver's verdict mapping."""
 
 import itertools
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -417,6 +419,61 @@ def test_driver_unobserved_carrier_is_unsupported():
 def test_driver_filter_hypothesis_may_be_a_plain_bool():
     v = run(int_range(0, 10).filter("all", lambda x: True), lambda x: x >= 0)
     assert v.kind is VerdictKind.PROVED
+
+
+def test_driver_confirms_a_proof_on_the_real_predicate():
+    # the carrier records ``a < 100``, which holds everywhere, but every
+    # concrete int takes the other branch, which fails at -5
+    v = run(int_range(-5, 5), lambda a: a > 0 if isinstance(a, int) else a < 100)
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert "-5" in v.detail
+    assert v.cases == 1  # the confirmation points are not boxes
+
+
+def test_driver_confirms_only_points_that_satisfy_the_hypothesis():
+    s = int_range(-5, 5).filter("positive", lambda x: x > 0)
+    v = run(s, lambda a: a > 0 if isinstance(a, int) else a < 100)
+    assert v.kind is VerdictKind.PROVED
+
+
+def test_driver_confirms_each_variable_at_its_bounds():
+    # fails only where b is at its upper bound and a is not at a corner
+    def pred(a, b):
+        if isinstance(a, int):
+            return b < 9 or a in (0, 9)
+        return a + b >= 0
+
+    v = run(tuple_of(int_range(0, 9), int_range(0, 9)), pred)
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert "(4, 9)" in v.detail
+
+
+# --------------------------------------------------------------------------
+# deadline and cancellation: one poll cadence per run
+
+def test_driver_polls_the_deadline_on_the_interval(monkeypatch):
+    monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 4)
+    p = Property("t", int_range(0, 1000), lambda x: x - x == 0)
+    v = run_symbolic(p, RunConfig(), deadline=time.monotonic() - 1.0)
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.TIMEOUT
+    assert v.cases == 3  # the deadline check fires before the fourth box
+
+
+def test_preset_stop_is_polled_across_alternatives():
+    # 200 alternatives of 19 boxes each: none reaches a poll on its own,
+    # so only a cadence carried across them sees the stop flag
+    stop = threading.Event()
+    stop.set()
+    s = one_of(*[int_range(10 * k, 10 * k + 9) for k in range(200)])
+    p = Property("t", s, lambda x: x - x == 0)
+    assert run_symbolic(p, RunConfig()).cases == 3800
+    v = run_symbolic(p, RunConfig(), stop=stop)
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.TIMEOUT
+    assert v.cases <= 1024
 
 
 # --------------------------------------------------------------------------
