@@ -71,20 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a suite and report verdicts")
-    run.add_argument("module", nargs="?", default=None,
-                     help="python file exposing REGISTRY (default: built-in corpus)")
-    run.add_argument("--backend", choices=["fuzz", "exhaustive", "symbolic", "ensemble"],
-                     default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--cases", type=int, default=None)
-    run.add_argument("--budget", type=int, default=None)
-    run.add_argument("--timeout-ms", type=int, default=None)
+    _add_run_arguments(run, ["fuzz", "exhaustive", "symbolic", "ensemble"])
     run.add_argument("--filter", default=None, help="glob over property names")
     run.add_argument("--config", default=None, help="JSON config file")
     run.add_argument("--report", default=None, help="write the JSON report here")
     run.add_argument("--history", default=None, help="append JSON-lines history here")
     run.add_argument("--waivers", default=None, help="JSON waiver file")
-    run.add_argument("--strict", action="store_true",
+    run.add_argument("--strict", action="store_true", default=None,
                      help="exit 2 when unwaived Unknown verdicts remain")
 
     lst = sub.add_parser("list", help="list registered properties")
@@ -92,20 +85,24 @@ def build_parser() -> argparse.ArgumentParser:
     lst.add_argument("--filter", default=None)
 
     replay = sub.add_parser("replay", help="re-run one property deterministically")
-    replay.add_argument("module", nargs="?", default=None)
+    _add_run_arguments(replay, ["fuzz", "exhaustive", "symbolic"])
     replay.add_argument("--property", required=True)
-    replay.add_argument("--backend", choices=["fuzz", "exhaustive", "symbolic"],
-                        default=None)
-    replay.add_argument("--seed", type=int, default=None)
-    replay.add_argument("--cases", type=int, default=None)
-    replay.add_argument("--budget", type=int, default=None)
-    replay.add_argument("--timeout-ms", type=int, default=None)
 
     hist = sub.add_parser("history", help="print recorded runs")
     hist.add_argument("--history", default="tricheck-history.jsonl")
     hist.add_argument("--property", default=None, help="glob over property names")
 
     return parser
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser, backends: list[str]) -> None:
+    """The harness module and the run flags that ``run`` and ``replay`` share;
+    each flag left out is None, so it overrides nothing."""
+    parser.add_argument("module", nargs="?", default=None,
+                        help="python file exposing REGISTRY (default: built-in corpus)")
+    parser.add_argument("--backend", choices=backends, default=None)
+    for flag in ("--seed", "--cases", "--budget", "--timeout-ms"):
+        parser.add_argument(flag, type=int, default=None)
 
 
 # --------------------------------------------------------------------------
@@ -136,16 +133,20 @@ def read_config_file(path: str) -> dict[str, Any]:
     return data
 
 
-def _make_config(file_values: dict[str, Any], flag_values: dict[str, Any]) -> RunConfig:
-    """RunConfig from file values, overridden by the flags that were given;
-    RunConfig's own defaults fill the rest."""
-    values = {f.name: file_values[f.name]
-              for f in dataclasses.fields(RunConfig) if f.name in file_values}
-    values.update((k, v) for k, v in flag_values.items() if v is not None)
+def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict[str, Any]]:
+    """The run config and every setting: config-file values first, then the
+    flags that were given; RunConfig's own defaults fill the rest.  A
+    subcommand without ``--config`` reads no file."""
+    path = getattr(args, "config", None)
+    values = read_config_file(path) if path else {}
+    values.update((k, v) for k, v in vars(args).items()
+                  if k in CONFIG_KEYS and v is not None)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
     try:
-        return RunConfig(**values)
+        config = RunConfig(**{k: v for k, v in values.items() if k in fields})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return config, values
 
 
 def load_registry(module_path: str | None, repetition_cap: int,
@@ -317,19 +318,10 @@ def _summarize(report: RunReport, flaky: list[str]) -> None:
 
 def cmd_run(args: argparse.Namespace,
             registry_override: PropertyRegistry | None) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-    config = _make_config(file_values, {
-        "backend": args.backend,
-        "seed": args.seed,
-        "cases": args.cases,
-        "budget": args.budget,
-        "timeout_ms": args.timeout_ms,
-        "filter": args.filter,
-    })
-    report_path = args.report if args.report else file_values.get("report")
-    history_path = args.history if args.history else file_values.get("history")
-    waivers_path = args.waivers if args.waivers else file_values.get("waivers")
-    strict = args.strict or bool(file_values.get("strict", False))
+    config, settings = _settings(args)
+    report_path = settings.get("report")
+    history_path = settings.get("history")
+    waivers_path = settings.get("waivers")
 
     registry = load_registry(args.module, config.repetition_cap, registry_override)
     waivers = load_waivers(waivers_path) if waivers_path else []
@@ -347,7 +339,7 @@ def cmd_run(args: argparse.Namespace,
 
     if report.unwaived(VerdictKind.FALSIFIED):
         return 1
-    if strict and report.unwaived(VerdictKind.UNKNOWN):
+    if settings.get("strict") and report.unwaived(VerdictKind.UNKNOWN):
         return 2
     return 0
 
@@ -365,13 +357,7 @@ def cmd_list(args: argparse.Namespace,
 
 def cmd_replay(args: argparse.Namespace,
                registry_override: PropertyRegistry | None) -> int:
-    config = _make_config({}, {
-        "backend": args.backend,
-        "seed": args.seed,
-        "cases": args.cases,
-        "budget": args.budget,
-        "timeout_ms": args.timeout_ms,
-    })
+    config, _ = _settings(args)
     registry = load_registry(args.module, config.repetition_cap, registry_override)
     if args.property not in registry:
         raise UsageError(f"unknown property: {args.property}")

@@ -9,16 +9,16 @@ is found first (it is then shrunk, so even that mostly converges).
 from __future__ import annotations
 
 import threading
-import time
 
 from .fuzz import shrink_failure
 from .harness import (DeadlineReached, Property, RunConfig, StopRequested,
-                      Ticker, eval_predicate)
+                      Ticker, backend, eval_predicate)
 from .results import Counterexample, UnknownReason, Verdict
 from .strategies import (EnumStats, NotEnumerable, RejectionExhausted, _tree_at,
                          cardinality, iter_trees)
 
 
+@backend("exhaustive")
 def run_exhaustive(prop: Property, config: RunConfig, *,
                    deadline: float | None = None,
                    stop: threading.Event | None = None) -> Verdict:
@@ -36,69 +36,58 @@ def run_exhaustive(prop: Property, config: RunConfig, *,
       within both bounds the enumeration was complete and the property is
       Proved, otherwise Unknown{BudgetExceeded}.
     """
-    t0 = time.monotonic()
-
-    def finish(v: Verdict) -> Verdict:
-        v.backend = "exhaustive"
-        v.duration_ms = int((time.monotonic() - t0) * 1000)
-        return v
-
     card = cardinality(prop.strategy)
     budget = config.budget
     if card.kind == "too_large":
-        return finish(Verdict.unknown(UnknownReason.BUDGET_EXCEEDED,
-                                      detail="domain exceeds 2**63 values"))
+        return Verdict.unknown(UnknownReason.BUDGET_EXCEEDED,
+                               detail="domain exceeds 2**63 values")
     if card.is_finite and card.count > budget:
-        return finish(Verdict.unknown(
+        return Verdict.unknown(
             UnknownReason.BUDGET_EXCEEDED,
-            detail=f"needs {card.count} evaluations, budget is {budget}"))
+            detail=f"needs {card.count} evaluations, budget is {budget}")
 
-    expected = card.count if card.is_finite else None
     ticker = Ticker(deadline, stop)
-    stats = EnumStats(max_rejected=None if expected is not None else 10 * budget,
-                      on_reject=ticker.tick)
+    # a finite cardinality means no filter, so the bound only binds under one
+    stats = EnumStats(max_rejected=10 * budget, on_reject=ticker.tick)
     count = 0
-    limit = budget if expected is None else -1  # a finite domain is within budget
+    limit = -1 if card.is_finite else budget  # a finite domain is within budget
     left = ticker.lease()
     try:
         for tree in iter_trees(prop.strategy, stats):
             if count == limit:
-                return finish(Verdict.unknown(
+                return Verdict.unknown(
                     UnknownReason.BUDGET_EXCEEDED,
-                    detail=f"accepted values exceeded budget {budget}"))
+                    detail=f"accepted values exceeded budget {budget}")
             ok, message = eval_predicate(prop, tree.current)
-            left -= 1
-            if not left:
-                left = ticker.renew()
+            # checked before the poll, so a failure on a poll boundary is
+            # reported even when time is up; the failing unit still counts
             if not ok:
-                ticker.release(left)
+                ticker.release(left - 1)
                 # the predicate may mutate what it is given, so it sees only
                 # fresh replays; the position replayed here never is
                 root = _tree_at(prop.strategy, tree.index)
                 shrunk, incomplete = shrink_failure(prop, root, ticker)
-                return finish(Verdict.falsified(Counterexample(
+                return Verdict.falsified(Counterexample(
                     original=root.current,
                     shrunk=shrunk.replay().current,
                     seed=None,
                     case_index=count,
                     message=message,
                     shrink_incomplete=incomplete,
-                )))
+                ))
+            left -= 1
+            if not left:
+                left = ticker.renew()
             count += 1
-    except RejectionExhausted as exc:
-        return finish(Verdict.unknown(UnknownReason.BUDGET_EXCEEDED,
-                                      detail=str(exc), cases=count))
-    except NotEnumerable as exc:
-        return finish(Verdict.unknown(UnknownReason.BUDGET_EXCEEDED,
-                                      detail=str(exc), cases=count))
+    except (RejectionExhausted, NotEnumerable) as exc:
+        return Verdict.unknown(UnknownReason.BUDGET_EXCEEDED, detail=str(exc), cases=count)
     except (DeadlineReached, StopRequested):
-        return finish(Verdict.unknown(UnknownReason.TIMEOUT, cases=count))
+        return Verdict.unknown(UnknownReason.TIMEOUT, cases=count)
 
-    if expected is not None and not count == (span := prop.strategy._span()) <= expected:
+    if card.is_finite and not count == (span := prop.strategy._span()) <= card.count:
         raise AssertionError(
             f"enumeration of {prop.name!r} yielded {count} values, "
-            f"its span is {span}, cardinality said at most {expected}")
+            f"its span is {span}, cardinality said at most {card.count}")
     verdict = Verdict.proved("exhaustive", count)
-    if count == 0:
-        verdict.vacuity_warning = True  # nothing satisfied the filters
-    return finish(verdict)
+    verdict.vacuity_warning = count == 0  # nothing satisfied the filters
+    return verdict

@@ -9,11 +9,9 @@ this backend is the cheap, always-available end of the spectrum.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any
 
 from .harness import (DeadlineReached, Property, RunConfig, StopRequested,
-                      Ticker, eval_predicate)
+                      Ticker, backend, eval_predicate)
 from .prng import SplitMix64
 from .results import Counterexample, UnknownReason, Verdict
 from .strategies import RejectionExhausted, ValueTree, _GenContext, random_tree
@@ -46,6 +44,7 @@ def shrink_failure(prop: Property, failing: ValueTree,
             return node, False
 
 
+@backend("fuzz")
 def run_fuzz(prop: Property, config: RunConfig, *,
              deadline: float | None = None,
              stop: threading.Event | None = None) -> Verdict:
@@ -55,30 +54,26 @@ def run_fuzz(prop: Property, config: RunConfig, *,
     drained filter budget yields Unknown{FilterExhausted}; running out of
     time yields Unknown{Timeout} with the number of completed cases.
     """
-    t0 = time.monotonic()
     rng = SplitMix64(config.seed)
     ticker = Ticker(deadline, stop)
     # one context for the whole run: the 10x budget is spent across cases,
     # not granted afresh to each draw
     ctx = _GenContext(rng, 10 * config.cases)
     draw = prop.strategy._draw
-    verdict: Verdict
-    completed = 0
     left = ticker.lease()
     try:
         for case_index in range(config.cases):
             state = rng.state
             ok, message = eval_predicate(prop, draw(ctx))
-            left -= 1
-            if not left:
-                left = ticker.renew()
+            # checked before the poll, so a failure on a poll boundary is
+            # reported even when time is up; the failing unit still counts
             if not ok:
-                ticker.release(left)
+                ticker.release(left - 1)
                 # the predicate may mutate what it is given, so it sees only
                 # fresh replays; this case redrawn from its state never is
                 root = random_tree(prop.strategy, SplitMix64(state))
                 shrunk, incomplete = shrink_failure(prop, root, ticker)
-                verdict = Verdict.falsified(Counterexample(
+                return Verdict.falsified(Counterexample(
                     original=root.current,
                     shrunk=shrunk.replay().current,
                     seed=config.seed,
@@ -86,15 +81,12 @@ def run_fuzz(prop: Property, config: RunConfig, *,
                     message=message,
                     shrink_incomplete=incomplete,
                 ))
-                break
-            completed += 1
-        else:
-            verdict = Verdict.pass_sampled(config.cases)
+            left -= 1
+            if not left:
+                left = ticker.renew()
     except RejectionExhausted as exc:
-        verdict = Verdict.unknown(UnknownReason.FILTER_EXHAUSTED, detail=str(exc),
-                                  cases=completed)
+        return Verdict.unknown(UnknownReason.FILTER_EXHAUSTED, detail=str(exc),
+                               cases=case_index)
     except (DeadlineReached, StopRequested):
-        verdict = Verdict.unknown(UnknownReason.TIMEOUT, cases=completed)
-    verdict.backend = "fuzz"
-    verdict.duration_ms = int((time.monotonic() - t0) * 1000)
-    return verdict
+        return Verdict.unknown(UnknownReason.TIMEOUT, cases=case_index)
+    return Verdict.pass_sampled(config.cases)

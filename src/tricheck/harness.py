@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from .results import Verdict
 from .strategies import Strategy, TupleOf
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_.:-]+\Z")
@@ -173,6 +175,22 @@ class Ticker:
             raise StopRequested
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise DeadlineReached
+
+
+def backend(name: str) -> Callable[[Callable[..., Verdict]], Callable[..., Verdict]]:
+    """Decorator for a backend entry point ``run(prop, config, **kw)``: every
+    verdict it returns is stamped with the backend's ``name`` and the run's
+    wall time, so no backend records either itself."""
+    def decorate(run: Callable[..., Verdict]) -> Callable[..., Verdict]:
+        @functools.wraps(run)
+        def stamped(prop: Property, config: RunConfig, **kw: Any) -> Verdict:
+            t0 = time.monotonic()
+            verdict = run(prop, config, **kw)
+            verdict.backend = name
+            verdict.duration_ms = int((time.monotonic() - t0) * 1000)
+            return verdict
+        return stamped
+    return decorate
 
 
 def eval_predicate(prop: Property, value: Any) -> tuple[bool, str | None]:

@@ -361,15 +361,18 @@ class EnumStats:
 
 
 class _Skip(NamedTuple):
-    """``count`` rejected values in a ``_values`` stream, each heading the whole
-    product of ``rest``.  The span is resolved only once an accepted value
-    follows, so a skipped tail is never walked for nothing."""
+    """A rejected value in a ``_values`` stream, heading the whole product of
+    ``rest``.  The span is resolved only once an accepted value follows, so a
+    skipped tail is never walked for nothing."""
 
-    count: int
     rest: tuple = ()
 
     def span(self, stats: EnumStats | None) -> int:
-        return self.count * math.prod(c._span(stats) for c in self.rest)
+        return math.prod(c._span(stats) for c in self.rest)
+
+
+#: What a filter yields for each value it rejects.
+_SKIP = _Skip()
 
 
 def _skipped_span(skipped: list[_Skip], stats: EnumStats | None) -> int:
@@ -417,7 +420,7 @@ def _product(comps: Sequence["Strategy"], stats: EnumStats | None,
         return
     for h in head._values(stats):
         if type(h) is _Skip:
-            yield _Skip(h.count, h.rest + rest)
+            yield _Skip(h.rest + rest)
         else:
             yield from _product(rest, stats, prefix + (h,))
 
@@ -618,7 +621,7 @@ class Filter(Strategy):
             else:
                 if stats is not None:
                     stats.note_reject(self.label)
-                yield _Skip(1)
+                yield _SKIP
 
     def _unrank(self, index: int) -> list[int]:
         return self.inner._unrank(index)

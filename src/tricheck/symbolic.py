@@ -27,14 +27,13 @@ from __future__ import annotations
 import operator
 import sys
 import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 from . import strategies as st
 from .harness import (DeadlineReached, Property, RunConfig, StopRequested, Ticker,
-                      eval_predicate)
+                      backend, eval_predicate)
 from .prng import SplitMix64
 from .results import Counterexample, UnknownReason, Verdict
 
@@ -738,11 +737,12 @@ def branch_and_prune(formula: SymBool, box: Box,
                      sample_seed: int = 0) -> SolveOutcome:
     """Decide ``formula`` over ``box`` by recursive box splitting.
 
-    Proved means every sub-box evaluated TRUE.  A FALSE box (or an undecided
-    single point that concretely fails) yields a witness, always re-checked
-    concretely before being returned.  Budget or deadline exhaustion first
-    probes the remaining region with concrete samples.  Splits take the
-    widest dimension (ties to the lowest vid) and search the lower half first.
+    Proved means every sub-box evaluated TRUE.  A FALSE box yields a witness,
+    always re-checked concretely before being returned.  Budget or deadline
+    exhaustion first probes the remaining region with concrete samples.
+    Splits take the widest dimension (ties to the lowest vid) and search the
+    lower half first; a point box is always decided, since interval
+    arithmetic is exact there.
     """
     truth, holds = _formula(formula)
     keys = list(box)  # witnesses and samples follow the caller's order
@@ -760,21 +760,15 @@ def branch_and_prune(formula: SymBool, box: Box,
     try:
         while work:
             if boxes >= budget:
-                val = _sample_remaining(holds, work, keys, sample_seed)
-                if val is not None:
-                    return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
-                return SolveOutcome("undecided", boxes=boxes, splits=splits,
-                                    note=f"box budget {budget} exhausted")
+                status, note = "undecided", f"box budget {budget} exhausted"
+                break
             left -= 1
             if not left:
                 try:
                     left = ticker.renew()
                 except DeadlineReached:
-                    val = _sample_remaining(holds, work, keys, sample_seed)
-                    if val is not None:
-                        return SolveOutcome("witness", witness=val, boxes=boxes,
-                                            splits=splits)
-                    return SolveOutcome("timeout", boxes=boxes, splits=splits)
+                    status, note = "timeout", None
+                    break
                 except StopRequested:
                     return SolveOutcome("cancelled", boxes=boxes, splits=splits)
             current = pop()
@@ -790,31 +784,27 @@ def branch_and_prune(formula: SymBool, box: Box,
                 if holds(val):  # pragma: no cover - soundness guard
                     raise AssertionError("interval refutation failed concrete confirmation")
                 return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
+            # a MAYBE box is never a point, so it has a dimension to split
             dim, width = -1, 0
             for vid in vids:
                 lo, hi = current[vid]
                 if hi - lo > width:
                     dim, width = vid, hi - lo
-            if dim < 0:
-                # single point left undecided by intervals: decide it concretely
-                val = {vid: current[vid][0] for vid in keys}
-                try:
-                    if not holds(val):
-                        return SolveOutcome("witness", witness=val, boxes=boxes,
-                                            splits=splits)
-                except EvalError:
-                    return SolveOutcome("unsupported", boxes=boxes, splits=splits,
-                                        note="division by zero at a concrete point")
-                continue
             lo, hi = current[dim]
             mid = (lo + hi) // 2
             head, tail = current[:dim], current[dim + 1:]
             splits += 1
             push(head + ((mid + 1, hi),) + tail)
             push(head + ((lo, mid),) + tail)
-        return SolveOutcome("proved", boxes=boxes, splits=splits)
+        else:
+            return SolveOutcome("proved", boxes=boxes, splits=splits)
     finally:
         ticker.release(left)
+    # out of budget or time: probe what is left before giving up
+    val = _sample_remaining(holds, work, keys, sample_seed)
+    if val is not None:
+        return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
+    return SolveOutcome(status, boxes=boxes, splits=splits, note=note)
 
 
 # --------------------------------------------------------------------------
@@ -828,6 +818,36 @@ _OUTCOME_REASON = {
 }
 
 
+class _Unsupported(Exception):
+    """Internal control flow: the harness cannot be checked symbolically;
+    the message is the verdict's detail."""
+
+
+def _goal(prop: Property, alt: SymAlternative) -> SymBool | None:
+    """The formula ``alt`` must prove: the predicate run over its carrier,
+    implied by the filter hypothesis, or None when the hypothesis is false
+    over the whole box.  Raises _Unsupported when the predicate cannot be
+    recorded as a formula over the carrier."""
+    try:
+        raw = prop.predicate(*alt.carrier) if prop.unpack else prop.predicate(alt.carrier)
+    except Exception as exc:
+        raise _Unsupported(f"predicate not symbolically evaluable: {exc}") from exc
+    if not isinstance(raw, SymBool):
+        # a plain bool or None was decided without looking at the carrier
+        blind = isinstance(raw, bool) or raw is None
+        raise _Unsupported("predicate did not observe its input" if blind
+                           else "predicate did not yield a symbolic boolean")
+    if alt.hypothesis is None:
+        return raw
+    try:
+        if truth_eval(alt.hypothesis, alt.box) is Truth3.FALSE:
+            return None
+    except DivMaybeZero as exc:
+        raise _Unsupported(str(exc)) from exc
+    return Or(Not(alt.hypothesis), raw)
+
+
+@backend("symbolic")
 def run_symbolic(prop: Property, config: RunConfig, *,
                  deadline: float | None = None,
                  stop: threading.Event | None = None) -> Verdict:
@@ -843,103 +863,54 @@ def run_symbolic(prop: Property, config: RunConfig, *,
     so is a proved alternative whose box has a confirmation point where the
     real predicate fails.
     """
-    t0 = time.monotonic()
-
-    def finish(v: Verdict, boxes: int | None = None, splits: int | None = None,
-               vacuous: bool = False) -> Verdict:
-        v.backend = "symbolic"
-        v.duration_ms = int((time.monotonic() - t0) * 1000)
-        if boxes is not None and v.cases is None:
-            v.cases = boxes
-        if splits is not None and v.splits is None:
-            v.splits = splits
-        if vacuous:
-            v.vacuity_warning = True
-        return v
-
     alts = symbolize(prop.strategy)
-    if alts is None:
-        return finish(Verdict.unknown(
-            UnknownReason.UNSUPPORTED,
-            detail="strategy is not expressible over the symbolic carrier"))
-
     ticker = Ticker(deadline, stop)
     budget = config.budget
-    total_boxes = 0
-    total_splits = 0
+    boxes = splits = 0
     vacuous = False
-
-    for alt in alts:
-        try:
-            if prop.unpack:
-                raw = prop.predicate(*alt.carrier)
-            else:
-                raw = prop.predicate(alt.carrier)
-        except Exception as exc:
-            return finish(Verdict.unknown(
-                UnknownReason.UNSUPPORTED,
-                detail=f"predicate not symbolically evaluable: {exc}"),
-                total_boxes, total_splits)
-        if not isinstance(raw, SymBool):
-            # a plain bool or None was decided without looking at the carrier
-            blind = isinstance(raw, bool) or raw is None
-            return finish(Verdict.unknown(
-                UnknownReason.UNSUPPORTED,
-                detail="predicate did not observe its input" if blind
-                else "predicate did not yield a symbolic boolean"),
-                total_boxes, total_splits)
-
-        formula: SymBool = raw
-        if alt.hypothesis is not None:
-            try:
-                hyp_truth = truth_eval(alt.hypothesis, alt.box)
-            except DivMaybeZero as exc:
-                return finish(Verdict.unknown(UnknownReason.UNSUPPORTED, detail=str(exc)),
-                              total_boxes, total_splits)
-            if hyp_truth is Truth3.FALSE:
+    try:
+        if alts is None:
+            raise _Unsupported("strategy is not expressible over the symbolic carrier")
+        for alt in alts:
+            formula = _goal(prop, alt)
+            if formula is None:
                 vacuous = True  # the whole box violates the filter: nothing to check
-                total_boxes += 1
+                boxes += 1
                 continue
-            formula = Or(Not(alt.hypothesis), raw)
-
-        remaining = budget - total_boxes
-        if remaining <= 0:
-            return finish(Verdict.unknown(
-                UnknownReason.UNDECIDED, detail=f"box budget {budget} exhausted"),
-                total_boxes, total_splits)
-        out = branch_and_prune(formula, alt.box, remaining,
-                               ticker=ticker, sample_seed=config.seed)
-        total_boxes += out.boxes
-        total_splits += out.splits
-        if out.status == "proved":
-            failing = _failing_point(prop, alt)
-            if failing is not None:
-                value, message = failing
-                return finish(Verdict.unknown(
-                    UnknownReason.UNSUPPORTED,
-                    detail=f"the recorded formula holds at {value!r} but the "
-                           f"predicate fails there ({message}): they disagree"),
-                    total_boxes, total_splits)
-            continue
-        if out.status == "witness":
+            if boxes >= budget:
+                verdict = Verdict.unknown(UnknownReason.UNDECIDED,
+                                          detail=f"box budget {budget} exhausted")
+                break
+            out = branch_and_prune(formula, alt.box, budget - boxes,
+                                   ticker=ticker, sample_seed=config.seed)
+            boxes += out.boxes
+            splits += out.splits
+            if out.status == "proved":
+                failing = _failing_point(prop, alt)
+                if failing is not None:
+                    value, message = failing
+                    raise _Unsupported(
+                        f"the recorded formula holds at {value!r} but the "
+                        f"predicate fails there ({message}): they disagree")
+                continue
+            if out.status != "witness":
+                verdict = Verdict.unknown(_OUTCOME_REASON[out.status], detail=out.note)
+                break
             try:
                 value = _carrier_value(alt.carrier, out.witness)
             except EvalError as exc:
-                return finish(Verdict.unknown(
-                    UnknownReason.UNSUPPORTED,
-                    detail=f"witness value aborts during evaluation: {exc}"),
-                    total_boxes, total_splits)
+                raise _Unsupported(f"witness value aborts during evaluation: {exc}") from exc
             if eval_predicate(prop, value)[0]:
-                return finish(Verdict.unknown(
-                    UnknownReason.UNSUPPORTED,
-                    detail=f"the recorded formula fails at {value!r} but the "
-                           "predicate passes there: they disagree"),
-                    total_boxes, total_splits)
-            return finish(Verdict.falsified(Counterexample(
-                original=value, shrunk=value, seed=None, case_index=None)),
-                total_boxes, total_splits)
-        return finish(Verdict.unknown(_OUTCOME_REASON[out.status], detail=out.note),
-                      total_boxes, total_splits)
-
-    return finish(Verdict.proved("symbolic", total_boxes, splits=total_splits),
-                  vacuous=vacuous)
+                raise _Unsupported(f"the recorded formula fails at {value!r} but the "
+                                   "predicate passes there: they disagree")
+            verdict = Verdict.falsified(Counterexample(
+                original=value, shrunk=value, seed=None, case_index=None))
+            break
+        else:
+            verdict = Verdict.proved("symbolic", boxes)
+            verdict.vacuity_warning = vacuous
+    except _Unsupported as exc:
+        verdict = Verdict.unknown(UnknownReason.UNSUPPORTED, detail=str(exc))
+    if alts is not None:  # boxes are counted once there is something to search
+        verdict.cases, verdict.splits = boxes, splits
+    return verdict

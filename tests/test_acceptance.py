@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import tricheck.harness as harness
 import tricheck.patterns as pat
 import tricheck.strategies as st
 from _oracles import enumerate_oracle, match_ast, min_failing_int, splitmix64_take
@@ -517,3 +518,26 @@ def test_fuzz_shrinks_to_a_value_the_predicate_did_not_mutate():
     v = run_fuzz(prop, RunConfig(seed=3, cases=256))
     assert v.counterexample.original == (3, [3, 0, 2, 2])
     assert v.counterexample.shrunk == (3, [0, 0])
+
+
+def test_exhaustive_reports_a_failure_on_a_poll_boundary(monkeypatch):
+    """The fourth evaluation is the last before a poll; with the deadline
+    already past, the failure it finds is still the verdict, not a timeout."""
+    monkeypatch.setattr(harness, "POLL_INTERVAL", 4)
+    prop = Property("acc.boundary", st.int_range(0, 999), lambda x: x != 3)
+    v = run_exhaustive(prop, RunConfig(), deadline=time.monotonic() - 1)
+    assert v.kind is VerdictKind.FALSIFIED, v.describe()
+    assert v.counterexample.original == 3
+    assert v.counterexample.case_index == 3
+
+
+def test_fuzz_reports_a_failure_on_a_poll_boundary(monkeypatch):
+    """Seed 18's fourth draw, 928, is the first failure and lands on a poll
+    boundary; the expired deadline then cuts only the shrink short."""
+    monkeypatch.setattr(harness, "POLL_INTERVAL", 4)
+    prop = Property("acc.boundary", st.int_range(0, 999), lambda x: x < 500)
+    v = run_fuzz(prop, RunConfig(seed=18, cases=100), deadline=time.monotonic() - 1)
+    assert v.kind is VerdictKind.FALSIFIED, v.describe()
+    assert v.counterexample.original == 928
+    assert v.counterexample.case_index == 3
+    assert v.counterexample.shrink_incomplete

@@ -63,6 +63,7 @@ def test_usage_errors_exit_three(tmp_path, passing_registry, capsys):
 
     assert main(["run", "--backend", "warpdrive"], registry=passing_registry) == 3
     assert main(["replay", "--property", "no.such"], registry=passing_registry) == 3
+    assert main(["run", "--cases", "0"], registry=passing_registry) == 3
 
 
 def test_backend_disagreement_exits_three(monkeypatch, passing_registry, capsys):

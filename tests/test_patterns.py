@@ -22,6 +22,11 @@ from _oracles import language_of, match_ast
         ("a{", 2, "expected digits for quantifier lower bound"),
         ("a{x}", 2, "expected digits for quantifier lower bound"),
         ("a{1,2", 1, "malformed quantifier"),
+        ("a{1x}", 1, "malformed quantifier"),
+        ("a\tb", 1, "outside printable ASCII"),
+        ("[\t]", 1, "outside printable ASCII"),
+        (r"[\d]", 1, r"unsupported escape \d"),
+        ("[a\\", 2, "dangling escape"),
         ("{2}", 0, "brace must be escaped or form a quantifier"),
         ("^a", 0, "unsupported anchor '^'"),
         ("a$", 1, "unsupported anchor '$'"),
@@ -82,6 +87,16 @@ def test_class_with_leading_bracket_and_trailing_dash():
 
 def test_escaped_metacharacters_are_literals():
     assert list(enumerate_values(pattern(r"\*\{x\}"))) == ["*{x}"]
+
+
+def test_escapes_inside_a_class_are_literals():
+    assert list(enumerate_values(pattern(r"[\]]"))) == ["]"]
+    assert list(enumerate_values(pattern(r"[\-a]"))) == ["-", "a"]
+
+
+def test_empty_pattern_and_empty_branch_match_the_empty_string():
+    assert list(enumerate_values(pattern(""))) == [""]
+    assert list(enumerate_values(pattern("a|"))) == ["a", ""]
 
 
 def test_dot_is_printable_ascii():

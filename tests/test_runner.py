@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tricheck.harness import Property, PropertyRegistry, RunConfig
+from tricheck.harness import DuplicateName, Property, PropertyRegistry, RunConfig
 from tricheck.results import Counterexample, UnknownReason, Verdict, VerdictKind
 from tricheck.runner import (
     InconsistentBackends,
@@ -341,3 +341,48 @@ def test_config_hash_of_the_defaults_is_stable():
     # history files group runs by this hash, so it must not move when the
     # config's serialization is refactored
     assert config_hash(RunConfig()) == "e5b1631d2a0c5bd9"
+
+
+# --------------------------------------------------------------------------
+# input guards
+
+def test_property_names_are_checked():
+    with pytest.raises(ValueError, match="must match"):
+        Property("has space", int_range(0, 1), lambda x: True)
+
+
+def test_registry_refuses_a_duplicate_name():
+    reg = make_registry()
+    with pytest.raises(DuplicateName):
+        reg.register("alg.add_commutes", int_range(0, 1), lambda x: True)
+
+
+def test_define_registers_the_decorated_predicate():
+    reg = PropertyRegistry()
+
+    @reg.define("inc", int_range(0, 9), tags=["t"])
+    def inc(x):
+        return x + 1 > x
+
+    assert reg.names() == ["inc"]
+    assert reg.get("inc").predicate is inc
+    assert reg.get("inc").tags == ("t",)
+
+
+@pytest.mark.parametrize("bad", [{"backend": "smt"}, {"seed": 1 << 64}, {"cases": 0}])
+def test_run_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        RunConfig(**bad)
+
+
+def test_verdict_kinds_require_their_fields():
+    with pytest.raises(ValueError, match="requires a counterexample"):
+        Verdict(VerdictKind.FALSIFIED)
+    with pytest.raises(ValueError, match="requires a reason"):
+        Verdict(VerdictKind.UNKNOWN)
+
+
+def test_describe_flags_an_incomplete_shrink():
+    v = Verdict.falsified(Counterexample(original=9, shrunk=4, seed=1, case_index=2,
+                                         shrink_incomplete=True))
+    assert v.describe() == "falsified shrunk=4 original=9 seed=1 case=2 (shrink incomplete)"

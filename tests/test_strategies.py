@@ -110,6 +110,11 @@ def test_int_range_width_overflow_raises():
     int_range(-128, 127, width=8, signed=True)
 
 
+def test_int_range_unknown_width_raises():
+    with pytest.raises(ValueError, match="width must be one of"):
+        int_range(0, 1, width=12)
+
+
 def test_one_of_empty_raises():
     with pytest.raises(EmptyChoice):
         one_of()
@@ -119,6 +124,8 @@ def test_ordered_map_impossible_min_size_raises():
     # only 2 distinct keys exist, so min_size=3 admits no map at all
     with pytest.raises(EmptySize):
         ordered_map_of(int_range(0, 1), int_range(0, 5), min_size=3, max_size=4)
+    with pytest.raises(EmptySize):
+        ordered_map_of(int_range(0, 1), int_range(0, 1), 3, 3)
 
 
 def test_list_of_bad_bounds_raise():

@@ -330,6 +330,38 @@ def test_prune_division_straddling_zero_is_unsupported():
     assert out.status == "unsupported"
 
 
+def _gen_formula(rng: SplitMix64, depth: int, nvars: int):
+    kind = rng.uniform_in(0, 3 if depth > 0 else 0)
+    if kind == 0:
+        op = ("lt", "le", "gt", "ge", "eq", "ne")[rng.uniform_in(0, 5)]
+        return Cmp(op, _gen_expr(rng, rng.uniform_in(0, 3), nvars),
+                   _gen_expr(rng, rng.uniform_in(0, 3), nvars))
+    if kind == 1:
+        return Not(_gen_formula(rng, depth - 1, nvars))
+    a, b = _gen_formula(rng, depth - 1, nvars), _gen_formula(rng, depth - 1, nvars)
+    return And(a, b) if kind == 2 else Or(a, b)
+
+
+def test_a_point_box_always_decides():
+    """Interval arithmetic is exact at a single point, so branch_and_prune
+    never has to split, or decide concretely, a point box left MAYBE."""
+    rng = SplitMix64(8)
+    decided = refused = 0
+    for _ in range(4000):
+        nvars = rng.uniform_in(1, 3)
+        formula = _gen_formula(rng, rng.uniform_in(0, 3), nvars)
+        point = {v: rng.uniform_in(-30, 30) for v in range(nvars)}
+        try:
+            truth = truth_eval(formula, {v: Interval(x, x) for v, x in point.items()})
+        except DivMaybeZero:
+            refused += 1  # a zero divisor at the point
+            continue
+        assert truth is not Truth3.MAYBE, (formula, point)
+        assert (truth is Truth3.TRUE) == concrete_truth(formula, point), (formula, point)
+        decided += 1
+    assert decided > 3000 and refused > 0
+
+
 # --------------------------------------------------------------------------
 # the driver
 
