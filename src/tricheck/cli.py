@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a suite and report verdicts")
     _add_run_arguments(run, ["fuzz", "exhaustive", "symbolic", "ensemble"])
     run.add_argument("--filter", default=None, help="glob over property names")
-    run.add_argument("--config", default=None, help="JSON config file")
     run.add_argument("--report", default=None, help="write the JSON report here")
     run.add_argument("--history", default=None, help="append JSON-lines history here")
     run.add_argument("--waivers", default=None, help="JSON waiver file")
@@ -96,10 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser, backends: list[str]) -> None:
-    """The harness module and the run flags that ``run`` and ``replay`` share;
-    each flag left out is None, so it overrides nothing."""
+    """The harness module, the config file and the run flags that ``run`` and
+    ``replay`` share; each flag left out is None, so it overrides nothing."""
     parser.add_argument("module", nargs="?", default=None,
                         help="python file exposing REGISTRY (default: built-in corpus)")
+    parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--backend", choices=backends, default=None)
     for flag in ("--seed", "--cases", "--budget", "--timeout-ms"):
         parser.add_argument(flag, type=int, default=None)
@@ -135,10 +135,8 @@ def read_config_file(path: str) -> dict[str, Any]:
 
 def _settings(args: argparse.Namespace) -> tuple[RunConfig, dict[str, Any]]:
     """The run config and every setting: config-file values first, then the
-    flags that were given; RunConfig's own defaults fill the rest.  A
-    subcommand without ``--config`` reads no file."""
-    path = getattr(args, "config", None)
-    values = read_config_file(path) if path else {}
+    flags that were given; RunConfig's own defaults fill the rest."""
+    values = read_config_file(args.config) if args.config else {}
     values.update((k, v) for k, v in vars(args).items()
                   if k in CONFIG_KEYS and v is not None)
     fields = {f.name for f in dataclasses.fields(RunConfig)}
@@ -358,6 +356,9 @@ def cmd_list(args: argparse.Namespace,
 def cmd_replay(args: argparse.Namespace,
                registry_override: PropertyRegistry | None) -> int:
     config, _ = _settings(args)
+    if config.backend == "ensemble":
+        raise UsageError("replay runs one backend, not ensemble: "
+                         "choose fuzz, exhaustive or symbolic")
     registry = load_registry(args.module, config.repetition_cap, registry_override)
     if args.property not in registry:
         raise UsageError(f"unknown property: {args.property}")

@@ -42,6 +42,36 @@ def splitmix64_take(seed, n):
     return [next(gen) for _ in range(n)]
 
 
+class SplitMix64PerWord:
+    """The library's earlier generator, one word mixed per call, kept as the
+    reference the block generator must reproduce word for word and state for
+    state.  Its ``uniform_in`` is only meaningful for spans of at most 64
+    bits: a wider mask never rejects and never reaches the top of the range."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed=0):
+        self.state = seed & 0xFFFFFFFFFFFFFFFF
+
+    def next_u64(self):
+        mask = 0xFFFFFFFFFFFFFFFF
+        self.state = (self.state + 0x9E3779B97F4A7C15) & mask
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    def uniform_in(self, lo, hi):
+        if lo > hi:
+            raise ValueError(f"uniform_in: empty range [{lo}, {hi}]")
+        n = hi - lo + 1
+        mask = (1 << (n - 1).bit_length()) - 1
+        while True:
+            v = self.next_u64() & mask
+            if v < n:
+                return lo + v
+
+
 # --------------------------------------------------------------------------
 # eager recursive enumeration (independent of the library's lazy streams)
 

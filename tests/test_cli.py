@@ -341,6 +341,27 @@ def test_replay_of_a_passing_property_exits_zero(passing_registry, capsys):
     assert "proved (exhaustive, 41 cases)" in capsys.readouterr().out
 
 
+def test_replay_reads_the_config_file_of_the_run(tmp_path, capsys):
+    # repetition_cap has no flag, so only the file can reproduce this run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"repetition_cap": 1, "backend": "exhaustive"}')
+    assert main(["run", "--config", str(cfg), "--filter", "pattern.word"]) == 0
+    ran = capsys.readouterr().out.splitlines()[0]
+    assert ran.startswith("pattern.word: proved (exhaustive, 1 cases)")
+    assert main(["replay", "--config", str(cfg), "--property", "pattern.word"]) == 0
+    assert capsys.readouterr().out.splitlines() == [ran]
+
+
+def test_replay_of_an_ensemble_config_is_a_usage_error(tmp_path, passing_registry, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"backend": "ensemble"}')
+    argv = ["replay", "--config", str(cfg), "--property", "square.nonneg"]
+    assert main(argv, registry=passing_registry) == 3
+    assert "ensemble" in capsys.readouterr().err
+    assert main(["replay", "--backend", "ensemble", "--property", "square.nonneg"],
+                registry=passing_registry) == 3
+
+
 # --------------------------------------------------------------------------
 # list and module loading
 
