@@ -7,14 +7,17 @@ into native control flow: branching on a symbolic boolean, ``int()``,
 ``len()`` and friends raise, and the driver reports the harness as
 unsupported rather than silently checking the wrong thing.
 
-``compile`` turns a recorded formula, once, into closures: interval
-evaluation over ``(lo, hi)`` tuples, three-valued truth (true / false /
-maybe, with comparisons decided by interval separation) and concrete
-evaluation at a point.  ``branch_and_prune`` runs the truth closure over
-tuple boxes, splitting undecided ones along their widest dimension until
-every box is decided, a concrete witness refutes the property, or the box
-budget runs out.  Interval division truncates toward zero and a divisor
-interval that straddles zero aborts the analysis (soundly) instead.
+A recorded formula becomes code in one of two ways, chosen by the call
+site.  ``compile`` builds closures once per node for one-shot evaluation:
+interval evaluation over ``(lo, hi)`` pairs, three-valued truth (true /
+false / maybe, with comparisons decided by interval separation) and concrete
+evaluation at a point.  ``branch_and_prune`` instead generates the source of
+one search kernel for the formula and its box layout: the whole loop, with
+the formula as straight-line interval code over the bounds of a popped box.
+It splits undecided boxes along their widest dimension until every box is
+decided, a concrete witness refutes the property, or the box budget runs
+out.  Interval division truncates toward zero and a divisor interval that
+straddles zero aborts the analysis (soundly) instead.
 
 Every verdict is anchored concretely.  A witness must fail the recorded
 formula under integer evaluation, and then the real predicate too; a proof
@@ -24,6 +27,7 @@ stands only once the real predicate also holds at a few points of each box
 
 from __future__ import annotations
 
+import builtins
 import operator
 import sys
 import threading
@@ -203,7 +207,7 @@ class Var(SymExpr):
     __slots__ = ("vid",)
 
     def __init__(self, vid: int) -> None:
-        if vid < 0:  # vids index tuple boxes, where a negative index wraps
+        if vid < 0:  # boxes number their variables from 0
             raise ValueError(f"variable id {vid} is negative")
         self.vid = vid
 
@@ -382,9 +386,9 @@ _TRUE, _FALSE, _MAYBE = Truth3.TRUE, Truth3.FALSE, Truth3.MAYBE
 def compile(node: SymExpr | SymBool) -> tuple:
     """``(over_box, at_point)`` closures for ``node``, memoized on it.
 
-    ``over_box(box)`` reads ``box[vid]`` as ``(lo, hi)`` (a tuple indexed by
-    vid, or a dict) and returns an expression's sound ``(lo, hi)`` range or a
-    formula's Truth3; a divisor range containing zero raises DivMaybeZero.
+    ``over_box(box)`` reads ``box[vid]`` as ``(lo, hi)`` and returns an
+    expression's sound ``(lo, hi)`` range or a formula's Truth3; a divisor
+    range containing zero raises DivMaybeZero.
     ``at_point(valuation)`` evaluates over ``{vid: int}``; Div/Rem truncate
     toward zero and raise EvalError on a zero divisor.
     """
@@ -742,69 +746,265 @@ def branch_and_prune(formula: SymBool, box: Box,
     exhaustion first probes the remaining region with concrete samples.
     Splits take the widest dimension (ties to the lowest vid) and search the
     lower half first; a point box is always decided, since interval
-    arithmetic is exact there.
+    arithmetic is exact there.  The search runs in a kernel generated for
+    this formula and box layout (see ``_kernel``).
     """
-    truth, holds = _formula(formula)
     keys = list(box)  # witnesses and samples follow the caller's order
     vids = sorted(keys)
     if vids and vids[0] < 0:
         raise ValueError(f"variable id {vids[0]} is negative")
-    size = vids[-1] + 1 if vids else 0
-    work = [tuple((box[v].lo, box[v].hi) if v in box else None for v in range(size))]
-    push, pop = work.append, work.pop
+    kernel, locations = _kernel(formula, vids)
+    work = [tuple(end for v in vids for end in (box[v].lo, box[v].hi))]
     if ticker is None:
         ticker = Ticker()
     left = ticker.lease()
-    boxes = 0
-    splits = 0
     try:
-        while work:
-            if boxes >= budget:
-                status, note = "undecided", f"box budget {budget} exhausted"
-                break
-            left -= 1
-            if not left:
-                try:
-                    left = ticker.renew()
-                except DeadlineReached:
-                    status, note = "timeout", None
-                    break
-                except StopRequested:
-                    return SolveOutcome("cancelled", boxes=boxes, splits=splits)
-            current = pop()
-            boxes += 1
-            try:
-                t = truth(current)
-            except DivMaybeZero as exc:
-                return SolveOutcome("unsupported", boxes=boxes, splits=splits, note=str(exc))
-            if t is _TRUE:
-                continue
-            if t is _FALSE:
-                val = {vid: (current[vid][0] + current[vid][1]) // 2 for vid in keys}
-                if holds(val):  # pragma: no cover - soundness guard
-                    raise AssertionError("interval refutation failed concrete confirmation")
-                return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
-            # a MAYBE box is never a point, so it has a dimension to split
-            dim, width = -1, 0
-            for vid in vids:
-                lo, hi = current[vid]
-                if hi - lo > width:
-                    dim, width = vid, hi - lo
-            lo, hi = current[dim]
-            mid = (lo + hi) // 2
-            head, tail = current[:dim], current[dim + 1:]
-            splits += 1
-            push(head + ((mid + 1, hi),) + tail)
-            push(head + ((lo, mid),) + tail)
-        else:
-            return SolveOutcome("proved", boxes=boxes, splits=splits)
+        code, boxes, splits, left, last = kernel(work, budget, left, ticker.renew)
     finally:
         ticker.release(left)
+    if code == _PROVED:
+        return SolveOutcome("proved", boxes=boxes, splits=splits)
+    if code == _CANCELLED:
+        return SolveOutcome("cancelled", boxes=boxes, splits=splits)
+    if code == _UNSUPPORTED:
+        return SolveOutcome("unsupported", boxes=boxes, splits=splits,
+                            note=str(DivMaybeZero(locations[last])))
+    holds = _formula(formula)[1]
+
+    def by_vid(flat: tuple) -> dict:
+        return dict(zip(vids, zip(flat[::2], flat[1::2])))
+
+    if code == _WITNESS:
+        current = by_vid(last)
+        val = {vid: (current[vid][0] + current[vid][1]) // 2 for vid in keys}
+        if holds(val):  # pragma: no cover - soundness guard
+            raise AssertionError("interval refutation failed concrete confirmation")
+        return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
     # out of budget or time: probe what is left before giving up
-    val = _sample_remaining(holds, work, keys, sample_seed)
+    status, note = (("timeout", None) if code == _TIMEOUT
+                    else ("undecided", f"box budget {budget} exhausted"))
+    val = _sample_remaining(holds, [by_vid(b) for b in work], keys, sample_seed)
     if val is not None:
         return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
     return SolveOutcome(status, boxes=boxes, splits=splits, note=note)
+
+
+# --------------------------------------------------------------------------
+# search kernels: the branch-and-prune loop as generated source
+
+#: kernel exit codes
+_PROVED, _WITNESS, _UNDECIDED, _TIMEOUT, _CANCELLED, _UNSUPPORTED = range(6)
+
+#: generated source -> kernel, emptied when full.  Formulas are rebuilt on
+#: every run, so only the source text repeats, and keying on it keeps no
+#: formula alive.
+_KERNELS: dict[str, Any] = {}
+_KERNEL_CACHE_SIZE = 1024
+
+_KERNEL_HEAD = f"""\
+def kernel(work, budget, left, renew):
+    pop = work.pop
+    push = work.append
+    boxes = splits = 0
+    while work:
+        if boxes >= budget:
+            return {_UNDECIDED}, boxes, splits, left, None
+        left -= 1
+        if not left:
+            try:
+                left = renew()
+            except DeadlineReached:
+                return {_TIMEOUT}, boxes, splits, left, None
+            except StopRequested:
+                return {_CANCELLED}, boxes, splits, left, None
+        box = pop()
+        boxes += 1
+"""
+
+
+def _kernel(formula: SymBool, vids: list[int]) -> tuple:
+    """``(kernel, locations)``: the search loop for ``formula`` over boxes
+    whose variables are ``vids`` in ascending order.
+
+    ``kernel(work, budget, left, renew)`` searches the stack ``work`` of flat
+    boxes ``(lo, hi)`` per vid in ``vids`` order, depth first, and returns
+    ``(code, boxes, splits, left, last)``: ``last`` is the FALSE box for
+    ``_WITNESS`` and the index into ``locations`` of the division whose
+    divisor range held zero for ``_UNSUPPORTED``.  ``left``/``renew`` are a
+    Ticker lease, counted down once per box.  The formula is straight-line
+    interval code, each shared node evaluated once per box in the closures'
+    order, so the first division to abort is theirs too.
+    """
+    w = _KernelWriter(vids)
+    truth = w.formula(formula)
+    source = _KERNEL_HEAD + "".join(w.lines) + _split_source(truth, len(vids))
+    kernel = _KERNELS.get(source)
+    if kernel is None:
+        namespace = {"DeadlineReached": DeadlineReached, "StopRequested": StopRequested}
+        exec(builtins.compile(source, "<tricheck search kernel>", "exec"), namespace)
+        if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
+            _KERNELS.clear()
+        kernel = _KERNELS[source] = namespace["kernel"]
+    return kernel, w.locations
+
+
+def _split_source(truth: str, n: int) -> str:
+    """The loop's tail: decided boxes continue or return, and a MAYBE box is
+    split along its widest dimension (ties to the lowest vid), the upper
+    half pushed first."""
+    lines = [f"if {truth} > 0:", "    continue",
+             f"if {truth} < 0:", f"    return {_WITNESS}, boxes, splits, left, box"]
+    if n == 0:
+        lines.append("raise AssertionError('a point box evaluated MAYBE')")
+    else:
+        lines.append("splits += 1")
+    if n > 1:
+        lines.append("d = 0; w = h0 - l0")
+        lines += [f"if h{i} - l{i} > w: d = {i}; w = h{i} - l{i}" for i in range(1, n)]
+    for i in range(n):
+        lower = "".join(f"l{j}, m, " if j == i else f"l{j}, h{j}, " for j in range(n))
+        upper = "".join(f"m + 1, h{j}, " if j == i else f"l{j}, h{j}, " for j in range(n))
+        pad = "    " * (n > 1)
+        if n > 1:
+            lines.append(f"if d == {i}:" if i == 0
+                         else "else:" if i == n - 1 else f"elif d == {i}:")
+        lines += [f"{pad}m = (l{i} + h{i}) // 2",
+                  f"{pad}push(({upper}))", f"{pad}push(({lower}))"]
+    tail = f"    return {_PROVED}, boxes, splits, left, None\n"
+    return "".join(f"        {line}\n" for line in lines) + tail
+
+
+def _literal(c) -> str:
+    """Source text of an integer constant.  ``int.__repr__`` because an int
+    subclass such as an IntEnum member reprs as something that is not."""
+    text = int.__repr__(c)
+    return f"({text})" if c < 0 else text
+
+
+def _tq_source(a: str, b: str) -> str:
+    """Source of ``_tq(a, b)``: floor division where the signs agree, else
+    the negated floor of the negated dividend."""
+    return f"({a} // {b} if ({a} < 0) == ({b} < 0) else -(-{a} // {b}))"
+
+
+class _KernelWriter:
+    """Straight-line statements evaluating one formula over the box unpacked
+    into ``l<i>``/``h<i>``; each node's value lands in fresh locals once."""
+
+    def __init__(self, vids: list[int]) -> None:
+        n = len(vids)
+        self.bounds = {vid: (f"l{i}", f"h{i}") for i, vid in enumerate(vids)}
+        self.lines: list[str] = []
+        if n:
+            self.emit("".join(f"l{i}, h{i}, " for i in range(n)) + "= box")
+        self.memo: dict[int, Any] = {}  # id(node) -> its value's source
+        self.locations: list[str | None] = []
+        self.temps = 0
+
+    def emit(self, *lines: str) -> None:
+        self.lines += [f"        {line}\n" for line in lines]
+
+    def temp(self, prefix: str) -> str:
+        self.temps += 1
+        return f"{prefix}{self.temps}"
+
+    def formula(self, f) -> str:
+        """Source of a local holding the truth of ``f``: 1 TRUE, -1 FALSE,
+        0 MAYBE, so ``&``/``|``/``~`` are min, max and negation."""
+        if not isinstance(f, SymBool):
+            raise TypeError(f"not a formula node: {f!r}")
+        got = self.memo.get(id(f))
+        if got is None:
+            got = self.memo[id(f)] = self._formula(f)
+        return got
+
+    def expr(self, e) -> tuple[str, str]:
+        """Sources of the bounds of ``e``'s range: locals or literals."""
+        if not isinstance(e, SymExpr):
+            raise TypeError(f"not an expression node: {e!r}")
+        got = self.memo.get(id(e))
+        if got is None:
+            got = self.memo[id(e)] = self._expr(e)
+        return got
+
+    def _formula(self, f: SymBool) -> str:
+        if isinstance(f, BoolConst):
+            return "1" if f.value else "(-1)"
+        t = self.temp("t")
+        if isinstance(f, Not):
+            self.emit(f"{t} = -{self.formula(f.inner)}")
+            return t
+        if isinstance(f, (And, Or)):
+            a, b = self.formula(f.lhs), self.formula(f.rhs)
+            self.emit(f"{t} = {a} if {a} {'<' if isinstance(f, And) else '>'} {b} else {b}")
+            return t
+        if not isinstance(f, Cmp):
+            raise TypeError(f"not a formula node: {f!r}")
+        op = f.op
+        if op not in _CMP_OPS:
+            raise ValueError(f"unknown comparison {op!r}")
+        (alo, ahi), (blo, bhi) = self.expr(f.lhs), self.expr(f.rhs)
+        yes, no = ("(-1)", "1") if op in ("ge", "le", "ne") else ("1", "(-1)")
+        if op in ("lt", "ge"):
+            self.emit(f"{t} = {yes} if {ahi} < {blo} else {no} if {alo} >= {bhi} else 0")
+        elif op in ("gt", "le"):
+            self.emit(f"{t} = {yes} if {bhi} < {alo} else {no} if {blo} >= {ahi} else 0")
+        else:
+            self.emit(f"{t} = {no} if {ahi} < {blo} or {bhi} < {alo} "
+                      f"else {yes} if {alo} == {ahi} == {blo} == {bhi} else 0")
+        return t
+
+    def _expr(self, e: SymExpr) -> tuple[str, str]:
+        if isinstance(e, Const):
+            text = _literal(e.value)
+            return text, text
+        if isinstance(e, Var):
+            try:
+                return self.bounds[e.vid]
+            except KeyError:
+                raise ValueError(f"the box does not bound variable v{e.vid}") from None
+        if isinstance(e, Neg):
+            lo, hi = self.expr(e.inner)
+            x, y = self.temp("x"), self.temp("y")
+            self.emit(f"{x} = -{hi}", f"{y} = -{lo}")
+            return x, y
+        if not isinstance(e, (Add, Sub, Mul, Div, Rem)):
+            raise TypeError(f"not an expression node: {e!r}")
+        (alo, ahi), (blo, bhi) = self.expr(e.lhs), self.expr(e.rhs)
+        x, y = self.temp("x"), self.temp("y")
+        if isinstance(e, Add):
+            self.emit(f"{x} = {alo} + {blo}", f"{y} = {ahi} + {bhi}")
+        elif isinstance(e, Sub):
+            self.emit(f"{x} = {alo} - {bhi}", f"{y} = {ahi} - {blo}")
+        elif isinstance(e, Mul):
+            self._hull(x, y, *(f"{a} * {b}" for a in (alo, ahi) for b in (blo, bhi)))
+        else:
+            self.locations.append(e.location)
+            self.emit(f"if {blo} <= 0 <= {bhi}: "
+                      f"return {_UNSUPPORTED}, boxes, splits, left, {len(self.locations) - 1}")
+            if isinstance(e, Div):
+                # with the divisor's sign fixed the quotient is monotone in
+                # each argument, so endpoint combinations bound the image
+                self._hull(x, y, *(_tq_source(a, b) for a in (alo, ahi) for b in (blo, bhi)))
+            else:
+                # |remainder| < |divisor|, sign of the dividend; exact on a point
+                self.emit(f"if {alo} == {ahi} and {blo} == {bhi}:",
+                          f"    {x} = {y} = {alo} - {blo} * {_tq_source(alo, blo)}",
+                          "else:",
+                          f"    m = ({bhi} if {blo} > 0 else -{blo}) - 1",
+                          f"    {x} = 0 if {alo} >= 0 else {alo} if {alo} > -m else -m",
+                          f"    {y} = 0 if {ahi} <= 0 else {ahi} if {ahi} < m else m")
+        return x, y
+
+    def _hull(self, x: str, y: str, p: str, q: str, r: str, s: str) -> None:
+        """``x, y = min(p, q, r, s), max(p, q, r, s)`` without the calls."""
+        self.emit(f"p = {p}", f"q = {q}", f"r = {r}", f"s = {s}",
+                  f"if p < q: {x} = p; {y} = q",
+                  f"else: {x} = q; {y} = p",
+                  f"if r < {x}: {x} = r",
+                  f"elif r > {y}: {y} = r",
+                  f"if s < {x}: {x} = s",
+                  f"elif s > {y}: {y} = s")
 
 
 # --------------------------------------------------------------------------

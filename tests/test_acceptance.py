@@ -434,6 +434,20 @@ def test_symbolic_proof_is_confirmed_on_the_real_predicate(tmp_path, capsys):
     assert result["counterexample"]["shrunk"] == "-5"
 
 
+@pytest.mark.xfail(strict=True, reason="proof confirmation checks only the corners, "
+                   "midpoint and per-variable bounds of the whole box")
+def test_symbolic_proof_is_confirmed_inside_the_box():
+    """As above, but the predicate and its recorded formula disagree only at
+    3, which is none of the points the proof is confirmed at, so the symbolic
+    backend still proves what exhaustive falsifies at 3.  A fix flips this
+    test."""
+    def by_type(a):
+        return a != 3 if isinstance(a, int) else a < 100
+
+    v = run_symbolic(Property("acc.by_type_inside", st.int_range(-5, 5), by_type), RunConfig())
+    assert v.kind is not VerdictKind.PROVED
+
+
 # --------------------------------------------------------------------------
 # exhaustive: counts what it walked, reports what it evaluated
 

@@ -1,6 +1,7 @@
 """Symbolic backend: interval arithmetic, three-valued truth, carrier
 recording, branch-and-prune, and the driver's verdict mapping."""
 
+import enum
 import itertools
 import threading
 import time
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from tricheck.corpus import REGISTRY
-from tricheck.harness import Property, RunConfig
+from tricheck.harness import Property, RunConfig, Ticker
 from tricheck.prng import SplitMix64
 from tricheck.results import UnknownReason, VerdictKind
 from tricheck.strategies import (int_range, just, list_of, one_of,
@@ -545,6 +546,28 @@ def test_identity_wide_spends_its_whole_budget():
         VerdictKind.UNKNOWN, UnknownReason.UNDECIDED, 4096, 2076)
 
 
+class Color(enum.IntEnum):
+    NEG = -3
+    RED = 1
+
+
+@pytest.mark.parametrize("name, strategy, predicate, expected", [
+    ("enum.shift", tuple_of(just(Color.RED), int_range(-50, 50)),
+     lambda c, x: c * x + c >= -49, ("proved", 1, 0, None)),
+    ("enum.square", one_of(just(Color.RED), int_range(0, 9)),
+     lambda x: x * x < 50, ("falsified", 6, 2, 8)),
+    ("enum.recompose", tuple_of(int_range(-20, 20), just(Color.NEG)),
+     lambda x, c: tdiv(x, c) * c + trem(x, c) == x, ("proved", 81, 40, None)),
+    ("enum.bounds", int_range(Color.NEG, 40).map(lambda x: x * Color.NEG),
+     lambda y: y <= 9, ("proved", 1, 0, None)),
+])
+def test_int_subclass_constants_search_like_ints(name, strategy, predicate, expected):
+    # an IntEnum member is an int whose repr is not an int literal
+    v = run_symbolic(Property(name, strategy, predicate), RunConfig())
+    witness = v.counterexample.original if v.counterexample else None
+    assert (v.kind.value, v.cases, v.splits, witness) == expected
+
+
 # --------------------------------------------------------------------------
 # compiled closures against the reference tree walkers
 
@@ -623,21 +646,66 @@ def test_compiled_evaluation_matches_the_reference_walkers():
     assert raised["DivMaybeZero"] >= 100 and raised["EvalError"] >= 30, raised
 
 
+def _search_cases():
+    """Inputs the random formulas rarely or never make: a node read twice
+    (as ``_multiply_in_range`` reads its product), vids with holes, box
+    variables the formula never reads, no variables at all, divisions that
+    carry their location, and boxes a whole word wide."""
+    x, z = Var(0), Var(2)
+    r = x * z
+    word = Interval(-2**63, 2**63 - 1)
+    holes = {0: Interval(1, 1000), 2: Interval(1, 1000)}
+    return [
+        ((1 <= r) & (r <= 10**6), holes),
+        ((1 <= r) & (r < 10**6), {2: Interval(1, 1000), 0: Interval(1, 1000)}),
+        (~(r > 40) | (-r < -40), {0: Interval(-9, 9), 2: Interval(-9, 9)}),
+        ((x * -1 < 3) & (-1 * z <= 0), {0: Interval(-10, 10), 2: Interval(-3, 8)}),
+        (x + x == 2 * x, {0: Interval(-50, 50), 2: Interval(0, 3)}),
+        (x - x == 0, {7: Interval(-1, 1), 0: Interval(-9, 9), 3: Interval(0, 100)}),
+        (Cmp("lt", Const(2), Const(3)), {}),
+        (Cmp("ge", Const(2) * Const(-4), Const(0)), {}),
+        (BoolConst(False), {}),
+        (Cmp("eq", Div(Const(7), Const(0), "zero.py:1"), Const(1)), {}),
+        (Div(x, z, "div.py:7") >= -x, {0: Interval(-5, 5), 2: Interval(-2, 3)}),
+        ((Rem(x, z - 1, "rem.py:9") < 3) | (x > 2), {2: Interval(0, 4), 0: Interval(-20, 20)}),
+        ((Div(x, Const(-3), "neg.py:2") * -3 <= x + 2) & (Rem(x, Const(7), "pos.py:3") < 7),
+         {0: Interval(-40, 40)}),
+        (x * x >= 0, {0: word}),
+        (x + z != x + z + 1, {0: word, 2: word}),
+        (x * z <= 2**124, {2: word, 0: word}),
+        (Div(x, Const(1 << 62), "wide.py:4") < 2, {0: word, 2: Interval(0, 1)}),
+    ]
+
+
 def test_branch_and_prune_matches_the_reference_search():
     rng = SplitMix64(12)
     statuses = set()
+    cases = []
     for i in range(600):
         nvars = rng.uniform_in(1, 3)
         formula = _gen_formula(rng, 2, nvars)
         _name_divisions(formula, itertools.count())
-        b = _gen_box(rng, nvars, 40)
-        budget = (4, 60, 400)[i % 3]
+        cases.append((formula, _gen_box(rng, nvars, 40), (4, 60, 400)[i % 3]))
+    cases += [(f, b, budget) for f, b in _search_cases() for budget in (4, 60, 400, 5000)]
+    for i, (formula, b, budget) in enumerate(cases):
         out = branch_and_prune(formula, b, budget, sample_seed=i)
         expected = branch_and_prune_oracle(formula, b, budget, seed=i)
         got = (out.status, out.witness, out.boxes, out.splits, out.note)
         assert got == expected, (formula, b)
         statuses.add(out.status)
     assert statuses == {"proved", "witness", "undecided", "unsupported"}
+
+    # the lease is counted down once per box and handed back on the way
+    # out; a stop or an expired deadline is seen at the first poll
+    stop = threading.Event()
+    stop.set()
+    for ticker, status, boxes, count in ((Ticker(stop=stop), "cancelled", 1018, 1024),
+                                         (Ticker(deadline=time.monotonic() - 1.0),
+                                          "timeout", 1018, 1024),
+                                         (Ticker(), "undecided", 3000, 3005)):
+        ticker.tick(5)
+        out = branch_and_prune(X == X, box((0, 1 << 20)), 3000, ticker=ticker)
+        assert (out.status, out.boxes, ticker.count) == (status, boxes, count)
 
 
 def test_compile_is_memoized_on_every_node():
