@@ -26,6 +26,7 @@ from typing import Any
 
 from .corpus import build_registry
 from .harness import PropertyRegistry, RunConfig
+from .patterns import DEFAULT_REPETITION_CAP
 from .results import VerdictKind
 from .runner import (
     InconsistentBackends,
@@ -123,6 +124,8 @@ def read_config_file(path: str) -> dict[str, Any]:
     for key, value in data.items():
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}: unknown key: {key}")
+        if key == "filter" and value is None:
+            continue  # RunConfig's default, as a report's config block writes it
         want = CONFIG_KEYS[key]
         if want is int and isinstance(value, bool):
             raise UsageError(f"{path}: key {key} must be an integer")
@@ -344,7 +347,7 @@ def cmd_run(args: argparse.Namespace,
 
 def cmd_list(args: argparse.Namespace,
              registry_override: PropertyRegistry | None) -> int:
-    registry = load_registry(args.module, 8, registry_override)
+    registry = load_registry(args.module, DEFAULT_REPETITION_CAP, registry_override)
     for prop in sorted(registry.select(args.filter)):
         if prop.tags:
             print(f"{prop.name}  [{', '.join(prop.tags)}]")

@@ -16,7 +16,7 @@ symbolic backend.
 from __future__ import annotations
 
 from .harness import PropertyRegistry
-from .patterns import pattern
+from .patterns import DEFAULT_REPETITION_CAP, pattern
 from .strategies import (
     int_range,
     list_of,
@@ -66,7 +66,7 @@ def _clamp(x):
 
 # -- registry ----------------------------------------------------------------
 
-def build_registry(repetition_cap: int = 8) -> PropertyRegistry:
+def build_registry(repetition_cap: int = DEFAULT_REPETITION_CAP) -> PropertyRegistry:
     """The default corpus; ``repetition_cap`` bounds unbounded pattern
     repetition (``*``/``+``) when desugaring regexes."""
     reg = PropertyRegistry()

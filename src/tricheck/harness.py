@@ -9,6 +9,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from .patterns import DEFAULT_REPETITION_CAP
 from .results import Verdict
 from .strategies import Strategy, TupleOf
 
@@ -109,7 +110,7 @@ class RunConfig:
     cases: int = 256
     budget: int = 1 << 20
     timeout_ms: int = 10_000
-    repetition_cap: int = 8
+    repetition_cap: int = DEFAULT_REPETITION_CAP
     filter: str | None = None
     code_fingerprint: str = "unknown"
 

@@ -7,17 +7,18 @@ into native control flow: branching on a symbolic boolean, ``int()``,
 ``len()`` and friends raise, and the driver reports the harness as
 unsupported rather than silently checking the wrong thing.
 
-A recorded formula becomes code in one of two ways, chosen by the call
-site.  ``compile`` builds closures once per node for one-shot evaluation:
-interval evaluation over ``(lo, hi)`` pairs, three-valued truth (true /
-false / maybe, with comparisons decided by interval separation) and concrete
-evaluation at a point.  ``branch_and_prune`` instead generates the source of
-one search kernel for the formula and its box layout: the whole loop, with
-the formula as straight-line interval code over the bounds of a popped box.
-It splits undecided boxes along their widest dimension until every box is
-decided, a concrete witness refutes the property, or the box budget runs
-out.  Interval division truncates toward zero and a divisor interval that
-straddles zero aborts the analysis (soundly) instead.
+A recorded formula becomes code in one of two ways, chosen by the call site,
+from one source definition of each operator's interval rule.  ``compile``
+builds closures once per node for one-shot evaluation: interval evaluation
+over ``(lo, hi)`` pairs, truth as an int (1 true, -1 false, 0 maybe, with
+comparisons decided by interval separation) and concrete evaluation at a
+point.  ``branch_and_prune`` instead generates the source of one search
+kernel for the formula and its box layout: the whole loop, with the formula
+as straight-line interval code over the bounds of a popped box.  It splits
+undecided boxes along their widest dimension until every box is decided, a
+concrete witness refutes the property, or the box budget runs out.  Interval
+division truncates toward zero and a divisor interval that straddles zero
+aborts the analysis (soundly) instead.
 
 Every verdict is anchored concretely.  A witness must fail the recorded
 formula under integer evaluation, and then the real predicate too; a proof
@@ -28,6 +29,7 @@ stands only once the real predicate also holds at a few points of each box
 from __future__ import annotations
 
 import builtins
+import functools
 import operator
 import sys
 import threading
@@ -372,6 +374,101 @@ def _as_bool(value) -> SymBool:
 
 
 # --------------------------------------------------------------------------
+# interval rules: each operator's range or truth, once, as source
+
+def _range_rule(kind: type, a: tuple, b: tuple | None, x: str, y: str,
+                abort: str | None) -> list[str]:
+    """Statements setting ``x``, ``y`` to a sound range of a ``kind`` node
+    (Neg, Add, Sub, Mul, Div or Rem) whose operands range over ``a`` and
+    ``b``, each the sources of a ``(lo, hi)`` pair (``b`` is None for Neg).
+    A divisor range holding zero runs the statement ``abort`` instead."""
+    alo, ahi = a
+    if kind is Neg:
+        return [f"{x} = -{ahi}", f"{y} = -{alo}"]
+    blo, bhi = b
+    if kind is Add:
+        return [f"{x} = {alo} + {blo}", f"{y} = {ahi} + {bhi}"]
+    if kind is Sub:
+        return [f"{x} = {alo} - {bhi}", f"{y} = {ahi} - {blo}"]
+    if kind is Mul:
+        return _hull(x, y, *(f"{p} * {q}" for p in a for q in b))
+    guard = f"if {blo} <= 0 <= {bhi}: {abort}"
+    if kind is Div:
+        # with the divisor's sign fixed the quotient is monotone in each
+        # argument, so endpoint combinations bound the image
+        return [guard, *_hull(x, y, *(_tq_source(p, q) for p in a for q in b))]
+    # Rem: |remainder| < |divisor|, sign of the dividend; exact on a point
+    return [guard,
+            f"if {alo} == {ahi} and {blo} == {bhi}:",
+            f"    {x} = {y} = {alo} - {blo} * {_tq_source(alo, blo)}",
+            "else:",
+            f"    m = ({bhi} if {blo} > 0 else -{blo}) - 1",
+            f"    {x} = 0 if {alo} >= 0 else {alo} if {alo} > -m else -m",
+            f"    {y} = 0 if {ahi} <= 0 else {ahi} if {ahi} < m else m"]
+
+
+def _hull(x: str, y: str, p: str, q: str, r: str, s: str) -> list[str]:
+    """``x, y = min(p, q, r, s), max(p, q, r, s)`` without the calls."""
+    return [f"p = {p}", f"q = {q}", f"r = {r}", f"s = {s}",
+            f"if p < q: {x} = p; {y} = q",
+            f"else: {x} = q; {y} = p",
+            f"if r < {x}: {x} = r",
+            f"elif r > {y}: {y} = r",
+            f"if s < {x}: {x} = s",
+            f"elif s > {y}: {y} = s"]
+
+
+def _tq_source(a: str, b: str) -> str:
+    """Source of ``_tq(a, b)``: floor division where the signs agree, else
+    the negated floor of the negated dividend."""
+    return f"({a} // {b} if ({a} < 0) == ({b} < 0) else -(-{a} // {b}))"
+
+
+def _compare_rule(op: str, a: tuple, b: tuple, t: str) -> str:
+    """Statement setting ``t`` to the truth of comparison ``op`` between
+    operands ranging over ``a`` and ``b``: 1 TRUE, -1 FALSE, 0 MAYBE."""
+    if op not in _CMP_OPS:
+        raise ValueError(f"unknown comparison {op!r}")
+    # each comparison is lt or eq, negated for ge/le/ne, with the operands'
+    # roles swapped for gt/le
+    yes, no = ("(-1)", "1") if op in ("ge", "le", "ne") else ("1", "(-1)")
+    (alo, ahi), (blo, bhi) = (b, a) if op in ("gt", "le") else (a, b)
+    if op in ("eq", "ne"):
+        return (f"{t} = {no} if {ahi} < {blo} or {bhi} < {alo} "
+                f"else {yes} if {alo} == {ahi} == {blo} == {bhi} else 0")
+    return f"{t} = {yes} if {ahi} < {blo} else {no} if {alo} >= {bhi} else 0"
+
+
+def _range_kind(e) -> type:
+    """The class among Neg, Add, Sub, Mul, Div and Rem whose rule ``e`` follows."""
+    for kind in (Neg, Add, Sub, Mul, Div, Rem):
+        if isinstance(e, kind):
+            return kind
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+@functools.cache
+def _one_shot(kind: type | str) -> Any:
+    """``kind``'s rule (a ``_range_kind`` class or a comparison op),
+    compiled on first use into ``build(fa, fb, location)``, which returns
+    an ``over_box`` reading the operands' ranges from ``fa(box)`` and
+    ``fb(box)`` (``fb`` is None for Neg).  Where the kernel aborts, it
+    raises DivMaybeZero(location)."""
+    a, b = ("alo", "ahi"), ("blo", "bhi")
+    if isinstance(kind, str):
+        rule = [_compare_rule(kind, a, b, "t"), "return t"]
+    else:
+        rule = [*_range_rule(kind, a, b, "x", "y", "raise DivMaybeZero(location)"), "return x, y"]
+    operands = ("alo, ahi = fa(box)" if kind is Neg
+                else "(alo, ahi), (blo, bhi) = fa(box), fb(box)")
+    body = "".join(f"        {line}\n" for line in (operands, *rule))
+    source = f"def build(fa, fb, location):\n    def over_box(box):\n{body}    return over_box\n"
+    namespace = {"DivMaybeZero": DivMaybeZero}
+    exec(builtins.compile(source, "<tricheck interval rule>", "exec"), namespace)
+    return namespace["build"]
+
+
+# --------------------------------------------------------------------------
 # compilation: interval, three-valued and concrete closures
 
 class Truth3(Enum):
@@ -380,15 +477,12 @@ class Truth3(Enum):
     MAYBE = "maybe"
 
 
-_TRUE, _FALSE, _MAYBE = Truth3.TRUE, Truth3.FALSE, Truth3.MAYBE
-
-
 def compile(node: SymExpr | SymBool) -> tuple:
     """``(over_box, at_point)`` closures for ``node``, memoized on it.
 
     ``over_box(box)`` reads ``box[vid]`` as ``(lo, hi)`` and returns an
-    expression's sound ``(lo, hi)`` range or a formula's Truth3; a divisor
-    range containing zero raises DivMaybeZero.
+    expression's sound ``(lo, hi)`` range or a formula's truth (1 TRUE, -1
+    FALSE, 0 MAYBE); a divisor range containing zero raises DivMaybeZero.
     ``at_point(valuation)`` evaluates over ``{vid: int}``; Div/Rem truncate
     toward zero and raise EvalError on a zero divisor.
     """
@@ -421,116 +515,50 @@ def _compile_expr(e: SymExpr) -> tuple:
     if isinstance(e, Var):
         get = operator.itemgetter(e.vid)
         return get, get
-    if isinstance(e, Neg):
+    kind = _range_kind(e)
+    if kind is Neg:
         fi, gi = _expr(e.inner)
-
-        def neg(box):
-            lo, hi = fi(box)
-            return -hi, -lo
-        return neg, (lambda val: -gi(val))
-    if not isinstance(e, (Add, Sub, Mul, Div, Rem)):
-        raise TypeError(f"not an expression node: {e!r}")
+        return _one_shot(Neg)(fi, None, None), (lambda val: -gi(val))
     (fa, ga), (fb, gb) = _expr(e.lhs), _expr(e.rhs)
-    if isinstance(e, Add):
-        def add(box):
-            (alo, ahi), (blo, bhi) = fa(box), fb(box)
-            return alo + blo, ahi + bhi
-        return add, (lambda val: ga(val) + gb(val))
-    if isinstance(e, Sub):
-        def sub(box):
-            (alo, ahi), (blo, bhi) = fa(box), fb(box)
-            return alo - bhi, ahi - blo
-        return sub, (lambda val: ga(val) - gb(val))
-    if isinstance(e, Mul):
-        def mul(box):
-            (alo, ahi), (blo, bhi) = fa(box), fb(box)
-            p, q, r, s = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-            return min(p, q, r, s), max(p, q, r, s)
-        return mul, (lambda val: ga(val) * gb(val))
-    location, is_div = e.location, isinstance(e, Div)
-
-    def div(box):
-        (alo, ahi), (blo, bhi) = fa(box), fb(box)
-        if blo <= 0 <= bhi:
-            raise DivMaybeZero(location)
-        # truncating division is monotone in each argument once the divisor
-        # has a fixed sign, so endpoint combinations bound the image
-        p, q, r, s = _tq(alo, blo), _tq(alo, bhi), _tq(ahi, blo), _tq(ahi, bhi)
-        return min(p, q, r, s), max(p, q, r, s)
-
-    def rem(box):
-        (alo, ahi), (blo, bhi) = fa(box), fb(box)
-        if blo <= 0 <= bhi:
-            raise DivMaybeZero(location)
-        if alo == ahi and blo == bhi:
-            r = alo - blo * _tq(alo, blo)
-            return r, r
-        m = max(abs(blo), abs(bhi)) - 1  # |remainder| < |divisor|, sign of the dividend
-        return (0 if alo >= 0 else max(alo, -m)), (0 if ahi <= 0 else min(ahi, m))
+    location = getattr(e, "location", None)
+    over_box = _one_shot(kind)(fa, fb, location)
+    if kind is Add:
+        return over_box, (lambda val: ga(val) + gb(val))
+    if kind is Sub:
+        return over_box, (lambda val: ga(val) - gb(val))
+    if kind is Mul:
+        return over_box, (lambda val: ga(val) * gb(val))
+    is_div = kind is Div
 
     def at_point(val):
         a, b = ga(val), gb(val)
         if b == 0:
             raise EvalError("div_by_zero", location)
         return _tq(a, b) if is_div else a - b * _tq(a, b)
-    return (div if is_div else rem), at_point
+    return over_box, at_point
 
 
 def _compile_formula(f: SymBool) -> tuple:
     if isinstance(f, BoolConst):
         value = f.value
-        truth = _TRUE if value else _FALSE
+        truth = 1 if value else -1
         return (lambda box: truth), (lambda val: value)
     if isinstance(f, Not):
         fi, gi = _formula(f.inner)
-
-        def negation(box):
-            t = fi(box)
-            return _FALSE if t is _TRUE else _TRUE if t is _FALSE else _MAYBE
-        return negation, (lambda val: not gi(val))
+        return (lambda box: -fi(box)), (lambda val: not gi(val))
     if isinstance(f, (And, Or)):
         # over a box both sides are evaluated, so a divisor range straddling
         # zero anywhere in the formula aborts the analysis
         (fa, ga), (fb, gb) = _formula(f.lhs), _formula(f.rhs)
         if isinstance(f, And):
-            def conj(box):
-                a, b = fa(box), fb(box)
-                if a is _FALSE or b is _FALSE:
-                    return _FALSE
-                return _TRUE if a is _TRUE and b is _TRUE else _MAYBE
-            return conj, (lambda val: ga(val) and gb(val))
-
-        def disj(box):
-            a, b = fa(box), fb(box)
-            if a is _TRUE or b is _TRUE:
-                return _TRUE
-            return _FALSE if a is _FALSE and b is _FALSE else _MAYBE
-        return disj, (lambda val: ga(val) or gb(val))
+            return (lambda box: min(fa(box), fb(box))), (lambda val: ga(val) and gb(val))
+        return (lambda box: max(fa(box), fb(box))), (lambda val: ga(val) or gb(val))
     if not isinstance(f, Cmp):
         raise TypeError(f"not a formula node: {f!r}")
-    op = f.op
-    if op not in _CMP_OPS:
-        raise ValueError(f"unknown comparison {op!r}")
+    build = _one_shot(f.op)  # an unknown comparison raises ValueError here
     (fa, ga), (fb, gb) = _expr(f.lhs), _expr(f.rhs)
-    concrete = getattr(operator, op)
-    # each comparison is lt or eq, negated for ge/le/ne, with the operands'
-    # roles swapped for gt/le (the lhs is still evaluated first)
-    yes, no = (_FALSE, _TRUE) if op in ("ge", "le", "ne") else (_TRUE, _FALSE)
-    if op in ("lt", "ge"):
-        def cmp(box):
-            (alo, ahi), (blo, bhi) = fa(box), fb(box)
-            return yes if ahi < blo else no if alo >= bhi else _MAYBE
-    elif op in ("gt", "le"):
-        def cmp(box):
-            (alo, ahi), (blo, bhi) = fa(box), fb(box)
-            return yes if bhi < alo else no if blo >= ahi else _MAYBE
-    else:
-        def cmp(box):
-            (alo, ahi), (blo, bhi) = fa(box), fb(box)
-            if ahi < blo or bhi < alo:
-                return no
-            return yes if alo == ahi == blo == bhi else _MAYBE
-    return cmp, (lambda val: concrete(ga(val), gb(val)))
+    concrete = getattr(operator, f.op)
+    return build(fa, fb, None), (lambda val: concrete(ga(val), gb(val)))
 
 
 def interval_eval(expr: SymExpr, box: Box) -> Interval:
@@ -542,7 +570,8 @@ def interval_eval(expr: SymExpr, box: Box) -> Interval:
 def truth_eval(formula: SymBool, box: Box) -> Truth3:
     """Three-valued truth of ``formula`` over ``box``: TRUE / FALSE are sound
     for every point of the box, MAYBE is undecided."""
-    return _formula(formula)[0]({vid: (iv.lo, iv.hi) for vid, iv in box.items()})
+    truth = _formula(formula)[0]({vid: (iv.lo, iv.hi) for vid, iv in box.items()})
+    return (Truth3.MAYBE, Truth3.TRUE, Truth3.FALSE)[truth]  # -1 indexes FALSE
 
 
 def concrete_eval(expr: SymExpr, valuation: dict) -> int:
@@ -881,12 +910,6 @@ def _literal(c) -> str:
     return f"({text})" if c < 0 else text
 
 
-def _tq_source(a: str, b: str) -> str:
-    """Source of ``_tq(a, b)``: floor division where the signs agree, else
-    the negated floor of the negated dividend."""
-    return f"({a} // {b} if ({a} < 0) == ({b} < 0) else -(-{a} // {b}))"
-
-
 class _KernelWriter:
     """Straight-line statements evaluating one formula over the box unpacked
     into ``l<i>``/``h<i>``; each node's value lands in fresh locals once."""
@@ -940,18 +963,7 @@ class _KernelWriter:
             return t
         if not isinstance(f, Cmp):
             raise TypeError(f"not a formula node: {f!r}")
-        op = f.op
-        if op not in _CMP_OPS:
-            raise ValueError(f"unknown comparison {op!r}")
-        (alo, ahi), (blo, bhi) = self.expr(f.lhs), self.expr(f.rhs)
-        yes, no = ("(-1)", "1") if op in ("ge", "le", "ne") else ("1", "(-1)")
-        if op in ("lt", "ge"):
-            self.emit(f"{t} = {yes} if {ahi} < {blo} else {no} if {alo} >= {bhi} else 0")
-        elif op in ("gt", "le"):
-            self.emit(f"{t} = {yes} if {bhi} < {alo} else {no} if {blo} >= {ahi} else 0")
-        else:
-            self.emit(f"{t} = {no} if {ahi} < {blo} or {bhi} < {alo} "
-                      f"else {yes} if {alo} == {ahi} == {blo} == {bhi} else 0")
+        self.emit(_compare_rule(f.op, self.expr(f.lhs), self.expr(f.rhs), t))
         return t
 
     def _expr(self, e: SymExpr) -> tuple[str, str]:
@@ -963,48 +975,16 @@ class _KernelWriter:
                 return self.bounds[e.vid]
             except KeyError:
                 raise ValueError(f"the box does not bound variable v{e.vid}") from None
-        if isinstance(e, Neg):
-            lo, hi = self.expr(e.inner)
-            x, y = self.temp("x"), self.temp("y")
-            self.emit(f"{x} = -{hi}", f"{y} = -{lo}")
-            return x, y
-        if not isinstance(e, (Add, Sub, Mul, Div, Rem)):
-            raise TypeError(f"not an expression node: {e!r}")
-        (alo, ahi), (blo, bhi) = self.expr(e.lhs), self.expr(e.rhs)
+        kind = _range_kind(e)
+        operands = ((self.expr(e.inner), None) if kind is Neg
+                    else (self.expr(e.lhs), self.expr(e.rhs)))
         x, y = self.temp("x"), self.temp("y")
-        if isinstance(e, Add):
-            self.emit(f"{x} = {alo} + {blo}", f"{y} = {ahi} + {bhi}")
-        elif isinstance(e, Sub):
-            self.emit(f"{x} = {alo} - {bhi}", f"{y} = {ahi} - {blo}")
-        elif isinstance(e, Mul):
-            self._hull(x, y, *(f"{a} * {b}" for a in (alo, ahi) for b in (blo, bhi)))
-        else:
+        abort = None
+        if kind in (Div, Rem):
             self.locations.append(e.location)
-            self.emit(f"if {blo} <= 0 <= {bhi}: "
-                      f"return {_UNSUPPORTED}, boxes, splits, left, {len(self.locations) - 1}")
-            if isinstance(e, Div):
-                # with the divisor's sign fixed the quotient is monotone in
-                # each argument, so endpoint combinations bound the image
-                self._hull(x, y, *(_tq_source(a, b) for a in (alo, ahi) for b in (blo, bhi)))
-            else:
-                # |remainder| < |divisor|, sign of the dividend; exact on a point
-                self.emit(f"if {alo} == {ahi} and {blo} == {bhi}:",
-                          f"    {x} = {y} = {alo} - {blo} * {_tq_source(alo, blo)}",
-                          "else:",
-                          f"    m = ({bhi} if {blo} > 0 else -{blo}) - 1",
-                          f"    {x} = 0 if {alo} >= 0 else {alo} if {alo} > -m else -m",
-                          f"    {y} = 0 if {ahi} <= 0 else {ahi} if {ahi} < m else m")
+            abort = f"return {_UNSUPPORTED}, boxes, splits, left, {len(self.locations) - 1}"
+        self.emit(*_range_rule(kind, *operands, x, y, abort))
         return x, y
-
-    def _hull(self, x: str, y: str, p: str, q: str, r: str, s: str) -> None:
-        """``x, y = min(p, q, r, s), max(p, q, r, s)`` without the calls."""
-        self.emit(f"p = {p}", f"q = {q}", f"r = {r}", f"s = {s}",
-                  f"if p < q: {x} = p; {y} = q",
-                  f"else: {x} = q; {y} = p",
-                  f"if r < {x}: {x} = r",
-                  f"elif r > {y}: {y} = r",
-                  f"if s < {x}: {x} = s",
-                  f"elif s > {y}: {y} = s")
 
 
 # --------------------------------------------------------------------------

@@ -112,6 +112,19 @@ def test_config_file_types_are_checked(tmp_path):
         read_config_file(str(cfg))
 
 
+def test_a_reports_config_block_is_a_valid_config_file(tmp_path, passing_registry):
+    report_path = tmp_path / "report.json"
+    assert main(["run", "--seed", "3", "--report", str(report_path)],
+                registry=passing_registry) == 0
+    written = json.loads(report_path.read_text())["config"]
+    assert written["filter"] is None  # no --filter
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(written))
+    assert main(["run", "--config", str(cfg), "--report", str(report_path)],
+                registry=passing_registry) == 0
+    assert json.loads(report_path.read_text())["config"] == written
+
+
 def test_report_history_strict_can_come_from_the_file(tmp_path, mixed_registry):
     report_path = tmp_path / "r.json"
     cfg = tmp_path / "cfg.json"

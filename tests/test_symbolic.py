@@ -3,8 +3,12 @@ recording, branch-and-prune, and the driver's verdict mapping."""
 
 import enum
 import itertools
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from tricheck.results import UnknownReason, VerdictKind
 from tricheck.strategies import (int_range, just, list_of, one_of,
                                  optional_of, tuple_of)
 from tricheck.symbolic import (
+    Add,
     And,
     BoolConst,
     Box,
@@ -29,6 +34,7 @@ from tricheck.symbolic import (
     Not,
     Or,
     Rem,
+    SymExpr,
     SymbolicCoercion,
     Truth3,
     Var,
@@ -716,6 +722,19 @@ def test_compile_is_memoized_on_every_node():
     assert inner._compiled is compile(inner)  # built while compiling the formula
 
 
+def test_interval_rules_are_compiled_on_first_use():
+    # in a fresh interpreter: this one has compiled them already
+    script = ("import tricheck, tricheck.symbolic as sym\n"
+              "assert sym._one_shot.cache_info().currsize == 0\n"
+              "x = sym.Var(0)\n"
+              "assert sym.interval_eval(x + x + 1, {0: sym.Interval(0, 2)}) == sym.Interval(1, 5)\n"
+              "assert sym._one_shot.cache_info()[:4] == (1, 1, None, 1)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_evaluators_reject_the_wrong_node_kind():
     with pytest.raises(TypeError):
         interval_eval(X < 3, box((0, 1)))
@@ -723,6 +742,24 @@ def test_evaluators_reject_the_wrong_node_kind():
         truth_eval(X, box((0, 1)))
     with pytest.raises(TypeError):
         concrete_eval(Cmp("lt", X, X + (X < 1)), {0: 1})
+
+    class Stranger(SymExpr):  # outside the kinds the evaluators know
+        pass
+
+    class Plus(Add):  # a subclass follows its base's rule
+        __slots__ = ()
+
+    b = box((0, 1))
+    for evaluate in (truth_eval, branch_and_prune):
+        with pytest.raises(TypeError):
+            evaluate(Stranger() < 3, b)
+        with pytest.raises(ValueError, match="unknown comparison 'xx'"):
+            evaluate(Cmp("xx", X, X), b)
+    with pytest.raises(TypeError):
+        interval_eval(Stranger(), b)
+    assert interval_eval(Plus(X, X), b) == Interval(0, 2)
+    assert truth_eval(Plus(X, X) < 3, b) is Truth3.TRUE
+    assert branch_and_prune(Plus(X, X) < 2, b).witness == {0: 1}
 
 
 def test_negative_variable_ids_are_refused():
