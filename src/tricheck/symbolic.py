@@ -77,6 +77,14 @@ class EvalError(ArithmeticError):
         self.location = location
 
 
+class _Unsupported(Exception):
+    """Internal control flow: the harness cannot be checked symbolically;
+    the message is the verdict's detail."""
+
+
+_INEXPRESSIBLE = "strategy is not expressible over the symbolic carrier"
+
+
 def _caller_location() -> str | None:
     try:
         frame = sys._getframe(2)
@@ -218,12 +226,13 @@ class Var(SymExpr):
 
 
 class _Bin(SymExpr):
-    __slots__ = ("lhs", "rhs")
+    __slots__ = ("lhs", "rhs", "location")
     op = "?"
 
-    def __init__(self, lhs: SymExpr, rhs: SymExpr) -> None:
+    def __init__(self, lhs: SymExpr, rhs: SymExpr, location: str | None = None) -> None:
         self.lhs = lhs
         self.rhs = rhs
+        self.location = location  # where a Div or Rem was written
 
     def __repr__(self) -> str:
         return f"({self.lhs!r} {self.op} {self.rhs!r})"
@@ -244,25 +253,15 @@ class Mul(_Bin):
     op = "*"
 
 
-class Div(SymExpr):
-    __slots__ = ("lhs", "rhs", "location")
-
-    def __init__(self, lhs: SymExpr, rhs: SymExpr, location: str | None = None) -> None:
-        self.lhs = lhs
-        self.rhs = rhs
-        self.location = location
+class Div(_Bin):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"tdiv({self.lhs!r}, {self.rhs!r})"
 
 
-class Rem(SymExpr):
-    __slots__ = ("lhs", "rhs", "location")
-
-    def __init__(self, lhs: SymExpr, rhs: SymExpr, location: str | None = None) -> None:
-        self.lhs = lhs
-        self.rhs = rhs
-        self.location = location
+class Rem(_Bin):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"trem({self.lhs!r}, {self.rhs!r})"
@@ -333,26 +332,26 @@ class Cmp(SymBool):
         return f"({self.lhs!r} {sym} {self.rhs!r})"
 
 
-class And(SymBool):
+class _Junction(SymBool):
     __slots__ = ("lhs", "rhs")
+    op = "?"
 
     def __init__(self, lhs: SymBool, rhs: SymBool) -> None:
         self.lhs = lhs
         self.rhs = rhs
 
     def __repr__(self) -> str:
-        return f"({self.lhs!r} & {self.rhs!r})"
+        return f"({self.lhs!r} {self.op} {self.rhs!r})"
 
 
-class Or(SymBool):
-    __slots__ = ("lhs", "rhs")
+class And(_Junction):
+    __slots__ = ()
+    op = "&"
 
-    def __init__(self, lhs: SymBool, rhs: SymBool) -> None:
-        self.lhs = lhs
-        self.rhs = rhs
 
-    def __repr__(self) -> str:
-        return f"({self.lhs!r} | {self.rhs!r})"
+class Or(_Junction):
+    __slots__ = ()
+    op = "|"
 
 
 class Not(SymBool):
@@ -520,7 +519,7 @@ def _compile_expr(e: SymExpr) -> tuple:
         fi, gi = _expr(e.inner)
         return _one_shot(Neg)(fi, None, None), (lambda val: -gi(val))
     (fa, ga), (fb, gb) = _expr(e.lhs), _expr(e.rhs)
-    location = getattr(e, "location", None)
+    location = e.location
     over_box = _one_shot(kind)(fa, fb, location)
     if kind is Add:
         return over_box, (lambda val: ga(val) + gb(val))
@@ -597,19 +596,30 @@ class SymAlternative:
     hypothesis: SymBool | None
 
 
-def _coerce_carrier(value) -> Any | None:
+def _coerce_carrier(value) -> Any:
+    """``value`` as a carrier: nodes and ints, or tuples of them."""
     if isinstance(value, SymExpr):
         return value
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
-        return Const(value)
     if isinstance(value, tuple):
-        parts = [_coerce_carrier(v) for v in value]
-        if any(p is None for p in parts):
-            return None
-        return tuple(parts)
-    return None
+        return tuple(map(_coerce_carrier, value))
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _Unsupported(_INEXPRESSIBLE)
+    return Const(value)
+
+
+def _record(fn, args: tuple, what: str) -> Any:
+    """``fn(*args)``, where ``fn`` is user code (a map, a filter or the
+    property's predicate) and ``args`` are carriers: the one place user code
+    meets them.  A raise gives up with _Unsupported, whose detail names the
+    code as ``what``."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise _Unsupported(f"{what} not symbolically evaluable: {exc}") from exc
+
+
+def _conj(a: SymBool | None, b: SymBool | None) -> SymBool | None:
+    return b if a is None else a if b is None else And(a, b)
 
 
 def symbolize(strategy: st.Strategy) -> list[SymAlternative] | None:
@@ -618,84 +628,54 @@ def symbolize(strategy: st.Strategy) -> list[SymAlternative] | None:
 
     ``one_of`` produces one alternative per branch; a tuple crosses its
     components' alternatives.  Filters become hypotheses: their predicate is
-    run over the carrier and must yield a symbolic boolean.
+    run over the carrier and must yield a symbolic boolean or a bool.
     """
+    try:
+        return _alternatives(strategy)
+    except _Unsupported:
+        return None
+
+
+def _alternatives(strategy: st.Strategy) -> list[SymAlternative]:
+    """``symbolize``'s walk, which gives up by raising _Unsupported."""
     counter = iter(range(1 << 30))
 
-    def conj(a: SymBool | None, b: SymBool | None) -> SymBool | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return And(a, b)
-
-    def go(s: st.Strategy) -> list[tuple] | None:
+    def go(s: st.Strategy) -> list[SymAlternative]:
         if isinstance(s, st.Just):
             carrier = _coerce_carrier(s.value)
-            if carrier is None or isinstance(carrier, tuple):
-                return None
-            return [(carrier, {}, None)]
+            if isinstance(carrier, tuple):
+                raise _Unsupported(_INEXPRESSIBLE)
+            return [SymAlternative(carrier, {}, None)]
         if isinstance(s, st.IntRange):
             vid = next(counter)
-            return [(Var(vid), {vid: Interval(s.lo, s.hi)}, None)]
+            return [SymAlternative(Var(vid), {vid: Interval(s.lo, s.hi)}, None)]
         if isinstance(s, st.Map):
-            inner = go(s.inner)
-            if inner is None:
-                return None
-            out = []
-            for carrier, box, hyp in inner:
-                try:
-                    mapped = _coerce_carrier(s.transform(carrier))
-                except Exception:
-                    return None
-                if mapped is None:
-                    return None
-                out.append((mapped, box, hyp))
-            return out
+            return [SymAlternative(
+                        _coerce_carrier(_record(s.transform, (alt.carrier,), "map")),
+                        alt.box, alt.hypothesis)
+                    for alt in go(s.inner)]
         if isinstance(s, st.Filter):
-            inner = go(s.inner)
-            if inner is None:
-                return None
             out = []
-            for carrier, box, hyp in inner:
-                try:
-                    raw = s.predicate(carrier)
-                except Exception:
-                    return None
-                if isinstance(raw, SymBool):
-                    cond = raw
-                elif isinstance(raw, bool):
-                    cond = BoolConst(raw)
-                else:
-                    return None
-                out.append((carrier, box, conj(hyp, cond)))
+            for alt in go(s.inner):
+                raw = _record(s.predicate, (alt.carrier,), f"filter {s.label!r}")
+                if not isinstance(raw, (SymBool, bool)):
+                    raise _Unsupported(_INEXPRESSIBLE)
+                out.append(SymAlternative(alt.carrier, alt.box,
+                                          _conj(alt.hypothesis, _as_bool(raw))))
             return out
         if isinstance(s, st.OneOf):
-            out = []
-            for alt in s.alternatives:
-                sub = go(alt)
-                if sub is None:
-                    return None
-                out.extend(sub)
-            return out
+            return [alt for branch in s.alternatives for alt in go(branch)]
         if isinstance(s, st.TupleOf):
-            combos: list[tuple] = [((), {}, None)]
-            for comp in s.components:
-                sub = go(comp)
-                if sub is None:
-                    return None
-                combos = [
-                    (cs + (carrier,), {**box, **b}, conj(hyp, h))
-                    for cs, box, hyp in combos
-                    for carrier, b, h in sub
-                ]
+            combos = [SymAlternative((), {}, None)]
+            for component in s.components:
+                parts = go(component)
+                combos = [SymAlternative(c.carrier + (p.carrier,), {**c.box, **p.box},
+                                         _conj(c.hypothesis, p.hypothesis))
+                          for c in combos for p in parts]
             return combos
-        return None  # ListOf, OrderedMapOf, Pattern, unknown nodes
+        raise _Unsupported(_INEXPRESSIBLE)  # ListOf, OrderedMapOf, Pattern, unknown nodes
 
-    alts = go(strategy)
-    if alts is None:
-        return None
-    return [SymAlternative(c, b, h) for c, b, h in alts]
+    return go(strategy)
 
 
 def _carrier_value(carrier, valuation: dict):
@@ -998,20 +978,12 @@ _OUTCOME_REASON = {
 }
 
 
-class _Unsupported(Exception):
-    """Internal control flow: the harness cannot be checked symbolically;
-    the message is the verdict's detail."""
-
-
 def _goal(prop: Property, alt: SymAlternative) -> SymBool | None:
     """The formula ``alt`` must prove: the predicate run over its carrier,
     implied by the filter hypothesis, or None when the hypothesis is false
     over the whole box.  Raises _Unsupported when the predicate cannot be
     recorded as a formula over the carrier."""
-    try:
-        raw = prop.predicate(*alt.carrier) if prop.unpack else prop.predicate(alt.carrier)
-    except Exception as exc:
-        raise _Unsupported(f"predicate not symbolically evaluable: {exc}") from exc
+    raw = _record(prop.predicate, alt.carrier if prop.unpack else (alt.carrier,), "predicate")
     if not isinstance(raw, SymBool):
         # a plain bool or None was decided without looking at the carrier
         blind = isinstance(raw, bool) or raw is None
@@ -1043,14 +1015,13 @@ def run_symbolic(prop: Property, config: RunConfig, *,
     so is a proved alternative whose box has a confirmation point where the
     real predicate fails.
     """
-    alts = symbolize(prop.strategy)
     ticker = Ticker(deadline, stop)
     budget = config.budget
     boxes = splits = 0
     vacuous = False
+    alts = None
     try:
-        if alts is None:
-            raise _Unsupported("strategy is not expressible over the symbolic carrier")
+        alts = _alternatives(prop.strategy)
         for alt in alts:
             formula = _goal(prop, alt)
             if formula is None:
