@@ -290,8 +290,10 @@ def _read_history(path: str):
                 continue
             try:
                 record = json.loads(line)
-                record["property"], record["verdict"], record["run_id"]
+                ok = all(isinstance(record[key], str) for key in ("property", "verdict", "run_id"))
             except (json.JSONDecodeError, TypeError, KeyError):
+                ok = False
+            if not ok:
                 print(f"warning: {path}:{lineno}: skipping corrupt history line",
                       file=sys.stderr)
                 continue

@@ -198,18 +198,16 @@ def eval_predicate(prop: Property, value: Any) -> tuple[bool, str | None]:
     """Run the predicate on a concrete value.
 
     Returns (ok, message).  None and truthy results pass; falsy results and
-    any raise fail — a predicate abort is a counterexample, with the abort
-    text attached.
+    any raise fail — a predicate abort, or a result whose truth test raises,
+    is a counterexample, with the abort text attached.
     """
     try:
         if prop.unpack:
             result = prop.predicate(*value)
         else:
             result = prop.predicate(value)
+        if result is None or result is True or result:
+            return True, None
     except Exception as exc:  # noqa: BLE001 - aborts are verdict data here
         return False, f"{type(exc).__name__}: {exc}"
-    if result is None or result is True:
-        return True, None
-    if not result:
-        return False, "predicate returned a falsy value"
-    return True, None
+    return False, "predicate returned a falsy value"

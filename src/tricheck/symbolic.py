@@ -1,11 +1,14 @@
 """Symbolic checking over integer intervals.
 
-The predicate is run once over *carrier* values — expression nodes instead of
-ints — which records it as a tree over {Const, Var, Add, Sub, Mul, Div, Rem,
-Neg} and comparisons/connectives over those.  Carriers refuse to be coerced
-into native control flow: branching on a symbolic boolean, ``int()``,
-``len()`` and friends raise, and the driver reports the harness as
-unsupported rather than silently checking the wrong thing.
+The predicate, and each map and filter of its strategy, is run once over
+*carrier* values — expression nodes instead of ints — which records it as a
+tree over {Const, Var, Add, Sub, Mul, Div, Rem, Neg} and comparisons and
+connectives over those.  ``_record`` is the one place user code meets
+carriers.  Carriers refuse to be coerced into native control flow: branching
+on a symbolic boolean, ``int()``, ``len()`` and friends raise, and a type
+test such as ``isinstance(x, int)`` reads the carrier's ``__class__``, which
+``_record`` notes.  Either way the harness is reported as unsupported rather
+than silently checked for the wrong thing.
 
 A recorded formula becomes code in one of two ways, chosen by the call site,
 from one source definition of each operator's interval rule.  ``compile``
@@ -30,12 +33,13 @@ from __future__ import annotations
 
 import builtins
 import functools
+import itertools
 import operator
 import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Iterator
 
 from . import strategies as st
 from .harness import (DeadlineReached, Property, RunConfig, StopRequested, Ticker,
@@ -148,6 +152,22 @@ def _tq(a: int, b: int) -> int:
 _CMP_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
 
 
+#: thread ident -> whether the user code ``_record`` runs in that thread has
+#: read a carrier's ``__class__``; per thread, as ensemble runs backends in
+#: threads, and empty while no thread records
+_recording: dict[int, bool] = {}
+
+
+def _class(self) -> type:
+    """A carrier's ``__class__``, noted while user code runs: a type test
+    such as ``isinstance(x, int)`` reads it once the exact-type check fails."""
+    if _recording:
+        me = threading.get_ident()
+        if me in _recording:
+            _recording[me] = True
+    return type(self)
+
+
 def _comparison(op: str):
     def compare(self, other):
         return Cmp(op, self, _as_expr(other))
@@ -184,6 +204,7 @@ class SymExpr:
 
     __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = map(_comparison, _CMP_OPS)
     __hash__ = None  # equality builds formulas, so these are not hashable
+    __class__ = property(_class)
 
     def __bool__(self):
         raise SymbolicCoercion("symbolic value used as a native boolean")
@@ -290,6 +311,7 @@ class SymBool:
     ``and``/``or``/``not`` need a concrete bool and are trapped."""
 
     __slots__ = ("_compiled",)
+    __class__ = property(_class)
 
     def __and__(self, other):
         return And(self, _as_bool(other))
@@ -608,14 +630,21 @@ def _coerce_carrier(value) -> Any:
 
 
 def _record(fn, args: tuple, what: str) -> Any:
-    """``fn(*args)``, where ``fn`` is user code (a map, a filter or the
-    property's predicate) and ``args`` are carriers: the one place user code
-    meets them.  A raise gives up with _Unsupported, whose detail names the
-    code as ``what``."""
+    """``fn(*args)`` for user code ``fn`` (a map, a filter or the predicate)
+    over carriers ``args``: the one place the two meet.  A raise, or a type
+    test of a carrier (which cannot take an int's branch), gives up with
+    _Unsupported, its detail naming the code as ``what``."""
+    me = threading.get_ident()
+    _recording[me] = False
     try:
-        return fn(*args)
+        result = fn(*args)
     except Exception as exc:
         raise _Unsupported(f"{what} not symbolically evaluable: {exc}") from exc
+    finally:
+        type_tested = _recording.pop(me)
+    if type_tested:
+        raise _Unsupported(f"{what} tests the type of a symbolic value")
+    return result
 
 
 def _conj(a: SymBool | None, b: SymBool | None) -> SymBool | None:
@@ -627,55 +656,51 @@ def symbolize(strategy: st.Strategy) -> list[SymAlternative] | None:
     not expressible (containers, strings, opaque transforms/filters).
 
     ``one_of`` produces one alternative per branch; a tuple crosses its
-    components' alternatives.  Filters become hypotheses: their predicate is
-    run over the carrier and must yield a symbolic boolean or a bool.
+    components' alternatives.  Maps and filters run over the carrier through
+    ``_record``, so one that raises or tests the carrier's type gives None.
+    A map's ints, carriers or tuples of them become the carrier; a filter's
+    symbolic boolean or bool becomes a hypothesis.
     """
     try:
-        return _alternatives(strategy)
+        return _alternatives(strategy, itertools.count())
     except _Unsupported:
         return None
 
 
-def _alternatives(strategy: st.Strategy) -> list[SymAlternative]:
-    """``symbolize``'s walk, which gives up by raising _Unsupported."""
-    counter = iter(range(1 << 30))
-
-    def go(s: st.Strategy) -> list[SymAlternative]:
-        if isinstance(s, st.Just):
-            carrier = _coerce_carrier(s.value)
-            if isinstance(carrier, tuple):
+def _alternatives(s: st.Strategy, vids: Iterator[int]) -> list[SymAlternative]:
+    """``symbolize``'s walk, numbering variables from ``vids``; it gives up
+    by raising _Unsupported."""
+    if isinstance(s, st.Just):
+        carrier = _coerce_carrier(s.value)
+        if isinstance(carrier, tuple):
+            raise _Unsupported(_INEXPRESSIBLE)
+        return [SymAlternative(carrier, {}, None)]
+    if isinstance(s, st.IntRange):
+        vid = next(vids)
+        return [SymAlternative(Var(vid), {vid: Interval(s.lo, s.hi)}, None)]
+    if isinstance(s, st.Map):
+        return [SymAlternative(_coerce_carrier(_record(s.transform, (alt.carrier,), "map")),
+                               alt.box, alt.hypothesis) for alt in _alternatives(s.inner, vids)]
+    if isinstance(s, st.Filter):
+        out = []
+        for alt in _alternatives(s.inner, vids):
+            raw = _record(s.predicate, (alt.carrier,), f"filter {s.label!r}")
+            if not isinstance(raw, (SymBool, bool)):
                 raise _Unsupported(_INEXPRESSIBLE)
-            return [SymAlternative(carrier, {}, None)]
-        if isinstance(s, st.IntRange):
-            vid = next(counter)
-            return [SymAlternative(Var(vid), {vid: Interval(s.lo, s.hi)}, None)]
-        if isinstance(s, st.Map):
-            return [SymAlternative(
-                        _coerce_carrier(_record(s.transform, (alt.carrier,), "map")),
-                        alt.box, alt.hypothesis)
-                    for alt in go(s.inner)]
-        if isinstance(s, st.Filter):
-            out = []
-            for alt in go(s.inner):
-                raw = _record(s.predicate, (alt.carrier,), f"filter {s.label!r}")
-                if not isinstance(raw, (SymBool, bool)):
-                    raise _Unsupported(_INEXPRESSIBLE)
-                out.append(SymAlternative(alt.carrier, alt.box,
-                                          _conj(alt.hypothesis, _as_bool(raw))))
-            return out
-        if isinstance(s, st.OneOf):
-            return [alt for branch in s.alternatives for alt in go(branch)]
-        if isinstance(s, st.TupleOf):
-            combos = [SymAlternative((), {}, None)]
-            for component in s.components:
-                parts = go(component)
-                combos = [SymAlternative(c.carrier + (p.carrier,), {**c.box, **p.box},
-                                         _conj(c.hypothesis, p.hypothesis))
-                          for c in combos for p in parts]
-            return combos
-        raise _Unsupported(_INEXPRESSIBLE)  # ListOf, OrderedMapOf, Pattern, unknown nodes
-
-    return go(strategy)
+            out.append(SymAlternative(alt.carrier, alt.box,
+                                      _conj(alt.hypothesis, _as_bool(raw))))
+        return out
+    if isinstance(s, st.OneOf):
+        return [alt for branch in s.alternatives for alt in _alternatives(branch, vids)]
+    if isinstance(s, st.TupleOf):
+        combos = [SymAlternative((), {}, None)]
+        for component in s.components:
+            parts = _alternatives(component, vids)
+            combos = [SymAlternative(c.carrier + (p.carrier,), {**c.box, **p.box},
+                                     _conj(c.hypothesis, p.hypothesis))
+                      for c in combos for p in parts]
+        return combos
+    raise _Unsupported(_INEXPRESSIBLE)  # ListOf, OrderedMapOf, Pattern, unknown nodes
 
 
 def _carrier_value(carrier, valuation: dict):
@@ -1021,7 +1046,7 @@ def run_symbolic(prop: Property, config: RunConfig, *,
     vacuous = False
     alts = None
     try:
-        alts = _alternatives(prop.strategy)
+        alts = _alternatives(prop.strategy, itertools.count())
         for alt in alts:
             formula = _goal(prop, alt)
             if formula is None:

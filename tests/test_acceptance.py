@@ -364,7 +364,7 @@ def _ensemble_report(tmp_path, capsys, name, strategy, predicate):
 
 
 def _raises_below_zero(a):
-    if isinstance(a, int) and a < 0:
+    if type(a) is int and a < 0:
         raise ValueError("negative")
 
 
@@ -391,7 +391,7 @@ def test_symbolic_witness_is_confirmed_on_the_real_predicate(tmp_path, capsys):
     not a counterexample: the verdict is Unsupported, and the ensemble no
     longer aborts with InconsistentBackends."""
     def is_int(a):
-        return isinstance(a, int)
+        return type(a) is int
 
     v = run_symbolic(Property("acc.is_int", st.int_range(-5, 5), is_int), RunConfig())
     assert v.kind is VerdictKind.UNKNOWN
@@ -403,7 +403,7 @@ def test_symbolic_witness_is_confirmed_on_the_real_predicate(tmp_path, capsys):
     # the carrier records ``a > 0``, which fails at -5, but the predicate
     # takes the other branch on every concrete int
     def disagrees(a):
-        return True if isinstance(a, int) else a > 0
+        return True if type(a) is int else a > 0
 
     v = run_symbolic(Property("acc.disagrees", st.int_range(-5, 5), disagrees), RunConfig())
     assert v.kind is VerdictKind.UNKNOWN
@@ -422,7 +422,7 @@ def test_symbolic_proof_is_confirmed_on_the_real_predicate(tmp_path, capsys):
     box first: the verdict is Unsupported and names -5, and the ensemble
     reports exhaustive's falsification instead of InconsistentBackends."""
     def by_type(a):
-        return a > 0 if isinstance(a, int) else a < 100
+        return a > 0 if type(a) is int else a < 100
 
     v = run_symbolic(Property("acc.by_type", st.int_range(-5, 5), by_type), RunConfig())
     assert v.kind is VerdictKind.UNKNOWN
@@ -434,18 +434,63 @@ def test_symbolic_proof_is_confirmed_on_the_real_predicate(tmp_path, capsys):
     assert result["counterexample"]["shrunk"] == "-5"
 
 
-@pytest.mark.xfail(strict=True, reason="proof confirmation checks only the corners, "
-                   "midpoint and per-variable bounds of the whole box")
 def test_symbolic_proof_is_confirmed_inside_the_box():
-    """As above, but the predicate and its recorded formula disagree only at
-    3, which is none of the points the proof is confirmed at, so the symbolic
-    backend still proves what exhaustive falsifies at 3.  A fix flips this
-    test."""
+    """As above, but the predicate and its recorded formula would disagree
+    only at 3, which is none of the points a proof is confirmed at.  The
+    ``isinstance`` test reads the carrier's ``__class__``, so the symbolic
+    backend sees the type test and does not prove what exhaustive falsifies
+    at 3."""
     def by_type(a):
         return a != 3 if isinstance(a, int) else a < 100
 
     v = run_symbolic(Property("acc.by_type_inside", st.int_range(-5, 5), by_type), RunConfig())
-    assert v.kind is not VerdictKind.PROVED
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert v.detail == "predicate tests the type of a symbolic value"
+
+
+def test_symbolic_filter_that_tests_types_is_unsupported():
+    """A filter that branches on ``isinstance`` records ``a < 100`` over the
+    carrier, so the hypothesis admits 3, which the filter rejects on ints:
+    the symbolic backend reported 3 as a counterexample, and the ensemble
+    aborted with InconsistentBackends against exhaustive's proof."""
+    s = st.int_range(-5, 5).filter("not_3", lambda a: a != 3 if isinstance(a, int) else a < 100)
+    prop = Property("acc.filter_by_type", s, lambda a: a != 3)
+    v = run_symbolic(prop, RunConfig())
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert v.detail == "filter 'not_3' tests the type of a symbolic value"
+    assert run_exhaustive(prop, RunConfig()).kind is VerdictKind.PROVED
+    assert run_ensemble(prop, ["symbolic", "exhaustive"], RunConfig()).kind is VerdictKind.PROVED
+
+
+def test_symbolic_filter_that_is_a_type_test_is_not_vacuously_proved():
+    """``isinstance(a, int)`` is False on the carrier, so the hypothesis was
+    false over the whole box and the symbolic backend proved ``a < 5``
+    vacuously, which exhaustive falsifies at 5."""
+    s = st.int_range(0, 9).filter("is_int", lambda a: isinstance(a, int))
+    prop = Property("acc.is_int_filter", s, lambda a: a < 5)
+    v = run_symbolic(prop, RunConfig())
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert "tests the type" in v.detail
+    assert run_exhaustive(prop, RunConfig()).counterexample.shrunk == 5
+
+
+def test_symbolic_map_that_tests_types_is_unsupported():
+    """A map that branches on ``isinstance`` records ``a * 0`` over the
+    carrier, which never equals 3, while on ints it is the identity.  A
+    proof's confirmation evaluates the recorded carrier, not the real map,
+    so it could not catch this: symbolic proved what fuzz and exhaustive
+    falsify at 3."""
+    s = st.int_range(-5, 5).map(lambda a: a if isinstance(a, int) else a * 0)
+    prop = Property("acc.map_by_type", s, lambda a: a != 3)
+    v = run_symbolic(prop, RunConfig())
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert v.detail == "map tests the type of a symbolic value"
+    assert run_exhaustive(prop, RunConfig()).counterexample.shrunk == 3
+    assert run_fuzz(prop, RunConfig()).counterexample.shrunk == 3
 
 
 # --------------------------------------------------------------------------

@@ -54,6 +54,26 @@ def test_unknown_is_green_unless_strict(mixed_registry):
     assert main(base + ["--strict"], registry=mixed_registry) == 2
 
 
+class _Ambiguous:
+    def __bool__(self):
+        raise ValueError("the truth of this result is ambiguous")
+
+
+@pytest.mark.parametrize("backend", ["fuzz", "exhaustive"])
+def test_a_result_whose_truth_test_raises_is_a_counterexample(backend, capsys):
+    """The truth test of a predicate's result is part of the predicate: when
+    it raises, that is a failure like any other abort, and the run goes on
+    to report every property."""
+    reg = PropertyRegistry()
+    reg.register("ambiguous", int_range(0, 9), lambda x: _Ambiguous())
+    reg.register("fine", int_range(0, 9), lambda x: x >= 0)
+    assert main(["run", "--backend", backend], registry=reg) == 1
+    out = capsys.readouterr().out
+    assert "ambiguous: falsified shrunk=0" in out
+    assert "msg=ValueError: the truth of this result is ambiguous" in out
+    assert "fine: p" in out  # passed or proved
+
+
 def test_usage_errors_exit_three(tmp_path, passing_registry, capsys):
     bad = tmp_path / "cfg.json"
     bad.write_text('{"casez": 5}')
@@ -309,6 +329,24 @@ def test_corrupt_history_lines_are_skipped_with_a_warning(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "history.jsonl:1: skipping corrupt history line" in err
     assert "history.jsonl:2: skipping corrupt history line" in err
+
+
+def test_history_lines_with_mistyped_fields_are_skipped(tmp_path, capsys, passing_registry):
+    """Lines from this very code and config whose property, verdict or
+    run id is not a string are corrupt too: the flaky check skips them with
+    a warning instead of crashing on an unhashable value."""
+    hist = tmp_path / "history.jsonl"
+    argv = ["run", "--backend", "exhaustive", "--history", str(hist)]
+    assert main(argv, registry=passing_registry) == 0
+    first = json.loads(hist.read_text().splitlines()[0])
+    with hist.open("a") as fh:
+        for key in ("property", "verdict", "run_id"):
+            fh.write(json.dumps({**first, key: ["x"]}) + "\n")
+    capsys.readouterr()
+    assert main(argv, registry=passing_registry) == 0
+    err = capsys.readouterr().err
+    for lineno in (3, 4, 5):
+        assert f"history.jsonl:{lineno}: skipping corrupt history line" in err
 
 
 def test_history_subcommand_prints_and_filters(tmp_path, passing_registry, capsys):

@@ -16,10 +16,11 @@ from hypothesis import strategies as hst
 
 from tricheck.corpus import REGISTRY
 from tricheck.harness import Property, RunConfig, Ticker
+from tricheck.patterns import pattern
 from tricheck.prng import SplitMix64
 from tricheck.results import UnknownReason, VerdictKind
 from tricheck.strategies import (int_range, just, list_of, one_of,
-                                 optional_of, tuple_of)
+                                 optional_of, ordered_map_of, tuple_of)
 from tricheck.symbolic import (
     Add,
     And,
@@ -261,16 +262,28 @@ def test_symbolize_tuple_crosses_components():
     for alt in alts:
         assert isinstance(alt.carrier, tuple) and len(alt.carrier) == 2
 
+    s = tuple_of(one_of(just(1), int_range(2, 3)), int_range(0, 1).map(lambda v: v * 2))
+    first, second = symbolize(s)  # in the order of the first component's branches
+    assert repr(first.carrier) == "(1, (v1 * 2))"
+    assert first.box == {1: Interval(0, 1)}
+    assert repr(second.carrier) == "(v0, (v1 * 2))"
+    assert second.box == {0: Interval(2, 3), 1: Interval(0, 1)}
+
 
 def test_symbolize_filter_becomes_hypothesis():
     s = int_range(0, 100).filter("big", lambda x: x >= 50)
     (alt,) = symbolize(s)
     assert isinstance(alt.hypothesis, Cmp)
+    (alt,) = symbolize(int_range(0, 9).filter("all", lambda x: True))
+    assert isinstance(alt.hypothesis, BoolConst) and alt.hypothesis.value is True
 
 
 def test_symbolize_map_rewrites_the_carrier():
     (alt,) = symbolize(int_range(0, 9).map(lambda x: x * 10 + 1))
     assert concrete_eval(alt.carrier, {next(iter(alt.box)): 3}) == 31
+    (alt,) = symbolize(int_range(0, 9).map(lambda x: (x, x + 1)))
+    assert isinstance(alt.carrier, tuple)
+    assert [concrete_eval(c, {next(iter(alt.box)): 3}) for c in alt.carrier] == [3, 4]
 
 
 def test_symbolize_rejects_container_and_string_domains():
@@ -278,11 +291,20 @@ def test_symbolize_rejects_container_and_string_domains():
     assert symbolize(optional_of(int_range(0, 1))) is None
     assert symbolize(just("text")) is None
     assert symbolize(tuple_of(int_range(0, 1), just("s"))) is None
+    assert symbolize(just((1, 2))) is None
+    assert symbolize(ordered_map_of(int_range(0, 3), int_range(0, 1), 0, 2)) is None
+    assert symbolize(pattern("ab")) is None
 
 
 def test_symbolize_rejects_opaque_transforms():
     assert symbolize(int_range(-5, 5).map(abs)) is None
     assert symbolize(int_range(0, 9).filter("even", lambda x: x % 2 == 0)) is None
+    assert symbolize(int_range(0, 9).filter("none", lambda x: None)) is None
+    assert symbolize(int_range(0, 9).filter("raises", lambda x: 1 // 0)) is None
+    assert symbolize(int_range(0, 9).map(lambda x: True)) is None
+    # a carrier cannot take the branch an int would
+    assert symbolize(int_range(0, 9).filter("is_int", lambda x: isinstance(x, int))) is None
+    assert symbolize(int_range(0, 9).map(lambda x: x if isinstance(x, int) else 0)) is None
 
 
 # --------------------------------------------------------------------------
@@ -463,7 +485,7 @@ def test_driver_filter_hypothesis_may_be_a_plain_bool():
 def test_driver_confirms_a_proof_on_the_real_predicate():
     # the carrier records ``a < 100``, which holds everywhere, but every
     # concrete int takes the other branch, which fails at -5
-    v = run(int_range(-5, 5), lambda a: a > 0 if isinstance(a, int) else a < 100)
+    v = run(int_range(-5, 5), lambda a: a > 0 if type(a) is int else a < 100)
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.UNSUPPORTED
     assert "-5" in v.detail
@@ -472,14 +494,14 @@ def test_driver_confirms_a_proof_on_the_real_predicate():
 
 def test_driver_confirms_only_points_that_satisfy_the_hypothesis():
     s = int_range(-5, 5).filter("positive", lambda x: x > 0)
-    v = run(s, lambda a: a > 0 if isinstance(a, int) else a < 100)
+    v = run(s, lambda a: a > 0 if type(a) is int else a < 100)
     assert v.kind is VerdictKind.PROVED
 
 
 def test_driver_confirms_each_variable_at_its_bounds():
     # fails only where b is at its upper bound and a is not at a corner
     def pred(a, b):
-        if isinstance(a, int):
+        if type(a) is int:
             return b < 9 or a in (0, 9)
         return a + b >= 0
 
@@ -487,6 +509,33 @@ def test_driver_confirms_each_variable_at_its_bounds():
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.UNSUPPORTED
     assert "(4, 9)" in v.detail
+
+
+def test_driver_type_tests_are_noted_per_thread():
+    """Ensemble runs its backends in threads: a carrier's ``__class__`` read
+    in one thread must not count against a predicate that another thread is
+    recording at the same moment."""
+    inside, done = threading.Event(), threading.Event()
+
+    def pred(a):
+        inside.set()
+        done.wait(5)
+        return a >= 0
+
+    verdicts = []
+    worker = threading.Thread(target=lambda: verdicts.append(run(int_range(0, 9), pred)))
+    worker.start()
+    assert inside.wait(5)
+    assert not isinstance(Var(0), int)  # reads __class__ outside any recording
+    done.set()
+    worker.join(5)
+    assert verdicts[0].kind is VerdictKind.PROVED
+
+
+def test_driver_reports_a_raise_before_a_type_test():
+    # ``&`` tries isinstance(x, SymBool) on the expression before it raises
+    v = run(int_range(0, 9), lambda x: (x > 0) & x)
+    assert v.detail == "predicate not symbolically evaluable: cannot use v0 as a symbolic boolean"
 
 
 # --------------------------------------------------------------------------
