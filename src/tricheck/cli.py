@@ -20,7 +20,6 @@ import fnmatch
 import importlib.util
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Any
 
@@ -368,8 +367,7 @@ def cmd_replay(args: argparse.Namespace,
     if args.property not in registry:
         raise UsageError(f"unknown property: {args.property}")
     prop = registry.get(args.property)
-    deadline = time.monotonic() + config.timeout_ms / 1000.0
-    verdict = run_property(prop, config, deadline=deadline)
+    verdict = run_property(prop, config)
     print(f"{prop.name}: {verdict.describe()}")
     if verdict.kind is VerdictKind.FALSIFIED:
         print(f"shrunk={verdict.counterexample.shrunk!r}")

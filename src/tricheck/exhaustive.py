@@ -8,20 +8,15 @@ is found first (it is then shrunk, so even that mostly converges).
 
 from __future__ import annotations
 
-import threading
-
-from .fuzz import shrink_failure
-from .harness import (DeadlineReached, Property, RunConfig, StopRequested,
-                      Ticker, backend, eval_predicate)
-from .results import Counterexample, UnknownReason, Verdict
+from .fuzz import falsified, shrink_failure
+from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
+from .results import UnknownReason, Verdict
 from .strategies import (EnumStats, NotEnumerable, RejectionExhausted, _tree_at,
                          cardinality, iter_trees)
 
 
 @backend("exhaustive")
-def run_exhaustive(prop: Property, config: RunConfig, *,
-                   deadline: float | None = None,
-                   stop: threading.Event | None = None) -> Verdict:
+def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     """Prove by enumerating every value, or refute with the first failure.
 
     * Finite cardinality n <= budget: full enumeration; Proved only after
@@ -46,7 +41,6 @@ def run_exhaustive(prop: Property, config: RunConfig, *,
             UnknownReason.BUDGET_EXCEEDED,
             detail=f"needs {card.count} evaluations, budget is {budget}")
 
-    ticker = Ticker(deadline, stop)
     # a finite cardinality means no filter, so the bound only binds under one
     stats = EnumStats(max_rejected=10 * budget, on_reject=ticker.tick)
     count = 0
@@ -66,22 +60,15 @@ def run_exhaustive(prop: Property, config: RunConfig, *,
                 # the predicate may mutate what it is given, so it sees only
                 # fresh replays; the position replayed here never is
                 root = _tree_at(prop.strategy, tree.index)
-                shrunk, incomplete = shrink_failure(prop, root, ticker)
-                return Verdict.falsified(Counterexample(
-                    original=root.current,
-                    shrunk=shrunk.replay().current,
-                    seed=None,
-                    case_index=count,
-                    message=message,
-                    shrink_incomplete=incomplete,
-                ))
+                return falsified(root, shrink_failure(prop, root, ticker),
+                                 None, count, message)
             left -= 1
             if not left:
                 left = ticker.renew()
             count += 1
     except (RejectionExhausted, NotEnumerable) as exc:
         return Verdict.unknown(UnknownReason.BUDGET_EXCEEDED, detail=str(exc), cases=count)
-    except (DeadlineReached, StopRequested):
+    except DeadlineReached:
         return Verdict.unknown(UnknownReason.TIMEOUT, cases=count)
 
     if card.is_finite and not count == (span := prop.strategy._span()) <= card.count:

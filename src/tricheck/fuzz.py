@@ -8,10 +8,7 @@ this backend is the cheap, always-available end of the spectrum.
 
 from __future__ import annotations
 
-import threading
-
-from .harness import (DeadlineReached, Property, RunConfig, StopRequested,
-                      Ticker, backend, eval_predicate)
+from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
 from .prng import SplitMix64
 from .results import Counterexample, UnknownReason, Verdict
 from .strategies import RejectionExhausted, ValueTree, _GenContext, random_tree
@@ -34,7 +31,7 @@ def shrink_failure(prop: Property, failing: ValueTree,
                 ok, _ = eval_predicate(prop, cand.current)
                 if ticker is not None:
                     ticker.tick()
-            except (DeadlineReached, StopRequested):
+            except DeadlineReached:
                 return node, True
             if not ok:
                 node = cand
@@ -44,10 +41,19 @@ def shrink_failure(prop: Property, failing: ValueTree,
             return node, False
 
 
+def falsified(root: ValueTree, shrink: tuple[ValueTree, bool], seed: int | None,
+              case_index: int, message: str | None) -> Verdict:
+    """Fuzz's and exhaustive's verdict on the failure replayed as ``root``,
+    given what ``shrink_failure`` made of it; the shrunk tree is replayed once
+    more, so no predicate has seen either value reported."""
+    shrunk, incomplete = shrink
+    return Verdict.falsified(Counterexample(
+        original=root.current, shrunk=shrunk.replay().current, seed=seed,
+        case_index=case_index, message=message, shrink_incomplete=incomplete))
+
+
 @backend("fuzz")
-def run_fuzz(prop: Property, config: RunConfig, *,
-             deadline: float | None = None,
-             stop: threading.Event | None = None) -> Verdict:
+def run_fuzz(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     """Evaluate the predicate on ``config.cases`` seeded draws.
 
     First failure is shrunk and reported with the seed and case index; a
@@ -55,7 +61,6 @@ def run_fuzz(prop: Property, config: RunConfig, *,
     time yields Unknown{Timeout} with the number of completed cases.
     """
     rng = SplitMix64(config.seed)
-    ticker = Ticker(deadline, stop)
     # one context for the whole run: the 10x budget is spent across cases,
     # not granted afresh to each draw
     ctx = _GenContext(rng, 10 * config.cases)
@@ -72,21 +77,14 @@ def run_fuzz(prop: Property, config: RunConfig, *,
                 # the predicate may mutate what it is given, so it sees only
                 # fresh replays; this case redrawn from its state never is
                 root = random_tree(prop.strategy, SplitMix64(state))
-                shrunk, incomplete = shrink_failure(prop, root, ticker)
-                return Verdict.falsified(Counterexample(
-                    original=root.current,
-                    shrunk=shrunk.replay().current,
-                    seed=config.seed,
-                    case_index=case_index,
-                    message=message,
-                    shrink_incomplete=incomplete,
-                ))
+                return falsified(root, shrink_failure(prop, root, ticker),
+                                 config.seed, case_index, message)
             left -= 1
             if not left:
                 left = ticker.renew()
     except RejectionExhausted as exc:
         return Verdict.unknown(UnknownReason.FILTER_EXHAUSTED, detail=str(exc),
                                cases=case_index)
-    except (DeadlineReached, StopRequested):
+    except DeadlineReached:
         return Verdict.unknown(UnknownReason.TIMEOUT, cases=case_index)
     return Verdict.pass_sampled(config.cases)

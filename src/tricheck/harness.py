@@ -128,8 +128,9 @@ class DeadlineReached(Exception):
     """Internal control flow: the per-property deadline passed."""
 
 
-class StopRequested(Exception):
-    """Internal control flow: another backend in the ensemble already won."""
+class StopRequested(DeadlineReached):
+    """Internal control flow: another backend in the ensemble already won.  A
+    DeadlineReached, so one clause ends a run; catch it first to tell them apart."""
 
 
 class Ticker:
@@ -179,17 +180,20 @@ class Ticker:
 
 
 def backend(name: str) -> Callable[[Callable[..., Verdict]], Callable[..., Verdict]]:
-    """Decorator for a backend entry point ``run(prop, config, **kw)``: every
-    verdict it returns is stamped with the backend's ``name`` and the run's
-    wall time, so no backend records either itself."""
-    def decorate(run: Callable[..., Verdict]) -> Callable[..., Verdict]:
-        @functools.wraps(run)
-        def stamped(prop: Property, config: RunConfig, **kw: Any) -> Verdict:
+    """Decorator making a backend body ``run(prop, config, ticker)`` the entry
+    point ``(prop, config, *, deadline=None, stop=None)``: the keywords become
+    the run's Ticker, and every verdict is stamped with the backend's ``name``
+    and the run's wall time, so no backend builds or records any of them."""
+    def decorate(run: Callable[[Property, RunConfig, Ticker], Verdict]) -> Callable[..., Verdict]:
+        def stamped(prop: Property, config: RunConfig, *, deadline: float | None = None,
+                    stop: threading.Event | None = None) -> Verdict:
             t0 = time.monotonic()
-            verdict = run(prop, config, **kw)
+            verdict = run(prop, config, Ticker(deadline, stop))
             verdict.backend = name
             verdict.duration_ms = int((time.monotonic() - t0) * 1000)
             return verdict
+        functools.update_wrapper(stamped, run, ("__module__", "__name__", "__qualname__", "__doc__"))
+        del stamped.__wrapped__  # its signature is the keywords, not the body's
         return stamped
     return decorate
 

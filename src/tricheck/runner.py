@@ -122,13 +122,13 @@ def run_ensemble(prop: Property, backends: Sequence[str], config: RunConfig, *,
     return min(unknowns, key=lambda v: UNKNOWN_PREFERENCE.index(v.reason))
 
 
-def run_property(prop: Property, config: RunConfig, *,
-                 deadline: float | None = None,
-                 stop: threading.Event | None = None) -> Verdict:
-    """Check one property under config.backend (ensemble included)."""
+def run_property(prop: Property, config: RunConfig) -> Verdict:
+    """Check one property under config.backend (ensemble included); its
+    deadline, ``config.timeout_ms`` from now, is set here and nowhere else."""
+    deadline = time.monotonic() + config.timeout_ms / 1000.0
     if config.backend == "ensemble":
         return run_ensemble(prop, ENSEMBLE_ORDER, config, deadline=deadline)
-    return BUILTIN_BACKENDS[config.backend](prop, config, deadline=deadline, stop=stop)
+    return BUILTIN_BACKENDS[config.backend](prop, config, deadline=deadline)
 
 
 # --------------------------------------------------------------------------
@@ -200,9 +200,7 @@ def run_suite(registry: PropertyRegistry, config: RunConfig,
     props = sorted(registry.select(config.filter))
     report = RunReport(run_id=new_run_id(), timestamp=utc_timestamp(), config=config)
     for prop in props:
-        deadline = time.monotonic() + config.timeout_ms / 1000.0
-        verdict = run_property(prop, config, deadline=deadline)
-        report.results.append(PropertyResult(name=prop.name, verdict=verdict))
+        report.results.append(PropertyResult(prop.name, run_property(prop, config)))
     apply_waivers(report, waivers)
     return report
 

@@ -793,30 +793,27 @@ def branch_and_prune(formula: SymBool, box: Box,
         ticker = Ticker()
     left = ticker.lease()
     try:
-        code, boxes, splits, left, last = kernel(work, budget, left, ticker.renew)
+        status, boxes, splits, left, last = kernel(work, budget, left, ticker.renew)
     finally:
         ticker.release(left)
-    if code == _PROVED:
-        return SolveOutcome("proved", boxes=boxes, splits=splits)
-    if code == _CANCELLED:
-        return SolveOutcome("cancelled", boxes=boxes, splits=splits)
-    if code == _UNSUPPORTED:
-        return SolveOutcome("unsupported", boxes=boxes, splits=splits,
+    if status in ("proved", "cancelled"):
+        return SolveOutcome(status, boxes=boxes, splits=splits)
+    if status == "unsupported":
+        return SolveOutcome(status, boxes=boxes, splits=splits,
                             note=str(DivMaybeZero(locations[last])))
     holds = _formula(formula)[1]
 
     def by_vid(flat: tuple) -> dict:
         return dict(zip(vids, zip(flat[::2], flat[1::2])))
 
-    if code == _WITNESS:
+    if status == "witness":
         current = by_vid(last)
         val = {vid: (current[vid][0] + current[vid][1]) // 2 for vid in keys}
         if holds(val):  # pragma: no cover - soundness guard
             raise AssertionError("interval refutation failed concrete confirmation")
-        return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
+        return SolveOutcome(status, witness=val, boxes=boxes, splits=splits)
     # out of budget or time: probe what is left before giving up
-    status, note = (("timeout", None) if code == _TIMEOUT
-                    else ("undecided", f"box budget {budget} exhausted"))
+    note = f"box budget {budget} exhausted" if status == "undecided" else None
     val = _sample_remaining(holds, [by_vid(b) for b in work], keys, sample_seed)
     if val is not None:
         return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
@@ -826,31 +823,28 @@ def branch_and_prune(formula: SymBool, box: Box,
 # --------------------------------------------------------------------------
 # search kernels: the branch-and-prune loop as generated source
 
-#: kernel exit codes
-_PROVED, _WITNESS, _UNDECIDED, _TIMEOUT, _CANCELLED, _UNSUPPORTED = range(6)
-
 #: generated source -> kernel, emptied when full.  Formulas are rebuilt on
 #: every run, so only the source text repeats, and keying on it keeps no
 #: formula alive.
 _KERNELS: dict[str, Any] = {}
 _KERNEL_CACHE_SIZE = 1024
 
-_KERNEL_HEAD = f"""\
+_KERNEL_HEAD = """\
 def kernel(work, budget, left, renew):
     pop = work.pop
     push = work.append
     boxes = splits = 0
     while work:
         if boxes >= budget:
-            return {_UNDECIDED}, boxes, splits, left, None
+            return "undecided", boxes, splits, left, None
         left -= 1
         if not left:
             try:
                 left = renew()
-            except DeadlineReached:
-                return {_TIMEOUT}, boxes, splits, left, None
             except StopRequested:
-                return {_CANCELLED}, boxes, splits, left, None
+                return "cancelled", boxes, splits, left, None
+            except DeadlineReached:
+                return "timeout", boxes, splits, left, None
         box = pop()
         boxes += 1
 """
@@ -862,10 +856,11 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
 
     ``kernel(work, budget, left, renew)`` searches the stack ``work`` of flat
     boxes ``(lo, hi)`` per vid in ``vids`` order, depth first, and returns
-    ``(code, boxes, splits, left, last)``: ``last`` is the FALSE box for
-    ``_WITNESS`` and the index into ``locations`` of the division whose
-    divisor range held zero for ``_UNSUPPORTED``.  ``left``/``renew`` are a
-    Ticker lease, counted down once per box.  The formula is straight-line
+    ``(status, boxes, splits, left, last)``: ``status`` is SolveOutcome's,
+    ``last`` the FALSE box for "witness" and the index into ``locations`` of
+    the division whose divisor range held zero for "unsupported".
+    ``left``/``renew`` are a Ticker lease, counted down once per box; a stop
+    request reads "cancelled", not "timeout".  The formula is straight-line
     interval code, each shared node evaluated once per box in the closures'
     order, so the first division to abort is theirs too.
     """
@@ -887,7 +882,7 @@ def _split_source(truth: str, n: int) -> str:
     split along its widest dimension (ties to the lowest vid), the upper
     half pushed first."""
     lines = [f"if {truth} > 0:", "    continue",
-             f"if {truth} < 0:", f"    return {_WITNESS}, boxes, splits, left, box"]
+             f"if {truth} < 0:", "    return 'witness', boxes, splits, left, box"]
     if n == 0:
         lines.append("raise AssertionError('a point box evaluated MAYBE')")
     else:
@@ -904,7 +899,7 @@ def _split_source(truth: str, n: int) -> str:
                          else "else:" if i == n - 1 else f"elif d == {i}:")
         lines += [f"{pad}m = (l{i} + h{i}) // 2",
                   f"{pad}push(({upper}))", f"{pad}push(({lower}))"]
-    tail = f"    return {_PROVED}, boxes, splits, left, None\n"
+    tail = "    return 'proved', boxes, splits, left, None\n"
     return "".join(f"        {line}\n" for line in lines) + tail
 
 
@@ -987,7 +982,7 @@ class _KernelWriter:
         abort = None
         if kind in (Div, Rem):
             self.locations.append(e.location)
-            abort = f"return {_UNSUPPORTED}, boxes, splits, left, {len(self.locations) - 1}"
+            abort = f"return 'unsupported', boxes, splits, left, {len(self.locations) - 1}"
         self.emit(*_range_rule(kind, *operands, x, y, abort))
         return x, y
 
@@ -1025,9 +1020,7 @@ def _goal(prop: Property, alt: SymAlternative) -> SymBool | None:
 
 
 @backend("symbolic")
-def run_symbolic(prop: Property, config: RunConfig, *,
-                 deadline: float | None = None,
-                 stop: threading.Event | None = None) -> Verdict:
+def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     """Try to prove the property over its whole domain, or refute it with a
     concrete witness.
 
@@ -1040,7 +1033,6 @@ def run_symbolic(prop: Property, config: RunConfig, *,
     so is a proved alternative whose box has a confirmation point where the
     real predicate fails.
     """
-    ticker = Ticker(deadline, stop)
     budget = config.budget
     boxes = splits = 0
     vacuous = False
