@@ -8,8 +8,9 @@ and tracked over time.
 
 Exit codes: 0 — everything passed, proved, or was waived; 1 — at least one
 unwaived falsification; 2 — only with --strict, when unwaived Unknowns
-remain; 3 — usage or configuration errors (including backend disagreement,
-which is a tool bug, not a harness verdict).
+remain; 3 — usage or configuration errors, backend disagreement, and any
+exception that escapes a subcommand (a crash in the tool or in a strategy is
+not a harness verdict).
 """
 
 from __future__ import annotations
@@ -410,6 +411,11 @@ def main(argv: list[str] | None = None, *,
             return cmd_history(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # noqa: BLE001 - a crash must not read as a verdict
+        import traceback  # only a crash pays for the import
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     raise AssertionError(f"unhandled subcommand {args.command!r}")
 

@@ -64,9 +64,6 @@ class CharClass:
 
     ranges: tuple[tuple[int, int], ...]
 
-    def size(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self.ranges)
-
     def chars(self) -> Iterator[str]:
         for lo, hi in self.ranges:
             for cp in range(lo, hi + 1):

@@ -78,8 +78,8 @@ class Verdict:
         return Verdict(VerdictKind.PASS_SAMPLED, cases=cases)
 
     @staticmethod
-    def proved(method: str, cases: int, splits: int | None = None) -> "Verdict":
-        return Verdict(VerdictKind.PROVED, method=method, cases=cases, splits=splits)
+    def proved(method: str, cases: int) -> "Verdict":
+        return Verdict(VerdictKind.PROVED, method=method, cases=cases)
 
     @staticmethod
     def falsified(cex: Counterexample) -> "Verdict":

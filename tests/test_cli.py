@@ -2,6 +2,10 @@
 history bookkeeping, and deterministic replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,30 @@ def test_backend_disagreement_exits_three(monkeypatch, passing_registry, capsys)
     code = main(["run"], registry=passing_registry)
     assert code == 3
     assert "backends disagree" in capsys.readouterr().err
+
+
+def test_a_crash_during_a_check_exits_three(tmp_path, capsys):
+    """A map that raises aborts the draw, not the predicate, so it is no
+    counterexample; the run ends as a tool error, never as exit 1, the code
+    of a falsification."""
+    mod = tmp_path / "crashing.py"
+    mod.write_text(
+        "from tricheck import PropertyRegistry, int_range\n"
+        "REGISTRY = PropertyRegistry()\n"
+        "REGISTRY.register('a.fine', int_range(0, 9), lambda x: x >= 0)\n"
+        "REGISTRY.register('b.map_raises', int_range(-3, 3).map(lambda a: 6 // a),\n"
+        "                  lambda q: q != 100)\n"
+        "REGISTRY.register('c.fine', int_range(0, 9), lambda x: x < 100)\n"
+    )
+    runs = [["run", str(mod), "--backend", b] for b in ("fuzz", "exhaustive", "ensemble")]
+    runs.append(["replay", str(mod), "--backend", "fuzz", "--property", "b.map_raises"])
+    for argv in runs:
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "error: ZeroDivisionError" in err, argv
+    # symbolic runs the map over a carrier, and a map it cannot record is a verdict
+    assert main(["run", str(mod), "--backend", "symbolic"]) == 0
+    assert "b.map_raises: unknown: unsupported" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------
@@ -451,3 +479,22 @@ def test_update_history_appends_without_clobbering(tmp_path, passing_registry):
     main(argv, registry=passing_registry)
     n2 = len(hist.read_text().splitlines())
     assert (n1, n2) == (2, 4)
+
+
+# --------------------------------------------------------------------------
+# the entry points a shell runs
+
+def test_python_dash_m_runs_the_console_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def tricheck(*argv):
+        return subprocess.run([sys.executable, "-m", "tricheck", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    ran = tricheck("run", "--backend", "symbolic", "--filter", "multiply*")
+    assert ran.returncode == 1, ran.stderr[-2000:]
+    assert "multiply.strict: falsified shrunk=(1000, 1000)" in ran.stdout
+    listed = tricheck("list", "--filter", "map.*")
+    assert listed.returncode == 0, listed.stderr[-2000:]
+    assert [line.split()[0] for line in listed.stdout.splitlines()] == [
+        "map.keys_sorted", "map.size"]

@@ -380,6 +380,8 @@ def test_verdict_kinds_require_their_fields():
         Verdict(VerdictKind.FALSIFIED)
     with pytest.raises(ValueError, match="requires a reason"):
         Verdict(VerdictKind.UNKNOWN)
+    with pytest.raises(ValueError, match="proved must not carry a counterexample"):
+        Verdict(VerdictKind.PROVED, counterexample=Counterexample(1, 1))
 
 
 def test_describe_flags_an_incomplete_shrink():

@@ -82,6 +82,12 @@ def test_cardinality_saturates_past_2_63():
     s = int_range(0, 2**64 - 1, width=64, signed=False)
     assert cardinality(s).kind == "too_large"
     assert cardinality(tuple_of(s, int_range(0, 1))).kind == "too_large"
+    assert cardinality(list_of(int_range(0, 2**62), 2, 3)).kind == "too_large"
+    wide = int_range(0, 2**40)
+    assert cardinality(ordered_map_of(wide, wide, 0, 3)).kind == "too_large"
+    # a list that may hold nothing has one value, however wide its elements
+    pair = tuple_of(int_range(0, 2**62), int_range(0, 2**62))
+    assert cardinality(list_of(pair, 0, 0)) == Cardinality.finite(1)
 
 
 def test_unknown_is_contagious_through_containers():
@@ -126,6 +132,8 @@ def test_ordered_map_impossible_min_size_raises():
         ordered_map_of(int_range(0, 1), int_range(0, 5), min_size=3, max_size=4)
     with pytest.raises(EmptySize):
         ordered_map_of(int_range(0, 1), int_range(0, 1), 3, 3)
+    with pytest.raises(EmptySize):  # min_size above max_size
+        ordered_map_of(int_range(0, 3), int_range(0, 1), 3, 2)
 
 
 def test_list_of_bad_bounds_raise():

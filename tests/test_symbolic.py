@@ -357,6 +357,14 @@ def test_prune_division_straddling_zero_is_unsupported():
     formula = tdiv(Const(10), X) >= Const(0)
     out = branch_and_prune(formula, box((-5, 5)))
     assert out.status == "unsupported"
+    # in a filter hypothesis the driver gives up before any box is searched
+    v = run(int_range(-5, 5).filter("d", lambda a: tdiv(10, a) > 0), lambda a: a > 0)
+    assert v.describe().startswith("unknown: unsupported (divisor interval contains zero at ")
+    assert v.cases == 0
+    # in a map, the witness found is a point where the map divides by zero
+    v = run(int_range(-3, 3).map(lambda a: (a, tdiv(6, a))), lambda t: t[0] != 0)
+    assert v.describe().startswith(
+        "unknown: unsupported (witness value aborts during evaluation: div_by_zero at ")
 
 
 def _gen_formula(rng: SplitMix64, depth: int, nvars: int):
@@ -452,11 +460,25 @@ def test_driver_container_domain_is_unsupported():
     assert "not expressible" in v.detail
 
 
-def test_driver_budget_exhaustion_is_undecided():
+def test_driver_budget_exhaustion_is_undecided(monkeypatch):
     v = run(int_range(0, 2**48), lambda x: (x * x) >= x, budget=5)
     assert v.kind in (VerdictKind.UNKNOWN, VerdictKind.PROVED)
     if v.kind is VerdictKind.UNKNOWN:
         assert v.reason is UnknownReason.UNDECIDED
+
+    # the budget can also run out between alternatives, before a search
+    searches = []
+
+    def counted(*args, **kw):
+        searches.append(args)
+        return branch_and_prune(*args, **kw)
+
+    monkeypatch.setattr("tricheck.symbolic.branch_and_prune", counted)
+    s = one_of(just(5), int_range(0, 9))
+    v = run(s, lambda a: a != 70, budget=1)
+    assert v.describe() == "unknown: undecided (box budget 1 exhausted)"
+    assert (v.cases, len(searches)) == (1, 1)
+    assert run(s, lambda a: a != 70, budget=2).describe() == "proved (symbolic, 2 boxes)"
 
 
 def test_driver_reports_boxes_as_cases():
@@ -769,6 +791,15 @@ def test_compile_is_memoized_on_every_node():
     fns = compile(formula)
     assert compile(formula) is fns
     assert inner._compiled is compile(inner)  # built while compiling the formula
+
+
+def test_the_kernel_cache_is_emptied_when_full(monkeypatch):
+    kernels = {}
+    monkeypatch.setattr("tricheck.symbolic._KERNELS", kernels)
+    monkeypatch.setattr("tricheck.symbolic._KERNEL_CACHE_SIZE", 2)
+    for c in range(5):  # five sources: kept 1, 2, then emptied to 1, 2, 1
+        assert branch_and_prune(X < 10 + c, box((0, 5))).status == "proved"
+    assert len(kernels) == 1
 
 
 def test_interval_rules_are_compiled_on_first_use():
