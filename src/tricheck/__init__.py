@@ -27,7 +27,6 @@ from .strategies import (
     optional_of,
     ordered_map_of,
     random_tree,
-    simplest_tree,
     tuple_of,
 )
 from .patterns import ParseError, Pattern, parse_pattern, pattern
@@ -123,7 +122,6 @@ __all__ = [
     "run_suite",
     "run_symbolic",
     "shrink_failure",
-    "simplest_tree",
     "symbolize",
     "tdiv",
     "trem",

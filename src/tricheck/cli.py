@@ -415,7 +415,9 @@ def main(argv: list[str] | None = None, *,
     except Exception as exc:  # noqa: BLE001 - a crash must not read as a verdict
         import traceback  # only a crash pays for the import
         traceback.print_exc()
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        where = getattr(exc, "while_checking", None)
+        print(f"error: {type(exc).__name__}: {exc}"
+              + (f" (while checking {where})" if where else ""), file=sys.stderr)
         return 3
     raise AssertionError(f"unhandled subcommand {args.command!r}")
 

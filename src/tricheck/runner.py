@@ -124,11 +124,17 @@ def run_ensemble(prop: Property, backends: Sequence[str], config: RunConfig, *,
 
 def run_property(prop: Property, config: RunConfig) -> Verdict:
     """Check one property under config.backend (ensemble included); its
-    deadline, ``config.timeout_ms`` from now, is set here and nowhere else."""
+    deadline, ``config.timeout_ms`` from now, is set here and nowhere else.
+    An exception the check raises leaves with ``while_checking`` set to the
+    property's name, which the CLI's error line shows."""
     deadline = time.monotonic() + config.timeout_ms / 1000.0
-    if config.backend == "ensemble":
-        return run_ensemble(prop, ENSEMBLE_ORDER, config, deadline=deadline)
-    return BUILTIN_BACKENDS[config.backend](prop, config, deadline=deadline)
+    try:
+        if config.backend == "ensemble":
+            return run_ensemble(prop, ENSEMBLE_ORDER, config, deadline=deadline)
+        return BUILTIN_BACKENDS[config.backend](prop, config, deadline=deadline)
+    except Exception as exc:
+        exc.while_checking = prop.name
+        raise
 
 
 # --------------------------------------------------------------------------

@@ -38,8 +38,10 @@ ones as ``_Skip``), and ``_unrank(i)`` gives the choices that draw position
 sums and sizes, and for maps the key and value choices of the combination
 that a combinadic rank picks.  ``_nonempty()`` says whether a node has any
 position without sizing it, so rebuilding position 0 walks no key universe
-that enumeration did not.  ``iter_trees``, ``enumerate_values`` and
-``simplest_tree`` derive from these: a tree is replayed only where one is asked.
+that enumeration did not.  ``iter_trees`` is the one reader of a ``_values``
+stream: it turns the ``_Skip`` markers into base positions, and
+``enumerate_values`` and a map's key walk go through it.  A tree is
+replayed only where one is asked.
 """
 
 from __future__ import annotations
@@ -145,6 +147,8 @@ def _card_sum_powers(inner: Cardinality, lo: int, hi: int) -> Cardinality:
         return UNKNOWN
     if inner.kind == "too_large":
         return TOO_LARGE if hi > 0 else Cardinality.finite(1)
+    if inner.count <= 1:  # 1**k is 1 and 0**k is 0 past k = 0: no loop over k
+        return Cardinality.finite(hi - lo + 1 if inner.count else int(lo == 0))
     total = 0
     for k in range(lo, hi + 1):
         term = inner.count ** k
@@ -339,17 +343,15 @@ class _Recorder(_Context):
 
 class EnumStats:
     """Counters threaded through enumeration; lets callers bound the filter
-    rejections walked, and the items of any one ``ordered_map_of`` key walk."""
+    rejections walked."""
 
-    __slots__ = ("rejected", "max_rejected", "on_reject", "max_key_walk")
+    __slots__ = ("rejected", "max_rejected", "on_reject")
 
     def __init__(self, max_rejected: int | None = None,
-                 on_reject: Callable[[], None] | None = None,
-                 max_key_walk: int | None = None) -> None:
+                 on_reject: Callable[[], None] | None = None) -> None:
         self.rejected = 0
         self.max_rejected = max_rejected
         self.on_reject = on_reject
-        self.max_key_walk = max_key_walk
 
     def note_reject(self, label: str) -> None:
         self.rejected += 1
@@ -373,35 +375,6 @@ class _Skip(NamedTuple):
 
 #: What a filter yields for each value it rejects.
 _SKIP = _Skip()
-
-
-def _skipped_span(skipped: list[_Skip], stats: EnumStats | None) -> int:
-    """The base positions the rejections in ``skipped`` cover; empties it."""
-    n = sum(s.span(stats) for s in skipped)
-    skipped.clear()
-    return n
-
-
-def _positions(stream: Iterator[Any], stats: EnumStats | None) -> Iterator[tuple[int, Any]]:
-    """(base position, value) of each accepted value of a ``_values`` stream."""
-    index = 0
-    skipped: list[_Skip] = []
-    for v in stream:
-        if type(v) is _Skip:
-            skipped.append(v)
-            continue
-        if skipped:
-            index += _skipped_span(skipped, stats)
-        yield index, v
-        index += 1
-
-
-def _bounded(stream: Iterator[Any], limit: int) -> Iterator[Any]:
-    """``stream``, refusing to walk past its first ``limit`` items."""
-    for n, v in enumerate(stream):
-        if n == limit:
-            raise NotEnumerable(f"walk passed {limit} items")
-        yield v
 
 
 def _product(comps: Sequence["Strategy"], stats: EnumStats | None,
@@ -827,15 +800,13 @@ class OrderedMapOf(Strategy):
     def _key_universe(self, stats: EnumStats | None) -> list[tuple[int, Any]]:
         """(base position, key) of each distinct accepted key, first occurrence
         first.  Every call walks (filter calls count); a completed walk memoizes."""
-        keys = self.keys._values(stats)
-        if stats is not None and stats.max_key_walk is not None:
-            keys = _bounded(keys, stats.max_key_walk)
         universe: list[tuple[int, Any]] = []
         seen: set[Any] = set()  # keys end up as dict keys, so hashable by contract
-        for index, k in _positions(keys, stats):
+        for tree in iter_trees(self.keys, stats):
+            k = tree.current
             if k not in seen:
                 seen.add(k)
-                universe.append((index, k))
+                universe.append((tree.index, k))
                 if len(universe) > _KEY_UNIVERSE_CAP:
                     raise NotEnumerable("ordered_map_of: key universe too large to enumerate")
         self.__dict__["_walked_key_positions"] = [i for i, _ in universe]
@@ -963,8 +934,10 @@ class _IndexedTree(ValueTree):
 def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[ValueTree]:
     """Canonical enumeration as shrinkable trees carrying their base ``index``.
     No budget gating; callers that rely on finiteness check ``cardinality``.
-    The index bookkeeping is ``_positions``', inlined: this is the exhaustive
-    backend's per-value loop."""
+    The one reader of a ``_values`` stream: each accepted value's index is
+    the count of positions before it, the rejected ones summed from their
+    ``_Skip`` markers once the next accepted value comes.  This is the
+    exhaustive backend's per-value loop."""
     new, tree_type, skip = object.__new__, _IndexedTree, _Skip
     index = 0
     skipped: list[_Skip] = []
@@ -973,7 +946,8 @@ def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[V
             skipped.append(v)
             continue
         if skipped:
-            index += _skipped_span(skipped, stats)
+            index += sum(s.span(stats) for s in skipped)
+            skipped.clear()
         tree = new(tree_type)
         tree.current = v
         tree.strategy = strategy
@@ -992,19 +966,5 @@ def enumerate_values(strategy: Strategy, budget: int | None = None) -> Iterator[
     card = strategy._cardinality()
     if card.kind == "too_large" and budget is None:
         raise NotEnumerable(f"{strategy!r} has more than 2**63 elements; pass a budget")
-    it = (v for v in strategy._values(None) if type(v) is not _Skip)
+    it = (tree.current for tree in iter_trees(strategy))
     return it if budget is None else itertools.islice(it, budget)
-
-
-def simplest_tree(strategy: Strategy) -> ValueTree | None:
-    """The canonically simplest value of the domain, if cheaply reachable: the
-    first accepted position among the first ``MAX_REJECTIONS_PER_VALUE + 1``
-    stream items, where no map may walk more key items than that."""
-    stats = EnumStats(max_key_walk=MAX_REJECTIONS_PER_VALUE + 1)
-    try:
-        for index, _ in _positions(_bounded(strategy._values(stats), stats.max_key_walk),
-                                   stats):
-            return _tree_at(strategy, index)
-    except NotEnumerable:
-        pass
-    return None

@@ -460,9 +460,15 @@ def _compare_rule(op: str, a: tuple, b: tuple, t: str) -> str:
     return f"{t} = {yes} if {ahi} < {blo} else {no} if {alo} >= {bhi} else 0"
 
 
+_RANGE_KINDS = (Neg, Add, Sub, Mul, Div, Rem)
+
+
 def _range_kind(e) -> type:
     """The class among Neg, Add, Sub, Mul, Div and Rem whose rule ``e`` follows."""
-    for kind in (Neg, Add, Sub, Mul, Div, Rem):
+    kind = type(e)
+    if kind in _RANGE_KINDS:  # each isinstance miss would read a carrier's __class__
+        return kind
+    for kind in _RANGE_KINDS:  # subclasses
         if isinstance(e, kind):
             return kind
     raise TypeError(f"not an expression node: {e!r}")

@@ -371,8 +371,8 @@ def branch_and_prune_oracle(formula, box, budget, seed=0):
 # --------------------------------------------------------------------------
 # reference enumeration: the per-node streams that enumeration used before
 # it became index-addressed, kept as the other side of the differential
-# tests.  Each node's stream is transcribed from the ``_iter_trees`` /
-# ``_simplest_tree`` method it once had, over plain values instead of trees.
+# tests.  Each node's stream is transcribed from the ``_iter_trees`` method
+# it once had, over plain values instead of trees.
 
 def lazy_product_reference(stream_fns):
     """Row-major product of replayable streams (first component slowest)."""
@@ -443,57 +443,3 @@ def iter_trees_reference(s, stats=None):
                     yield _key_sorted_reference(list(zip(key_combo, val_combo)))
     else:
         raise TypeError(f"no reference enumeration for {s!r}")
-
-
-def simplest_tree_reference(s):
-    """``(v,)`` for the value ``v`` of the canonically simplest tree of ``s``,
-    node by node, or None when there is none within reach."""
-    if isinstance(s, pat.Pattern):
-        s = s._compiled
-    if isinstance(s, st.Just):
-        return (s.value,)
-    if isinstance(s, st.IntRange):
-        return (s.lo,)
-    if isinstance(s, st.Map):
-        v = simplest_tree_reference(s.inner)
-        return None if v is None else (s.transform(v[0]),)
-    if isinstance(s, st.Filter):
-        for i, v in enumerate(iter_trees_reference(s.inner)):
-            if s._accepts(v):
-                return (v,)
-            if i >= st.MAX_REJECTIONS_PER_VALUE:
-                return None
-        return None
-    if isinstance(s, st.OneOf):
-        for alt in s.alternatives:
-            v = simplest_tree_reference(alt)
-            if v is not None:
-                return v
-        return None
-    if isinstance(s, st.TupleOf):
-        comps = [simplest_tree_reference(c) for c in s.components]
-        if any(v is None for v in comps):
-            return None
-        return (tuple(v[0] for v in comps),)
-    if isinstance(s, st.ListOf):
-        if s.min_len == 0:
-            return ([],)
-        v = simplest_tree_reference(s.element)
-        return None if v is None else ([v[0]] * s.min_len,)
-    if isinstance(s, st.OrderedMapOf):
-        if s.min_size == 0:
-            return ({},)
-        v = simplest_tree_reference(s.values)
-        if v is None:
-            return None
-        keys = []
-        for i, k in enumerate(iter_trees_reference(s.keys)):
-            if k in keys:
-                continue
-            keys.append(k)
-            if len(keys) == s.min_size:
-                return (_key_sorted_reference([(k, v[0]) for k in keys]),)
-            if i >= st.MAX_REJECTIONS_PER_VALUE * s.min_size:
-                break
-        return None
-    raise TypeError(f"no reference simplest value for {s!r}")

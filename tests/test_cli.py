@@ -124,6 +124,8 @@ def test_a_crash_during_a_check_exits_three(tmp_path, capsys):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
         assert "Traceback" in err and "error: ZeroDivisionError" in err, argv
+        # the traceback quotes the harness file's source; the error line itself names it
+        assert "b.map_raises" in err.splitlines()[-1], argv
     # symbolic runs the map over a carrier, and a map it cannot record is a verdict
     assert main(["run", str(mod), "--backend", "symbolic"]) == 0
     assert "b.map_raises: unknown: unsupported" in capsys.readouterr().out

@@ -1,12 +1,13 @@
 """Index-addressed enumeration against the per-node streams it replaced.
 
-``_oracles.iter_trees_reference`` and ``simplest_tree_reference`` are the
-enumeration as it was before strategies learned ``_values``/``_unrank``/
-``_span``, written over plain values.  Over a zoo of every combinator
-(filters nested everywhere a filter can sit, patterns, and every corpus
-domain that is not too large) the two must agree on accepted values,
-rejection counts and labels, and the choices ``_unrank`` gives for every
-position must replay into the value the stream has there.
+``_oracles.iter_trees_reference`` is the enumeration as it was before
+strategies learned ``_values``/``_unrank``/``_span``, written over plain
+values.  Over a zoo of every combinator (filters nested everywhere a filter
+can sit, patterns, and every corpus domain that is not too large) the two
+must agree on accepted values, rejection counts and labels, and the choices
+``_unrank`` gives for every position must replay into the value the stream
+has there.  ``iter_trees`` is the one reader of a ``_values`` stream, so
+``enumerate_values`` and map key walks are checked through it.
 
 The same zoo, with the pinned draws of ``test_pins``, holds the plain fuzz
 context and the recording context to the same draws: the same values, PRNG
@@ -17,7 +18,7 @@ with no PRNG draws the same values again.
 import pytest
 
 import tricheck.strategies as st
-from _oracles import iter_trees_reference, simplest_tree_reference
+from _oracles import iter_trees_reference
 from test_pins import DRAWN
 from tricheck.corpus import REGISTRY
 from tricheck.exhaustive import run_exhaustive
@@ -38,7 +39,6 @@ from tricheck.strategies import (
     one_of,
     optional_of,
     ordered_map_of,
-    simplest_tree,
     tuple_of,
 )
 
@@ -122,14 +122,6 @@ ZOO.update((f"corpus.{p.name}", p.strategy) for p in _corpus.values())
 #: it, the first ones and then every 997th (the corpus' 10^6-pair products)
 EVERY_TREE_UP_TO = 5000
 
-#: zoo entries whose ``simplest_tree`` differs from the per-node reference.
-#: The reference combined each component's own simplest tree; now the first
-#: accepted position must lie among the first 101 stream items, where a
-#: rejected position of a nested filter can repeat once per head value.
-SIMPLEST_DIFFERS = {"one_of.late_first", "tuple.mid_pair", "list.mid_pair",
-                    "map_of.mid_values"}
-
-
 def _shown(value):
     return type(value), repr(value)
 
@@ -205,31 +197,6 @@ def test_same_filter_calls_as_the_reference():
         assert seen[0] == seen[1]
 
 
-@pytest.mark.parametrize("name", sorted(ZOO))
-def test_same_simplest_tree(name):
-    s = ZOO[name]
-    ref, got = simplest_tree_reference(s), simplest_tree(s)
-    same = (ref is None and got is None) or (
-        ref is not None and got is not None and _shown(ref[0]) == _shown(got.current))
-    assert same == (name not in SIMPLEST_DIFFERS)
-
-
-@pytest.mark.parametrize("keys", [
-    lambda count: int_range(0, 2_000_000).map(count),
-    lambda count: int_range(0, 10**8).map(count).filter("sparse", lambda k: k < 3),
-], ids=["wide", "sparse"])
-def test_simplest_tree_walks_at_most_101_keys_of_a_map(keys):
-    """A map's stream walks its whole key universe before its first value,
-    so ``simplest_tree`` gives up (None) once a key walk passes 101 items;
-    the per-node reference answered ``{}`` here without walking any key."""
-    seen = []
-    s = ordered_map_of(keys(lambda k: seen.append(k) or k), D, 0, 1)
-    assert simplest_tree_reference(s) == ({},)
-    seen.clear()
-    assert simplest_tree(s) is None
-    assert len(seen) <= 2 * (st.MAX_REJECTIONS_PER_VALUE + 1)
-
-
 def test_unranking_agrees_with_the_stream_past_the_first_size():
     """Mixed radix and combinadic unranking at every base position against
     the values the stream walks; sums and sizes refuse a position past the
@@ -293,7 +260,7 @@ def test_position_0_falls_through_empty_alternatives():
     for s in (*(one_of(e, just("next")) for e in EMPTIES.values()),
               one_of(*EMPTIES.values(), just("next"))):
         assert list(st.enumerate_values(s)) == ["next"]
-        assert _tree_at(s, 0).current == simplest_tree(s).current == "next"
+        assert _tree_at(s, 0).current == "next"
         v = run_exhaustive(Property("p", s, lambda x: False), RunConfig(backend="exhaustive"))
         assert v.counterexample.original == v.counterexample.shrunk == "next"
 

@@ -15,6 +15,7 @@ from tricheck.strategies import (
     EnumStats,
     NotEnumerable,
     RejectionExhausted,
+    _card_sum_powers,
     cardinality,
     enumerate_values,
     int_range,
@@ -88,6 +89,15 @@ def test_cardinality_saturates_past_2_63():
     # a list that may hold nothing has one value, however wide its elements
     pair = tuple_of(int_range(0, 2**62), int_range(0, 2**62))
     assert cardinality(list_of(pair, 0, 0)) == Cardinality.finite(1)
+
+
+def test_cardinality_of_lists_of_one_or_no_value_takes_no_step_per_length():
+    """A one-value element gives one list per length, so sizing it is
+    immediate however wide the length range; no value gives only ``[]``."""
+    assert cardinality(list_of(just(0), 3, 10**18)) == Cardinality.finite(10**18 - 2)
+    assert cardinality(list_of(just(0), 0, 2**63)).kind == "too_large"
+    assert _card_sum_powers(Cardinality.finite(0), 0, 10**18) == Cardinality.finite(1)
+    assert _card_sum_powers(Cardinality.finite(0), 1, 10**18) == Cardinality.finite(0)
 
 
 def test_unknown_is_contagious_through_containers():
