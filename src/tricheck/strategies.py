@@ -36,12 +36,13 @@ counts them, ``_values(stats)`` streams the plain value at each lazily (rejected
 ones as ``_Skip``), and ``_unrank(i)`` gives the choices that draw position
 ``i``: mixed-radix digits for products (last component fastest), offsets for
 sums and sizes, and for maps the key and value choices of the combination
-that a combinadic rank picks.  ``_nonempty()`` says whether a node has any
-position without sizing it, so rebuilding position 0 walks no key universe
-that enumeration did not.  ``iter_trees`` is the one reader of a ``_values``
-stream: it turns the ``_Skip`` markers into base positions, and
-``enumerate_values`` and a map's key walk go through it.  A tree is
-replayed only where one is asked.
+that a combinadic rank picks.  An empty domain raises ``IndexError`` for
+``_unrank(0)``, as for any position out of range; at position 0 no node
+reads a span and products unrank their components in enumeration order, so
+rebuilding it walks no key universe that enumeration did not.  ``iter_trees``
+is the one reader of a ``_values`` stream: it turns the ``_Skip`` markers
+into base positions, and ``enumerate_values`` and a map's key walk go
+through it.  A tree is replayed only where one is asked.
 """
 
 from __future__ import annotations
@@ -381,39 +382,42 @@ def _product(comps: Sequence["Strategy"], stats: EnumStats | None,
              prefix: tuple = ()) -> Iterator[Any]:
     """``prefix`` extended by each tuple of the row-major product of
     ``comps`` (last component fastest), or a ``_Skip``.  Unlike
-    itertools.product this never materializes a component stream: the tail is
-    walked afresh for each head value, and a skipped head skips it whole."""
-    if not comps:
-        yield prefix
-        return
-    head, rest = comps[0], comps[1:]
-    if not rest:
-        for h in head._values(stats):
+    itertools.product this never materializes a component stream: the right
+    half is walked afresh for each tuple of the left half, and a skipped left
+    tuple skips it whole.  Halving keeps the nesting at log2 of the number
+    of components."""
+    if len(comps) > 1:
+        mid = len(comps) // 2
+        right = comps[mid:]
+        for h in _product(comps[:mid], stats, prefix):
+            if type(h) is _Skip:
+                yield _Skip(h.rest + right)
+            else:
+                yield from _product(right, stats, h)
+    elif comps:
+        for h in comps[0]._values(stats):
             yield h if type(h) is _Skip else prefix + (h,)
-        return
-    for h in head._values(stats):
-        if type(h) is _Skip:
-            yield _Skip(h.rest + rest)
-        else:
-            yield from _product(rest, stats, prefix + (h,))
+    else:
+        yield prefix
 
 
 def _unrank_digits(comps: Sequence["Strategy"], index: int) -> list[list[int]]:
     """The choices of each component at the mixed-radix digits of ``index``,
-    last component fastest.  Once what is left of ``index`` is 0, so is every
-    digit, and no span is needed (a map's span may walk its whole key universe)."""
+    last component fastest, unranked first to last as enumeration meets them.
+    Once what is left of ``index`` is 0, so is every digit, and no span is
+    needed (a map's span may walk its whole key universe)."""
     digits = []
     for c in reversed(comps):
         index, digit = divmod(index, c._span()) if index else (0, 0)
-        digits.append(c._unrank(digit))
-    return digits[::-1]
+        digits.append(digit)
+    return [c._unrank(d) for c, d in zip(comps, reversed(digits))]
 
 
 def _unrank_combination(n: int, k: int, rank: int) -> list[int]:
     """The ``rank``-th k-subset of range(n) in itertools.combinations order."""
     out, x = [], 0
     for left in range(k, 0, -1):
-        while rank >= (block := _choose(n - x - 1, left - 1)):
+        while rank >= (block := math.comb(n - x - 1, left - 1)):
             rank -= block
             x += 1
         out.append(x)
@@ -460,11 +464,6 @@ class Strategy:
     def _span(self, stats: EnumStats | None = None) -> int:
         """The number of base positions."""
         raise NotImplementedError
-
-    def _nonempty(self) -> bool:
-        """Whether ``_span() > 0``, walking no key universe a first value
-        does not need."""
-        return self._span() > 0
 
 
 @dataclass(frozen=True)
@@ -555,9 +554,6 @@ class Map(Strategy):
     def _span(self, stats: EnumStats | None = None) -> int:
         return self.inner._span(stats)
 
-    def _nonempty(self) -> bool:
-        return self.inner._nonempty()
-
     def __repr__(self) -> str:
         name = getattr(self.transform, "__name__", "<fn>")
         return f"{self.inner!r}.map({name})"
@@ -602,9 +598,6 @@ class Filter(Strategy):
     def _span(self, stats: EnumStats | None = None) -> int:
         return self.inner._span(stats)
 
-    def _nonempty(self) -> bool:
-        return self.inner._nonempty()
-
     def __repr__(self) -> str:
         return f"{self.inner!r}.filter({self.label!r})"
 
@@ -638,8 +631,12 @@ class OneOf(Strategy):
 
     def _unrank(self, index: int) -> list[int]:
         for i, alt in enumerate(self.alternatives):
-            # position 0 needs only emptiness; a span may walk a key universe
-            span = alt._span() if index else int(alt._nonempty())
+            if not index:  # the first alternative with a position 0; no span is read
+                try:
+                    return [i, *alt._unrank(0)]
+                except IndexError:
+                    continue
+            span = alt._span()
             if index < span:
                 return [i, *alt._unrank(index)]
             index -= span
@@ -647,9 +644,6 @@ class OneOf(Strategy):
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return sum(alt._span(stats) for alt in self.alternatives)
-
-    def _nonempty(self) -> bool:
-        return any(alt._nonempty() for alt in self.alternatives)
 
     def __repr__(self) -> str:
         return f"one_of({', '.join(map(repr, self.alternatives))})"
@@ -676,9 +670,6 @@ class TupleOf(Strategy):
 
     def _span(self, stats: EnumStats | None = None) -> int:
         return math.prod(c._span(stats) for c in self.components)
-
-    def _nonempty(self) -> bool:
-        return all(c._nonempty() for c in self.components)
 
     def __repr__(self) -> str:
         return f"tuple_of({', '.join(map(repr, self.components))})"
@@ -719,7 +710,7 @@ class ListOf(Strategy):
 
     def _unrank(self, index: int) -> list[int]:
         for n in range(self.min_len, self.max_len + 1):
-            block = self.element._span() ** n if n else 1  # [] needs no element span
+            block = self.element._span() ** n if index else 1  # position 0 needs no span
             if index < block:
                 return [n - self.min_len,
                         *itertools.chain.from_iterable(_unrank_digits((self.element,) * n, index))]
@@ -729,9 +720,6 @@ class ListOf(Strategy):
     def _span(self, stats: EnumStats | None = None) -> int:
         span = self.element._span(stats)
         return sum(span ** n for n in range(self.min_len, self.max_len + 1))
-
-    def _nonempty(self) -> bool:
-        return self.min_len == 0 or self.element._nonempty()
 
     def __repr__(self) -> str:
         return f"list_of({self.element!r}, {self.min_len}, {self.max_len})"
@@ -766,7 +754,7 @@ class OrderedMapOf(Strategy):
         total = 0
         hi = min(self.max_size, kcard.count)
         for k in range(self.min_size, hi + 1):
-            total += _choose(kcard.count, k) * vcard.count ** k
+            total += math.comb(kcard.count, k) * vcard.count ** k
             if total > TOO_LARGE_LIMIT:
                 return TOO_LARGE
         return Cardinality.finite(total)
@@ -829,10 +817,10 @@ class OrderedMapOf(Strategy):
 
     def _unrank(self, index: int) -> list[int]:
         positions = self._key_positions()
-        vspan = self.values._span()
+        vspan = self.values._span() if index else 1  # position 0 needs no value span
         for size in self._sizes(len(positions)):
             block = vspan ** size
-            count = _choose(len(positions), size) * block
+            count = math.comb(len(positions), size) * block
             if index < count:
                 rank, index = divmod(index, block)
                 keys = [self.keys._unrank(positions[j])
@@ -845,24 +833,11 @@ class OrderedMapOf(Strategy):
 
     def _span(self, stats: EnumStats | None = None) -> int:
         n, vspan = len(self._key_positions(stats)), self.values._span(stats)
-        return sum(_choose(n, k) * vspan ** k for k in self._sizes(n))
-
-    def _nonempty(self) -> bool:
-        return self.min_size == 0 or (self.values._nonempty()
-                                      and len(self._key_positions()) >= self.min_size)
+        return sum(math.comb(n, k) * vspan ** k for k in self._sizes(n))
 
     def __repr__(self) -> str:
         return (f"ordered_map_of({self.keys!r}, {self.values!r}, "
                 f"{self.min_size}, {self.max_size})")
-
-
-def _choose(n: int, k: int) -> int:
-    if k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # --------------------------------------------------------------------------

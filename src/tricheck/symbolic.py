@@ -460,23 +460,25 @@ def _compare_rule(op: str, a: tuple, b: tuple, t: str) -> str:
     return f"{t} = {yes} if {ahi} < {blo} else {no} if {alo} >= {bhi} else 0"
 
 
-_RANGE_KINDS = (Neg, Add, Sub, Mul, Div, Rem)
+_EXPR_KINDS = (Const, Var, Neg, Add, Sub, Mul, Div, Rem)
+_FORMULA_KINDS = (BoolConst, Not, And, Or, Cmp)
 
 
-def _range_kind(e) -> type:
-    """The class among Neg, Add, Sub, Mul, Div and Rem whose rule ``e`` follows."""
-    kind = type(e)
-    if kind in _RANGE_KINDS:  # each isinstance miss would read a carrier's __class__
+def _kind(node, kinds: tuple) -> type:
+    """The class among ``kinds`` whose rule ``node`` follows: its own, else
+    the first one it subclasses."""
+    kind = type(node)
+    if kind in kinds:  # each isinstance miss would read a carrier's __class__
         return kind
-    for kind in _RANGE_KINDS:  # subclasses
-        if isinstance(e, kind):
+    for kind in kinds:  # subclasses
+        if isinstance(node, kind):
             return kind
-    raise TypeError(f"not an expression node: {e!r}")
+    raise TypeError(f"no rule for {node!r}")
 
 
 @functools.cache
 def _one_shot(kind: type | str) -> Any:
-    """``kind``'s rule (a ``_range_kind`` class or a comparison op),
+    """``kind``'s rule (an operator class, Neg to Rem, or a comparison op),
     compiled on first use into ``build(fa, fb, location)``, which returns
     an ``over_box`` reading the operands' ranges from ``fa(box)`` and
     ``fb(box)`` (``fb`` is None for Neg).  Where the kernel aborts, it
@@ -535,14 +537,14 @@ def _formula(node) -> tuple:
 
 
 def _compile_expr(e: SymExpr) -> tuple:
-    if isinstance(e, Const):
+    kind = _kind(e, _EXPR_KINDS)
+    if kind is Const:
         c = e.value
         point = (c, c)
         return (lambda box: point), (lambda val: c)
-    if isinstance(e, Var):
+    if kind is Var:
         get = operator.itemgetter(e.vid)
         return get, get
-    kind = _range_kind(e)
     if kind is Neg:
         fi, gi = _expr(e.inner)
         return _one_shot(Neg)(fi, None, None), (lambda val: -gi(val))
@@ -566,22 +568,21 @@ def _compile_expr(e: SymExpr) -> tuple:
 
 
 def _compile_formula(f: SymBool) -> tuple:
-    if isinstance(f, BoolConst):
+    kind = _kind(f, _FORMULA_KINDS)
+    if kind is BoolConst:
         value = f.value
         truth = 1 if value else -1
         return (lambda box: truth), (lambda val: value)
-    if isinstance(f, Not):
+    if kind is Not:
         fi, gi = _formula(f.inner)
         return (lambda box: -fi(box)), (lambda val: not gi(val))
-    if isinstance(f, (And, Or)):
+    if kind is not Cmp:  # And, Or
         # over a box both sides are evaluated, so a divisor range straddling
         # zero anywhere in the formula aborts the analysis
         (fa, ga), (fb, gb) = _formula(f.lhs), _formula(f.rhs)
-        if isinstance(f, And):
+        if kind is And:
             return (lambda box: min(fa(box), fb(box))), (lambda val: ga(val) and gb(val))
         return (lambda box: max(fa(box), fb(box))), (lambda val: ga(val) or gb(val))
-    if not isinstance(f, Cmp):
-        raise TypeError(f"not a formula node: {f!r}")
     build = _one_shot(f.op)  # an unknown comparison raises ValueError here
     (fa, ga), (fb, gb) = _expr(f.lhs), _expr(f.rhs)
     concrete = getattr(operator, f.op)
@@ -957,31 +958,30 @@ class _KernelWriter:
         return got
 
     def _formula(self, f: SymBool) -> str:
-        if isinstance(f, BoolConst):
+        kind = _kind(f, _FORMULA_KINDS)
+        if kind is BoolConst:
             return "1" if f.value else "(-1)"
         t = self.temp("t")
-        if isinstance(f, Not):
+        if kind is Not:
             self.emit(f"{t} = -{self.formula(f.inner)}")
             return t
-        if isinstance(f, (And, Or)):
+        if kind is not Cmp:  # And, Or
             a, b = self.formula(f.lhs), self.formula(f.rhs)
-            self.emit(f"{t} = {a} if {a} {'<' if isinstance(f, And) else '>'} {b} else {b}")
+            self.emit(f"{t} = {a} if {a} {'<' if kind is And else '>'} {b} else {b}")
             return t
-        if not isinstance(f, Cmp):
-            raise TypeError(f"not a formula node: {f!r}")
         self.emit(_compare_rule(f.op, self.expr(f.lhs), self.expr(f.rhs), t))
         return t
 
     def _expr(self, e: SymExpr) -> tuple[str, str]:
-        if isinstance(e, Const):
+        kind = _kind(e, _EXPR_KINDS)
+        if kind is Const:
             text = _literal(e.value)
             return text, text
-        if isinstance(e, Var):
+        if kind is Var:
             try:
                 return self.bounds[e.vid]
             except KeyError:
                 raise ValueError(f"the box does not bound variable v{e.vid}") from None
-        kind = _range_kind(e)
         operands = ((self.expr(e.inner), None) if kind is Neg
                     else (self.expr(e.lhs), self.expr(e.rhs)))
         x, y = self.temp("x"), self.temp("y")
@@ -1085,6 +1085,8 @@ def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
             verdict.vacuity_warning = vacuous
     except _Unsupported as exc:
         verdict = Verdict.unknown(UnknownReason.UNSUPPORTED, detail=str(exc))
+    except RecursionError:  # from a formula walk: _record turns user code's into _Unsupported
+        verdict = Verdict.unknown(UnknownReason.UNSUPPORTED, detail="formula nests too deeply")
     if alts is not None:  # boxes are counted once there is something to search
         verdict.cases, verdict.splits = boxes, splits
     return verdict

@@ -77,6 +77,7 @@ ZOO = {
     "tuple.filtered_head": tuple_of(ODD, D),
     "tuple.filtered_middle": tuple_of(D, ODD, int_range(0, 1)),
     "tuple.filtered_last": tuple_of(D, ODD),
+    "tuple.wide_filtered": tuple_of(D, ODD, int_range(0, 1), LATE, D),
     "tuple.empty_tail": tuple_of(ODD, NONE),
     "tuple.late_pair": tuple_of(LATE, LATE),
     "tuple.filtered": tuple_of(D, D).filter("ordered", lambda t: t[0] <= t[1]),
@@ -87,6 +88,7 @@ ZOO = {
     "list.filtered": list_of(ODD, 0, 3),
     "list.filtered_min": list_of(ODD, 2, 2),
     "list.late": list_of(LATE, 1, 2),
+    "list.long_filtered": list_of(ODD, 4, 5),
     "list.of_optional": list_of(optional_of(int_range(0, 1)), 1, 2),
     "list.filtered_whole": list_of(D, 0, 2).filter("short", lambda xs: sum(xs) < 3),
     "map_of": ordered_map_of(D, int_range(0, 1), 0, 3),
@@ -265,10 +267,33 @@ def test_position_0_falls_through_empty_alternatives():
         assert v.counterexample.original == v.counterexample.shrunk == "next"
 
 
+def test_position_0_unranks_no_component_after_an_empty_one():
+    """Enumeration of ``tuple_of(EMPTY, big)`` stops at ``EMPTY`` and never
+    walks ``big``'s keys; rebuilding position 0 of the ``one_of`` stops
+    there too."""
+    keys = []
+
+    def few(k):
+        keys.append(k)
+        return k < 3
+
+    big = ordered_map_of(int_range(0, 10**5).filter("few", few), int_range(0, 1), 0, 1)
+    s = one_of(tuple_of(EMPTY, big), just("next"))
+    v = run_exhaustive(Property("p", s, lambda x: False), RunConfig(backend="exhaustive"))
+    assert v.counterexample.original == v.counterexample.shrunk == "next"
+    assert keys == []
+
+
 @pytest.mark.parametrize("name", sorted(ZOO) + [f"empty.{n}" for n in sorted(EMPTIES)])
 def test_nonempty_is_a_positive_span(name):
+    """A strategy is nonempty (position 0 exists) exactly when its span is
+    positive."""
     s = EMPTIES[name[6:]] if name.startswith("empty.") else ZOO[name]
-    assert s._nonempty() == (s._span() > 0)
+    if s._span() > 0:
+        s._unrank(0)
+    else:
+        with pytest.raises(IndexError):
+            s._unrank(0)
 
 
 #: every zoo entry and every pinned draw; ``filter.empty`` and

@@ -8,8 +8,9 @@ import pytest
 
 from tricheck.exhaustive import run_exhaustive
 from tricheck.harness import Property, RunConfig
+from tricheck.patterns import pattern
 from tricheck.results import UnknownReason, VerdictKind
-from tricheck.strategies import int_range, list_of, ordered_map_of, tuple_of
+from tricheck.strategies import int_range, just, list_of, ordered_map_of, tuple_of
 
 
 def prop(strategy, predicate, name="p"):
@@ -83,6 +84,24 @@ def test_counterexample_is_shrunk():
     v = run_exhaustive(p, RunConfig())
     assert v.kind is VerdictKind.FALSIFIED
     assert v.counterexample.shrunk == [0, 0, 0]
+
+
+@pytest.mark.parametrize("strategy, predicate, shrunk", [
+    (list_of(just(0), 1200, 1200), lambda xs: True, None),
+    (pattern("a{1100}"), lambda s: True, None),
+    (tuple_of(*[just(0)] * 1100), lambda *xs: True, None),
+    (list_of(just(0), 1100, 1100), lambda xs: len(xs) < 1100, [0] * 1100),
+], ids=["list", "pattern", "tuple", "list.falsified"])
+def test_a_product_of_a_thousand_components_does_not_exhaust_the_stack(
+        strategy, predicate, shrunk):
+    """Each domain has one value; its product nests log2(n) deep, not n."""
+    v = run_exhaustive(prop(strategy, predicate), RunConfig())
+    if shrunk is None:
+        assert v.kind is VerdictKind.PROVED
+        assert v.cases == 1
+    else:
+        assert v.kind is VerdictKind.FALSIFIED
+        assert v.counterexample.shrunk == shrunk
 
 
 # --------------------------------------------------------------------------

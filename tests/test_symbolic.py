@@ -460,6 +460,15 @@ def test_driver_container_domain_is_unsupported():
     assert "not expressible" in v.detail
 
 
+def test_a_formula_too_deep_to_walk_is_unsupported():
+    """A sum of 1000 terms nests 1000 deep; the formula walks give up on it
+    instead of ending the run."""
+    v = run(tuple_of(*[int_range(0, 1)] * 1000), lambda *xs: sum(xs) >= 0)
+    assert v.kind is VerdictKind.UNKNOWN
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert v.detail == "formula nests too deeply"
+
+
 def test_driver_budget_exhaustion_is_undecided(monkeypatch):
     v = run(int_range(0, 2**48), lambda x: (x * x) >= x, budget=5)
     assert v.kind in (VerdictKind.UNKNOWN, VerdictKind.PROVED)
