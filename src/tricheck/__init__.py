@@ -3,7 +3,8 @@
 Describe a value domain with strategy combinators, attach a predicate, and
 the same definition can be fuzzed with random cases, proved by bounded
 exhaustive enumeration, or proved over integer intervals by branch-and-prune
-— with a runner that races backends, applies waivers, and keeps history.
+— with a runner that runs backends in a fixed order and cross-checks them,
+applies waivers, and keeps history.
 """
 
 from .prng import SplitMix64

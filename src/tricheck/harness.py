@@ -129,7 +129,7 @@ class DeadlineReached(Exception):
 
 
 class StopRequested(DeadlineReached):
-    """Internal control flow: another backend in the ensemble already won.  A
+    """Internal control flow: an earlier backend in the ensemble already won.  A
     DeadlineReached, so one clause ends a run; catch it first to tell them apart."""
 
 
@@ -140,7 +140,9 @@ class Ticker:
     ``left -= 1`` and, at 0, ``left = ticker.renew()``, which polls; it hands
     back the units it did not use with ``release(left)`` before anything else
     ticks.  So one cadence runs through the whole run, shrinking and every
-    symbolic alternative included."""
+    symbolic alternative included.  A stop flag that is already set when the
+    run starts, as for an ensemble member after the winner, still leaves the
+    first POLL_INTERVAL units to run: the run ends at its first poll."""
 
     __slots__ = ("deadline", "stop", "count")
 

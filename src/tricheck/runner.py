@@ -1,10 +1,10 @@
-"""Suite execution: backend dispatch, ensemble racing, waivers.
+"""Suite execution: backend dispatch, the ensemble, waivers.
 
 One registry of harnesses, several ways to check it.  The runner owns the
-verdict plumbing — per-property deadlines, cooperative cancellation between
-racing backends, the agreement check that turns a proved-vs-falsified
-disagreement into a hard error, and the bookkeeping (waivers, totals,
-durations) that the CLI serializes.
+verdict plumbing — per-property deadlines, the ensemble that runs backends
+in a fixed order and cross-checks them, the agreement check that turns a
+proved-vs-falsified disagreement into a hard error, and the bookkeeping
+(waivers, totals, durations) that the CLI serializes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import datetime as _dt
 import fnmatch
 import hashlib
 import json
-import queue
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -35,8 +34,11 @@ BUILTIN_BACKENDS: dict[str, BackendFn] = {
     "symbolic": run_symbolic,
 }
 
-#: Racing order used when config.backend == "ensemble".
-ENSEMBLE_ORDER: tuple[str, ...] = ("fuzz", "exhaustive", "symbolic")
+#: The order config.backend == "ensemble" runs backends in.  Symbolic decides
+#: a whole domain without enumerating it and gives up at once on what it
+#: cannot symbolize; exhaustive gives up at once on a domain over budget;
+#: fuzz, which only samples, goes last.
+ENSEMBLE_ORDER: tuple[str, ...] = ("symbolic", "exhaustive", "fuzz")
 
 
 class InconsistentBackends(Exception):
@@ -58,14 +60,18 @@ class InconsistentBackends(Exception):
 def run_ensemble(prop: Property, backends: Sequence[str], config: RunConfig, *,
                  deadline: float | None = None,
                  backend_table: dict[str, BackendFn] | None = None) -> Verdict:
-    """Race several backends on one property; first definitive verdict wins.
+    """Run several backends on one property in a fixed order, in the calling
+    thread; the first definitive verdict wins and the rest cross-check it.
 
-    All backends share the deadline and a stop flag that winners set; losers
-    notice it within one poll interval and return a cancelled Unknown.  Any
-    definitive verdicts that completed despite losing the race are
-    cross-checked — one Proved plus one Falsified raises InconsistentBackends.
-    With no definitive verdict at all, PassSampled beats Unknown, and among
-    Unknowns the most informative reason wins.
+    Until one decides, member ``i`` of ``m`` gets an even share of what is
+    left of the deadline, ``(deadline - now) / (m - i)``, so a slow member
+    cannot starve the ones after it and time a member leaves unused passes
+    on.  The winner sets the stop flag, so every later member stops at its
+    first poll, with one poll interval of work done: enough to finish a small
+    domain or sample.  Definitive verdicts that completed are cross-checked:
+    one Proved plus one Falsified raises InconsistentBackends.  With no
+    definitive verdict at all, PassSampled beats Unknown, and among Unknowns
+    the most informative reason wins.
     """
     if len(backends) < 2:
         raise ValueError("an ensemble needs at least two backends")
@@ -75,38 +81,18 @@ def run_ensemble(prop: Property, backends: Sequence[str], config: RunConfig, *,
             raise ValueError(f"unknown backend {name!r}")
 
     stop = threading.Event()
-    inbox: queue.Queue = queue.Queue()
-
-    def work(name: str) -> None:
-        try:
-            verdict = table[name](prop, config, deadline=deadline, stop=stop)
-        except BaseException as exc:  # noqa: BLE001 - transported to the caller
-            inbox.put((name, exc))
-            return
-        inbox.put((name, verdict))
-
-    threads = [threading.Thread(target=work, args=(name,), daemon=True)
-               for name in backends]
-    for t in threads:
-        t.start()
-
     completed: list[Verdict] = []
-    failure: BaseException | None = None
     winner: Verdict | None = None
-    for _ in backends:
-        _, outcome = inbox.get()
-        if isinstance(outcome, BaseException):
-            failure = failure or outcome
+    for i, name in enumerate(backends):
+        share = deadline
+        if deadline is not None and winner is None:
+            now = time.monotonic()
+            share = min(deadline, now + (deadline - now) / (len(backends) - i))
+        verdict = table[name](prop, config, deadline=share, stop=stop)
+        completed.append(verdict)
+        if winner is None and verdict.is_definitive:
+            winner = verdict
             stop.set()
-            continue
-        completed.append(outcome)
-        if winner is None and outcome.is_definitive:
-            winner = outcome
-            stop.set()
-    for t in threads:
-        t.join()
-    if failure is not None:
-        raise failure
 
     proved = [v for v in completed if v.kind is VerdictKind.PROVED]
     falsified = [v for v in completed if v.kind is VerdictKind.FALSIFIED]

@@ -153,8 +153,8 @@ _CMP_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
 
 
 #: thread ident -> whether the user code ``_record`` runs in that thread has
-#: read a carrier's ``__class__``; per thread, as ensemble runs backends in
-#: threads, and empty while no thread records
+#: read a carrier's ``__class__``; per thread, so a caller may check from
+#: several threads at once, and empty while no thread records
 _recording: dict[int, bool] = {}
 
 
@@ -520,7 +520,7 @@ def compile(node: SymExpr | SymBool) -> tuple:
     except AttributeError:
         pass
     fns = (_compile_expr if isinstance(node, SymExpr) else _compile_formula)(node)
-    node._compiled = fns  # a racing thread would build equivalent closures
+    node._compiled = fns  # another thread would build equivalent closures
     return fns
 
 

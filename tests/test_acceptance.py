@@ -25,6 +25,7 @@ from tricheck.prng import SplitMix64
 from tricheck.results import Verdict, VerdictKind, UnknownReason
 from tricheck.runner import (
     BUILTIN_BACKENDS,
+    ENSEMBLE_ORDER,
     InconsistentBackends,
     PropertyResult,
     RunReport,
@@ -125,8 +126,33 @@ def test_criterion_03_backends_never_disagree():
     liar_table = dict(BUILTIN_BACKENDS)
     liar_table["stamp"] = stamp
     bogus = Property("inject.bug", st.int_range(0, 1000), lambda x: x < 500)
-    with pytest.raises(InconsistentBackends):
-        run_ensemble(bogus, ["stamp", "exhaustive"], RunConfig(), backend_table=liar_table)
+    for order in (["stamp", "exhaustive"], ["exhaustive", "stamp"]):
+        with pytest.raises(InconsistentBackends):
+            run_ensemble(bogus, order, RunConfig(), backend_table=liar_table)
+
+
+def test_criterion_03_ensemble_reports_the_first_decision_in_its_order(tmp_path, capsys):
+    """The ensemble's verdict is the first definitive standalone verdict in
+    ENSEMBLE_ORDER, backend and counterexample included, and two ensemble
+    runs report the same, modulo run id, timestamp and durations."""
+    flags = ["--seed", "7", "--cases", "128", "--budget", "50000"]
+    config = RunConfig(seed=7, cases=128, budget=50_000)
+    for prop in REGISTRY:
+        ensemble = run_ensemble(prop, ENSEMBLE_ORDER, config)
+        alone = [BUILTIN_BACKENDS[name](prop, config) for name in ENSEMBLE_ORDER]
+        first = next((v for v in alone if v.is_definitive), None)
+        if first is None:
+            assert not ensemble.is_definitive, prop.name
+            continue
+        assert (ensemble.kind, ensemble.backend, ensemble.counterexample) \
+            == (first.kind, first.backend, first.counterexample), prop.name
+
+    reports = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    for report in reports:
+        main(["run", "--backend", "ensemble", "--report", str(report), *flags],
+             registry=REGISTRY)
+    capsys.readouterr()
+    assert _normalized(reports[0]) == _normalized(reports[1])
 
 
 def _filter_free(s) -> bool:

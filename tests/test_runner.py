@@ -1,5 +1,5 @@
-"""Suite runner: ensemble racing, agreement checking, waivers, and the
-config/report bookkeeping the CLI builds on."""
+"""Suite runner: the ensemble's schedule, agreement checking, waivers, and
+the config/report bookkeeping the CLI builds on."""
 
 import datetime as dt
 import re
@@ -176,6 +176,47 @@ def test_real_ensemble_refutes_a_false_property():
     reg = make_registry()
     v = run_property(reg.get("alg.sub_commutes"), RunConfig(backend="ensemble"))
     assert v.kind is VerdictKind.FALSIFIED
+
+
+def test_members_run_in_order_in_the_calling_thread():
+    reg = make_registry()
+    calls = []
+
+    def member(verdict, name):
+        def fn(prop, config, *, deadline=None, stop=None):
+            calls.append((name, threading.get_ident(), deadline, stop.is_set()))
+            return fake_backend(verdict, name=name)(prop, config)
+        return fn
+
+    table = {
+        "giveup": member(Verdict.unknown(UnknownReason.UNSUPPORTED), "giveup"),
+        "winner": member(Verdict.proved("exhaustive", 100), "winner"),
+        "late": member(Verdict.pass_sampled(10), "late"),
+    }
+    deadline = time.monotonic() + 60.0
+    v = run_ensemble(reg.get("alg.add_commutes"), list(table), RunConfig(),
+                     deadline=deadline, backend_table=table)
+    assert v.backend == "winner"
+    me = threading.get_ident()
+    assert [(name, ident, stopped) for name, ident, _, stopped in calls] \
+        == [("giveup", me, False), ("winner", me, False), ("late", me, True)]
+    # an even share of what is left until one decides; what is left after
+    shares = [d for _, _, d, _ in calls]
+    assert shares[0] < shares[1] < shares[2] == deadline
+    assert deadline - shares[0] > 39.0  # a third of the 60 s
+
+
+def test_a_slow_member_cannot_starve_the_ones_after_it():
+    # symbolic gives up on abs at once; exhaustive cannot finish 10^5 slow
+    # evaluations, and under the whole deadline it would leave fuzz nothing
+    def slow(x):
+        time.sleep(0.0001)
+        return abs(x) >= 0
+
+    prop = Property("slow.abs", int_range(0, 10**5), slow)
+    v = run_property(prop, RunConfig(backend="ensemble", cases=2048, timeout_ms=4000))
+    assert v.kind is VerdictKind.PASS_SAMPLED
+    assert v.backend == "fuzz"
 
 
 # --------------------------------------------------------------------------
