@@ -8,6 +8,8 @@ is found first (it is then shrunk, so even that mostly converges).
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .fuzz import falsified, shrink_failure
 from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
 from .results import UnknownReason, Verdict
@@ -43,29 +45,38 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
 
     # a finite cardinality means no filter, so the bound only binds under one
     stats = EnumStats(max_rejected=10 * budget, on_reject=ticker.tick)
-    count = 0
-    limit = -1 if card.is_finite else budget  # a finite domain is within budget
-    left = ticker.lease()
+    trees = iter_trees(prop.strategy, stats)
+    limit = None if card.is_finite else budget  # a finite domain is within budget
+    count, left = 0, ticker.lease()
     try:
-        for tree in iter_trees(prop.strategy, stats):
+        # each pass walks the units leased up to the next poll, or to the limit
+        while True:
+            size = left if limit is None else min(left, limit - count)
+            start = count
+            for count, tree in enumerate(islice(trees, size), count + 1):
+                ok, message = eval_predicate(prop, tree.current)
+                # checked before the poll, so a failure on a poll boundary is
+                # reported even when time is up; the failing unit still counts
+                if not ok:
+                    ticker.release(left - (count - start))
+                    # the predicate may mutate what it is given, so it sees only
+                    # fresh replays; the position replayed here never is
+                    root = _tree_at(prop.strategy, tree.index)
+                    return falsified(root, shrink_failure(prop, root, ticker),
+                                     None, count - 1, message)
+            if count - start < size:
+                break  # the stream ended
+            if size == left:
+                try:
+                    left = ticker.renew()
+                except DeadlineReached:  # as in fuzz, the unit that polled is not counted
+                    return Verdict.unknown(UnknownReason.TIMEOUT, cases=count - 1)
             if count == limit:
+                if next(trees, None) is None:
+                    break
                 return Verdict.unknown(
                     UnknownReason.BUDGET_EXCEEDED,
                     detail=f"accepted values exceeded budget {budget}")
-            ok, message = eval_predicate(prop, tree.current)
-            # checked before the poll, so a failure on a poll boundary is
-            # reported even when time is up; the failing unit still counts
-            if not ok:
-                ticker.release(left - 1)
-                # the predicate may mutate what it is given, so it sees only
-                # fresh replays; the position replayed here never is
-                root = _tree_at(prop.strategy, tree.index)
-                return falsified(root, shrink_failure(prop, root, ticker),
-                                 None, count, message)
-            left -= 1
-            if not left:
-                left = ticker.renew()
-            count += 1
     except (RejectionExhausted, NotEnumerable) as exc:
         return Verdict.unknown(UnknownReason.BUDGET_EXCEEDED, detail=str(exc), cases=count)
     except DeadlineReached:

@@ -137,10 +137,11 @@ class Ticker:
     """Counts evaluations; every POLL_INTERVAL it checks the deadline and the
     cooperative stop flag.  ``tick`` counts one.  A backend's per-unit loop
     counts down locally instead: ``left = ticker.lease()``, then on each unit
-    ``left -= 1`` and, at 0, ``left = ticker.renew()``, which polls; it hands
-    back the units it did not use with ``release(left)`` before anything else
-    ticks.  So one cadence runs through the whole run, shrinking and every
-    symbolic alternative included.  A stop flag that is already set when the
+    ``left -= 1`` (or the ``left`` units walked as one slice, as exhaustive
+    does) and, at 0, ``left = ticker.renew()``, which polls; it hands back the
+    units it did not use with ``release(left)`` before anything else ticks.
+    So one cadence runs through the whole run, shrinking and every symbolic
+    alternative included.  A stop flag that is already set when the
     run starts, as for an ensemble member after the winner, still leaves the
     first POLL_INTERVAL units to run: the run ends at its first poll."""
 

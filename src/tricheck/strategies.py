@@ -39,8 +39,15 @@ sums and sizes, and for maps the key and value choices of the combination
 that a combinadic rank picks.  An empty domain raises ``IndexError`` for
 ``_unrank(0)``, as for any position out of range; at position 0 no node
 reads a span and products unrank their components in enumeration order, so
-rebuilding it walks no key universe that enumeration did not.  ``iter_trees``
-is the one reader of a ``_values`` stream: it turns the ``_Skip`` markers
+rebuilding it walks no key universe that enumeration did not.
+
+A node with no filter below it (``_skip_free``: its cardinality is not
+unknown) yields no ``_Skip``, so its stream is built from chained C
+iterators (``chain``, ``map``, ``zip``), with no generator frame and no
+``_Skip`` test per value; ``_chained_product`` is ``_product`` in that form.
+Every other stream goes through the generators that carry ``_Skip``.
+``iter_trees`` is the one reader of a ``_values`` stream: it counts the
+positions of a skip-free stream and turns the ``_Skip`` markers of any other
 into base positions, and ``enumerate_values`` and a map's key walk go
 through it.  A tree is replayed only where one is asked.
 """
@@ -385,7 +392,8 @@ def _product(comps: Sequence["Strategy"], stats: EnumStats | None,
     itertools.product this never materializes a component stream: the right
     half is walked afresh for each tuple of the left half, and a skipped left
     tuple skips it whole.  Halving keeps the nesting at log2 of the number
-    of components."""
+    of components.  This generator walks products with a filter below them;
+    ``_chained_product`` walks the others."""
     if len(comps) > 1:
         mid = len(comps) // 2
         right = comps[mid:]
@@ -399,6 +407,22 @@ def _product(comps: Sequence["Strategy"], stats: EnumStats | None,
             yield h if type(h) is _Skip else prefix + (h,)
     else:
         yield prefix
+
+
+def _chained_product(comps: Sequence["Strategy"], stats: EnumStats | None,
+                     prefix: tuple = ()) -> Iterator[tuple]:
+    """``_product`` of components that yield no ``_Skip``, as chained C
+    iterators: the same halving, laziness and order, but no generator frame
+    and no ``_Skip`` test per value, only a generator step per left tuple."""
+    if len(comps) > 1:
+        mid = len(comps) // 2
+        right = comps[mid:]
+        return itertools.chain.from_iterable(
+            _chained_product(right, stats, h)
+            for h in _chained_product(comps[:mid], stats, prefix))
+    if comps:
+        return map(prefix.__add__, zip(comps[0]._values(stats)))
+    return iter((prefix,))
 
 
 def _unrank_digits(comps: Sequence["Strategy"], index: int) -> list[list[int]]:
@@ -443,6 +467,12 @@ class Strategy:
 
     def cardinality(self) -> Cardinality:
         return self._cardinality()
+
+    @cached_property
+    def _skip_free(self) -> bool:
+        """Whether ``_values`` never yields a ``_Skip``: no filter below, so
+        the stream may be walked by chained C iterators."""
+        return self._cardinality().kind != "unknown"
 
     # interpretation hooks ------------------------------------------------
     def _cardinality(self) -> Cardinality:
@@ -544,9 +574,10 @@ class Map(Strategy):
         return self.transform(self.inner._draw(ctx))
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        fn = self.transform
-        for v in self.inner._values(stats):
-            yield v if type(v) is _Skip else fn(v)
+        fn, values = self.transform, self.inner._values(stats)
+        if self._skip_free:
+            return map(fn, values)
+        return (v if type(v) is _Skip else fn(v) for v in values)
 
     def _unrank(self, index: int) -> list[int]:
         return self.inner._unrank(index)
@@ -626,8 +657,7 @@ class OneOf(Strategy):
         return self.alternatives[i]._draw(ctx)
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        for alt in self.alternatives:
-            yield from alt._values(stats)
+        return itertools.chain.from_iterable(alt._values(stats) for alt in self.alternatives)
 
     def _unrank(self, index: int) -> list[int]:
         for i, alt in enumerate(self.alternatives):
@@ -663,7 +693,7 @@ class TupleOf(Strategy):
         return tuple([c._draw(ctx) for c in self.components])
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        return _product(self.components, stats)
+        return (_chained_product if self._skip_free else _product)(self.components, stats)
 
     def _unrank(self, index: int) -> list[int]:
         return list(itertools.chain.from_iterable(_unrank_digits(self.components, index)))
@@ -704,9 +734,12 @@ class ListOf(Strategy):
         return ctx.many(self.min_len, self.max_len, self.element._draw)
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        for n in range(self.min_len, self.max_len + 1):
-            for v in _product((self.element,) * n, stats):
-                yield v if type(v) is _Skip else list(v)
+        sizes = range(self.min_len, self.max_len + 1)
+        if self._skip_free:
+            return itertools.chain.from_iterable(
+                map(list, _chained_product((self.element,) * n, stats)) for n in sizes)
+        return (v if type(v) is _Skip else list(v)
+                for n in sizes for v in _product((self.element,) * n, stats))
 
     def _unrank(self, index: int) -> list[int]:
         for n in range(self.min_len, self.max_len + 1):
@@ -809,9 +842,10 @@ class OrderedMapOf(Strategy):
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         keys = [k for _, k in self._key_universe(stats)]
+        product = _chained_product if self.values._skip_free else _product
         for size in self._sizes(len(keys)):
             for key_combo in itertools.combinations(keys, size):
-                for vals in _product((self.values,) * size, stats):
+                for vals in product((self.values,) * size, stats):
                     yield vals if type(vals) is _Skip else dict(
                         _key_sorted(list(zip(key_combo, vals)), lambda kv: kv[0]))
 
@@ -895,7 +929,8 @@ def _tree_at(strategy: Strategy, index: int) -> _ChoiceTree:
 
 class _IndexedTree(ValueTree):
     """An enumerated value and its base position; its tree is replayed on demand.
-    ``iter_trees`` builds one per value by slot stores, with no ``__init__``."""
+    ``iter_trees`` builds one per value by slot stores, with no ``__init__``
+    (a bare call of the class costs about half of ``object.__new__``'s)."""
 
     __slots__ = ("current", "strategy", "index")
 
@@ -909,21 +944,31 @@ class _IndexedTree(ValueTree):
 def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[ValueTree]:
     """Canonical enumeration as shrinkable trees carrying their base ``index``.
     No budget gating; callers that rely on finiteness check ``cardinality``.
-    The one reader of a ``_values`` stream: each accepted value's index is
-    the count of positions before it, the rejected ones summed from their
-    ``_Skip`` markers once the next accepted value comes.  This is the
-    exhaustive backend's per-value loop."""
-    new, tree_type, skip = object.__new__, _IndexedTree, _Skip
+    The one reader of a ``_values`` stream, and the exhaustive backend's
+    per-value loop.  A stream with no filter below it has no ``_Skip``, so
+    each value's index is its count.  Otherwise each accepted value's index
+    is the count of positions before it, the rejected ones summed from their
+    ``_Skip`` markers once the next accepted value comes."""
+    tree_type, skip = _IndexedTree, _Skip
+    values = strategy._values(stats)
+    if strategy._skip_free:
+        for index, v in enumerate(values):
+            tree = tree_type()
+            tree.current = v
+            tree.strategy = strategy
+            tree.index = index
+            yield tree
+        return
     index = 0
     skipped: list[_Skip] = []
-    for v in strategy._values(stats):
+    for v in values:
         if type(v) is skip:
             skipped.append(v)
             continue
         if skipped:
             index += sum(s.span(stats) for s in skipped)
             skipped.clear()
-        tree = new(tree_type)
+        tree = tree_type()
         tree.current = v
         tree.strategy = strategy
         tree.index = index

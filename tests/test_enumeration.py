@@ -82,6 +82,12 @@ ZOO = {
     "tuple.late_pair": tuple_of(LATE, LATE),
     "tuple.filtered": tuple_of(D, D).filter("ordered", lambda t: t[0] <= t[1]),
     "tuple.nested_filtered_head": tuple_of(tuple_of(ODD, D), int_range(0, 1)),
+    # where the chained walk of filter-free nodes meets the skipping one
+    "tuple.skip_free_in_filtered": tuple_of(tuple_of(D, D), ODD),
+    "tuple.of_filtered_key_map": tuple_of(ordered_map_of(ODD, D, 0, 2), int_range(0, 1)),
+    "tuple.nine_bits": tuple_of(*[int_range(0, 1)] * 9),
+    "list.skip_free_nest": list_of(one_of(D.map(lambda x: -x), optional_of(just("a")),
+                                          list_of(int_range(0, 1), 1, 2)), 0, 2),
     "list.of_filtered_pairs": list_of(tuple_of(ODD, int_range(0, 1)), 0, 2),
     "list": list_of(D, 0, 3),
     "list.min": list_of(int_range(0, 2), 2, 3),

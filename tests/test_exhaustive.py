@@ -240,6 +240,26 @@ def test_expired_deadline_is_polled_on_the_interval(monkeypatch):
     assert v.cases == 3  # the deadline check fires after the fourth evaluation
 
 
+def test_a_failure_hands_its_unused_lease_to_the_shrink(monkeypatch):
+    """With a stop flag set, the walk and the shrink together get one poll
+    interval: 6 values walked up to the failure at 5, then 2 shrink
+    candidates, and the poll after the eighth unit stops the shrink."""
+    monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 8)
+    stop = threading.Event()
+    stop.set()
+    calls = []
+
+    def predicate(x):
+        calls.append(x)
+        return x != 5
+
+    v = run_exhaustive(prop(int_range(0, 99), predicate), RunConfig(), stop=stop)
+    assert v.kind is VerdictKind.FALSIFIED
+    assert v.counterexample.original == 5
+    assert v.counterexample.shrink_incomplete
+    assert calls == [0, 1, 2, 3, 4, 5, 0, 3]
+
+
 def test_preset_stop_cancels_within_poll_interval():
     stop = threading.Event()
     stop.set()

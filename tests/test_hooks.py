@@ -16,7 +16,7 @@ import tricheck.fuzz as fuzz
 from tricheck.harness import Property, RunConfig
 from tricheck.prng import _GOLDEN, _MASK64, SplitMix64
 from tricheck.results import VerdictKind
-from tricheck.strategies import int_range, tuple_of
+from tricheck.strategies import int_range, just, list_of, one_of, tuple_of
 
 HOOK = "bench/tracing.py counts this through the hook; the loop must call it once per {}"
 
@@ -73,6 +73,21 @@ def test_exhaustive_calls_every_hook_once_per_unit(calls):
     v = exhaustive.run_exhaustive(p, RunConfig())
     assert v.kind is VerdictKind.PROVED
     assert v.cases == 90
+    assert calls["evals"] == v.cases, HOOK.format("evaluation")
+    assert calls["next"] == v.cases, HOOK.format("enumerated value")
+    assert calls["u64"] == 0
+
+
+@pytest.mark.parametrize("strategy, accepted", [
+    (tuple_of(int_range(0, 9).filter("odd", lambda x: x % 2), int_range(0, 3)), 20),
+    (list_of(one_of(int_range(0, 2), just(None)), 0, 3), 1 + 4 + 16 + 64),
+], ids=["filtered", "skip_free_list_of_one_of"])
+def test_exhaustive_calls_every_hook_once_per_accepted_value(calls, strategy, accepted):
+    """Both walks, the one that skips rejected positions and the chained one
+    with nothing to skip, take one step and one evaluation per value."""
+    v = exhaustive.run_exhaustive(Property("t", strategy, lambda *a: True), RunConfig())
+    assert v.kind is VerdictKind.PROVED
+    assert v.cases == accepted
     assert calls["evals"] == v.cases, HOOK.format("evaluation")
     assert calls["next"] == v.cases, HOOK.format("enumerated value")
     assert calls["u64"] == 0

@@ -1,6 +1,8 @@
 """Strategy DSL: cardinality algebra, canonical enumeration, seeded draws,
 filter budgets, and shrink-candidate ordering."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -160,6 +162,17 @@ def test_enumerate_too_large_without_budget_raises():
 def test_enumerate_too_large_with_budget_is_truncated():
     s = int_range(0, 2**64 - 1, width=64, signed=False)
     assert list(enumerate_values(s, budget=5)) == [0, 1, 2, 3, 4]
+
+
+def test_a_too_large_product_is_walked_lazily():
+    """The first values of a product of two 2**40-value components come at
+    once: no component stream is materialized, as ``itertools.product``
+    would materialize it."""
+    s = tuple_of(int_range(0, 2**40), int_range(0, 2**40))
+    first = [(0, 0), (0, 1), (0, 2)]
+    trees = list(itertools.islice(iter_trees(s), 3))
+    assert [(t.current, t.index) for t in trees] == list(zip(first, range(3)))
+    assert list(enumerate_values(s, budget=3)) == first
 
 
 # --------------------------------------------------------------------------
