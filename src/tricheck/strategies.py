@@ -46,10 +46,11 @@ unknown) yields no ``_Skip``, so its stream is built from chained C
 iterators (``chain``, ``map``, ``zip``), with no generator frame and no
 ``_Skip`` test per value; ``_chained_product`` is ``_product`` in that form.
 Every other stream goes through the generators that carry ``_Skip``.
-``iter_trees`` is the one reader of a ``_values`` stream: it counts the
-positions of a skip-free stream and turns the ``_Skip`` markers of any other
-into base positions, and ``enumerate_values`` and a map's key walk go
-through it.  A tree is replayed only where one is asked.
+``iter_trees`` counts the positions of a skip-free stream and turns the
+``_Skip`` markers of any other into base positions; the exhaustive backend
+and a map's key walk go through it.  ``enumerate_values`` needs no
+positions, so it reads the stream itself and only drops the ``_Skip``
+markers.  A tree is replayed only where one is asked.
 """
 
 from __future__ import annotations
@@ -944,11 +945,11 @@ class _IndexedTree(ValueTree):
 def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[ValueTree]:
     """Canonical enumeration as shrinkable trees carrying their base ``index``.
     No budget gating; callers that rely on finiteness check ``cardinality``.
-    The one reader of a ``_values`` stream, and the exhaustive backend's
-    per-value loop.  A stream with no filter below it has no ``_Skip``, so
-    each value's index is its count.  Otherwise each accepted value's index
-    is the count of positions before it, the rejected ones summed from their
-    ``_Skip`` markers once the next accepted value comes."""
+    The exhaustive backend's per-value loop.  A stream with no filter below
+    it has no ``_Skip``, so each value's index is its count.  Otherwise each
+    accepted value's index is the count of positions before it, the rejected
+    ones summed from their ``_Skip`` markers once the next accepted value
+    comes."""
     tree_type, skip = _IndexedTree, _Skip
     values = strategy._values(stats)
     if strategy._skip_free:
@@ -986,5 +987,7 @@ def enumerate_values(strategy: Strategy, budget: int | None = None) -> Iterator[
     card = strategy._cardinality()
     if card.kind == "too_large" and budget is None:
         raise NotEnumerable(f"{strategy!r} has more than 2**63 elements; pass a budget")
-    it = (tree.current for tree in iter_trees(strategy))
-    return it if budget is None else itertools.islice(it, budget)
+    values = strategy._values(None)
+    if not strategy._skip_free:
+        values = (v for v in values if type(v) is not _Skip)
+    return values if budget is None else itertools.islice(values, budget)

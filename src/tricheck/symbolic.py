@@ -17,11 +17,11 @@ over ``(lo, hi)`` pairs, truth as an int (1 true, -1 false, 0 maybe, with
 comparisons decided by interval separation) and concrete evaluation at a
 point.  ``branch_and_prune`` instead generates the source of one search
 kernel for the formula and its box layout: the whole loop, with the formula
-as straight-line interval code over the bounds of a popped box.  It splits
-undecided boxes along their widest dimension until every box is decided, a
-concrete witness refutes the property, or the box budget runs out.  Interval
-division truncates toward zero and a divisor interval that straddles zero
-aborts the analysis (soundly) instead.
+as straight-line interval code over the bounds of the box it searches, held
+in locals.  It splits undecided boxes along their widest dimension until
+every box is decided, a concrete witness refutes the property, or the box
+budget runs out.  Interval division truncates toward zero and a divisor
+interval that straddles zero aborts the analysis (soundly) instead.
 
 Every verdict is anchored concretely.  A witness must fail the recorded
 formula under integer evaluation, and then the real predicate too; a proof
@@ -780,7 +780,8 @@ def branch_and_prune(formula: SymBool, box: Box,
                      budget: int = DEFAULT_BOX_BUDGET, *,
                      ticker: Ticker | None = None,
                      sample_seed: int = 0) -> SolveOutcome:
-    """Decide ``formula`` over ``box`` by recursive box splitting.
+    """Decide ``formula`` over ``box`` by splitting boxes, searched depth
+    first from a work stack.
 
     Proved means every sub-box evaluated TRUE.  A FALSE box yields a witness,
     always re-checked concretely before being returned.  Budget or deadline
@@ -836,26 +837,6 @@ def branch_and_prune(formula: SymBool, box: Box,
 _KERNELS: dict[str, Any] = {}
 _KERNEL_CACHE_SIZE = 1024
 
-_KERNEL_HEAD = """\
-def kernel(work, budget, left, renew):
-    pop = work.pop
-    push = work.append
-    boxes = splits = 0
-    while work:
-        if boxes >= budget:
-            return "undecided", boxes, splits, left, None
-        left -= 1
-        if not left:
-            try:
-                left = renew()
-            except StopRequested:
-                return "cancelled", boxes, splits, left, None
-            except DeadlineReached:
-                return "timeout", boxes, splits, left, None
-        box = pop()
-        boxes += 1
-"""
-
 
 def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     """``(kernel, locations)``: the search loop for ``formula`` over boxes
@@ -865,15 +846,20 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     boxes ``(lo, hi)`` per vid in ``vids`` order, depth first, and returns
     ``(status, boxes, splits, left, last)``: ``status`` is SolveOutcome's,
     ``last`` the FALSE box for "witness" and the index into ``locations`` of
-    the division whose divisor range held zero for "unsupported".
-    ``left``/``renew`` are a Ticker lease, counted down once per box; a stop
-    request reads "cancelled", not "timeout".  The formula is straight-line
-    interval code, each shared node evaluated once per box in the closures'
-    order, so the first division to abort is theirs too.
+    the division whose divisor range held zero for "unsupported".  The box
+    being searched lives in the ``l<i>``/``h<i>`` locals, not in ``work``:
+    the search pops the next box only after a TRUE one, and a split pushes
+    the upper half and narrows the box to the lower half.  On "undecided",
+    "timeout" and "cancelled" the unevaluated box is pushed back, so ``work``
+    then holds every box not yet evaluated.  ``left``/``renew`` are a Ticker
+    lease, spent one unit per box; a stop request reads "cancelled", not
+    "timeout".  The formula is straight-line interval code, each shared node
+    evaluated once per box in the closures' order, so the first division to
+    abort is theirs too.
     """
     w = _KernelWriter(vids)
     truth = w.formula(formula)
-    source = _KERNEL_HEAD + "".join(w.lines) + _split_source(truth, len(vids))
+    source = _kernel_head(len(vids)) + "".join(w.lines) + _split_source(truth, len(vids))
     kernel = _KERNELS.get(source)
     if kernel is None:
         namespace = {"DeadlineReached": DeadlineReached, "StopRequested": StopRequested}
@@ -884,12 +870,55 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     return kernel, w.locations
 
 
+def _box_source(n: int) -> str:
+    """The box held in the locals, as a tuple display."""
+    return "(" + "".join(f"l{i}, h{i}, " for i in range(n)) + ")"
+
+
+@functools.lru_cache
+def _kernel_head(n: int) -> str:
+    """The loop's head for boxes of ``n`` variables.  The lease ends at box
+    count ``end`` (``left`` is ``end - boxes``), and the one compare per box
+    is against ``stop``, the earlier of the budget and the lease's last box,
+    whose unit polls before the box is searched."""
+    box = _box_source(n)
+    return f"""\
+def kernel(work, budget, left, renew):
+    pop = work.pop
+    push = work.append
+    {box} = pop()
+    boxes = splits = 0
+    end = left
+    stop = min(end - 1, budget)
+    while True:
+        if boxes >= stop:
+            if boxes >= budget:
+                push({box})
+                return 'undecided', boxes, splits, end - boxes, None
+            try:
+                end = boxes + 1 + renew()
+            except StopRequested:
+                push({box})
+                return 'cancelled', boxes, splits, 0, None
+            except DeadlineReached:
+                push({box})
+                return 'timeout', boxes, splits, 0, None
+            stop = min(end - 1, budget)
+        boxes += 1
+"""
+
+
+@functools.lru_cache
 def _split_source(truth: str, n: int) -> str:
-    """The loop's tail: decided boxes continue or return, and a MAYBE box is
-    split along its widest dimension (ties to the lowest vid), the upper
-    half pushed first."""
-    lines = [f"if {truth} > 0:", "    continue",
-             f"if {truth} < 0:", "    return 'witness', boxes, splits, left, box"]
+    """The loop's tail: a TRUE box pops the next one or returns, a FALSE one
+    returns, and a MAYBE box is split along its widest dimension (ties to
+    the lowest vid): the upper half is pushed and the lower half searched
+    next in place."""
+    box = _box_source(n)
+    lines = [f"if {truth} > 0:", "    if not work:",
+             "        return 'proved', boxes, splits, end - boxes, None",
+             f"    {box} = pop()", "    continue",
+             f"if {truth} < 0:", f"    return 'witness', boxes, splits, end - boxes, {box}"]
     if n == 0:
         lines.append("raise AssertionError('a point box evaluated MAYBE')")
     else:
@@ -898,16 +927,13 @@ def _split_source(truth: str, n: int) -> str:
         lines.append("d = 0; w = h0 - l0")
         lines += [f"if h{i} - l{i} > w: d = {i}; w = h{i} - l{i}" for i in range(1, n)]
     for i in range(n):
-        lower = "".join(f"l{j}, m, " if j == i else f"l{j}, h{j}, " for j in range(n))
         upper = "".join(f"m + 1, h{j}, " if j == i else f"l{j}, h{j}, " for j in range(n))
         pad = "    " * (n > 1)
         if n > 1:
             lines.append(f"if d == {i}:" if i == 0
                          else "else:" if i == n - 1 else f"elif d == {i}:")
-        lines += [f"{pad}m = (l{i} + h{i}) // 2",
-                  f"{pad}push(({upper}))", f"{pad}push(({lower}))"]
-    tail = "    return 'proved', boxes, splits, left, None\n"
-    return "".join(f"        {line}\n" for line in lines) + tail
+        lines += [f"{pad}m = (l{i} + h{i}) // 2", f"{pad}push(({upper}))", f"{pad}h{i} = m"]
+    return "".join(f"        {line}\n" for line in lines)
 
 
 def _literal(c) -> str:
@@ -918,15 +944,12 @@ def _literal(c) -> str:
 
 
 class _KernelWriter:
-    """Straight-line statements evaluating one formula over the box unpacked
-    into ``l<i>``/``h<i>``; each node's value lands in fresh locals once."""
+    """Straight-line statements evaluating one formula over the box held in
+    ``l<i>``/``h<i>``; each node's value lands in fresh locals once."""
 
     def __init__(self, vids: list[int]) -> None:
-        n = len(vids)
         self.bounds = {vid: (f"l{i}", f"h{i}") for i, vid in enumerate(vids)}
         self.lines: list[str] = []
-        if n:
-            self.emit("".join(f"l{i}, h{i}, " for i in range(n)) + "= box")
         self.memo: dict[int, Any] = {}  # id(node) -> its value's source
         self.locations: list[str | None] = []
         self.temps = 0
@@ -988,7 +1011,7 @@ class _KernelWriter:
         abort = None
         if kind in (Div, Rem):
             self.locations.append(e.location)
-            abort = f"return 'unsupported', boxes, splits, left, {len(self.locations) - 1}"
+            abort = f"return 'unsupported', boxes, splits, end - boxes, {len(self.locations) - 1}"
         self.emit(*_range_rule(kind, *operands, x, y, abort))
         return x, y
 

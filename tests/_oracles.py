@@ -321,13 +321,17 @@ def concrete_oracle(node, val):
     return _tq(a, b) if isinstance(node, sym.Div) else a - b * _tq(a, b)
 
 
-def branch_and_prune_oracle(formula, box, budget, seed=0):
+def branch_and_prune_oracle(formula, box, budget, seed=0, remaining=None):
     """(status, witness, boxes, splits, note) from dict-box splitting: widest
     dimension first (ties to the lowest vid), lower half searched first,
-    seeded samples from the remaining boxes once the budget runs out."""
+    seeded samples from the remaining boxes once the budget runs out.  The
+    list ``remaining``, when given, receives those boxes, bottom of the
+    stack first."""
     work, boxes, splits = [dict(box)], 0, 0
     while work:
         if boxes >= budget:
+            if remaining is not None:
+                remaining.extend(work)
             rng = SplitMix64(seed)
             for i in range(sym.FALLBACK_SAMPLES):
                 b = work[i % len(work)]

@@ -160,6 +160,16 @@ def test_same_walk_as_the_reference(name):
         assert g.complexity() == tree.complexity()
 
 
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_enumerate_values_is_what_the_trees_carry(name):
+    """``enumerate_values`` reads the stream without trees: the same values
+    in the same order, a budget taking the first ones."""
+    s = ZOO[name]
+    carried = [_shown(t.current) for t in iter_trees(s)]
+    assert [_shown(v) for v in st.enumerate_values(s)] == carried
+    assert [_shown(v) for v in st.enumerate_values(s, budget=3)] == carried[:3]
+
+
 def _iter_values(s, stats):
     return (t.current for t in iter_trees(s, stats))
 

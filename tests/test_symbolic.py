@@ -794,6 +794,30 @@ def test_branch_and_prune_matches_the_reference_search():
         assert (out.status, out.boxes, ticker.count) == (status, boxes, count)
 
 
+def test_every_early_exit_leaves_the_unevaluated_box_on_work(monkeypatch):
+    # the kernel carries the box it searches outside ``work``; a stop before
+    # that box is evaluated must put it back for the samples to probe
+    sampled = []
+
+    def capture(holds, work, keys, seed):
+        sampled.append(work)
+        return None
+
+    monkeypatch.setattr("tricheck.symbolic._sample_remaining", capture)
+    formula = (X - Y) * (X - Y) >= 0  # true, but MAYBE along the diagonal
+    b = box((0, 1 << 12), (-7, 1 << 12))
+    timed = branch_and_prune(formula, b, 1 << 20, ticker=Ticker(deadline=time.monotonic() - 1.0))
+    budgeted = branch_and_prune(formula, b, timed.boxes)
+    assert (timed.status, budgeted.status) == ("timeout", "undecided")
+    assert timed.boxes == budgeted.boxes == 1023  # the first poll is at the lease's last box
+    assert timed.splits == budgeted.splits
+    reference = []
+    branch_and_prune_oracle(formula, b, timed.boxes, remaining=reference)
+    reference = [{v: (iv.lo, iv.hi) for v, iv in r.items()} for r in reference]
+    assert len(reference) > 1
+    assert sampled == [reference, reference]
+
+
 def test_compile_is_memoized_on_every_node():
     inner = X * Y
     formula = (inner >= 0) | (X < 3)
