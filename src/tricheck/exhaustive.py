@@ -67,10 +67,7 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
             if count - start < size:
                 break  # the stream ended
             if size == left:
-                try:
-                    left = ticker.renew()
-                except DeadlineReached:  # as in fuzz, the unit that polled is not counted
-                    return Verdict.unknown(UnknownReason.TIMEOUT, cases=count - 1)
+                left = ticker.renew()
             if count == limit:
                 if next(trees, None) is None:
                     break

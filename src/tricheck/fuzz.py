@@ -58,7 +58,7 @@ def run_fuzz(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
 
     First failure is shrunk and reported with the seed and case index; a
     drained filter budget yields Unknown{FilterExhausted}; running out of
-    time yields Unknown{Timeout} with the number of completed cases.
+    time yields Unknown{Timeout} with the number of cases evaluated.
     """
     rng = SplitMix64(config.seed)
     # one context for the whole run: the 10x budget is spent across cases,
@@ -85,6 +85,6 @@ def run_fuzz(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     except RejectionExhausted as exc:
         return Verdict.unknown(UnknownReason.FILTER_EXHAUSTED, detail=str(exc),
                                cases=case_index)
-    except DeadlineReached:
-        return Verdict.unknown(UnknownReason.TIMEOUT, cases=case_index)
+    except DeadlineReached:  # from the poll after case_index was evaluated
+        return Verdict.unknown(UnknownReason.TIMEOUT, cases=case_index + 1)
     return Verdict.pass_sampled(config.cases)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -15,7 +14,7 @@ from .strategies import Strategy, TupleOf
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_.:-]+\Z")
 
-#: Backends poll deadline and stop-flag once per this many evaluations.
+#: Backends poll the deadline once per this many evaluations.
 POLL_INTERVAL = 1024
 
 
@@ -128,29 +127,22 @@ class DeadlineReached(Exception):
     """Internal control flow: the per-property deadline passed."""
 
 
-class StopRequested(DeadlineReached):
-    """Internal control flow: an earlier backend in the ensemble already won.  A
-    DeadlineReached, so one clause ends a run; catch it first to tell them apart."""
-
-
 class Ticker:
-    """Counts evaluations; every POLL_INTERVAL it checks the deadline and the
-    cooperative stop flag.  ``tick`` counts one.  A backend's per-unit loop
-    counts down locally instead: ``left = ticker.lease()``, then on each unit
-    ``left -= 1`` (or the ``left`` units walked as one slice, as exhaustive
-    does) and, at 0, ``left = ticker.renew()``, which polls; it hands back the
-    units it did not use with ``release(left)`` before anything else ticks.
-    So one cadence runs through the whole run, shrinking and every symbolic
-    alternative included.  A stop flag that is already set when the
-    run starts, as for an ensemble member after the winner, still leaves the
-    first POLL_INTERVAL units to run: the run ends at its first poll."""
+    """Counts evaluations; every POLL_INTERVAL it checks the deadline.
+    ``tick`` counts one.  A backend's per-unit loop counts down locally
+    instead: ``left = ticker.lease()``, then on each unit ``left -= 1`` (or
+    the ``left`` units walked as one slice, as exhaustive does) and, at 0,
+    ``left = ticker.renew()``, which polls; it hands back the units it did not
+    use with ``release(left)`` before anything else ticks.  So one cadence
+    runs through the whole run, shrinking and every symbolic alternative
+    included.  A deadline that has already passed when the run starts, as for
+    an ensemble member after the winner, still leaves the first POLL_INTERVAL
+    units to run: the run ends at its first poll."""
 
-    __slots__ = ("deadline", "stop", "count")
+    __slots__ = ("deadline", "count")
 
-    def __init__(self, deadline: float | None = None,
-                 stop: threading.Event | None = None) -> None:
+    def __init__(self, deadline: float | None = None) -> None:
         self.deadline = deadline
-        self.stop = stop
         self.count = 0
 
     def tick(self, n: int = 1) -> None:
@@ -176,27 +168,24 @@ class Ticker:
         self.count -= left
 
     def poll(self) -> None:
-        if self.stop is not None and self.stop.is_set():
-            raise StopRequested
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise DeadlineReached
 
 
 def backend(name: str) -> Callable[[Callable[..., Verdict]], Callable[..., Verdict]]:
     """Decorator making a backend body ``run(prop, config, ticker)`` the entry
-    point ``(prop, config, *, deadline=None, stop=None)``: the keywords become
-    the run's Ticker, and every verdict is stamped with the backend's ``name``
-    and the run's wall time, so no backend builds or records any of them."""
+    point ``(prop, config, *, deadline=None)``: the deadline becomes the run's
+    Ticker, and every verdict is stamped with the backend's ``name`` and the
+    run's wall time, so no backend builds or records any of them."""
     def decorate(run: Callable[[Property, RunConfig, Ticker], Verdict]) -> Callable[..., Verdict]:
-        def stamped(prop: Property, config: RunConfig, *, deadline: float | None = None,
-                    stop: threading.Event | None = None) -> Verdict:
+        def stamped(prop: Property, config: RunConfig, *, deadline: float | None = None) -> Verdict:
             t0 = time.monotonic()
-            verdict = run(prop, config, Ticker(deadline, stop))
+            verdict = run(prop, config, Ticker(deadline))
             verdict.backend = name
             verdict.duration_ms = int((time.monotonic() - t0) * 1000)
             return verdict
         functools.update_wrapper(stamped, run, ("__module__", "__name__", "__qualname__", "__doc__"))
-        del stamped.__wrapped__  # its signature is the keywords, not the body's
+        del stamped.__wrapped__  # its signature is the keyword, not the body's
         return stamped
     return decorate
 

@@ -53,7 +53,7 @@ class Verdict:
     kind: VerdictKind
     backend: str = ""
     duration_ms: int = 0
-    cases: int | None = None            # samples, enumerated values, or boxes
+    cases: int | None = None            # units evaluated: samples, values or boxes
     method: str | None = None           # for Proved: "exhaustive" | "symbolic"
     reason: UnknownReason | None = None
     detail: str | None = None

@@ -13,7 +13,8 @@ import datetime as _dt
 import fnmatch
 import hashlib
 import json
-import threading
+import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -21,7 +22,6 @@ from typing import Callable, Iterable, Sequence
 from .exhaustive import run_exhaustive
 from .fuzz import run_fuzz
 from .harness import Property, PropertyRegistry, RunConfig
-from .prng import SplitMix64
 from .results import UNKNOWN_PREFERENCE, Verdict, VerdictKind
 from .symbolic import run_symbolic
 
@@ -66,12 +66,12 @@ def run_ensemble(prop: Property, backends: Sequence[str], config: RunConfig, *,
     Until one decides, member ``i`` of ``m`` gets an even share of what is
     left of the deadline, ``(deadline - now) / (m - i)``, so a slow member
     cannot starve the ones after it and time a member leaves unused passes
-    on.  The winner sets the stop flag, so every later member stops at its
-    first poll, with one poll interval of work done: enough to finish a small
-    domain or sample.  Definitive verdicts that completed are cross-checked:
-    one Proved plus one Falsified raises InconsistentBackends.  With no
-    definitive verdict at all, PassSampled beats Unknown, and among Unknowns
-    the most informative reason wins.
+    on.  Every member after the winner gets a deadline that has already
+    passed, so it ends at its first poll, with one poll interval of work done:
+    enough to finish a small domain or sample.  Definitive verdicts that
+    completed are cross-checked: one Proved plus one Falsified raises
+    InconsistentBackends.  With no definitive verdict at all, PassSampled
+    beats Unknown, and among Unknowns the most informative reason wins.
     """
     if len(backends) < 2:
         raise ValueError("an ensemble needs at least two backends")
@@ -80,19 +80,19 @@ def run_ensemble(prop: Property, backends: Sequence[str], config: RunConfig, *,
         if name not in table:
             raise ValueError(f"unknown backend {name!r}")
 
-    stop = threading.Event()
     completed: list[Verdict] = []
     winner: Verdict | None = None
     for i, name in enumerate(backends):
         share = deadline
-        if deadline is not None and winner is None:
+        if winner is not None:
+            share = -math.inf  # already passed: it ends at its first poll
+        elif deadline is not None:
             now = time.monotonic()
             share = min(deadline, now + (deadline - now) / (len(backends) - i))
-        verdict = table[name](prop, config, deadline=share, stop=stop)
+        verdict = table[name](prop, config, deadline=share)
         completed.append(verdict)
         if winner is None and verdict.is_definitive:
             winner = verdict
-            stop.set()
 
     proved = [v for v in completed if v.kind is VerdictKind.PROVED]
     falsified = [v for v in completed if v.kind is VerdictKind.FALSIFIED]
@@ -162,8 +162,8 @@ class RunReport:
 
 
 def new_run_id() -> str:
-    """16 hex chars drawn from the generator, seeded off the wall clock."""
-    return f"{SplitMix64(time.time_ns() & ((1 << 64) - 1)).next_u64():016x}"
+    """16 hex chars from the operating system's random source."""
+    return os.urandom(8).hex()
 
 
 def utc_timestamp() -> str:

@@ -42,8 +42,7 @@ from enum import Enum
 from typing import Any, Iterator
 
 from . import strategies as st
-from .harness import (DeadlineReached, Property, RunConfig, StopRequested, Ticker,
-                      backend, eval_predicate)
+from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
 from .prng import SplitMix64
 from .results import Counterexample, UnknownReason, Verdict
 
@@ -752,7 +751,7 @@ def _failing_point(prop: Property, alt: SymAlternative) -> tuple | None:
 
 @dataclass
 class SolveOutcome:
-    status: str  # proved | witness | undecided | unsupported | timeout | cancelled
+    status: str  # proved | witness | undecided | unsupported | timeout
     witness: dict | None = None
     boxes: int = 0
     splits: int = 0
@@ -804,7 +803,7 @@ def branch_and_prune(formula: SymBool, box: Box,
         status, boxes, splits, left, last = kernel(work, budget, left, ticker.renew)
     finally:
         ticker.release(left)
-    if status in ("proved", "cancelled"):
+    if status == "proved":
         return SolveOutcome(status, boxes=boxes, splits=splits)
     if status == "unsupported":
         return SolveOutcome(status, boxes=boxes, splits=splits,
@@ -849,10 +848,10 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     the division whose divisor range held zero for "unsupported".  The box
     being searched lives in the ``l<i>``/``h<i>`` locals, not in ``work``:
     the search pops the next box only after a TRUE one, and a split pushes
-    the upper half and narrows the box to the lower half.  On "undecided",
-    "timeout" and "cancelled" the unevaluated box is pushed back, so ``work``
-    then holds every box not yet evaluated.  ``left``/``renew`` are a Ticker
-    lease, spent one unit per box; a stop request reads "cancelled", not
+    the upper half and narrows the box to the lower half.  On "undecided" and
+    "timeout" the unevaluated box is pushed back, so ``work`` then holds
+    every box not yet evaluated.  ``left``/``renew`` are a Ticker lease,
+    spent one unit per box; a deadline ``renew`` finds passed reads
     "timeout".  The formula is straight-line interval code, each shared node
     evaluated once per box in the closures' order, so the first division to
     abort is theirs too.
@@ -862,7 +861,7 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     source = _kernel_head(len(vids)) + "".join(w.lines) + _split_source(truth, len(vids))
     kernel = _KERNELS.get(source)
     if kernel is None:
-        namespace = {"DeadlineReached": DeadlineReached, "StopRequested": StopRequested}
+        namespace = {"DeadlineReached": DeadlineReached}
         exec(builtins.compile(source, "<tricheck search kernel>", "exec"), namespace)
         if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
             _KERNELS.clear()
@@ -897,9 +896,6 @@ def kernel(work, budget, left, renew):
                 return 'undecided', boxes, splits, end - boxes, None
             try:
                 end = boxes + 1 + renew()
-            except StopRequested:
-                push({box})
-                return 'cancelled', boxes, splits, 0, None
             except DeadlineReached:
                 push({box})
                 return 'timeout', boxes, splits, 0, None
@@ -1023,7 +1019,6 @@ _OUTCOME_REASON = {
     "undecided": UnknownReason.UNDECIDED,
     "unsupported": UnknownReason.UNSUPPORTED,
     "timeout": UnknownReason.TIMEOUT,
-    "cancelled": UnknownReason.TIMEOUT,
 }
 
 

@@ -120,7 +120,7 @@ def test_criterion_03_backends_never_disagree():
 
     # injected bug: a backend that rubber-stamps Proved races real exhaustive
     # checking on a property that is false; the disagreement must abort
-    def stamp(prop, config, *, deadline=None, stop=None):
+    def stamp(prop, config, *, deadline=None):
         return Verdict.proved("exhaustive", 1)
 
     liar_table = dict(BUILTIN_BACKENDS)

@@ -1,12 +1,12 @@
 """Bounded-exhaustive backend: complete enumerations prove, first failures
 refute, and both budget gates hold."""
 
-import threading
 import time
 
 import pytest
 
 from tricheck.exhaustive import run_exhaustive
+from tricheck.fuzz import run_fuzz
 from tricheck.harness import Property, RunConfig
 from tricheck.patterns import pattern
 from tricheck.results import UnknownReason, VerdictKind
@@ -220,7 +220,7 @@ def test_oversized_key_universe_is_unknown_not_a_hang(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# deadline and cancellation
+# deadlines
 
 def test_expired_deadline_times_out_with_progress(monkeypatch):
     monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 8)
@@ -237,37 +237,44 @@ def test_expired_deadline_is_polled_on_the_interval(monkeypatch):
     v = run_exhaustive(p, RunConfig(), deadline=time.monotonic() - 1.0)
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.TIMEOUT
-    assert v.cases == 3  # the deadline check fires after the fourth evaluation
+    assert v.cases == 4  # the deadline check fires after the fourth evaluation
+
+
+@pytest.mark.parametrize("run, strategy", [
+    (run_fuzz, int_range(0, 999)),
+    (run_exhaustive, int_range(0, 999)),
+    (run_exhaustive, int_range(0, 999).filter("odd", lambda x: x % 2)),
+], ids=["fuzz", "exhaustive", "filtered-exhaustive"])
+def test_a_timeout_counts_the_units_evaluated(monkeypatch, run, strategy):
+    monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 4)
+    calls = []
+
+    def predicate(x):
+        calls.append(x)
+        return True
+
+    v = run(prop(strategy, predicate), RunConfig(), deadline=time.monotonic() - 1.0)
+    assert v.reason is UnknownReason.TIMEOUT
+    assert v.cases == len(calls) > 0
 
 
 def test_a_failure_hands_its_unused_lease_to_the_shrink(monkeypatch):
-    """With a stop flag set, the walk and the shrink together get one poll
-    interval: 6 values walked up to the failure at 5, then 2 shrink
+    """Under a deadline already passed, the walk and the shrink together get
+    one poll interval: 6 values walked up to the failure at 5, then 2 shrink
     candidates, and the poll after the eighth unit stops the shrink."""
     monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 8)
-    stop = threading.Event()
-    stop.set()
     calls = []
 
     def predicate(x):
         calls.append(x)
         return x != 5
 
-    v = run_exhaustive(prop(int_range(0, 99), predicate), RunConfig(), stop=stop)
+    v = run_exhaustive(prop(int_range(0, 99), predicate), RunConfig(),
+                       deadline=time.monotonic() - 1.0)
     assert v.kind is VerdictKind.FALSIFIED
     assert v.counterexample.original == 5
     assert v.counterexample.shrink_incomplete
     assert calls == [0, 1, 2, 3, 4, 5, 0, 3]
-
-
-def test_preset_stop_cancels_within_poll_interval():
-    stop = threading.Event()
-    stop.set()
-    p = prop(int_range(0, 99_999), lambda x: True)
-    v = run_exhaustive(p, RunConfig(budget=1 << 20), stop=stop)
-    assert v.kind is VerdictKind.UNKNOWN
-    assert v.reason is UnknownReason.TIMEOUT
-    assert v.cases <= 1024
 
 
 # --------------------------------------------------------------------------

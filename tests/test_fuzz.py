@@ -1,8 +1,8 @@
 """Randomized backend: reproducibility, greedy shrinking, filter budgets,
 and deadline behaviour."""
 
-import threading
 import time
+import types
 
 import pytest
 
@@ -88,7 +88,7 @@ def test_shrink_failure_stops_at_expired_ticker():
     tree = random_tree(p.strategy, rng)
     while tree.current < 123:
         tree = random_tree(p.strategy, rng)
-    expired = Ticker(deadline=time.monotonic() - 1.0, stop=None)
+    expired = Ticker(deadline=time.monotonic() - 1.0)
     expired.count = 1023  # the next tick crosses a poll boundary
     shrunk, incomplete = shrink_failure(p, tree, expired)
     assert incomplete is True
@@ -97,20 +97,21 @@ def test_shrink_failure_stops_at_expired_ticker():
 
 def test_interrupted_shrink_is_flagged_in_the_verdict(monkeypatch):
     monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 4)
-    stop = threading.Event()
+    now = 0.0
+    monkeypatch.setattr("tricheck.harness.time", types.SimpleNamespace(monotonic=lambda: now))
     failed_once = False
 
     def predicate(x):
-        nonlocal failed_once
+        nonlocal failed_once, now
         if x >= 5000:
             if failed_once:
-                stop.set()  # cancel arrives mid-shrink
+                now = 2.0  # the deadline passes mid-shrink
             failed_once = True
             return False
         return True
 
     p = prop(int_range(0, 65535), predicate)
-    v = run_fuzz(p, RunConfig(seed=3, cases=256), stop=stop)
+    v = run_fuzz(p, RunConfig(seed=3, cases=256), deadline=1.0)
     assert v.kind is VerdictKind.FALSIFIED
     assert v.counterexample.shrink_incomplete is True
     assert v.counterexample.shrunk >= 5000  # descent was cut short
@@ -163,7 +164,7 @@ def test_run_wide_budget_is_total_across_cases():
 
 
 # --------------------------------------------------------------------------
-# deadlines and cancellation
+# deadlines
 
 def test_expired_deadline_times_out_with_progress_count(monkeypatch):
     monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 4)
@@ -171,17 +172,15 @@ def test_expired_deadline_times_out_with_progress_count(monkeypatch):
     v = run_fuzz(p, RunConfig(seed=0, cases=50), deadline=time.monotonic() - 1.0)
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.TIMEOUT
-    assert v.cases == 3  # the deadline check fires on the fourth tick
+    assert v.cases == 4  # the deadline check fires after the fourth evaluation
 
 
 def test_preset_stop_is_honored_within_1024_evaluations():
-    stop = threading.Event()
-    stop.set()
     p = prop(int_range(0, 100), lambda x: True)
-    v = run_fuzz(p, RunConfig(seed=0, cases=5000), stop=stop)
+    v = run_fuzz(p, RunConfig(seed=0, cases=5000), deadline=time.monotonic() - 1.0)
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.TIMEOUT
-    assert 0 < v.cases <= 1024
+    assert v.cases == 1024
 
 
 # --------------------------------------------------------------------------

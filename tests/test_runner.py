@@ -39,15 +39,15 @@ def make_registry():
 
 
 def fake_backend(verdict=None, delay=0.0, exc=None, record=None, name="fake"):
-    def fn(prop, config, *, deadline=None, stop=None):
+    def fn(prop, config, *, deadline=None):
         if delay:
-            # cooperative wait: return early if the ensemble already decided
-            if stop is not None and stop.wait(delay):
+            # cooperative wait: give up at the deadline, as a backend's poll does
+            if deadline is not None and deadline < time.monotonic() + delay:
+                time.sleep(max(0.0, deadline - time.monotonic()))
                 if record is not None:
-                    record.append("cancelled")
-                return Verdict.unknown(UnknownReason.TIMEOUT, detail="cancelled")
-            elif stop is None:
-                time.sleep(delay)
+                    record.append("timed out")
+                return Verdict.unknown(UnknownReason.TIMEOUT, detail="timed out")
+            time.sleep(delay)
         if exc is not None:
             raise exc
         v = Verdict(verdict.kind, backend=name, reason=verdict.reason,
@@ -87,10 +87,10 @@ def test_first_definitive_verdict_wins():
                      backend_table=table)
     assert v.kind is VerdictKind.FALSIFIED
     assert v.backend == "quick"
-    assert time.monotonic() - t0 < 3.0  # the loser was cancelled, not awaited
+    assert time.monotonic() - t0 < 3.0  # the loser ran out of time, it was not awaited
 
 
-def test_losers_observe_the_stop_flag():
+def test_losers_observe_an_expired_deadline():
     reg = make_registry()
     seen = []
     table = {
@@ -101,7 +101,25 @@ def test_losers_observe_the_stop_flag():
     v = run_ensemble(reg.get("alg.add_commutes"), ["winner", "loser"], RunConfig(),
                      backend_table=table)
     assert v.kind is VerdictKind.PROVED
-    assert seen == ["cancelled"]
+    assert seen == ["timed out"]
+
+
+def test_a_real_member_after_the_winner_evaluates_one_poll_interval(monkeypatch):
+    from tricheck.runner import BUILTIN_BACKENDS
+
+    monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 8)
+    calls = []
+
+    def predicate(x):
+        calls.append(x)
+        return True
+
+    table = dict(BUILTIN_BACKENDS)
+    table["winner"] = fake_backend(Verdict.proved("exhaustive", 100), name="winner")
+    v = run_ensemble(Property("t", int_range(0, 99), predicate), ["winner", "exhaustive"],
+                     RunConfig(), deadline=time.monotonic() + 60.0, backend_table=table)
+    assert v.backend == "winner"
+    assert calls == list(range(8))
 
 
 def test_pass_sampled_beats_unknown():
@@ -183,8 +201,8 @@ def test_members_run_in_order_in_the_calling_thread():
     calls = []
 
     def member(verdict, name):
-        def fn(prop, config, *, deadline=None, stop=None):
-            calls.append((name, threading.get_ident(), deadline, stop.is_set()))
+        def fn(prop, config, *, deadline=None):
+            calls.append((name, threading.get_ident(), deadline))
             return fake_backend(verdict, name=name)(prop, config)
         return fn
 
@@ -198,11 +216,13 @@ def test_members_run_in_order_in_the_calling_thread():
                      deadline=deadline, backend_table=table)
     assert v.backend == "winner"
     me = threading.get_ident()
-    assert [(name, ident, stopped) for name, ident, _, stopped in calls] \
-        == [("giveup", me, False), ("winner", me, False), ("late", me, True)]
-    # an even share of what is left until one decides; what is left after
-    shares = [d for _, _, d, _ in calls]
-    assert shares[0] < shares[1] < shares[2] == deadline
+    assert [(name, ident) for name, ident, _ in calls] \
+        == [("giveup", me), ("winner", me), ("late", me)]
+    # an even share of what is left until one decides; a deadline already
+    # passed after, so the cross-check ends at its first poll
+    shares = [d for _, _, d in calls]
+    assert time.monotonic() < shares[0] < shares[1] < deadline
+    assert shares[2] < time.monotonic()
     assert deadline - shares[0] > 39.0  # a third of the 60 s
 
 

@@ -570,7 +570,7 @@ def test_driver_reports_a_raise_before_a_type_test():
 
 
 # --------------------------------------------------------------------------
-# deadline and cancellation: one poll cadence per run
+# deadlines: one poll cadence per run
 
 def test_driver_polls_the_deadline_on_the_interval(monkeypatch):
     monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 4)
@@ -583,13 +583,11 @@ def test_driver_polls_the_deadline_on_the_interval(monkeypatch):
 
 def test_preset_stop_is_polled_across_alternatives():
     # 200 alternatives of 19 boxes each: none reaches a poll on its own,
-    # so only a cadence carried across them sees the stop flag
-    stop = threading.Event()
-    stop.set()
+    # so only a cadence carried across them sees the expired deadline
     s = one_of(*[int_range(10 * k, 10 * k + 9) for k in range(200)])
     p = Property("t", s, lambda x: x - x == 0)
     assert run_symbolic(p, RunConfig()).cases == 3800
-    v = run_symbolic(p, RunConfig(), stop=stop)
+    v = run_symbolic(p, RunConfig(), deadline=time.monotonic() - 1.0)
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.TIMEOUT
     assert v.cases <= 1024
@@ -782,11 +780,8 @@ def test_branch_and_prune_matches_the_reference_search():
     assert statuses == {"proved", "witness", "undecided", "unsupported"}
 
     # the lease is counted down once per box and handed back on the way
-    # out; a stop or an expired deadline is seen at the first poll
-    stop = threading.Event()
-    stop.set()
-    for ticker, status, boxes, count in ((Ticker(stop=stop), "cancelled", 1018, 1024),
-                                         (Ticker(deadline=time.monotonic() - 1.0),
+    # out; an expired deadline is seen at the first poll
+    for ticker, status, boxes, count in ((Ticker(deadline=time.monotonic() - 1.0),
                                           "timeout", 1018, 1024),
                                          (Ticker(), "undecided", 3000, 3005)):
         ticker.tick(5)
@@ -795,7 +790,7 @@ def test_branch_and_prune_matches_the_reference_search():
 
 
 def test_every_early_exit_leaves_the_unevaluated_box_on_work(monkeypatch):
-    # the kernel carries the box it searches outside ``work``; a stop before
+    # the kernel carries the box it searches outside ``work``; an exit before
     # that box is evaluated must put it back for the samples to probe
     sampled = []
 
