@@ -327,6 +327,9 @@ def cmd_run(args: argparse.Namespace,
     waivers_path = settings.get("waivers")
 
     registry = load_registry(args.module, config.repetition_cap, registry_override)
+    if not registry.select(config.filter):  # a run that checks nothing is no green run
+        raise UsageError(f"--filter {config.filter!r} selects no property"
+                         if config.filter is not None else "no property registered")
     waivers = load_waivers(waivers_path) if waivers_path else []
 
     try:

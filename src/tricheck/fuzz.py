@@ -56,20 +56,24 @@ def falsified(root: ValueTree, shrink: tuple[ValueTree, bool], seed: int | None,
 def run_fuzz(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     """Evaluate the predicate on ``config.cases`` seeded draws.
 
-    First failure is shrunk and reported with the seed and case index; a
-    drained filter budget yields Unknown{FilterExhausted}; running out of
+    Each case is one call of the strategy's generated draw
+    (``Strategy._draw_factory``), written on the first run over the
+    strategy and bound afresh to each run's generator, so a patched
+    ``SplitMix64.next_u64`` sees every word.  First failure is redrawn with
+    its choices recorded, shrunk and reported with the seed and case index;
+    a drained filter budget yields Unknown{FilterExhausted}; running out of
     time yields Unknown{Timeout} with the number of cases evaluated.
     """
     rng = SplitMix64(config.seed)
     # one context for the whole run: the 10x budget is spent across cases,
     # not granted afresh to each draw
     ctx = _GenContext(rng, 10 * config.cases)
-    draw = prop.strategy._draw
+    draw = prop.strategy._draw_factory(ctx)
     left = ticker.lease()
     try:
         for case_index in range(config.cases):
             state = rng.state
-            ok, message = eval_predicate(prop, draw(ctx))
+            ok, message = eval_predicate(prop, draw())
             # checked before the poll, so a failure on a poll boundary is
             # reported even when time is up; the failing unit still counts
             if not ok:

@@ -6,6 +6,7 @@ the checking backends.  These interpretations live in this module because
 every backend shares them:
 
 * ``_draw``           -- one draw, as a sequence of choices (below);
+* ``_draw_factory``   -- the fuzz loop's plain seeded draw, generated (below);
 * ``random_tree``     -- a seeded draw with its choices recorded, as a
                          :class:`ValueTree` (the value plus its ordered shrink
                          candidates);
@@ -28,6 +29,18 @@ fewer, or as many and lexicographically smaller.  That order makes greedy
 shrinking terminate: integers shrink toward the range's lower bound,
 ``one_of`` toward earlier alternatives, containers toward fewer elements and
 then element-wise, and filters and maps through replay.
+
+The fuzz loop does not call ``_draw`` per node.  On its first run over a
+strategy, ``_DrawWriter`` writes the plain draw as one straight-line
+function, compiled once and cached on the strategy (``_draw_factory``):
+each ``int_range`` is an inline mask-and-reject loop over the run's
+``next_u64`` and each combinator is inlined, so a case costs one frame plus
+its PRNG words instead of a frame per node.  It makes the PRNG calls, user
+calls and rejection charges of ``_draw`` under ``_GenContext``, which is
+kept beside it as the one definition of a draw: recording, replay,
+shrinking and outside strategies use it, the generated draw calls it for
+any node it does not write or that nests too deep to compile, and the tests
+hold the two to the same values, words and errors.
 
 Enumeration is index-addressed.  A node's base positions are its values in
 canonical order, except that a filter keeps its inner domain's positions
@@ -350,6 +363,143 @@ class _Recorder(_Context):
         return out
 
 
+# --------------------------------------------------------------------------
+# the generated plain draw
+
+#: A node is inlined only this many suites and nodes deep, and past them
+#: calls its own ``_draw``: CPython compiles at most 20 nested loops and
+#: ``try`` blocks in one function (a node opens at most three more), and the
+#: writer takes a frame or two per node.
+_MAX_INDENT, _MAX_LEVEL = 15, 64
+
+
+class _DrawWriter:
+    """Writes a strategy's draw under ``_GenContext`` as straight-line source,
+    ``make(ctx)``, which binds the run's ``next_u64`` and returns ``draw()``.
+    Each node's code makes its ``_draw``'s PRNG calls, user calls and
+    rejection charges in the same order; a node of any other exact type calls
+    its own ``_draw(ctx)``."""
+
+    def __init__(self) -> None:
+        from .patterns import Pattern  # patterns imports this module
+        self.writers = {
+            Just: lambda s, out, level: self.emit(f"{out} = {self.const(s.value)}"),
+            IntRange: lambda s, out, level: self.choice(s.lo, s.hi, out),
+            Pattern: lambda s, out, level: self.node(s._compiled, out, level),
+            Map: self.map, Filter: self.filter, OneOf: self.one_of, OptionalOf: self.one_of,
+            TupleOf: self.tuple_of, ListOf: self.list_of, OrderedMapOf: self.ordered_map_of}
+        self.lines = ["def make(ctx):", " u, charge = ctx.rng.next_u64, ctx.charge_rejection",
+                      " def draw():"]
+        self.names = {"RejectionExhausted": RejectionExhausted, "_key_sorted": _key_sorted,
+                      "_first": operator.itemgetter(0)}
+        self.indent, self.locals = 0, 0  # suites open in ``draw``
+
+    def factory(self, s: "Strategy") -> Callable[[_Context], Callable[[], Any]]:
+        self.node(s, "x", 0)
+        self.lines += ["  return x", " return draw"]
+        exec(compile("\n".join(self.lines), "<tricheck draw>", "exec"), self.names)
+        return self.names["make"]
+
+    def emit(self, line: str) -> None:
+        self.lines.append(" " * (2 + self.indent) + line)
+
+    def open(self, header: str) -> None:
+        self.emit(header)
+        self.indent += 1
+
+    def local(self) -> str:
+        self.locals += 1
+        return f"v{self.locals}"
+
+    def const(self, obj: Any) -> str:
+        name = f"k{len(self.names)}"
+        self.names[name] = obj
+        return name
+
+    def node(self, s: "Strategy", out: str, level: int) -> None:
+        write = self.writers.get(type(s))
+        if write is None or level > _MAX_LEVEL or self.indent > _MAX_INDENT:
+            self.emit(f"{out} = {self.const(s)}._draw(ctx)")
+        else:
+            write(s, out, level + 1)
+
+    def choice(self, lo: int, hi: int, out: str) -> None:
+        """``SplitMix64.uniform_in(lo, hi)``: mask, then reject past the span."""
+        if (hi - lo).bit_length() > 64:  # a size past one word, which uniform_in refuses
+            return self.emit(f"{out} = ctx.choice({lo}, {hi})")
+        mask = (1 << (hi - lo).bit_length()) - 1
+        self.emit(f"{out} = u() & {mask}")
+        if mask != hi - lo:
+            self.emit(f"while {out} > {hi - lo}: {out} = u() & {mask}")
+        if lo:
+            self.emit(f"{out} += {lo}")
+
+    def map(self, s: Map, out: str, level: int) -> None:
+        self.node(s.inner, out, level)
+        self.emit(f"{out} = {self.const(s.transform)}({out})")
+
+    def filter(self, s: Filter, out: str, level: int) -> None:
+        label = self.const(s.label)
+        self.open(f"for _ in range({MAX_REJECTIONS_PER_VALUE}):")
+        self.node(s.inner, out, level)
+        self.emit("try:")
+        self.emit(f" if {self.const(s.predicate)}({out}): break")
+        self.emit("except Exception: pass")  # a crashing filter rejects, as in ``_accepts``
+        self.emit(f"charge({label})")
+        self.indent -= 1
+        self.emit(f"else: raise RejectionExhausted({label})")
+
+    def one_of(self, s: OneOf, out: str, level: int) -> None:
+        alts, i = s.alternatives, self.local()
+        self.choice(0, len(alts) - 1, i)
+        if s._spare_word:
+            self.emit("u()")
+
+        def pick(lo: int, hi: int) -> None:  # a balanced tree of ifs
+            if hi - lo == 1:
+                return self.node(alts[lo], out, level)
+            mid = (lo + hi) // 2
+            for header, lo, hi in ((f"if {i} < {mid}:", lo, mid), ("else:", mid, hi)):
+                self.open(header)
+                pick(lo, hi)
+                self.indent -= 1
+        pick(0, len(alts))
+
+    def tuple_of(self, s: TupleOf, out: str, level: int) -> None:
+        parts = [self.local() for _ in s.components]
+        for c, part in zip(s.components, parts):
+            self.node(c, part, level)
+        self.emit(f"{out} = ({''.join(p + ', ' for p in parts)})")
+
+    def list_of(self, s: ListOf, out: str, level: int) -> None:
+        n, v = self.local(), self.local()
+        self.choice(s.min_len, s.max_len, n)
+        self.emit(f"{out} = []")
+        self.open(f"for _ in range({n}):")
+        self.node(s.element, v, level)
+        self.emit(f"{out}.append({v})")
+        self.indent -= 1
+
+    def ordered_map_of(self, s: OrderedMapOf, out: str, level: int) -> None:
+        seen, n, k, v = (self.local() for _ in range(4))
+        label = f"{self.const(s)}._keys_label()"
+        self.emit(f"{seen} = []")
+        self.choice(s.min_size, s._max_drawn_size, n)
+        self.emit(f"{out} = []")
+        self.open(f"for _ in range({n}):")
+        self.open(f"for _ in range({MAX_REJECTIONS_PER_VALUE}):")
+        self.node(s.keys, k, level)
+        self.emit(f"if {k} not in {seen}: break")
+        self.emit(f"charge({label})")
+        self.indent -= 1
+        self.emit(f"else: raise RejectionExhausted({label})")
+        self.emit(f"{seen}.append({k})")
+        self.node(s.values, v, level)
+        self.emit(f"{out}.append(({k}, {v}))")
+        self.indent -= 1
+        self.emit(f"{out} = dict(_key_sorted({out}, _first))")
+
+
 class EnumStats:
     """Counters threaded through enumeration; lets callers bound the filter
     rejections walked."""
@@ -474,6 +624,12 @@ class Strategy:
         """Whether ``_values`` never yields a ``_Skip``: no filter below, so
         the stream may be walked by chained C iterators."""
         return self._cardinality().kind != "unknown"
+
+    @cached_property
+    def _draw_factory(self) -> Callable[[_Context], Callable[[], Any]]:
+        """``make(ctx)``: the draw under ``_GenContext`` ``ctx``, written and
+        compiled on first use; ``make`` binds the run's ``next_u64`` each call."""
+        return _DrawWriter().factory(self)
 
     # interpretation hooks ------------------------------------------------
     def _cardinality(self) -> Cardinality:

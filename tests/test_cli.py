@@ -58,6 +58,21 @@ def test_unknown_is_green_unless_strict(mixed_registry):
     assert main(base + ["--strict"], registry=mixed_registry) == 2
 
 
+def test_a_run_that_selects_no_property_is_a_usage_error(mixed_registry, tmp_path, capsys):
+    """A mistyped filter must not read as a green run: exit 3, no report and
+    no history line.  ``list`` still prints nothing and exits 0."""
+    report, history = tmp_path / "r.json", tmp_path / "h.jsonl"
+    code = main(["run", "--backend", "fuzz", "--filter", "bad.thresholdd*", "--strict",
+                 "--report", str(report), "--history", str(history)], registry=mixed_registry)
+    assert code == 3
+    assert "error: --filter 'bad.thresholdd*' selects no property" in capsys.readouterr().err
+    assert not report.exists() and not history.exists()
+    assert main(["run"], registry=PropertyRegistry()) == 3
+    assert "error: no property registered" in capsys.readouterr().err
+    assert main(["list", "--filter", "bad.thresholdd*"], registry=mixed_registry) == 0
+    assert capsys.readouterr().out == ""
+
+
 class _Ambiguous:
     def __bool__(self):
         raise ValueError("the truth of this result is ambiguous")

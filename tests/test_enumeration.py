@@ -312,41 +312,104 @@ def test_nonempty_is_a_positive_span(name):
             s._unrank(0)
 
 
-#: every zoo entry and every pinned draw; ``filter.empty`` and
-#: ``map_of.too_few_keys`` exhaust their rejection budgets
-DRAWN_ZOO = {**ZOO, **{f"pinned.{n}": s for n, s in DRAWN.items()}}
+class _PlusOne(st.IntRange):
+    """A subclass of a built-in node with its own draw, which the generated
+    draw must call rather than inline."""
+
+    def _draw(self, ctx):
+        return super()._draw(ctx) + 1
 
 
-def _draws(s, ctx, n=4):
-    """Type and repr of ``n`` draws from one context, or the error that
-    ended them."""
+def _nested(s, depth, wrap):
+    for _ in range(depth):
+        s = wrap(s)
+    return s
+
+
+def _raising_filter(x):
+    if x % 3 == 0:
+        raise TypeError("no multiples of three")
+    return x != 1
+
+
+#: what the generated draw cannot inline whole, or must not: nested past
+#: CPython's 20 static blocks in one function, very wide, a subclass with its
+#: own ``_draw``, user code that raises, and a size no PRNG word covers
+GENERATED_EDGES = {
+    "generated.list_nested_20": _nested(int_range(0, 2), 20, lambda s: list_of(s, 0, 1)),
+    "generated.filtered_list_nested_9": _nested(
+        ODD, 9, lambda s: list_of(s, 0, 1).filter("short", lambda xs: len(repr(xs)) % 5 != 2)),
+    "generated.one_of_200": one_of(*(int_range(i, i + i % 5) for i in range(200))),
+    "generated.tuple_1000": tuple_of(*(int_range(0, 1) if i % 10 else just(i)
+                                       for i in range(1000))),
+    "generated.own_draw": tuple_of(_PlusOne(0, 9), list_of(_PlusOne(-3, 3), 0, 2)),
+    "generated.map_raises": int_range(0, 9).map(lambda x: 10 // (x - 7)),
+    "generated.filter_raises": list_of(int_range(0, 9).filter("raises", _raising_filter), 0, 3),
+    # a size drawn in spite of the refusal fails at its first element, not later
+    "generated.size_past_a_word": list_of(just(0).map(lambda x: 1 // x), 0, 2 ** 64),
+}
+
+#: every zoo entry, every pinned draw and the generated draw's edges;
+#: ``filter.empty`` and ``map_of.too_few_keys`` exhaust their rejection budgets
+DRAWN_ZOO = {**ZOO, **{f"pinned.{n}": s for n, s in DRAWN.items()}, **GENERATED_EDGES}
+
+
+def _draws(draw, n=4):
+    """Type and repr of ``n`` draws, or the error that ended them."""
     out = []
     try:
         for _ in range(n):
-            out.append(_shown(s._draw(ctx)))
-    except RejectionExhausted as exc:
-        out.append(str(exc))
+            out.append(_shown(draw()))
+    except (RejectionExhausted, ZeroDivisionError, ValueError) as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
     return out
 
 
 @pytest.mark.parametrize("name", sorted(DRAWN_ZOO))
 def test_draw_is_the_value_of_the_random_tree(name):
-    """The plain context and the recording one ``random_tree`` uses draw the
-    same values, leave the same PRNG state and rejection budget, and fail
-    alike; the recorded choices replay, with no PRNG, into the same values."""
+    """The plain context, the recording one ``random_tree`` uses and the
+    generated draw the fuzz loop runs draw the same values, leave the same
+    PRNG state and rejection budget, and fail alike; the recorded choices
+    replay, with no PRNG, into the same values."""
     s = DRAWN_ZOO[name]
     for seed in range(40):
         for budget in (None, 40):  # per-value and run-wide exhaustion
             plain = st._GenContext(SplitMix64(seed), budget)
             rec = st._Recorder(rng=SplitMix64(seed), rejection_budget=budget)
-            drawn = _draws(s, plain)
-            assert _draws(s, rec) == drawn
-            assert rec.rng.state == plain.rng.state
-            assert rec.rejection_budget == plain.rejection_budget
+            gen = st._GenContext(SplitMix64(seed), budget)
+            drawn = _draws(lambda: s._draw(plain))
+            assert _draws(lambda: s._draw(rec)) == drawn
+            assert _draws(s._draw_factory(gen)) == drawn
+            assert rec.rng.state == gen.rng.state == plain.rng.state
+            assert rec.rejection_budget == gen.rejection_budget == plain.rejection_budget
             values = [d for d in drawn if type(d) is tuple]
             replay = st._Recorder(rec.choices)
-            assert _draws(s, replay, len(values)) == values
+            assert _draws(lambda: s._draw(replay), len(values)) == values
             assert replay.choices == rec.choices[:len(replay.choices)]
+
+
+def test_the_generated_draw_compiles_at_every_depth():
+    """The nodes that open the most blocks compile at every depth, up to
+    past the one where the writer stops inlining and calls ``_draw``."""
+    for n in range(25):
+        for inner in (ODD, ordered_map_of(int_range(0, 5), ODD, 0, 2)):
+            _nested(inner, n, lambda s: list_of(s, 0, 1))._draw_factory(
+                st._GenContext(SplitMix64(0)))
+
+
+def test_the_generated_draw_reaches_every_edge():
+    """Each edge above is drawn as it is meant to be: the raising map and
+    filter raise and reject, the deep and wide ones compile, and the
+    subclass's own draw is what the generated draw calls."""
+    assert _PlusOne(0, 0)._draw_factory(st._GenContext(SplitMix64(0)))() == 1
+    outcomes = set()
+    for seed in range(40):
+        for name in ("generated.map_raises", "generated.filter_raises"):
+            ctx = st._GenContext(SplitMix64(seed))
+            outcomes.update(d if type(d) is str else name
+                            for d in _draws(DRAWN_ZOO[name]._draw_factory(ctx)))
+    assert outcomes == {"generated.map_raises", "generated.filter_raises",
+                        "ZeroDivisionError: integer division or modulo by zero"}
 
 
 def _counted():

@@ -7,16 +7,23 @@ A backend loop that inlines one of them would silently zero that counter,
 so these tests hold every loop to one call per unit of work.
 """
 
+import contextlib
 from collections import Counter
 
 import pytest
 
 import tricheck.exhaustive as exhaustive
 import tricheck.fuzz as fuzz
+import tricheck.strategies as st
+from test_enumeration import DRAWN_ZOO
+from tricheck.corpus import build_registry
 from tricheck.harness import Property, RunConfig
+from tricheck.patterns import pattern
 from tricheck.prng import _GOLDEN, _MASK64, SplitMix64
 from tricheck.results import VerdictKind
-from tricheck.strategies import int_range, just, list_of, one_of, tuple_of
+from tricheck.strategies import (enumerate_values, int_range, just, list_of, one_of,
+                                 optional_of, ordered_map_of, random_tree, tuple_of)
+from tricheck.symbolic import run_symbolic
 
 HOOK = "bench/tracing.py counts this through the hook; the loop must call it once per {}"
 
@@ -91,3 +98,57 @@ def test_exhaustive_calls_every_hook_once_per_accepted_value(calls, strategy, ac
     assert calls["evals"] == v.cases, HOOK.format("evaluation")
     assert calls["next"] == v.cases, HOOK.format("enumerated value")
     assert calls["u64"] == 0
+
+
+def test_the_fuzz_draw_is_written_on_first_use_and_draws_through_the_live_hook(monkeypatch):
+    """Set-up writes no draw: building strategies, sizing them, enumerating,
+    recording a draw, and the exhaustive and symbolic backends never do.  The
+    first fuzz run over a strategy writes its draw once and a later run
+    reuses it, drawing every word through the ``next_u64`` patched in then,
+    as ``bench/tracing.py`` counts ``prng.u64``."""
+    written = []
+
+    class Writer(st._DrawWriter):
+        def __init__(self):
+            written.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(st, "_DrawWriter", Writer)
+    fresh = [p.strategy for p in build_registry()] + [
+        tuple_of(list_of(int_range(0, 9).map(abs), 0, 3), just("a"),
+                 one_of(ordered_map_of(int_range(0, 9).filter("odd", lambda x: x % 2),
+                                       int_range(0, 9), 0, 3),
+                        optional_of(int_range(0, 9))),
+                 pattern("[ab]{0,2}c?"))]
+    for s in fresh + list(DRAWN_ZOO.values()):
+        s.cardinality()
+        for interpret in (lambda: list(enumerate_values(s, budget=20)),
+                          lambda: random_tree(s, SplitMix64(1), 100)):
+            with contextlib.suppress(Exception):  # zoo maps raise, zoo filters run dry
+                interpret()
+    for s in fresh:
+        p = Property("p", s, lambda *a: False)
+        exhaustive.run_exhaustive(p, RunConfig(backend="exhaustive"))
+        run_symbolic(p, RunConfig(backend="symbolic"))
+    assert written == [], "a draw was written before any fuzz run"
+
+    s, seed, cases = fresh[-1], 3, 200
+    p = Property("p", s, lambda *a: True)
+    fuzz.run_fuzz(p, RunConfig(seed=seed, cases=cases))
+    assert len(written) == 1
+    ctx = st._GenContext(SplitMix64(seed))
+    for _ in range(cases):
+        s._draw(ctx)
+    words = (ctx.rng.state - seed) * pow(_GOLDEN, -1, 1 << 64) & _MASK64
+    n = Counter()
+
+    def counted(rng):
+        n["u64"] += 1
+        return next_u64(rng)
+
+    next_u64 = SplitMix64.next_u64
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    v = fuzz.run_fuzz(p, RunConfig(seed=seed, cases=cases))
+    assert v.kind is VerdictKind.PASS_SAMPLED
+    assert len(written) == 1, "a second run wrote its draw again"
+    assert n["u64"] == words > cases, HOOK.format("PRNG word")
