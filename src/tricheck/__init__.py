@@ -30,7 +30,7 @@ from .strategies import (
     random_tree,
     tuple_of,
 )
-from .patterns import ParseError, Pattern, parse_pattern, pattern
+from .patterns import ParseError, Pattern, pattern
 from .results import (
     UNKNOWN_PREFERENCE,
     Counterexample,
@@ -113,7 +113,6 @@ __all__ = [
     "one_of",
     "optional_of",
     "ordered_map_of",
-    "parse_pattern",
     "pattern",
     "random_tree",
     "run_ensemble",

@@ -13,8 +13,11 @@ Supported syntax (the tool's whole pattern language — nothing else):
 Anchors, backreferences, lookaround, lazy quantifiers and everything else are
 rejected with a ParseError carrying the byte offset.
 
-A parsed pattern compiles to the ordinary strategy combinators, so generation,
-enumeration order, cardinality and shrinking all come from one semantics:
+The parser builds the ordinary strategy combinators as it reads; there is no
+separate syntax tree.  A literal is ``just``, a class is an ascending table
+under an ``int_range`` map, and concatenation, alternation and repetition are
+``tuple_of``, ``one_of`` and ``list_of``.  So generation, enumeration order,
+cardinality and shrinking all come from one semantics:
 classes enumerate ascending, concatenation is row-major with the leftmost part
 slowest, alternation follows branch order, and repetition goes shortest-first.
 Branches may overlap, so a Finite cardinality is an upper bound on the number
@@ -23,12 +26,11 @@ of distinct strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from . import strategies
-from .strategies import Cardinality, EnumStats, Strategy, _Context
+from .strategies import (Cardinality, EnumStats, Strategy, _Context, int_range, just,
+                         list_of, one_of, tuple_of)
 
 PRINTABLE_LO = 0x20
 PRINTABLE_HI = 0x7E
@@ -43,55 +45,6 @@ class ParseError(ValueError):
     def __init__(self, offset: int, message: str) -> None:
         super().__init__(f"parse error at offset {offset}: {message}")
         self.offset = offset
-
-
-# --------------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class Literal:
-    char: str
-
-
-@dataclass(frozen=True)
-class AnyChar:
-    pass
-
-
-@dataclass(frozen=True)
-class CharClass:
-    """Sorted, merged, disjoint inclusive codepoint ranges; never empty."""
-
-    ranges: tuple[tuple[int, int], ...]
-
-    def chars(self) -> Iterator[str]:
-        for lo, hi in self.ranges:
-            for cp in range(lo, hi + 1):
-                yield chr(cp)
-
-    def contains(self, ch: str) -> bool:
-        cp = ord(ch)
-        return any(lo <= cp <= hi for lo, hi in self.ranges)
-
-
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Alternation:
-    branches: tuple
-
-
-@dataclass(frozen=True)
-class Repeat:
-    inner: object
-    min: int
-    max: int
-
-
-PatternAst = object  # union of the six node kinds above
 
 
 def _normalize_ranges(raw: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -117,11 +70,22 @@ def _negate_ranges(ranges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int]
     return tuple(out)
 
 
-_FULL_CLASS = CharClass(((PRINTABLE_LO, PRINTABLE_HI),))
+def _join(parts) -> str:
+    return "".join(parts)
+
+
+def _class_strategy(ranges: tuple[tuple[int, int], ...]) -> Strategy:
+    """The class's characters in ascending order, indexed by an ``int_range``."""
+    table = tuple(chr(cp) for lo, hi in ranges for cp in range(lo, hi + 1))
+    if len(table) == 1:
+        return just(table[0])
+    return int_range(0, len(table) - 1, width=32, signed=False) \
+        .map(lambda i, _t=table: _t[i])
 
 
 # --------------------------------------------------------------------------
-# parser (recursive descent, offsets preserved for diagnostics)
+# parser (recursive descent, offsets preserved for diagnostics): each method
+# returns the strategy for what it read
 
 class _Parser:
     def __init__(self, text: str, star_cap: int) -> None:
@@ -140,33 +104,31 @@ class _Parser:
         self.pos += 1
         return ch
 
-    def parse(self) -> PatternAst:
-        ast = self.alternation()
+    def parse(self) -> Strategy:
+        node = self.alternation()
         if self.pos != len(self.text):
             raise self.error(f"unexpected {self.text[self.pos]!r}")
-        return ast
+        return node
 
-    def alternation(self) -> PatternAst:
+    def alternation(self) -> Strategy:
         branches = [self.concat()]
         while self.peek() == "|":
             self.take()
             branches.append(self.concat())
-        if len(branches) == 1:
-            return branches[0]
-        return Alternation(tuple(branches))
+        return branches[0] if len(branches) == 1 else one_of(*branches)
 
-    def concat(self) -> PatternAst:
-        parts: list = []
+    def concat(self) -> Strategy:
+        parts: list[Strategy] = []
         while True:
             ch = self.peek()
             if ch is None or ch in "|)":
                 break
             parts.append(self.repeatable())
-        if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
+        if not parts:
+            return just("")
+        return parts[0] if len(parts) == 1 else tuple_of(*parts).map(_join)
 
-    def repeatable(self) -> PatternAst:
+    def repeatable(self) -> Strategy:
         node = self.atom()
         quantified = False
         while True:
@@ -174,25 +136,26 @@ class _Parser:
             if ch in ("?", "*", "+") or (ch == "{"):
                 if quantified:
                     raise self.error("multiple repeat")
-                node = self.quantify(node)
+                node = list_of(node, *self.quantifier()).map(_join)
                 quantified = True
             else:
                 return node
 
-    def quantify(self, node: PatternAst) -> PatternAst:
+    def quantifier(self) -> tuple[int, int]:
+        """The bounds ``(m, n)`` of the quantifier at the cursor."""
         at = self.pos
         ch = self.take()
         if ch == "?":
-            return Repeat(node, 0, 1)
+            return 0, 1
         if ch == "*":
-            return Repeat(node, 0, self.cap)
+            return 0, self.cap
         if ch == "+":
-            return Repeat(node, 1, self.cap)
+            return 1, self.cap
         # {m} or {m,n}
         m = self.digits("quantifier lower bound")
         if self.peek() == "}":
             self.take()
-            return Repeat(node, m, m)
+            return m, m
         if self.peek() != ",":
             raise self.error("malformed quantifier", at)
         self.take()
@@ -202,7 +165,7 @@ class _Parser:
         self.take()
         if m > n:
             raise self.error(f"bad repeat interval {{{m},{n}}}", at)
-        return Repeat(node, m, n)
+        return m, n
 
     def digits(self, what: str) -> int:
         start = self.pos
@@ -212,7 +175,7 @@ class _Parser:
             raise self.error(f"expected digits for {what}")
         return int(self.text[start:self.pos])
 
-    def atom(self) -> PatternAst:
+    def atom(self) -> Strategy:
         at = self.pos
         ch = self.take()
         if ch == "(":
@@ -224,7 +187,7 @@ class _Parser:
         if ch == "[":
             return self.char_class(at)
         if ch == ".":
-            return AnyChar()
+            return _class_strategy(((PRINTABLE_LO, PRINTABLE_HI),))
         if ch == "\\":
             esc = self.peek()
             if esc is None:
@@ -232,7 +195,7 @@ class _Parser:
             if esc not in _ESCAPABLE:
                 raise self.error(f"unsupported escape \\{esc}", at)
             self.take()
-            return Literal(esc)
+            return just(esc)
         if ch in ("*", "+", "?"):
             raise self.error("quantifier with nothing to repeat", at)
         if ch in ("{", "}"):
@@ -241,9 +204,9 @@ class _Parser:
             raise self.error(f"unsupported anchor {ch!r}", at)
         if not (PRINTABLE_LO <= ord(ch) <= PRINTABLE_HI):
             raise self.error(f"character {ch!r} outside printable ASCII", at)
-        return Literal(ch)
+        return just(ch)
 
-    def char_class(self, at: int) -> CharClass:
+    def char_class(self, at: int) -> Strategy:
         negated = False
         if self.peek() == "^":
             negated = True
@@ -273,7 +236,7 @@ class _Parser:
             ranges = _negate_ranges(ranges)
         if not ranges:
             raise self.error("class matches nothing", at)
-        return CharClass(ranges)
+        return _class_strategy(ranges)
 
     def class_char(self) -> int:
         at = self.pos
@@ -291,57 +254,18 @@ class _Parser:
         return ord(ch)
 
 
-def parse_pattern(text: str, star_cap: int = DEFAULT_REPETITION_CAP) -> PatternAst:
-    """Parse ``text`` into a pattern AST, rewriting ``*``/``+`` with ``star_cap``."""
-    if star_cap < 1:
-        raise ValueError("star_cap must be at least 1")
-    return _Parser(text, star_cap).parse()
-
-
-# --------------------------------------------------------------------------
-# compilation to strategy combinators
-
-def _join(parts) -> str:
-    return "".join(parts)
-
-
-def _class_strategy(cls: CharClass) -> Strategy:
-    table = tuple(cls.chars())
-    if len(table) == 1:
-        return strategies.just(table[0])
-    return strategies.int_range(0, len(table) - 1, width=32, signed=False) \
-        .map(lambda i, _t=table: _t[i])
-
-
-def _compile(node: PatternAst) -> Strategy:
-    if isinstance(node, Literal):
-        return strategies.just(node.char)
-    if isinstance(node, AnyChar):
-        return _class_strategy(_FULL_CLASS)
-    if isinstance(node, CharClass):
-        return _class_strategy(node)
-    if isinstance(node, Concat):
-        if not node.parts:
-            return strategies.just("")
-        return strategies.tuple_of(*[_compile(p) for p in node.parts]).map(_join)
-    if isinstance(node, Alternation):
-        return strategies.one_of(*[_compile(b) for b in node.branches])
-    if isinstance(node, Repeat):
-        return strategies.list_of(_compile(node.inner), node.min, node.max).map(_join)
-    raise TypeError(f"not a pattern node: {node!r}")
-
-
 @dataclass(frozen=True)
 class Pattern(Strategy):
-    """Strategy over the language of a parsed pattern."""
+    """Strategy over the language of a pattern: the combinators its parse built."""
 
     text: str
-    ast: PatternAst
     star_cap: int = DEFAULT_REPETITION_CAP
+    _compiled: Strategy = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def _compiled(self) -> Strategy:
-        return _compile(self.ast)
+    def __post_init__(self) -> None:
+        if self.star_cap < 1:
+            raise ValueError("star_cap must be at least 1")
+        object.__setattr__(self, "_compiled", _Parser(self.text, self.star_cap).parse())
 
     def _cardinality(self) -> Cardinality:
         return self._compiled._cardinality()
@@ -364,5 +288,6 @@ class Pattern(Strategy):
 
 def pattern(text: str, star_cap: int = DEFAULT_REPETITION_CAP) -> Pattern:
     """Strategy over strings matching ``text`` (see module docstring for the
-    supported subset)."""
-    return Pattern(text, parse_pattern(text, star_cap), star_cap)
+    supported subset), rewriting ``*``/``+`` with ``star_cap``.  A bad pattern
+    raises ParseError here."""
+    return Pattern(text, star_cap)

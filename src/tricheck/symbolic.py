@@ -88,6 +88,11 @@ class _Unsupported(Exception):
 _INEXPRESSIBLE = "strategy is not expressible over the symbolic carrier"
 
 
+def _inexpressible(s: st.Strategy) -> _Unsupported:
+    """The give-up for a strategy node that has no carrier, naming it."""
+    return _Unsupported(f"strategy {s!r} is not expressible over the symbolic carrier")
+
+
 def _caller_location() -> str | None:
     try:
         frame = sys._getframe(2)
@@ -677,10 +682,9 @@ def _alternatives(s: st.Strategy, vids: Iterator[int]) -> list[SymAlternative]:
     """``symbolize``'s walk, numbering variables from ``vids``; it gives up
     by raising _Unsupported."""
     if isinstance(s, st.Just):
-        carrier = _coerce_carrier(s.value)
-        if isinstance(carrier, tuple):
-            raise _Unsupported(_INEXPRESSIBLE)
-        return [SymAlternative(carrier, {}, None)]
+        if isinstance(s.value, bool) or not isinstance(s.value, (int, SymExpr)):
+            raise _inexpressible(s)
+        return [SymAlternative(_coerce_carrier(s.value), {}, None)]
     if isinstance(s, st.IntRange):
         vid = next(vids)
         return [SymAlternative(Var(vid), {vid: Interval(s.lo, s.hi)}, None)]
@@ -706,7 +710,7 @@ def _alternatives(s: st.Strategy, vids: Iterator[int]) -> list[SymAlternative]:
                                      _conj(c.hypothesis, p.hypothesis))
                       for c in combos for p in parts]
         return combos
-    raise _Unsupported(_INEXPRESSIBLE)  # ListOf, OrderedMapOf, Pattern, unknown nodes
+    raise _inexpressible(s)  # ListOf, OrderedMapOf, Pattern, unknown nodes
 
 
 def _carrier_value(carrier, valuation: dict):

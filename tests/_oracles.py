@@ -2,10 +2,12 @@
 
 Everything here is deliberately written *without* looking at the library's
 internals: the generator is transcribed separately from its public reference
-description, enumeration is eager recursion instead of lazy streams, and the
-pattern matcher interprets the AST directly rather than going through
-strategy compilation.  When a test says "matches the oracle", this module is
-the other side of that comparison.  The reference enumeration at the end is
+description, enumeration is eager recursion instead of lazy streams, and
+pattern membership is Python's ``re`` on the pattern text, so it never reads
+the library's parser (the eager enumeration of a pattern walks the
+combinators that parser built; ``test_patterns.py`` pins their languages by
+hand).  When a test says "matches the oracle", this module is the other side
+of that comparison.  The reference enumeration at the end is
 the one exception: it is the library's previous per-node streams, written
 over plain values, kept as the baseline that index-addressed enumeration
 must reproduce.
@@ -14,6 +16,7 @@ must reproduce.
 from __future__ import annotations
 
 import itertools
+import re
 
 from tricheck import strategies as st
 from tricheck import patterns as pat
@@ -118,7 +121,7 @@ def enumerate_oracle(strategy):
                     out.append(dict(sorted(zip(key_combo, val_combo))))
         return out
     if isinstance(strategy, pat.Pattern):
-        return language_of(strategy.ast)
+        return enumerate_oracle(strategy._compiled)
     raise TypeError(f"oracle cannot enumerate {strategy!r}")
 
 
@@ -130,75 +133,33 @@ def _accepts(f, value):
 
 
 # --------------------------------------------------------------------------
-# pattern language and matcher, interpreting the AST directly
+# pattern membership by Python's ``re``
 
-def language_of(ast):
-    """Eager list of every string the pattern AST denotes (small inputs only)."""
-    if isinstance(ast, pat.Literal):
-        return [ast.char]
-    if isinstance(ast, pat.AnyChar):
-        return [chr(c) for c in range(pat.PRINTABLE_LO, pat.PRINTABLE_HI + 1)]
-    if isinstance(ast, pat.CharClass):
-        return list(ast.chars())
-    if isinstance(ast, pat.Concat):
-        pools = [language_of(p) for p in ast.parts]
-        return ["".join(combo) for combo in itertools.product(*pools)]
-    if isinstance(ast, pat.Alternation):
-        out = []
-        for b in ast.branches:
-            out.extend(language_of(b))
-        return out
-    if isinstance(ast, pat.Repeat):
-        pool = language_of(ast.inner)
-        out = []
-        for n in range(ast.min, ast.max + 1):
-            out.extend("".join(combo) for combo in itertools.product(pool, repeat=n))
-        return out
-    raise TypeError(f"not a pattern node: {ast!r}")
-
-
-def match_ast(ast, text):
-    """Backtracking membership test: is ``text`` in the AST's language?"""
-    return len(text) in _ends(ast, text, 0)
-
-
-def _ends(node, text, start):
-    """Set of positions where ``node`` can stop matching, starting at ``start``."""
-    if isinstance(node, pat.Literal):
-        if text.startswith(node.char, start):
-            return {start + 1}
-        return set()
-    if isinstance(node, pat.AnyChar):
-        if start < len(text) and pat.PRINTABLE_LO <= ord(text[start]) <= pat.PRINTABLE_HI:
-            return {start + 1}
-        return set()
-    if isinstance(node, pat.CharClass):
-        if start < len(text) and node.contains(text[start]):
-            return {start + 1}
-        return set()
-    if isinstance(node, pat.Concat):
-        positions = {start}
-        for part in node.parts:
-            positions = set().union(*(_ends(part, text, p) for p in positions)) \
-                if positions else set()
-        return positions
-    if isinstance(node, pat.Alternation):
-        return set().union(*(_ends(b, text, start) for b in node.branches))
-    if isinstance(node, pat.Repeat):
-        # breadth-wise: positions reachable after exactly k repetitions
-        result = set()
-        frontier = {start}
-        if node.min == 0:
-            result.add(start)
-        for k in range(1, node.max + 1):
-            frontier = set().union(*(_ends(node.inner, text, p) for p in frontier)) \
-                if frontier else set()
-            if not frontier:
-                break
-            if k >= node.min:
-                result |= frontier
-        return result
-    raise TypeError(f"not a pattern node: {node!r}")
+def matches_pattern(text, s, star_cap):
+    """Is ``s`` in the language of pattern ``text``?  The pattern syntax is a
+    subset of ``re``'s once, outside a class, an unescaped ``*`` is rewritten
+    to ``{0,K}`` and ``+`` to ``{1,K}``.  On printable ASCII, the only strings
+    patterns make, ``.`` and ``[^...]`` mean the same in both.  A class is
+    copied as is, so it must not hold ``[`` or a doubled ``-&|~``, which
+    ``re`` warns may change meaning."""
+    out, i = [], 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\":
+            out.append(text[i:i + 2])
+            i += 2
+        elif ch == "[":
+            j = i + 2 if text[i + 1] == "^" else i + 1
+            while True:  # a member first: a leading ']' is one
+                j += 2 if text[j] == "\\" else 1
+                if text[j] == "]":
+                    break
+            out.append(text[i:j + 1])
+            i = j + 1
+        else:
+            out.append({"*": f"{{0,{star_cap}}}", "+": f"{{1,{star_cap}}}"}.get(ch, ch))
+            i += 1
+    return re.fullmatch("".join(out), s) is not None
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import tricheck.harness as harness
 import tricheck.patterns as pat
 import tricheck.strategies as st
-from _oracles import enumerate_oracle, match_ast, min_failing_int, splitmix64_take
+from _oracles import enumerate_oracle, matches_pattern, min_failing_int, splitmix64_take
 from test_patterns import MATCHER_PATTERNS
 from tricheck.cli import main, update_history
 from tricheck.corpus import REGISTRY
@@ -359,19 +359,18 @@ def test_criterion_09_flaky_detection_keys_on_config_hash(tmp_path):
     assert flaky == []
 
 
-def test_criterion_10_pattern_strings_satisfy_the_ast_matcher():
+def test_criterion_10_pattern_strings_satisfy_the_re_matcher():
     assert set(st.enumerate_values(pat.pattern("[ab]{2}"))) == {"aa", "ab", "ba", "bb"}
 
-    assert len(MATCHER_PATTERNS) == 20
+    assert len(MATCHER_PATTERNS) == 21
     for text in MATCHER_PATTERNS:
-        ast = pat.parse_pattern(text, star_cap=4)
         strategy = pat.pattern(text, star_cap=4)
         for s in st.enumerate_values(strategy, budget=300):
-            assert match_ast(ast, s), f"{text}: enumerated {s!r} fails to match"
+            assert matches_pattern(text, s, 4), f"{text}: enumerated {s!r} fails to match"
         rng = SplitMix64(5)
         for _ in range(25):
             s = st.random_tree(strategy, rng).current
-            assert match_ast(ast, s), f"{text}: drew {s!r} that fails to match"
+            assert matches_pattern(text, s, 4), f"{text}: drew {s!r} that fails to match"
 
 
 # --------------------------------------------------------------------------

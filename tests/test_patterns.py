@@ -1,13 +1,13 @@
 """Pattern sub-language: parse errors, generated languages, and agreement
-with an independently written matcher."""
+with Python's ``re`` matcher."""
 
 import pytest
 
 from tricheck.prng import SplitMix64
-from tricheck.patterns import ParseError, parse_pattern, pattern
+from tricheck.patterns import ParseError, pattern
 from tricheck.strategies import cardinality, enumerate_values, random_tree
 
-from _oracles import language_of, match_ast
+from _oracles import matches_pattern
 
 
 # --------------------------------------------------------------------------
@@ -42,7 +42,7 @@ from _oracles import language_of, match_ast
 )
 def test_parse_error_offsets(text, offset, fragment):
     with pytest.raises(ParseError) as exc:
-        parse_pattern(text)
+        pattern(text)
     assert exc.value.offset == offset
     assert fragment in str(exc.value)
     assert f"offset {offset}" in str(exc.value)
@@ -50,7 +50,7 @@ def test_parse_error_offsets(text, offset, fragment):
 
 def test_star_cap_must_be_positive():
     with pytest.raises(ValueError):
-        parse_pattern("a*", star_cap=0)
+        pattern("a*", star_cap=0)
 
 
 # --------------------------------------------------------------------------
@@ -118,28 +118,31 @@ def test_bounded_interval_count():
 
 
 # --------------------------------------------------------------------------
-# agreement with the independent language/matcher oracle
+# agreement with languages written out by hand and with Python's ``re``
 
-SMALL_PATTERNS = [
-    "[ab]{2}",
-    "a?b",
-    "x|yz",
-    "(a|b)(c|d)",
-    "a{0,2}b",
-    "[0-3]",
-    "[]x-]",
-    r"\.\*",
-    "(ab|c){1,2}",
-    ".?",
-]
+# Each small pattern's language at star_cap=3, in enumeration order and with
+# duplicates kept.  Together they pin the four order rules without reading the
+# parser: branch order, ascending classes, shortest-first repetition, and
+# concatenation with the leftmost part slowest.
+SMALL_LANGUAGES = {
+    "[ab]{2}": ["aa", "ab", "ba", "bb"],
+    "a?b": ["b", "ab"],
+    "x|yz": ["x", "yz"],
+    "(a|b)(c|d)": ["ac", "ad", "bc", "bd"],
+    "a{0,2}b": ["b", "ab", "aab"],
+    "[0-3]": ["0", "1", "2", "3"],
+    "[]x-]": ["-", "]", "x"],
+    r"\.\*": [".*"],
+    "(ab|c){1,2}": ["ab", "c", "abab", "abc", "cab", "cc"],
+    ".?": [""] + [chr(c) for c in range(0x20, 0x7F)],
+    "(a|ab)b?": ["a", "ab", "ab", "abb"],
+}
+SMALL_PATTERNS = list(SMALL_LANGUAGES)
 
 
 @pytest.mark.parametrize("text", SMALL_PATTERNS)
 def test_enumeration_equals_oracle_language(text):
-    ast = parse_pattern(text, star_cap=3)
-    got = list(enumerate_values(pattern(text, star_cap=3)))
-    want = language_of(ast)
-    assert got == want
+    assert list(enumerate_values(pattern(text, star_cap=3))) == SMALL_LANGUAGES[text]
 
 
 MATCHER_PATTERNS = SMALL_PATTERNS + [
@@ -158,26 +161,28 @@ MATCHER_PATTERNS = SMALL_PATTERNS + [
 
 @pytest.mark.parametrize("text", MATCHER_PATTERNS)
 def test_every_generated_string_matches(text):
-    ast = parse_pattern(text, star_cap=4)
     strat = pattern(text, star_cap=4)
     for s in enumerate_values(strat, budget=500):
-        assert match_ast(ast, s), f"{text}: generated {s!r} that the matcher rejects"
+        assert matches_pattern(text, s, 4), f"{text}: generated {s!r} that the matcher rejects"
 
 
 @pytest.mark.parametrize("text", MATCHER_PATTERNS)
 def test_random_draws_match_too(text):
-    ast = parse_pattern(text, star_cap=4)
     strat = pattern(text, star_cap=4)
     rng = SplitMix64(1234)
     for _ in range(50):
         s = random_tree(strat, rng).current
-        assert match_ast(ast, s)
+        assert matches_pattern(text, s, 4)
 
 
 def test_matcher_rejects_strings_outside_the_language():
-    ast = parse_pattern("[ab]{2}")
     for s in ["", "a", "abc", "ac", "ba ", "AB"]:
-        assert not match_ast(ast, s)
+        assert not matches_pattern("[ab]{2}", s, 8)
+    # the rewrite caps a star and a plus, and leaves them literal in a class
+    # or after an escape
+    assert matches_pattern("a*", "aaa", 3) and not matches_pattern("a*", "aaaa", 3)
+    assert not matches_pattern("a+", "", 3) and not matches_pattern("a+", "aaaa", 3)
+    assert matches_pattern(r"[*+]\+", "*+", 3) and not matches_pattern(r"[*+]\+", "**", 3)
 
 
 def test_pattern_strings_shrink_toward_shorter_and_earlier():

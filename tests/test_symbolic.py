@@ -460,6 +460,20 @@ def test_driver_container_domain_is_unsupported():
     assert "not expressible" in v.detail
 
 
+@pytest.mark.parametrize("strategy,node", [
+    (list_of(int_range(0, 1), 0, 2), "list_of(int_range(0, 1, i64), 0, 2)"),
+    (ordered_map_of(int_range(0, 5), int_range(0, 0), 1, 2),
+     "ordered_map_of(int_range(0, 5, i64), int_range(0, 0, i64), 1, 2)"),
+    (tuple_of(int_range(0, 9), pattern("[ab]{2}")), "pattern('[ab]{2}')"),
+    (one_of(int_range(0, 9), just(None)), "just(None)"),
+], ids=["list", "ordered_map", "pattern", "just"])
+def test_an_inexpressible_node_is_named_in_the_detail(strategy, node):
+    """The detail names the node that has no carrier, not the whole domain."""
+    v = run(strategy, lambda x: True)
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert v.detail == f"strategy {node} is not expressible over the symbolic carrier"
+
+
 def test_a_formula_too_deep_to_walk_is_unsupported():
     """A sum of 1000 terms nests 1000 deep; the formula walks give up on it
     instead of ending the run."""
@@ -543,9 +557,9 @@ def test_driver_confirms_each_variable_at_its_bounds():
 
 
 def test_driver_type_tests_are_noted_per_thread():
-    """Ensemble runs its backends in threads: a carrier's ``__class__`` read
-    in one thread must not count against a predicate that another thread is
-    recording at the same moment."""
+    """A caller may run checks from several threads at once: a carrier's
+    ``__class__`` read in one thread must not count against a predicate that
+    another thread is recording at the same moment."""
     inside, done = threading.Event(), threading.Event()
 
     def pred(a):
