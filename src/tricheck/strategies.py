@@ -18,7 +18,8 @@ The symbolic interpretation lives in :mod:`tricheck.symbolic` so this module
 stays free of solver machinery.
 
 Each random decision a node makes (an integer, a ``one_of`` alternative, a
-list or map size) is one ``ctx.choice(lo, hi)``.  The fuzz loop's context
+list or map size) is one ``ctx.choice(lo, hi)``, and a draw makes no other
+PRNG call, so it is exactly its choice sequence.  The fuzz loop's context
 answers from the PRNG; a recording context (``_Recorder``) notes each answer
 as its offset from ``lo``, and can read the offsets from a given sequence,
 so recorded choices *replay* into a fresh value with no PRNG.  A shrink tree
@@ -286,8 +287,8 @@ def _key_sorted(entries: list, key: Callable[[Any], Any]) -> list:
 class _Context:
     """A draw's source of choices.  It holds a PRNG (or None) and the run-wide
     rejection budget, and answers ``choice(lo, hi)``, one random decision;
-    ``spare_word()``, a PRNG word no choice reads; and ``many(lo, hi, draw)``,
-    a size chosen in [lo, hi], then that many elements drawn by ``draw``."""
+    ``many(lo, hi, draw)``, a size chosen in [lo, hi], then that many elements
+    drawn by ``draw``; and ``charge_rejection(label)``, one filter rejection."""
 
     __slots__ = ("rng", "rejection_budget")
 
@@ -302,13 +303,12 @@ class _Context:
 class _GenContext(_Context):
     """A plain seeded draw: every choice comes straight from the PRNG."""
 
-    __slots__ = ("choice", "spare_word")
+    __slots__ = ("choice",)
 
     def __init__(self, rng: SplitMix64, rejection_budget: int | None = None) -> None:
         self.rng = rng
         self.rejection_budget = rejection_budget
         self.choice = rng.uniform_in
-        self.spare_word = rng.next_u64
 
     def many(self, lo: int, hi: int, draw: Callable[[_Context], Any]) -> list:
         return [draw(self) for _ in range(self.rng.uniform_in(lo, hi))]
@@ -321,10 +321,10 @@ class _Overrun(Exception):
 class _Recorder(_Context):
     """A draw that records each choice as its offset from ``lo``.  Offsets are
     read from ``prefix`` first (clamped to the range asked for), then from
-    the PRNG, or are 0 when there is none; spare words are drawn only from a
-    PRNG.  Each list or map is also recorded, as the position of its size
-    choice in ``choices``, where each element starts, and where the last one
-    ends.  A draw that needs more than ``limit`` choices raises ``_Overrun``."""
+    the PRNG, or are 0 when there is none.  Each list or map is also
+    recorded, as the position of its size choice in ``choices``, where each
+    element starts, and where the last one ends.  A draw that needs more than
+    ``limit`` choices raises ``_Overrun``."""
 
     __slots__ = ("prefix", "limit", "choices", "containers")
 
@@ -347,10 +347,6 @@ class _Recorder(_Context):
             offset = 0 if self.rng is None else self.rng.uniform_in(lo, hi) - lo
         self.choices.append(offset)
         return lo + offset
-
-    def spare_word(self) -> None:
-        if self.rng is not None:
-            self.rng.next_u64()
 
     def many(self, lo: int, hi: int, draw: Callable[[_Context], Any]) -> list:
         n = self.choice(lo, hi)
@@ -386,7 +382,7 @@ class _DrawWriter:
             Just: lambda s, out, level: self.emit(f"{out} = {self.const(s.value)}"),
             IntRange: lambda s, out, level: self.choice(s.lo, s.hi, out),
             Pattern: lambda s, out, level: self.node(s._compiled, out, level),
-            Map: self.map, Filter: self.filter, OneOf: self.one_of, OptionalOf: self.one_of,
+            Map: self.map, Filter: self.filter, OneOf: self.one_of,
             TupleOf: self.tuple_of, ListOf: self.list_of, OrderedMapOf: self.ordered_map_of}
         self.lines = ["def make(ctx):", " u, charge = ctx.rng.next_u64, ctx.charge_rejection",
                       " def draw():"]
@@ -452,8 +448,6 @@ class _DrawWriter:
     def one_of(self, s: OneOf, out: str, level: int) -> None:
         alts, i = s.alternatives, self.local()
         self.choice(0, len(alts) - 1, i)
-        if s._spare_word:
-            self.emit("u()")
 
         def pick(lo: int, hi: int) -> None:  # a balanced tree of ifs
             if hi - lo == 1:
@@ -794,9 +788,6 @@ class Filter(Strategy):
 class OneOf(Strategy):
     alternatives: tuple[Strategy, ...]
 
-    #: whether a draw takes the spare word ``one_of`` always took, keeping seeded draws
-    _spare_word = True
-
     def __post_init__(self) -> None:
         if not self.alternatives:
             raise EmptyChoice("one_of needs at least one alternative")
@@ -808,10 +799,7 @@ class OneOf(Strategy):
         return total
 
     def _draw(self, ctx: _Context) -> Any:
-        i = ctx.choice(0, len(self.alternatives) - 1)
-        if self._spare_word:
-            ctx.spare_word()
-        return self.alternatives[i]._draw(ctx)
+        return self.alternatives[ctx.choice(0, len(self.alternatives) - 1)]._draw(ctx)
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         return itertools.chain.from_iterable(alt._values(stats) for alt in self.alternatives)
@@ -860,18 +848,6 @@ class TupleOf(Strategy):
 
     def __repr__(self) -> str:
         return f"tuple_of({', '.join(map(repr, self.components))})"
-
-
-class OptionalOf(OneOf):
-    """``one_of(just(None), inner)``: absent first, so it shrinks to absent."""
-
-    _spare_word = False
-
-    def __init__(self, inner: Strategy) -> None:
-        super().__init__((Just(None), inner))
-
-    def __repr__(self) -> str:
-        return f"optional_of({self.alternatives[1]!r})"
 
 
 @dataclass(frozen=True)
@@ -1051,7 +1027,8 @@ def tuple_of(*components: Strategy) -> Strategy:
 
 
 def optional_of(inner: Strategy) -> Strategy:
-    return OptionalOf(inner)
+    """``one_of(just(None), inner)``: absent first, so it shrinks to absent."""
+    return OneOf((Just(None), inner))
 
 
 def list_of(element: Strategy, min_len: int, max_len: int) -> Strategy:

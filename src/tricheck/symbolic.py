@@ -87,10 +87,16 @@ class _Unsupported(Exception):
 
 _INEXPRESSIBLE = "strategy is not expressible over the symbolic carrier"
 
+#: The longest node repr a detail prints; a longer one is cut to end in "…".
+_NODE_REPR_CAP = 80
+
 
 def _inexpressible(s: st.Strategy) -> _Unsupported:
     """The give-up for a strategy node that has no carrier, naming it."""
-    return _Unsupported(f"strategy {s!r} is not expressible over the symbolic carrier")
+    node = repr(s)
+    if len(node) > _NODE_REPR_CAP:
+        node = node[:_NODE_REPR_CAP - 1] + "…"
+    return _Unsupported(f"strategy {node} is not expressible over the symbolic carrier")
 
 
 def _caller_location() -> str | None:
@@ -99,6 +105,18 @@ def _caller_location() -> str | None:
         return f"{frame.f_code.co_filename.rsplit('/', 1)[-1]}:{frame.f_lineno}"
     except Exception:  # pragma: no cover - platforms without frame access
         return None
+
+
+def _raised_at(exc: BaseException) -> str:
+    """`` at <file>:<line>`` of the innermost frame of ``exc``'s traceback
+    outside this module, in ``_caller_location``'s format, or ``""``."""
+    at, tb = "", exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if code.co_filename != __file__:
+            at = f" at {code.co_filename.rsplit('/', 1)[-1]}:{tb.tb_lineno}"
+        tb = tb.tb_next
+    return at
 
 
 # --------------------------------------------------------------------------
@@ -644,13 +662,14 @@ def _record(fn, args: tuple, what: str) -> Any:
     """``fn(*args)`` for user code ``fn`` (a map, a filter or the predicate)
     over carriers ``args``: the one place the two meet.  A raise, or a type
     test of a carrier (which cannot take an int's branch), gives up with
-    _Unsupported, its detail naming the code as ``what``."""
+    _Unsupported, its detail naming the code as ``what`` (and a raise, the
+    line of user code it came through)."""
     me = threading.get_ident()
     _recording[me] = False
     try:
         result = fn(*args)
     except Exception as exc:
-        raise _Unsupported(f"{what} not symbolically evaluable: {exc}") from exc
+        raise _Unsupported(f"{what} not symbolically evaluable: {exc}{_raised_at(exc)}") from exc
     finally:
         type_tested = _recording.pop(me)
     if type_tested:

@@ -105,6 +105,35 @@ def test_usage_errors_exit_three(tmp_path, passing_registry, capsys):
     assert main(["run", "--cases", "0"], registry=passing_registry) == 3
 
 
+WAIVER = {"glob": "*", "reason": "r", "expires": "2099-01-01"}
+
+
+@pytest.mark.parametrize("files, flags, error", [
+    ({}, ["--config", "."], "error: cannot read config ."),
+    ({"c.json": "{"}, ["--config", "c.json"], "error: malformed JSON in c.json: "),
+    ({"w.json": "["}, ["--waivers", "w.json"], "error: malformed JSON in w.json: "),
+    ({"h.txt": "x = 1\n"}, ["h.txt"], "error: cannot import harness module: h.txt"),
+    ({"h.py": "raise RuntimeError('boom')\n"}, ["h.py"], "error: error importing h.py: boom"),
+    ({}, ["--waivers", "."], "error: cannot read waivers .: "),
+    ({"w.json": "[1]"}, ["--waivers", "w.json"],
+     "error: w.json: waiver entry must be an object, got int"),
+    ({"w.json": json.dumps([{**WAIVER, "glob": 1}])}, ["--waivers", "w.json"],
+     "error: w.json: waiver glob and reason must be strings"),
+    ({}, ["--report", "."], "error: cannot write report .: "),
+    ({}, ["--history", "."], "error: cannot write history .: "),
+], ids=["unreadable_config", "config_json", "waiver_json", "harness_suffix", "harness_raises",
+        "unreadable_waivers", "waiver_not_object", "waiver_glob", "report", "history"])
+def test_a_file_that_cannot_be_used_exits_three(tmp_path, monkeypatch, capsys, passing_registry,
+                                                files, flags, error):
+    """Each file the CLI reads or writes that it cannot use is a usage error:
+    exit 3 and one ``error:`` line naming it."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    assert main(["run", *flags], registry=passing_registry) == 3
+    assert capsys.readouterr().err.startswith(error)
+
+
 def test_backend_disagreement_exits_three(monkeypatch, passing_registry, capsys):
     from tricheck.results import Counterexample, Verdict
     from tricheck.runner import InconsistentBackends

@@ -459,10 +459,10 @@ def test_a_passing_fuzz_run_builds_no_tree(monkeypatch):
 
 
 @pytest.mark.parametrize("predicate, kind, calls", [
-    (lambda *a: True, VerdictKind.PASS_SAMPLED, {"map": 672, "filter": 918}),
+    (lambda *a: True, VerdictKind.PASS_SAMPLED, {"map": 684, "filter": 874}),
     (lambda xs, m, t: not (len(xs) == 3 and t == "ab"), VerdictKind.FALSIFIED,
-     {"map": 223, "filter": 210}),
-], ids=["passing", "failing_at_case_61"])
+     {"map": 300, "filter": 269}),
+], ids=["passing", "failing_at_case_73"])
 def test_fuzz_draws_make_the_user_calls_tree_draws_made(predicate, kind, calls):
     """A passing run makes the calls each case made when the fuzz loop built
     a tree for it.  A failing run also makes those of its recording redraw

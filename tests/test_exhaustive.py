@@ -132,6 +132,17 @@ def test_filtered_stream_counts_accepted_values_against_budget():
     assert "accepted values exceeded budget 5" in v.detail
 
 
+@pytest.mark.parametrize("budget, described", [
+    (5, "proved (exhaustive, 5 cases)"),
+    (4, "unknown: budget_exceeded (accepted values exceeded budget 4)"),
+])
+def test_accepted_values_that_exactly_fill_the_budget_prove(budget, described):
+    """Five accepted values then five rejected ones: once the budget is
+    spent, the stream proves only if nothing accepted is left in it."""
+    s = int_range(0, 9).filter("small", lambda x: x < 5)
+    assert run_exhaustive(prop(s, lambda x: True), RunConfig(budget=budget)).describe() == described
+
+
 def test_filtered_stream_bounds_base_traversal():
     # only one value in 100k is accepted; the base walk stops at 10x budget
     s = int_range(0, 100_000).filter("needle", lambda x: x == 100_000)

@@ -62,7 +62,7 @@ REPORT_ARGS = ["--seed", "7", "--cases", "512", "--budget", "4096"]
 # counter, the benchmark's ``prng.u64`` split by property
 FUZZ_WORDS = {
     "clamp.idem": 523,
-    "div.recompose": 2484,
+    "div.recompose": 2002,
     "even.rebuild": 1349,
     "filter.vacuous": 121,
     "identity.wide": 512,
@@ -77,7 +77,7 @@ FUZZ_WORDS = {
     "neg.involution": 512,
     "opt.with_default": 943,
     "ordered.pair": 1928,
-    "pattern.choice": 1270,
+    "pattern.choice": 771,
     "pattern.digits": 2280,
     "pattern.pairs": 1536,
     "pattern.word": 512,
@@ -85,7 +85,7 @@ FUZZ_WORDS = {
     "rem.range": 1133,
     "rem.total": 3,
     "scale.range": 841,
-    "sign.cases": 1834,
+    "sign.cases": 1321,
     "square.nonneg": 522,
     "sub.self_zero": 673,
     "sum.assoc": 1536,

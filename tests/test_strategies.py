@@ -91,6 +91,12 @@ def test_cardinality_saturates_past_2_63():
     # a list that may hold nothing has one value, however wide its elements
     pair = tuple_of(int_range(0, 2**62), int_range(0, 2**62))
     assert cardinality(list_of(pair, 0, 0)) == Cardinality.finite(1)
+    # a map saturates whether its sum of terms grows past 2**63 or a key or
+    # value domain already is past it
+    million = int_range(0, 10**6)
+    assert cardinality(ordered_map_of(million, million, 0, 10)).kind == "too_large"
+    assert cardinality(ordered_map_of(s, just(0), 0, 1)).kind == "too_large"
+    assert cardinality(ordered_map_of(just(0), s, 0, 1)).kind == "too_large"
 
 
 def test_cardinality_of_lists_of_one_or_no_value_takes_no_step_per_length():

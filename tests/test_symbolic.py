@@ -466,12 +466,35 @@ def test_driver_container_domain_is_unsupported():
      "ordered_map_of(int_range(0, 5, i64), int_range(0, 0, i64), 1, 2)"),
     (tuple_of(int_range(0, 9), pattern("[ab]{2}")), "pattern('[ab]{2}')"),
     (one_of(int_range(0, 9), just(None)), "just(None)"),
-], ids=["list", "ordered_map", "pattern", "just"])
+    (list_of(tuple_of(*[int_range(0, 1)] * 1000), 0, 2),
+     "list_of(tuple_of(" + "int_range(0, 1, i64), " * 2 + "int_range(0, 1, i6…"),
+], ids=["list", "ordered_map", "pattern", "just", "long"])
 def test_an_inexpressible_node_is_named_in_the_detail(strategy, node):
-    """The detail names the node that has no carrier, not the whole domain."""
+    """The detail names the node that has no carrier, not the whole domain,
+    and cuts a name longer than 80 characters."""
     v = run(strategy, lambda x: True)
     assert v.reason is UnknownReason.UNSUPPORTED
     assert v.detail == f"strategy {node} is not expressible over the symbolic carrier"
+
+
+@pytest.mark.parametrize("name, detail, line", [
+    ("clamp.idem", "predicate not symbolically evaluable: symbolic boolean used in a"
+     " native branch; use &, |, ~", "return min(max(x, 0), 100)"),
+    ("max.dominates", "predicate not symbolically evaluable: symbolic boolean used in a"
+     " native branch; use &, |, ~", "m = a if a > b else b"),
+    ("rem.abs_bound", "predicate not symbolically evaluable: bad operand type for abs():"
+     " 'Rem'", "return abs(trem(a, b)) < abs(b)"),
+    ("rem.total", "divisor interval contains zero", "lambda x: trem(10, x) >= 0,"),
+])
+def test_an_unsupported_corpus_detail_names_the_harness_line(name, detail, line):
+    """A raise in user code names the innermost line outside the symbolic
+    module that it came through, as a division that may be by zero does."""
+    source = Path(REGISTRY.get(name).predicate.__code__.co_filename).read_text()
+    number = next(i for i, text in enumerate(source.splitlines(), 1)
+                  if text.strip().startswith(line))
+    v = run_symbolic(REGISTRY.get(name), RunConfig())
+    assert v.reason is UnknownReason.UNSUPPORTED
+    assert v.detail == f"{detail} at corpus.py:{number}"
 
 
 def test_a_formula_too_deep_to_walk_is_unsupported():
@@ -579,8 +602,12 @@ def test_driver_type_tests_are_noted_per_thread():
 
 def test_driver_reports_a_raise_before_a_type_test():
     # ``&`` tries isinstance(x, SymBool) on the expression before it raises
-    v = run(int_range(0, 9), lambda x: (x > 0) & x)
-    assert v.detail == "predicate not symbolically evaluable: cannot use v0 as a symbolic boolean"
+    def pred(x):
+        return (x > 0) & x
+
+    v = run(int_range(0, 9), pred)
+    assert v.detail == ("predicate not symbolically evaluable: cannot use v0 as a symbolic boolean"
+                        f" at test_symbolic.py:{pred.__code__.co_firstlineno + 1}")
 
 
 # --------------------------------------------------------------------------
