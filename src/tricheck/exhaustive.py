@@ -13,13 +13,21 @@ from itertools import islice
 from .fuzz import falsified, shrink_failure
 from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
 from .results import UnknownReason, Verdict
+# ``iter_trees`` here is the position walk, under the name through which
+# ``bench/tracing.py`` and ``tests/test_hooks.py`` count one step per
+# enumerated value; ROADMAP item 2 renames it once the benchmark reads
+# counters from verdicts
 from .strategies import (EnumStats, NotEnumerable, RejectionExhausted, _tree_at,
-                         cardinality, iter_trees)
+                         cardinality, iter_positions as iter_trees)
 
 
 @backend("exhaustive")
 def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     """Prove by enumerating every value, or refute with the first failure.
+
+    The walk yields (base position, value) pairs and builds no tree; only a
+    failing position is rebuilt (``_tree_at``), replayed from its choices,
+    and shrunk.
 
     * Finite cardinality n <= budget: full enumeration; Proved only after
       one evaluation per base position walked, and no more positions than
@@ -45,7 +53,7 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
 
     # a finite cardinality means no filter, so the bound only binds under one
     stats = EnumStats(max_rejected=10 * budget, on_reject=ticker.tick)
-    trees = iter_trees(prop.strategy, stats)
+    positions = iter_trees(prop.strategy, stats)
     limit = None if card.is_finite else budget  # a finite domain is within budget
     count, left = 0, ticker.lease()
     try:
@@ -53,15 +61,15 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
         while True:
             size = left if limit is None else min(left, limit - count)
             start = count
-            for count, tree in enumerate(islice(trees, size), count + 1):
-                ok, message = eval_predicate(prop, tree.current)
+            for count, (index, value) in enumerate(islice(positions, size), count + 1):
+                ok, message = eval_predicate(prop, value)
                 # checked before the poll, so a failure on a poll boundary is
                 # reported even when time is up; the failing unit still counts
                 if not ok:
                     ticker.release(left - (count - start))
                     # the predicate may mutate what it is given, so it sees only
                     # fresh replays; the position replayed here never is
-                    root = _tree_at(prop.strategy, tree.index)
+                    root = _tree_at(prop.strategy, index)
                     return falsified(root, shrink_failure(prop, root, ticker),
                                      None, count - 1, message)
             if count - start < size:
@@ -69,7 +77,7 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
             if size == left:
                 left = ticker.renew()
             if count == limit:
-                if next(trees, None) is None:
+                if next(positions, None) is None:
                     break
                 return Verdict.unknown(
                     UnknownReason.BUDGET_EXCEEDED,

@@ -9,7 +9,7 @@ this backend is the cheap, always-available end of the spectrum.
 from __future__ import annotations
 
 from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
-from .prng import SplitMix64
+from .prng import SplitMix64, _state_at
 from .results import Counterexample, UnknownReason, Verdict
 from .strategies import RejectionExhausted, ValueTree, _GenContext, random_tree
 
@@ -72,7 +72,9 @@ def run_fuzz(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     left = ticker.lease()
     try:
         for case_index in range(config.cases):
-            state = rng.state
+            # where the case starts, read without arithmetic: the state is
+            # computed from it only for a failing case
+            base, used = rng._base, rng._used
             ok, message = eval_predicate(prop, draw())
             # checked before the poll, so a failure on a poll boundary is
             # reported even when time is up; the failing unit still counts
@@ -80,7 +82,7 @@ def run_fuzz(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
                 ticker.release(left - 1)
                 # the predicate may mutate what it is given, so it sees only
                 # fresh replays; this case redrawn from its state never is
-                root = random_tree(prop.strategy, SplitMix64(state))
+                root = random_tree(prop.strategy, SplitMix64(_state_at(base, used)))
                 return falsified(root, shrink_failure(prop, root, ticker),
                                  config.seed, case_index, message)
             left -= 1

@@ -51,6 +51,12 @@ def _mix_block(base: int) -> list[int]:
     return memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
 
 
+def _state_at(base: int, used: int) -> int:
+    """The state after word ``used`` of the block that follows state ``base``:
+    what ``SplitMix64.state`` reads when ``_base`` and ``_used`` hold these."""
+    return (base + used * _GOLDEN) & _MASK64
+
+
 class SplitMix64:
     """Mutable generator state; each ``next_u64`` advances by the golden gamma."""
 
@@ -62,7 +68,7 @@ class SplitMix64:
     @property
     def state(self) -> int:
         """The state after the last word drawn; assigning it restarts there."""
-        return (self._base + self._used * _GOLDEN) & _MASK64
+        return _state_at(self._base, self._used)
 
     @state.setter
     def state(self, value: int) -> None:

@@ -10,8 +10,10 @@ every backend shares them:
 * ``random_tree``     -- a seeded draw with its choices recorded, as a
                          :class:`ValueTree` (the value plus its ordered shrink
                          candidates);
-* ``iter_trees``      -- the canonical, deterministic enumeration of the
-                         whole domain, walked as plain values (below);
+* ``iter_positions``  -- the canonical, deterministic enumeration of the
+                         whole domain, walked as (base position, plain
+                         value) pairs (below), and ``iter_trees`` the same
+                         walk as trees;
 * ``cardinality``     -- the exact or bounding size of the domain.
 
 The symbolic interpretation lives in :mod:`tricheck.symbolic` so this module
@@ -60,11 +62,14 @@ unknown) yields no ``_Skip``, so its stream is built from chained C
 iterators (``chain``, ``map``, ``zip``), with no generator frame and no
 ``_Skip`` test per value; ``_chained_product`` is ``_product`` in that form.
 Every other stream goes through the generators that carry ``_Skip``.
-``iter_trees`` counts the positions of a skip-free stream and turns the
-``_Skip`` markers of any other into base positions; the exhaustive backend
-and a map's key walk go through it.  ``enumerate_values`` needs no
-positions, so it reads the stream itself and only drops the ``_Skip``
-markers.  A tree is replayed only where one is asked.
+``iter_positions`` pairs each value with its base position and builds
+nothing per value: a skip-free stream is counted by ``enumerate``, in C,
+and the ``_Skip`` markers of any other are summed into the positions they
+stand for by one generator.  The exhaustive backend and a map's key
+walk go through it; ``iter_trees`` wraps each pair in an ``_IndexedTree``
+for callers that want trees.  ``enumerate_values`` needs no positions, so
+it reads the stream itself and only drops the ``_Skip`` markers.  A tree
+is replayed only where one is asked, from its position (``_tree_at``).
 """
 
 from __future__ import annotations
@@ -956,11 +961,10 @@ class OrderedMapOf(Strategy):
         first.  Every call walks (filter calls count); a completed walk memoizes."""
         universe: list[tuple[int, Any]] = []
         seen: set[Any] = set()  # keys end up as dict keys, so hashable by contract
-        for tree in iter_trees(self.keys, stats):
-            k = tree.current
+        for index, k in iter_positions(self.keys, stats):
             if k not in seen:
                 seen.add(k)
-                universe.append((tree.index, k))
+                universe.append((index, k))
                 if len(universe) > _KEY_UNIVERSE_CAP:
                     raise NotEnumerable("ordered_map_of: key universe too large to enumerate")
         self.__dict__["_walked_key_positions"] = [i for i, _ in universe]
@@ -1075,25 +1079,25 @@ class _IndexedTree(ValueTree):
         return _tree_at(self.strategy, self.index).complexity()
 
 
-def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[ValueTree]:
-    """Canonical enumeration as shrinkable trees carrying their base ``index``.
-    No budget gating; callers that rely on finiteness check ``cardinality``.
-    The exhaustive backend's per-value loop.  A stream with no filter below
-    it has no ``_Skip``, so each value's index is its count.  Otherwise each
-    accepted value's index is the count of positions before it, the rejected
-    ones summed from their ``_Skip`` markers once the next accepted value
-    comes."""
-    tree_type, skip = _IndexedTree, _Skip
+def iter_positions(strategy: Strategy,
+                   stats: EnumStats | None = None) -> Iterator[tuple[int, Any]]:
+    """Canonical enumeration as ``(base position, value)`` pairs, building no
+    tree.  No budget gating; callers that rely on finiteness check
+    ``cardinality``.  A stream with no filter below it has no ``_Skip``, so
+    each value's position is its count, paired in C by ``enumerate``.
+    Otherwise each accepted value's position is the count of positions
+    before it, the rejected ones summed from their ``_Skip`` markers once the
+    next accepted value comes."""
     values = strategy._values(stats)
     if strategy._skip_free:
-        for index, v in enumerate(values):
-            tree = tree_type()
-            tree.current = v
-            tree.strategy = strategy
-            tree.index = index
-            yield tree
-        return
-    index = 0
+        return enumerate(values)
+    return _skipping_positions(values, stats)
+
+
+def _skipping_positions(values: Iterator[Any],
+                        stats: EnumStats | None) -> Iterator[tuple[int, Any]]:
+    """``iter_positions`` of a stream that may hold ``_Skip`` markers."""
+    skip, index = _Skip, 0
     skipped: list[_Skip] = []
     for v in values:
         if type(v) is skip:
@@ -1102,12 +1106,20 @@ def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[V
         if skipped:
             index += sum(s.span(stats) for s in skipped)
             skipped.clear()
+        yield index, v
+        index += 1
+
+
+def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[ValueTree]:
+    """``iter_positions`` as shrinkable trees carrying their base ``index``;
+    each tree replays its choices only when its candidates are asked for."""
+    tree_type = _IndexedTree
+    for index, v in iter_positions(strategy, stats):
         tree = tree_type()
         tree.current = v
         tree.strategy = strategy
         tree.index = index
         yield tree
-        index += 1
 
 
 def enumerate_values(strategy: Strategy, budget: int | None = None) -> Iterator[Any]:

@@ -6,14 +6,17 @@ values.  Over a zoo of every combinator (filters nested everywhere a filter
 can sit, patterns, and every corpus domain that is not too large) the two
 must agree on accepted values, rejection counts and labels, and the choices
 ``_unrank`` gives for every position must replay into the value the stream
-has there.  ``iter_trees`` is the one reader of a ``_values`` stream, so
-``enumerate_values`` and map key walks are checked through it.
+has there.  ``iter_positions`` is the one reader of a ``_values`` stream
+that needs positions, and ``iter_trees`` a view over it, so map key walks
+are checked through them; ``enumerate_values`` is checked against both.
 
 The same zoo, with the pinned draws of ``test_pins``, holds the plain fuzz
 context and the recording context to the same draws: the same values, PRNG
 state, rejection budget and error, and a replay of the recorded choices
 with no PRNG draws the same values again.
 """
+
+import itertools
 
 import pytest
 
@@ -363,6 +366,57 @@ def _draws(draw, n=4):
     except (RejectionExhausted, ZeroDivisionError, ValueError) as exc:
         out.append(f"{type(exc).__name__}: {exc}")
     return out
+
+
+def _walked(pairs, n=3000):
+    """The first ``n`` (position, value) pairs of a walk, and the error, with
+    its filter label, that ended it."""
+    out = []
+    try:
+        for index, value in itertools.islice(pairs, n):
+            out.append((index, _shown(value)))
+    except Exception as exc:  # noqa: BLE001 - zoo maps raise, zoo filters run dry
+        out.append((type(exc).__name__, str(exc), getattr(exc, "label", None)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DRAWN_ZOO))
+def test_positions_are_what_the_trees_carry(name):
+    """The position walk is ``iter_trees`` without the trees: the same base
+    positions and values, the same rejection count, and at each rejection
+    bound the same values before the same ``RejectionExhausted`` label."""
+    s = DRAWN_ZOO[name]
+
+    def both(make_stats):
+        stats = [make_stats(), make_stats()]
+        walks = (_walked(st.iter_positions(s, stats[0])),
+                 _walked((t.index, t.current) for t in iter_trees(s, stats[1])))
+        assert walks[0] == walks[1]
+        assert stats[0].rejected == stats[1].rejected
+        return walks[0], stats[0].rejected
+
+    _, rejected = both(EnumStats)
+    if s.cardinality().kind == "unknown":
+        for bound in sorted({0, rejected // 2, max(rejected - 1, 0)}):
+            walk, _ = both(lambda: EnumStats(max_rejected=bound))
+            if bound < rejected:
+                assert walk[-1][0] == "RejectionExhausted"
+
+
+def test_products_halve_their_components(monkeypatch):
+    """A chained product nests as halves (8 components as 4 + 4, each as
+    2 + 2, ...): walking eight bits takes 358 ``_chained_product`` calls,
+    where one component per level would take 382."""
+    calls = []
+    chained = st._chained_product
+
+    def counted(*args):
+        calls.append(1)
+        return chained(*args)
+
+    monkeypatch.setattr(st, "_chained_product", counted)
+    assert len(list(st.enumerate_values(tuple_of(*[int_range(0, 1)] * 8)))) == 256
+    assert len(calls) == 358
 
 
 @pytest.mark.parametrize("name", sorted(DRAWN_ZOO))

@@ -5,12 +5,15 @@ import time
 
 import pytest
 
+import tricheck.exhaustive as exhaustive
+import tricheck.strategies as st
 from tricheck.exhaustive import run_exhaustive
 from tricheck.fuzz import run_fuzz
 from tricheck.harness import Property, RunConfig
 from tricheck.patterns import pattern
 from tricheck.results import UnknownReason, VerdictKind
-from tricheck.strategies import int_range, just, list_of, ordered_map_of, tuple_of
+from tricheck.strategies import (enumerate_values, int_range, iter_positions, just, list_of,
+                                 ordered_map_of, tuple_of)
 
 
 def prop(strategy, predicate, name="p"):
@@ -53,6 +56,56 @@ def test_empty_refinement_is_a_vacuous_proof():
     assert v.kind is VerdictKind.PROVED
     assert v.cases == 0
     assert v.vacuity_warning is True
+
+
+#: a product, and a product with a filter below it, over which the walk
+#: builds no tree: only a failing position is rebuilt
+UNBUILT = {
+    "product": tuple_of(int_range(0, 9), int_range(-4, 4)),
+    "filtered": tuple_of(int_range(0, 9).filter("odd", lambda x: x % 2), int_range(0, 3)),
+}
+
+
+def _no_tree(*args, **kw):
+    raise AssertionError("a tree was built or replayed while walking")
+
+
+@pytest.mark.parametrize("name", sorted(UNBUILT))
+def test_a_passing_walk_builds_no_tree(monkeypatch, name):
+    """The walk yields positions and values; it neither builds an indexed
+    tree per value nor replays a position that did not fail."""
+    monkeypatch.setattr(st, "_IndexedTree", _no_tree)
+    monkeypatch.setattr(st, "_replay", _no_tree)
+    v = run_exhaustive(prop(UNBUILT[name], lambda *a: True), RunConfig())
+    assert v.kind is VerdictKind.PROVED
+    assert v.cases == len(list(enumerate_values(UNBUILT[name])))
+
+
+@pytest.mark.parametrize("name", sorted(UNBUILT))
+def test_a_failing_walk_rebuilds_only_the_failing_position(monkeypatch, name):
+    """A falsified walk builds no indexed tree, and its first replay is the
+    failing position's choices, rebuilt once from its base position."""
+    s = UNBUILT[name]
+    index, value = next((i, v) for i, v in iter_positions(s) if v[0] * v[1] >= 6)
+    replayed, rebuilt = [], []
+    original_replay, original_tree_at = st._replay, exhaustive._tree_at
+
+    def replay(strategy, prefix, limit=None):
+        replayed.append(list(prefix))
+        return original_replay(strategy, prefix, limit)
+
+    def tree_at(strategy, i):
+        rebuilt.append(i)
+        return original_tree_at(strategy, i)
+
+    monkeypatch.setattr(st, "_IndexedTree", _no_tree)
+    monkeypatch.setattr(st, "_replay", replay)
+    monkeypatch.setattr(exhaustive, "_tree_at", tree_at)
+    v = run_exhaustive(prop(s, lambda a, b: a * b < 6), RunConfig())
+    assert v.kind is VerdictKind.FALSIFIED
+    assert v.counterexample.original == value
+    assert rebuilt == [index]
+    assert replayed[0] == s._unrank(index)
 
 
 # --------------------------------------------------------------------------

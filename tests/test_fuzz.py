@@ -6,10 +6,11 @@ import types
 
 import pytest
 
+import tricheck.strategies as st
 from tricheck.corpus import REGISTRY
 from tricheck.fuzz import run_fuzz, shrink_failure
 from tricheck.harness import Property, RunConfig, Ticker
-from tricheck.prng import SplitMix64
+from tricheck.prng import _GOLDEN, SplitMix64
 from tricheck.results import UnknownReason, VerdictKind
 from tricheck.strategies import int_range, random_tree, tuple_of
 
@@ -60,6 +61,39 @@ def test_threshold_failure_shrinks_to_exact_boundary(seed):
     assert v.counterexample.shrunk == 50000
     assert v.counterexample.original >= 50000
     assert not v.counterexample.shrink_incomplete
+
+
+#: one whole PRNG word per value, so case ``k`` of a run draws word ``k``
+WORD = int_range(0, 2**64 - 1, 64, signed=False)
+
+
+@pytest.mark.parametrize("strategy, seed, case", [
+    (WORD, 5, 0),            # the first word of a fresh generator
+    (WORD, 5, 1),            # the second word of a block
+    (WORD, 5, 32),           # mid-block
+    (WORD, 5, 63),           # the last word of a block
+    (WORD, 5, 64),           # after a used-up block: the next block's first word
+    (WORD, 5, 65),
+    (WORD, 5, 128),
+    (tuple_of(WORD, WORD, WORD).map(list), 5, 21),  # words 63-65, across a block edge
+    (WORD, 2**64 - 1, 1),    # base + used·γ wraps past 2**64
+    (WORD, 2**64 - 1, 64),
+], ids=["fresh", "word_1", "mid", "word_63", "used_up", "word_65", "block_3",
+        "across_blocks", "wrap_1", "wrap_64"])
+def test_a_failing_case_is_redrawn_from_where_it_started(strategy, seed, case):
+    """The failing case is redrawn from the generator position read before
+    it was drawn, at every place in a block: the report carries exactly the
+    value the predicate rejected, at its case index."""
+    rng = SplitMix64(seed)
+    for _ in range(case):
+        strategy._draw(st._GenContext(rng))
+    if seed == 2**64 - 1:
+        assert rng._base + rng._used * _GOLDEN >= 2**64
+    rejected = strategy._draw(st._GenContext(rng))
+    v = run_fuzz(prop(strategy, lambda x: x != rejected), RunConfig(seed=seed, cases=case + 10))
+    assert v.kind is VerdictKind.FALSIFIED
+    c = v.counterexample
+    assert (c.original, c.shrunk, c.case_index) == (rejected, rejected, case)
 
 
 def test_pair_failure_shrinks_both_components():

@@ -3,8 +3,11 @@
 ``bench/tracing.py`` counts ``harness.evals``, ``exhaustive.values`` and
 ``prng.u64`` by wrapping ``eval_predicate`` as bound in the fuzz and
 exhaustive modules, ``exhaustive.iter_trees`` and ``SplitMix64.next_u64``.
-A backend loop that inlines one of them would silently zero that counter,
-so these tests hold every loop to one call per unit of work.
+``exhaustive.iter_trees`` names the position walk,
+``strategies.iter_positions``, which yields one (base position, value) pair
+per enumerated value, not a tree.  A backend loop that inlines one of them
+would silently zero that counter, so these tests hold every loop to one
+call per unit of work.
 """
 
 import contextlib
@@ -43,14 +46,14 @@ def calls(monkeypatch):
         monkeypatch.setattr(module, "eval_predicate",
                             counting("evals", module.eval_predicate))
     monkeypatch.setattr(SplitMix64, "next_u64", counting("u64", SplitMix64.next_u64))
-    iter_trees = exhaustive.iter_trees
+    iter_positions = exhaustive.iter_trees
 
-    def counted_trees(*args):
-        for tree in iter_trees(*args):
+    def counted_positions(*args):
+        for pair in iter_positions(*args):
             n["next"] += 1
-            yield tree
+            yield pair
 
-    monkeypatch.setattr(exhaustive, "iter_trees", counted_trees)
+    monkeypatch.setattr(exhaustive, "iter_trees", counted_positions)
     return n
 
 
