@@ -16,12 +16,13 @@ builds closures once per node for one-shot evaluation: interval evaluation
 over ``(lo, hi)`` pairs, truth as an int (1 true, -1 false, 0 maybe, with
 comparisons decided by interval separation) and concrete evaluation at a
 point.  ``branch_and_prune`` instead generates the source of one search
-kernel for the formula and its box layout: the whole loop, with the formula
-as straight-line interval code over the bounds of the box it searches, held
-in locals.  It splits undecided boxes along their widest dimension until
-every box is decided, a concrete witness refutes the property, or the box
-budget runs out.  Interval division truncates toward zero and a divisor
-interval that straddles zero aborts the analysis (soundly) instead.
+kernel for the formula's shape and its box layout: the whole loop, with the
+formula as straight-line interval code over the bounds of the box it
+searches, held in locals, and as plain integer code for a box of one point.
+It splits undecided boxes along their widest dimension until every box is
+decided, a concrete witness refutes the property, or the box budget runs
+out.  Interval division truncates toward zero and a divisor interval that
+straddles zero aborts the analysis (soundly) instead.
 
 Every verdict is anchored concretely.  A witness must fail the recorded
 formula under integer evaluation, and then the real predicate too; a proof
@@ -171,7 +172,8 @@ def _tq(a: int, b: int) -> int:
 # --------------------------------------------------------------------------
 # carrier expressions
 
-_CMP_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
+_CMP_SYMBOLS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
+_CMP_OPS = tuple(_CMP_SYMBOLS)
 
 
 #: thread ident -> whether the user code ``_record`` runs in that thread has
@@ -372,8 +374,7 @@ class Cmp(SymBool):
         self.rhs = rhs
 
     def __repr__(self) -> str:
-        sym = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}[self.op]
-        return f"({self.lhs!r} {sym} {self.rhs!r})"
+        return f"({self.lhs!r} {_CMP_SYMBOLS[self.op]} {self.rhs!r})"
 
 
 class _Junction(SymBool):
@@ -480,6 +481,24 @@ def _compare_rule(op: str, a: tuple, b: tuple, t: str) -> str:
         return (f"{t} = {no} if {ahi} < {blo} or {bhi} < {alo} "
                 f"else {yes} if {alo} == {ahi} == {blo} == {bhi} else 0")
     return f"{t} = {yes} if {ahi} < {blo} else {no} if {alo} >= {bhi} else 0"
+
+
+def _point_rule(kind: type | str, a: str, b: str | None, x: str,
+                abort: str | None) -> list[str]:
+    """Statements setting ``x`` to the value at a point of a ``kind`` node
+    (Neg to Rem, an int) or comparison (``kind`` is its op, a bool), whose
+    operands' values are the sources ``a`` and ``b`` (``b`` is None for
+    Neg).  On a box of one point this is what ``_range_rule`` and
+    ``_compare_rule`` compute, since interval arithmetic is exact there, and
+    a zero divisor runs ``abort`` as a divisor range holding zero does."""
+    if kind is Neg:
+        return [f"{x} = -{a}"]
+    if kind is Div or kind is Rem:
+        quotient = _tq_source(a, b)
+        return [f"if {b} == 0: {abort}",
+                f"{x} = {quotient}" if kind is Div else f"{x} = {a} - {b} * {quotient}"]
+    op = _CMP_SYMBOLS[kind] if isinstance(kind, str) else kind.op  # Add, Sub, Mul
+    return [f"{x} = {a} {op} {b}"]
 
 
 _EXPR_KINDS = (Const, Var, Neg, Add, Sub, Mul, Div, Rem)
@@ -810,8 +829,9 @@ def branch_and_prune(formula: SymBool, box: Box,
     exhaustion first probes the remaining region with concrete samples.
     Splits take the widest dimension (ties to the lowest vid) and search the
     lower half first; a point box is always decided, since interval
-    arithmetic is exact there.  The search runs in a kernel generated for
-    this formula and box layout (see ``_kernel``).
+    arithmetic is exact there, and the kernel decides it with plain integer
+    code.  The search runs in a kernel generated for this formula's shape
+    and box layout, and cached by that shape (see ``_kernel``).
     """
     keys = list(box)  # witnesses and samples follow the caller's order
     vids = sorted(keys)
@@ -853,10 +873,10 @@ def branch_and_prune(formula: SymBool, box: Box,
 # --------------------------------------------------------------------------
 # search kernels: the branch-and-prune loop as generated source
 
-#: generated source -> kernel, emptied when full.  Formulas are rebuilt on
-#: every run, so only the source text repeats, and keying on it keeps no
-#: formula alive.
-_KERNELS: dict[str, Any] = {}
+#: shape key (see ``_shape``) -> kernel, emptied when full.  Formulas are
+#: rebuilt on every run, so only their shape repeats, and keying on it keeps
+#: no formula alive.
+_KERNELS: dict[tuple, Any] = {}
 _KERNEL_CACHE_SIZE = 1024
 
 
@@ -875,21 +895,67 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     "timeout" the unevaluated box is pushed back, so ``work`` then holds
     every box not yet evaluated.  ``left``/``renew`` are a Ticker lease,
     spent one unit per box; a deadline ``renew`` finds passed reads
-    "timeout".  The formula is straight-line interval code, each shared node
-    evaluated once per box in the closures' order, so the first division to
-    abort is theirs too.
+    "timeout".  The formula is straight-line code, each shared node evaluated
+    once per box in the closures' order, so the first division to abort is
+    theirs too: over a box as interval code, and on a box of one point
+    (every ``l<i> == h<i>``) as plain integer code with the same truth.
+
+    Kernels are cached by ``_shape``'s key, so a formula whose shape was
+    seen before costs one walk and no source.
     """
-    w = _KernelWriter(vids)
-    truth = w.formula(formula)
-    source = _kernel_head(len(vids)) + "".join(w.lines) + _split_source(truth, len(vids))
-    kernel = _KERNELS.get(source)
+    key, locations = _shape(formula, vids)
+    kernel = _KERNELS.get(key)
     if kernel is None:
         namespace = {"DeadlineReached": DeadlineReached}
+        source = _KernelWriter(key).source
         exec(builtins.compile(source, "<tricheck search kernel>", "exec"), namespace)
         if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
             _KERNELS.clear()
-        kernel = _KERNELS[source] = namespace["kernel"]
-    return kernel, w.locations
+        kernel = _KERNELS[key] = namespace["kernel"]
+    return kernel, locations
+
+
+def _shape(formula: SymBool, vids: list[int]) -> tuple[tuple, list]:
+    """``(key, locations)`` for ``formula`` over boxes whose variables are
+    ``vids``.  The key is ``len(vids)`` and then one entry per node, in the
+    kernel's order (operands first, a shared node once): its kind, or its
+    op for a comparison, then its operands' positions among the entries, a
+    Var's index in ``vids``, a Const's ``int.__repr__`` or a BoolConst's
+    truth.  That is everything the kernel's source depends on.
+    ``locations`` are the Div/Rem locations in the same order."""
+    index = {vid: i for i, vid in enumerate(vids)}
+    nodes: list[tuple] = []
+    seen: dict[int, int] = {}  # id(node) -> its position in nodes
+    locations: list[str | None] = []
+
+    def walk(node, kinds: tuple) -> int:
+        at = seen.get(id(node))
+        if at is not None:
+            return at
+        kind = _kind(node, kinds)
+        if kind is Const:
+            entry = (Const, int.__repr__(node.value))
+        elif kind is Var:
+            try:
+                entry = (Var, index[node.vid])
+            except KeyError:
+                raise ValueError(f"the box does not bound variable v{node.vid}") from None
+        elif kind is BoolConst:
+            entry = (BoolConst, bool(node.value))
+        elif kind is Neg or kind is Not:
+            entry = (kind, walk(node.inner, kinds))
+        else:
+            operands = _EXPR_KINDS if kind is Cmp else kinds
+            entry = (node.op if kind is Cmp else kind,
+                     walk(node.lhs, operands), walk(node.rhs, operands))
+            if kind is Div or kind is Rem:
+                locations.append(node.location)
+        at = seen[id(node)] = len(nodes)
+        nodes.append(entry)
+        return at
+
+    walk(formula, _FORMULA_KINDS)
+    return (len(vids), *nodes), locations
 
 
 def _box_source(n: int) -> str:
@@ -897,7 +963,6 @@ def _box_source(n: int) -> str:
     return "(" + "".join(f"l{i}, h{i}, " for i in range(n)) + ")"
 
 
-@functools.lru_cache
 def _kernel_head(n: int) -> str:
     """The loop's head for boxes of ``n`` variables.  The lease ends at box
     count ``end`` (``left`` is ``end - boxes``), and the one compare per box
@@ -927,21 +992,11 @@ def kernel(work, budget, left, renew):
 """
 
 
-@functools.lru_cache
-def _split_source(truth: str, n: int) -> str:
-    """The loop's tail: a TRUE box pops the next one or returns, a FALSE one
-    returns, and a MAYBE box is split along its widest dimension (ties to
-    the lowest vid): the upper half is pushed and the lower half searched
-    next in place."""
-    box = _box_source(n)
-    lines = [f"if {truth} > 0:", "    if not work:",
-             "        return 'proved', boxes, splits, end - boxes, None",
-             f"    {box} = pop()", "    continue",
-             f"if {truth} < 0:", f"    return 'witness', boxes, splits, end - boxes, {box}"]
-    if n == 0:
-        lines.append("raise AssertionError('a point box evaluated MAYBE')")
-    else:
-        lines.append("splits += 1")
+def _split_lines(n: int) -> list[str]:
+    """A MAYBE box of ``n`` > 0 variables is split along its widest
+    dimension (ties to the lowest vid): the upper half is pushed and the
+    lower half searched next in place."""
+    lines = ["splits += 1"]
     if n > 1:
         lines.append("d = 0; w = h0 - l0")
         lines += [f"if h{i} - l{i} > w: d = {i}; w = h{i} - l{i}" for i in range(1, n)]
@@ -952,87 +1007,78 @@ def _split_source(truth: str, n: int) -> str:
             lines.append(f"if d == {i}:" if i == 0
                          else "else:" if i == n - 1 else f"elif d == {i}:")
         lines += [f"{pad}m = (l{i} + h{i}) // 2", f"{pad}push(({upper}))", f"{pad}h{i} = m"]
-    return "".join(f"        {line}\n" for line in lines)
-
-
-def _literal(c) -> str:
-    """Source text of an integer constant.  ``int.__repr__`` because an int
-    subclass such as an IntEnum member reprs as something that is not."""
-    text = int.__repr__(c)
-    return f"({text})" if c < 0 else text
+    return lines
 
 
 class _KernelWriter:
-    """Straight-line statements evaluating one formula over the box held in
-    ``l<i>``/``h<i>``; each node's value lands in fresh locals once."""
+    """The ``source`` of the search kernel for one ``_shape`` key.  Each
+    node is read twice into fresh locals named by its position in the key:
+    over the box held in ``l<i>``/``h<i>`` (``_range_rule``,
+    ``_compare_rule``; a truth is 1 TRUE, -1 FALSE, 0 MAYBE, so
+    ``&``/``|``/``~`` are min, max and negation) and at a point
+    (``_point_rule``; a truth is a bool).  The point reading runs while
+    every ``l<i> == h<i>``, and decides the box on its own."""
 
-    def __init__(self, vids: list[int]) -> None:
-        self.bounds = {vid: (f"l{i}", f"h{i}") for i, vid in enumerate(vids)}
-        self.lines: list[str] = []
-        self.memo: dict[int, Any] = {}  # id(node) -> its value's source
-        self.locations: list[str | None] = []
-        self.temps = 0
-
-    def emit(self, *lines: str) -> None:
-        self.lines += [f"        {line}\n" for line in lines]
-
-    def temp(self, prefix: str) -> str:
-        self.temps += 1
-        return f"{prefix}{self.temps}"
-
-    def formula(self, f) -> str:
-        """Source of a local holding the truth of ``f``: 1 TRUE, -1 FALSE,
-        0 MAYBE, so ``&``/``|``/``~`` are min, max and negation."""
-        if not isinstance(f, SymBool):
-            raise TypeError(f"not a formula node: {f!r}")
-        got = self.memo.get(id(f))
-        if got is None:
-            got = self.memo[id(f)] = self._formula(f)
-        return got
-
-    def expr(self, e) -> tuple[str, str]:
-        """Sources of the bounds of ``e``'s range: locals or literals."""
-        if not isinstance(e, SymExpr):
-            raise TypeError(f"not an expression node: {e!r}")
-        got = self.memo.get(id(e))
-        if got is None:
-            got = self.memo[id(e)] = self._expr(e)
-        return got
-
-    def _formula(self, f: SymBool) -> str:
-        kind = _kind(f, _FORMULA_KINDS)
-        if kind is BoolConst:
-            return "1" if f.value else "(-1)"
-        t = self.temp("t")
-        if kind is Not:
-            self.emit(f"{t} = -{self.formula(f.inner)}")
-            return t
-        if kind is not Cmp:  # And, Or
-            a, b = self.formula(f.lhs), self.formula(f.rhs)
-            self.emit(f"{t} = {a} if {a} {'<' if kind is And else '>'} {b} else {b}")
-            return t
-        self.emit(_compare_rule(f.op, self.expr(f.lhs), self.expr(f.rhs), t))
-        return t
-
-    def _expr(self, e: SymExpr) -> tuple[str, str]:
-        kind = _kind(e, _EXPR_KINDS)
-        if kind is Const:
-            text = _literal(e.value)
-            return text, text
-        if kind is Var:
-            try:
-                return self.bounds[e.vid]
-            except KeyError:
-                raise ValueError(f"the box does not bound variable v{e.vid}") from None
-        operands = ((self.expr(e.inner), None) if kind is Neg
-                    else (self.expr(e.lhs), self.expr(e.rhs)))
-        x, y = self.temp("x"), self.temp("y")
-        abort = None
-        if kind in (Div, Rem):
-            self.locations.append(e.location)
-            abort = f"return 'unsupported', boxes, splits, end - boxes, {len(self.locations) - 1}"
-        self.emit(*_range_rule(kind, *operands, x, y, abort))
-        return x, y
+    def __init__(self, key: tuple) -> None:
+        n, *nodes = key
+        over_box: list = []  # per node: its bounds' sources, or its truth's
+        at_point: list[str] = []  # per node: its value's source
+        box_lines: list[str] = []
+        point_lines: list[str] = []
+        aborts = 0
+        for k, (kind, *operands) in enumerate(nodes):
+            if kind is Const or kind is Var or kind is BoolConst:
+                (leaf,) = operands
+                if kind is Const:
+                    text = f"({leaf})" if leaf[0] == "-" else leaf
+                    over_box.append((text, text))
+                    at_point.append(text)
+                elif kind is Var:
+                    over_box.append((f"l{leaf}", f"h{leaf}"))
+                    at_point.append(f"l{leaf}")
+                else:
+                    over_box.append("1" if leaf else "(-1)")
+                    at_point.append(repr(leaf))
+                continue
+            a, b = (*operands, None)[:2]  # b is None for Neg and Not
+            bounds = over_box[a], None if b is None else over_box[b]
+            values = at_point[a], None if b is None else at_point[b]
+            if kind in _EXPR_KINDS:  # Neg to Rem: a range, and an int at a point
+                x, y = f"x{k}", f"y{k}"
+                abort = None
+                if kind is Div or kind is Rem:
+                    abort = f"return 'unsupported', boxes, splits, end - boxes, {aborts}"
+                    aborts += 1
+                box_lines += _range_rule(kind, *bounds, x, y, abort)
+                point_lines += _point_rule(kind, *values, x, abort)
+                over_box.append((x, y))
+                at_point.append(x)
+                continue
+            t = f"t{k}"  # a truth: 1, -1 or 0 over a box, a bool at a point
+            if kind is Not:
+                box_lines.append(f"{t} = -{bounds[0]}")
+                point_lines.append(f"{t} = not {values[0]}")
+            elif kind is And or kind is Or:
+                p, q = bounds
+                box_lines.append(f"{t} = {p} if {p} {'<' if kind is And else '>'} {q} else {q}")
+                point_lines.append(f"{t} = {values[0]} {'and' if kind is And else 'or'} {values[1]}")
+            else:  # a comparison, by its op
+                box_lines.append(_compare_rule(kind, *bounds, t))
+                point_lines += _point_rule(kind, *values, t, None)
+            over_box.append(t)
+            at_point.append(t)
+        box = _box_source(n)
+        true = ["    if not work:", "        return 'proved', boxes, splits, end - boxes, None",
+                f"    {box} = pop()", "    continue"]
+        false = f"return 'witness', boxes, splits, end - boxes, {box}"
+        lines = [*point_lines, f"if {at_point[-1]}:", *true, false]
+        if n:  # else every box is a point
+            truth = over_box[-1]
+            same = " and ".join(f"l{i} == h{i}" for i in range(n))
+            lines = [f"if {same}:", *(f"    {line}" for line in lines), *box_lines,
+                     f"if {truth} > 0:", *true, f"if {truth} < 0:", f"    {false}",
+                     *_split_lines(n)]
+        self.source = _kernel_head(n) + "".join(f"        {line}\n" for line in lines)
 
 
 # --------------------------------------------------------------------------

@@ -282,12 +282,13 @@ def concrete_oracle(node, val):
     return _tq(a, b) if isinstance(node, sym.Div) else a - b * _tq(a, b)
 
 
-def branch_and_prune_oracle(formula, box, budget, seed=0, remaining=None):
+def branch_and_prune_oracle(formula, box, budget, seed=0, remaining=None, points=None):
     """(status, witness, boxes, splits, note) from dict-box splitting: widest
     dimension first (ties to the lowest vid), lower half searched first,
     seeded samples from the remaining boxes once the budget runs out.  The
     list ``remaining``, when given, receives those boxes, bottom of the
-    stack first."""
+    stack first; the list ``points`` receives every box of one point that
+    is evaluated."""
     work, boxes, splits = [dict(box)], 0, 0
     while work:
         if boxes >= budget:
@@ -305,6 +306,8 @@ def branch_and_prune_oracle(formula, box, budget, seed=0, remaining=None):
             return "undecided", None, boxes, splits, f"box budget {budget} exhausted"
         current = work.pop()
         boxes += 1
+        if points is not None and all(iv.lo == iv.hi for iv in current.values()):
+            points.append(current)
         try:
             truth = truth_oracle(formula, current)
         except sym.DivMaybeZero as exc:

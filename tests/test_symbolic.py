@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import tricheck.symbolic as sym
 from tricheck.corpus import REGISTRY
 from tricheck.harness import Property, RunConfig, Ticker
 from tricheck.patterns import pattern
@@ -775,11 +776,16 @@ def _search_cases():
     """Inputs the random formulas rarely or never make: a node read twice
     (as ``_multiply_in_range`` reads its product), vids with holes, box
     variables the formula never reads, no variables at all, divisions that
-    carry their location, and boxes a whole word wide."""
+    carry their location, and boxes a whole word wide.  The later ones are
+    decided by the kernel's point branch: a zero divisor on the right of a
+    connective whose left side is already TRUE, the second of two divisions
+    aborting, points at ±2^63, and a quotient read by two comparisons."""
     x, z = Var(0), Var(2)
     r = x * z
+    q = Div(x, z, "shared.py:5")
     word = Interval(-2**63, 2**63 - 1)
     holes = {0: Interval(1, 1000), 2: Interval(1, 1000)}
+    edges = {0: Interval(-2**63, -2**63), 2: Interval(2**63, 2**63)}
     return [
         ((1 <= r) & (r <= 10**6), holes),
         ((1 <= r) & (r < 10**6), {2: Interval(1, 1000), 0: Interval(1, 1000)}),
@@ -799,6 +805,20 @@ def _search_cases():
         (x + z != x + z + 1, {0: word, 2: word}),
         (x * z <= 2**124, {2: word, 0: word}),
         (Div(x, Const(1 << 62), "wide.py:4") < 2, {0: word, 2: Interval(0, 1)}),
+        ((x > 2) | (Rem(x, z - 1, "point.py:6") < 3), {0: Interval(5, 5), 2: Interval(1, 1)}),
+        ((x > 2) | (Rem(x, z - 1, "point.py:6") < 3), {0: Interval(5, 5), 2: Interval(2, 2)}),
+        ((Div(x, z + 5, "first.py:1") < 9) & (Rem(x, z, "second.py:2") < 9),
+         {0: Interval(4, 4), 2: Interval(0, 0)}),
+        (Cmp("gt", -Const(5), Const(-4)), {}),
+        ((Div(Const(-7), Const(2), "none.py:1") == -3) & (Rem(Const(-7), Const(2), "none.py:2")
+                                                         == -1), {}),
+        (Rem(Const(7), Const(0) * Const(3), "none.py:3") != 1, {}),
+        ((q == -1) & (Rem(x, z, "edge.py:2") == 0) & (r < 0) & (-x == z) & (x - z < x),
+         edges),
+        (x + z < 1, {0: Interval(2**63 - 1, 2**63), 2: Interval(-2**63, -2**63 + 1)}),
+        (x * z > -(2**126), {0: Interval(-2**63, -2**63 + 2), 2: Interval(2**63 - 2, 2**63)}),
+        ((q * z <= x + 2) & (q != 7), {0: Interval(-9, 30), 2: Interval(2, 4)}),
+        (((q >= 2) | (q <= 1)) & (q != 5), {0: Interval(0, 12), 2: Interval(1, 3)}),
     ]
 
 
@@ -811,14 +831,21 @@ def test_branch_and_prune_matches_the_reference_search():
         formula = _gen_formula(rng, 2, nvars)
         _name_divisions(formula, itertools.count())
         cases.append((formula, _gen_box(rng, nvars, 40), (4, 60, 400)[i % 3]))
+    random_cases = len(cases)
     cases += [(f, b, budget) for f, b in _search_cases() for budget in (4, 60, 400, 5000)]
+    points = []  # boxes of one point, which the kernel decides with plain ints
     for i, (formula, b, budget) in enumerate(cases):
         out = branch_and_prune(formula, b, budget, sample_seed=i)
-        expected = branch_and_prune_oracle(formula, b, budget, seed=i)
+        expected = branch_and_prune_oracle(formula, b, budget, seed=i, points=points)
         got = (out.status, out.witness, out.boxes, out.splits, out.note)
         assert got == expected, (formula, b)
         statuses.add(out.status)
+        if i == random_cases - 1:
+            random_points = len(points)
     assert statuses == {"proved", "witness", "undecided", "unsupported"}
+    # the point branch runs, on the random formulas as well as the hand-made
+    # ones (457 and 3678 point boxes when this was written)
+    assert random_points >= 400 and len(points) >= 3000, (random_points, len(points))
 
     # the lease is counted down once per box and handed back on the way
     # out; an expired deadline is seen at the first poll
@@ -866,9 +893,76 @@ def test_the_kernel_cache_is_emptied_when_full(monkeypatch):
     kernels = {}
     monkeypatch.setattr("tricheck.symbolic._KERNELS", kernels)
     monkeypatch.setattr("tricheck.symbolic._KERNEL_CACHE_SIZE", 2)
-    for c in range(5):  # five sources: kept 1, 2, then emptied to 1, 2, 1
+    for c in range(5):  # five shapes: kept 1, 2, then emptied to 1, 2, 1
         assert branch_and_prune(X < 10 + c, box((0, 5))).status == "proved"
     assert len(kernels) == 1
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """The shape keys of the kernel sources written, from an empty cache: each
+    ``_KernelWriter`` made is one source written."""
+    keys = []
+
+    class Writer(sym._KernelWriter):
+        def __init__(self, key):
+            keys.append(key)
+            super().__init__(key)
+
+    monkeypatch.setattr(sym, "_KernelWriter", Writer)
+    monkeypatch.setattr(sym, "_KERNELS", {})
+    return keys
+
+
+def test_one_shape_is_written_once_and_each_note_names_its_own_division(written):
+    z = Var(2)
+    notes = [branch_and_prune(Div(X, z, where) >= 0, b).note
+             for where in ("a.py:1", "b.py:2")
+             for b in ({0: Interval(0, 9), 2: Interval(-1, 1)},  # aborts over a box
+                       {2: Interval(0, 0), 0: Interval(3, 3)})]  # and at a point
+    assert notes == ["divisor interval contains zero at a.py:1"] * 2 + [
+        "divisor interval contains zero at b.py:2"] * 2
+    assert len(written) == 1
+
+
+def _shared_product():
+    r = X * Y
+    return (r >= 0) & (r <= 9)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((lambda: X < 3, [0]), (lambda: X < 4, [0])),
+    ((lambda: X < 3, [0]), (lambda: X < -3, [0])),
+    ((lambda: X < Var(2), [0, 2]), (lambda: Var(2) < X, [0, 2])),
+    ((lambda: X < Var(2), [0, 2]), (lambda: X < Var(2), [0, 1, 2])),
+    ((_shared_product, [0, 1]), (lambda: (X * Y >= 0) & (X * Y <= 9), [0, 1])),
+], ids=["const", "const_sign", "vid_order", "vid_count", "shared_product"])
+def test_a_different_shape_gets_a_kernel_of_its_own(written, first, second):
+    """A different Const, variables at other places in the box, or a product
+    computed once against twice: each changes the kernel's source, so each
+    has a key and a kernel of its own.  Rebuilt nodes of one shape share."""
+    (build, vids), (build_other, other_vids) = first, second
+    kernel = sym._kernel(build(), vids)[0]
+    assert sym._kernel(build_other(), other_vids)[0] is not kernel
+    assert len(written) == 2 and written[0] != written[1]
+    assert sym._kernel(build(), vids)[0] is kernel
+    assert len(written) == 2
+
+
+def test_a_variable_outside_the_box_is_refused_after_a_cache_hit(written):
+    assert branch_and_prune(X < 1, box((0, 5))).status == "witness"
+    for formula in (Var(3) < 1, X < Var(3)):
+        with pytest.raises(ValueError, match="the box does not bound variable v3"):
+            branch_and_prune(formula, box((0, 5)))
+    assert len(written) == 1
+
+
+def test_a_second_run_over_the_corpus_writes_no_kernel(written):
+    verdicts = [run_symbolic(p, RunConfig()) for p in REGISTRY]
+    assert len(written) > 5
+    del written[:]
+    assert [run_symbolic(p, RunConfig()).kind for p in REGISTRY] == [v.kind for v in verdicts]
+    assert written == []
 
 
 def test_interval_rules_are_compiled_on_first_use():
