@@ -10,19 +10,21 @@ test such as ``isinstance(x, int)`` reads the carrier's ``__class__``, which
 ``_record`` notes.  Either way the harness is reported as unsupported rather
 than silently checked for the wrong thing.
 
-A recorded formula becomes code in one of two ways, chosen by the call site,
-from one source definition of each operator's interval rule.  ``compile``
-builds closures once per node for one-shot evaluation: interval evaluation
-over ``(lo, hi)`` pairs, truth as an int (1 true, -1 false, 0 maybe, with
-comparisons decided by interval separation) and concrete evaluation at a
-point.  ``branch_and_prune`` instead generates the source of one search
-kernel for the formula's shape and its box layout: the whole loop, with the
-formula as straight-line interval code over the bounds of the box it
-searches, held in locals, and as plain integer code for a box of one point.
-It splits undecided boxes along their widest dimension until every box is
-decided, a concrete witness refutes the property, or the box budget runs
-out.  Interval division truncates toward zero and a divisor interval that
-straddles zero aborts the analysis (soundly) instead.
+A recorded formula is wired in one place: ``_shape`` walks it once into a
+list of nodes, operands first and a shared node once.  Each operator's rule
+is written once as source, in two readings: over a box of ``(lo, hi)``
+pairs (a range, or a truth: 1 true, -1 false, 0 maybe, with comparisons
+decided by interval separation) and at a point of plain ints.  One-shot
+evaluation loops over the nodes, calling each one's rule compiled once per
+kind, reading and operand forms.  ``branch_and_prune`` instead generates
+the source of one search kernel for the formula's shape and its box layout:
+the whole loop, with the formula as straight-line interval code over the
+bounds of the box it searches, held in locals, and as plain integer code
+for a box of one point.  It splits undecided boxes along their widest
+dimension until every box is decided, a concrete witness refutes the
+property, or the box budget runs out.  Interval division truncates toward
+zero and a divisor interval that straddles zero aborts the analysis
+(soundly) instead.  Both readings evaluate both sides of ``&`` and ``|``.
 
 Every verdict is anchored concretely.  A witness must fail the recorded
 formula under integer evaluation, and then the real predicate too; a proof
@@ -35,7 +37,6 @@ from __future__ import annotations
 import builtins
 import functools
 import itertools
-import operator
 import sys
 import threading
 from dataclasses import dataclass
@@ -471,8 +472,6 @@ def _tq_source(a: str, b: str) -> str:
 def _compare_rule(op: str, a: tuple, b: tuple, t: str) -> str:
     """Statement setting ``t`` to the truth of comparison ``op`` between
     operands ranging over ``a`` and ``b``: 1 TRUE, -1 FALSE, 0 MAYBE."""
-    if op not in _CMP_OPS:
-        raise ValueError(f"unknown comparison {op!r}")
     # each comparison is lt or eq, negated for ge/le/ne, with the operands'
     # roles swapped for gt/le
     yes, no = ("(-1)", "1") if op in ("ge", "le", "ne") else ("1", "(-1)")
@@ -505,41 +504,58 @@ _EXPR_KINDS = (Const, Var, Neg, Add, Sub, Mul, Div, Rem)
 _FORMULA_KINDS = (BoolConst, Not, And, Or, Cmp)
 
 
-def _kind(node, kinds: tuple) -> type:
-    """The class among ``kinds`` whose rule ``node`` follows: its own, else
-    the first one it subclasses."""
-    kind = type(node)
-    if kind in kinds:  # each isinstance miss would read a carrier's __class__
-        return kind
-    for kind in kinds:  # subclasses
-        if isinstance(node, kind):
-            return kind
-    raise TypeError(f"no rule for {node!r}")
+def _reading(kind: type | str, a, b, k: int, abort: str | None,
+             point: bool) -> tuple[list[str], Any]:
+    """``(statements, result)`` reading node ``k`` of ``kind`` (Neg to Rem, a
+    comparison op, Not, And or Or) from its operands' results ``a`` and
+    ``b`` (None for Neg and Not), all sources.  At a point a result is an
+    int or a bool; over a box a ``(lo, hi)`` pair or a truth, 1 TRUE, -1
+    FALSE, 0 MAYBE, so ``&``/``|``/``~`` are min, max and negation.
+    ``abort`` runs where a divisor may be zero."""
+    if kind in _EXPR_KINDS:
+        x, y = f"x{k}", f"y{k}"
+        if point:
+            return _point_rule(kind, a, b, x, abort), x
+        return _range_rule(kind, a, b, x, y, abort), (x, y)
+    t = f"t{k}"
+    if kind is Not:
+        return [f"{t} = not {a}" if point else f"{t} = -{a}"], t
+    if kind is And or kind is Or:
+        if point:
+            return [f"{t} = {a} {'and' if kind is And else 'or'} {b}"], t
+        return [f"{t} = {a} if {a} {'<' if kind is And else '>'} {b} else {b}"], t
+    if point:
+        return _point_rule(kind, a, b, t, None), t
+    return [_compare_rule(kind, a, b, t)], t
 
 
 @functools.cache
-def _one_shot(kind: type | str) -> Any:
-    """``kind``'s rule (an operator class, Neg to Rem, or a comparison op),
-    compiled on first use into ``build(fa, fb, location)``, which returns
-    an ``over_box`` reading the operands' ranges from ``fa(box)`` and
-    ``fb(box)`` (``fb`` is None for Neg).  Where the kernel aborts, it
-    raises DivMaybeZero(location)."""
-    a, b = ("alo", "ahi"), ("blo", "bhi")
-    if isinstance(kind, str):
-        rule = [_compare_rule(kind, a, b, "t"), "return t"]
-    else:
-        rule = [*_range_rule(kind, a, b, "x", "y", "raise DivMaybeZero(location)"), "return x, y"]
-    operands = ("alo, ahi = fa(box)" if kind is Neg
-                else "(alo, ahi), (blo, bhi) = fa(box), fb(box)")
-    body = "".join(f"        {line}\n" for line in (operands, *rule))
-    source = f"def build(fa, fb, location):\n    def over_box(box):\n{body}    return over_box\n"
-    namespace = {"DivMaybeZero": DivMaybeZero}
-    exec(builtins.compile(source, "<tricheck interval rule>", "exec"), namespace)
-    return namespace["build"]
+def _rule(kind: type | str, point: bool, forms: str) -> Any:
+    """``kind``'s ``_reading`` at a point or over a box, compiled on first
+    use into ``make(i, j, location)``, which returns a node's step:
+    ``step(e, v)`` is its result from its operands', read as ``forms`` says,
+    "v" from ``v[i]`` (a step's result), "e" from ``e[i]`` (a variable of
+    the box or valuation ``e``) or "c" as ``i`` (a constant).  Where the
+    kernel aborts, a step raises EvalError at a point, else DivMaybeZero."""
+    if point or kind in (Not, And, Or):  # ints, bools or truths
+        a, b = names = "a", "b"
+    else:  # (lo, hi) pairs
+        a, b = ("alo", "ahi"), ("blo", "bhi")
+        names = "alo, ahi", "blo, bhi"
+    abort = "raise EvalError('div_by_zero', location)" if point else "raise DivMaybeZero(location)"
+    lines, result = _reading(kind, a, b, 0, abort, point)
+    sources = {"v": "v[{}]", "e": "e[{}]", "c": "{}"}
+    reads = [f"{name} = {sources[form].format(x)}" for name, form, x in zip(names, forms, "ij")]
+    result = result if isinstance(result, str) else ", ".join(result)
+    body = "".join(f"        {line}\n" for line in (*reads, *lines, f"return {result}"))
+    source = f"def make(i, j, location):\n    def step(e, v=None):\n{body}    return step\n"
+    namespace = {"DivMaybeZero": DivMaybeZero, "EvalError": EvalError}
+    exec(builtins.compile(source, "<tricheck rule>", "exec"), namespace)
+    return namespace["make"]
 
 
 # --------------------------------------------------------------------------
-# compilation: interval, three-valued and concrete closures
+# one-shot evaluation: a loop over the formula's shape
 
 class Truth3(Enum):
     TRUE = "true"
@@ -547,110 +563,89 @@ class Truth3(Enum):
     MAYBE = "maybe"
 
 
-def compile(node: SymExpr | SymBool) -> tuple:
-    """``(over_box, at_point)`` closures for ``node``, memoized on it.
+def _program(nodes: list, locations: list, point: bool, vids: list[int] | None) -> Any:
+    """``run(env)``: the result of the last of ``nodes`` (walked by
+    ``_shape`` with ``locations``) at a point, ``env`` ``{vid: int}``, or
+    over a box, ``{vid: (lo, hi)}``.  It loops over the nodes but leaves,
+    in the kernel's order, calling each one's ``_rule`` step; a step reads
+    a Var from ``env`` (a vid it lacks raises KeyError) and a constant as
+    built in.  A Var's entry is its index in ``vids``, or its vid."""
+    steps = []
+    reads = []  # per node: how a step reads it, as ``_rule``'s form and index
+    divisions = iter(locations)
+    for entry in nodes:
+        kind, arg = entry[0], entry[1]  # a leaf's vid or value, else an operand's position
+        if kind is Var:
+            reads.append(("e", arg if vids is None else vids[arg]))
+        elif kind is Const or kind is BoolConst:
+            reads.append(("c", arg if point else (arg, arg) if kind is Const else 1 if arg else -1))
+        else:  # entry[-1] is entry[1] for Neg and Not
+            (fa, i), (fb, j) = reads[arg], reads[entry[-1]]
+            forms = fa if kind is Neg or kind is Not else fa + fb
+            location = next(divisions) if kind is Div or kind is Rem else None
+            reads.append(("v", len(steps)))
+            steps.append(_rule(kind, point, forms)(i, j, location))
+    form, leaf = reads[-1]
+    if form == "e":  # the whole formula is one leaf
+        return lambda env: env[leaf]
+    if form == "c":
+        return lambda env: leaf
+    *body, root = steps
+    if not body:  # one step, whose operands are leaves: it is the program
+        return root
 
-    ``over_box(box)`` reads ``box[vid]`` as ``(lo, hi)`` and returns an
-    expression's sound ``(lo, hi)`` range or a formula's truth (1 TRUE, -1
-    FALSE, 0 MAYBE); a divisor range containing zero raises DivMaybeZero.
-    ``at_point(valuation)`` evaluates over ``{vid: int}``; Div/Rem truncate
-    toward zero and raise EvalError on a zero divisor.
-    """
+    def run(env):
+        values = []
+        push = values.append
+        for step in body:
+            push(step(env, values))
+        return root(env, values)
+    return run
+
+
+def _evaluate(node, kinds: tuple, env: dict, point: bool):
+    """``node``'s ``_program`` in one reading, run over ``env``.  The node
+    keeps its ``_shape`` and each reading's program in ``_compiled``, so
+    later calls neither walk nor build.  A node outside ``kinds`` raises
+    TypeError."""
     try:
-        return node._compiled
+        memo = node._compiled
     except AttributeError:
-        pass
-    fns = (_compile_expr if isinstance(node, SymExpr) else _compile_formula)(node)
-    node._compiled = fns  # another thread would build equivalent closures
-    return fns
-
-
-def _expr(node) -> tuple:
-    if not isinstance(node, SymExpr):
-        raise TypeError(f"not an expression node: {node!r}")
-    return compile(node)
-
-
-def _formula(node) -> tuple:
-    if not isinstance(node, SymBool):
-        raise TypeError(f"not a formula node: {node!r}")
-    return compile(node)
-
-
-def _compile_expr(e: SymExpr) -> tuple:
-    kind = _kind(e, _EXPR_KINDS)
-    if kind is Const:
-        c = e.value
-        point = (c, c)
-        return (lambda box: point), (lambda val: c)
-    if kind is Var:
-        get = operator.itemgetter(e.vid)
-        return get, get
-    if kind is Neg:
-        fi, gi = _expr(e.inner)
-        return _one_shot(Neg)(fi, None, None), (lambda val: -gi(val))
-    (fa, ga), (fb, gb) = _expr(e.lhs), _expr(e.rhs)
-    location = e.location
-    over_box = _one_shot(kind)(fa, fb, location)
-    if kind is Add:
-        return over_box, (lambda val: ga(val) + gb(val))
-    if kind is Sub:
-        return over_box, (lambda val: ga(val) - gb(val))
-    if kind is Mul:
-        return over_box, (lambda val: ga(val) * gb(val))
-    is_div = kind is Div
-
-    def at_point(val):
-        a, b = ga(val), gb(val)
-        if b == 0:
-            raise EvalError("div_by_zero", location)
-        return _tq(a, b) if is_div else a - b * _tq(a, b)
-    return over_box, at_point
-
-
-def _compile_formula(f: SymBool) -> tuple:
-    kind = _kind(f, _FORMULA_KINDS)
-    if kind is BoolConst:
-        value = f.value
-        truth = 1 if value else -1
-        return (lambda box: truth), (lambda val: value)
-    if kind is Not:
-        fi, gi = _formula(f.inner)
-        return (lambda box: -fi(box)), (lambda val: not gi(val))
-    if kind is not Cmp:  # And, Or
-        # over a box both sides are evaluated, so a divisor range straddling
-        # zero anywhere in the formula aborts the analysis
-        (fa, ga), (fb, gb) = _formula(f.lhs), _formula(f.rhs)
-        if kind is And:
-            return (lambda box: min(fa(box), fb(box))), (lambda val: ga(val) and gb(val))
-        return (lambda box: max(fa(box), fb(box))), (lambda val: ga(val) or gb(val))
-    build = _one_shot(f.op)  # an unknown comparison raises ValueError here
-    (fa, ga), (fb, gb) = _expr(f.lhs), _expr(f.rhs)
-    concrete = getattr(operator, f.op)
-    return build(fa, fb, None), (lambda val: concrete(ga(val), gb(val)))
+        memo = None
+    if memo is None or memo[0] is not kinds:
+        memo = node._compiled = [kinds, *_shape(node, kinds, None), None, None]
+    run = memo[3 + point]
+    if run is None:  # another thread may build an equivalent program
+        run = memo[3 + point] = _program(memo[1], memo[2], point, None)
+    return run(env)
 
 
 def interval_eval(expr: SymExpr, box: Box) -> Interval:
     """Sound range of ``expr`` over ``box``: the concrete value at any point
     of the box lies inside the returned interval."""
-    return Interval(*_expr(expr)[0]({vid: (iv.lo, iv.hi) for vid, iv in box.items()}))
+    return Interval(*_evaluate(expr, _EXPR_KINDS,
+                               {vid: (iv.lo, iv.hi) for vid, iv in box.items()}, False))
 
 
 def truth_eval(formula: SymBool, box: Box) -> Truth3:
     """Three-valued truth of ``formula`` over ``box``: TRUE / FALSE are sound
     for every point of the box, MAYBE is undecided."""
-    truth = _formula(formula)[0]({vid: (iv.lo, iv.hi) for vid, iv in box.items()})
+    truth = _evaluate(formula, _FORMULA_KINDS,
+                      {vid: (iv.lo, iv.hi) for vid, iv in box.items()}, False)
     return (Truth3.MAYBE, Truth3.TRUE, Truth3.FALSE)[truth]  # -1 indexes FALSE
 
 
 def concrete_eval(expr: SymExpr, valuation: dict) -> int:
     """Ordinary integer evaluation; Div/Rem truncate toward zero and raise
     EvalError on a zero divisor."""
-    return _expr(expr)[1](valuation)
+    return _evaluate(expr, _EXPR_KINDS, valuation, True)
 
 
 def concrete_truth(formula: SymBool, valuation: dict) -> bool:
-    return _formula(formula)[1](valuation)
+    """Truth of ``formula`` at ``valuation``.  Both sides of ``&`` and ``|``
+    are evaluated, as over a box, so a zero divisor on either raises
+    EvalError."""
+    return _evaluate(formula, _FORMULA_KINDS, valuation, True)
 
 
 # --------------------------------------------------------------------------
@@ -837,7 +832,7 @@ def branch_and_prune(formula: SymBool, box: Box,
     vids = sorted(keys)
     if vids and vids[0] < 0:
         raise ValueError(f"variable id {vids[0]} is negative")
-    kernel, locations = _kernel(formula, vids)
+    kernel, nodes, locations = _kernel(formula, vids)
     work = [tuple(end for v in vids for end in (box[v].lo, box[v].hi))]
     if ticker is None:
         ticker = Ticker()
@@ -851,7 +846,7 @@ def branch_and_prune(formula: SymBool, box: Box,
     if status == "unsupported":
         return SolveOutcome(status, boxes=boxes, splits=splits,
                             note=str(DivMaybeZero(locations[last])))
-    holds = _formula(formula)[1]
+    holds = _program(nodes, locations, True, vids)
 
     def by_vid(flat: tuple) -> dict:
         return dict(zip(vids, zip(flat[::2], flat[1::2])))
@@ -881,8 +876,9 @@ _KERNEL_CACHE_SIZE = 1024
 
 
 def _kernel(formula: SymBool, vids: list[int]) -> tuple:
-    """``(kernel, locations)``: the search loop for ``formula`` over boxes
-    whose variables are ``vids`` in ascending order.
+    """``(kernel, nodes, locations)``: the search loop for ``formula`` over
+    boxes whose variables are ``vids`` in ascending order, and ``_shape``'s
+    walk of it.
 
     ``kernel(work, budget, left, renew)`` searches the stack ``work`` of flat
     boxes ``(lo, hi)`` per vid in ``vids`` order, depth first, and returns
@@ -895,15 +891,17 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     "timeout" the unevaluated box is pushed back, so ``work`` then holds
     every box not yet evaluated.  ``left``/``renew`` are a Ticker lease,
     spent one unit per box; a deadline ``renew`` finds passed reads
-    "timeout".  The formula is straight-line code, each shared node evaluated
-    once per box in the closures' order, so the first division to abort is
-    theirs too: over a box as interval code, and on a box of one point
-    (every ``l<i> == h<i>``) as plain integer code with the same truth.
+    "timeout".  The formula is straight-line code, each node evaluated once
+    per box in ``_shape``'s order, the order one-shot evaluation runs too, so
+    the first division to abort is the same in both: over a box as interval
+    code, and on a box of one point (every ``l<i> == h<i>``) as plain
+    integer code with the same truth.
 
-    Kernels are cached by ``_shape``'s key, so a formula whose shape was
-    seen before costs one walk and no source.
+    Kernels are cached by ``len(vids)`` and ``_shape``'s nodes, so a formula
+    whose shape was seen before costs one walk and no source.
     """
-    key, locations = _shape(formula, vids)
+    nodes, locations = _shape(formula, _FORMULA_KINDS, vids)
+    key = (len(vids), *nodes)
     kernel = _KERNELS.get(key)
     if kernel is None:
         namespace = {"DeadlineReached": DeadlineReached}
@@ -912,50 +910,66 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
         if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
             _KERNELS.clear()
         kernel = _KERNELS[key] = namespace["kernel"]
-    return kernel, locations
+    return kernel, nodes, locations
 
 
-def _shape(formula: SymBool, vids: list[int]) -> tuple[tuple, list]:
-    """``(key, locations)`` for ``formula`` over boxes whose variables are
-    ``vids``.  The key is ``len(vids)`` and then one entry per node, in the
-    kernel's order (operands first, a shared node once): its kind, or its
-    op for a comparison, then its operands' positions among the entries, a
-    Var's index in ``vids``, a Const's ``int.__repr__`` or a BoolConst's
-    truth.  That is everything the kernel's source depends on.
-    ``locations`` are the Div/Rem locations in the same order."""
-    index = {vid: i for i, vid in enumerate(vids)}
+def _shape(node, kinds: tuple, vids: list[int] | None) -> tuple[list, list]:
+    """``(nodes, locations)`` for ``node``, a formula (``kinds`` is
+    _FORMULA_KINDS) or an expression (_EXPR_KINDS), over boxes whose
+    variables are ``vids``: the one walk that wires a formula, for the
+    search kernel and for one-shot evaluation alike.  ``nodes`` has one
+    entry per node, operands first and a shared node once, with ``node``
+    last: its kind, or its op for a comparison, then its operands'
+    positions among the entries, a Var's index in ``vids`` (its vid when
+    ``vids`` is None), a Const's value or a BoolConst's truth.  With
+    ``len(vids)`` that is everything the kernel's source depends on.
+    ``locations`` are the Div/Rem locations in the same order.  A node
+    outside ``kinds`` raises TypeError, and a Var outside ``vids`` or a
+    comparison with an unknown op raises ValueError."""
+    index = None if vids is None else {vid: i for i, vid in enumerate(vids)}
     nodes: list[tuple] = []
     seen: dict[int, int] = {}  # id(node) -> its position in nodes
     locations: list[str | None] = []
 
     def walk(node, kinds: tuple) -> int:
-        at = seen.get(id(node))
+        key = id(node)
+        at = seen.get(key)
         if at is not None:
             return at
-        kind = _kind(node, kinds)
+        kind = type(node)
+        if kind not in kinds:  # each isinstance miss would read a carrier's __class__
+            # a subclass follows the rule of the first kind it subclasses
+            kind = next((k for k in kinds if isinstance(node, k)), None)
+            if kind is None:
+                raise TypeError(f"no rule for {node!r}")
         if kind is Const:
-            entry = (Const, int.__repr__(node.value))
+            entry = (Const, node.value)
         elif kind is Var:
-            try:
+            if index is None:
+                entry = (Var, node.vid)
+            elif node.vid in index:
                 entry = (Var, index[node.vid])
-            except KeyError:
-                raise ValueError(f"the box does not bound variable v{node.vid}") from None
+            else:
+                raise ValueError(f"the box does not bound variable v{node.vid}")
         elif kind is BoolConst:
             entry = (BoolConst, bool(node.value))
         elif kind is Neg or kind is Not:
             entry = (kind, walk(node.inner, kinds))
+        elif kind is Cmp:
+            if node.op not in _CMP_SYMBOLS:
+                raise ValueError(f"unknown comparison {node.op!r}")
+            entry = (node.op, walk(node.lhs, _EXPR_KINDS), walk(node.rhs, _EXPR_KINDS))
         else:
-            operands = _EXPR_KINDS if kind is Cmp else kinds
-            entry = (node.op if kind is Cmp else kind,
-                     walk(node.lhs, operands), walk(node.rhs, operands))
+            entry = (kind, walk(node.lhs, kinds), walk(node.rhs, kinds))
             if kind is Div or kind is Rem:
                 locations.append(node.location)
-        at = seen[id(node)] = len(nodes)
+        at = seen[key] = len(nodes)
         nodes.append(entry)
         return at
 
-    walk(formula, _FORMULA_KINDS)
-    return (len(vids), *nodes), locations
+    walk(node, kinds)
+    del walk  # it refers to itself: a cycle that only the collector would free
+    return nodes, locations
 
 
 def _box_source(n: int) -> str:
@@ -1011,13 +1025,11 @@ def _split_lines(n: int) -> list[str]:
 
 
 class _KernelWriter:
-    """The ``source`` of the search kernel for one ``_shape`` key.  Each
-    node is read twice into fresh locals named by its position in the key:
-    over the box held in ``l<i>``/``h<i>`` (``_range_rule``,
-    ``_compare_rule``; a truth is 1 TRUE, -1 FALSE, 0 MAYBE, so
-    ``&``/``|``/``~`` are min, max and negation) and at a point
-    (``_point_rule``; a truth is a bool).  The point reading runs while
-    every ``l<i> == h<i>``, and decides the box on its own."""
+    """The ``source`` of the search kernel for one ``_kernel`` key.  Each
+    node is read twice (``_reading``) into fresh locals named by its
+    position in the key: over the box held in ``l<i>``/``h<i>`` and at a
+    point.  The point reading runs while every ``l<i> == h<i>``, and
+    decides the box on its own."""
 
     def __init__(self, key: tuple) -> None:
         n, *nodes = key
@@ -1030,7 +1042,8 @@ class _KernelWriter:
             if kind is Const or kind is Var or kind is BoolConst:
                 (leaf,) = operands
                 if kind is Const:
-                    text = f"({leaf})" if leaf[0] == "-" else leaf
+                    text = int.__repr__(leaf)
+                    text = f"({text})" if text[0] == "-" else text
                     over_box.append((text, text))
                     at_point.append(text)
                 elif kind is Var:
@@ -1041,32 +1054,16 @@ class _KernelWriter:
                     at_point.append(repr(leaf))
                 continue
             a, b = (*operands, None)[:2]  # b is None for Neg and Not
-            bounds = over_box[a], None if b is None else over_box[b]
-            values = at_point[a], None if b is None else at_point[b]
-            if kind in _EXPR_KINDS:  # Neg to Rem: a range, and an int at a point
-                x, y = f"x{k}", f"y{k}"
-                abort = None
-                if kind is Div or kind is Rem:
-                    abort = f"return 'unsupported', boxes, splits, end - boxes, {aborts}"
-                    aborts += 1
-                box_lines += _range_rule(kind, *bounds, x, y, abort)
-                point_lines += _point_rule(kind, *values, x, abort)
-                over_box.append((x, y))
-                at_point.append(x)
-                continue
-            t = f"t{k}"  # a truth: 1, -1 or 0 over a box, a bool at a point
-            if kind is Not:
-                box_lines.append(f"{t} = -{bounds[0]}")
-                point_lines.append(f"{t} = not {values[0]}")
-            elif kind is And or kind is Or:
-                p, q = bounds
-                box_lines.append(f"{t} = {p} if {p} {'<' if kind is And else '>'} {q} else {q}")
-                point_lines.append(f"{t} = {values[0]} {'and' if kind is And else 'or'} {values[1]}")
-            else:  # a comparison, by its op
-                box_lines.append(_compare_rule(kind, *bounds, t))
-                point_lines += _point_rule(kind, *values, t, None)
-            over_box.append(t)
-            at_point.append(t)
+            abort = None
+            if kind is Div or kind is Rem:
+                abort = f"return 'unsupported', boxes, splits, end - boxes, {aborts}"
+                aborts += 1
+            for point, results, out in ((False, over_box, box_lines),
+                                        (True, at_point, point_lines)):
+                lines, result = _reading(kind, results[a], None if b is None else results[b],
+                                         k, abort, point)
+                out += lines
+                results.append(result)
         box = _box_source(n)
         true = ["    if not work:", "        return 'proved', boxes, splits, end - boxes, None",
                 f"    {box} = pop()", "    continue"]

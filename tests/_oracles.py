@@ -258,7 +258,9 @@ def truth_oracle(formula, box):
 
 
 def concrete_oracle(node, val):
-    """Integer value of an expression or bool of a formula at ``val``."""
+    """Integer value of an expression or bool of a formula at ``val``; both
+    operands of a connective are always evaluated, as ``truth_oracle`` does
+    over a box."""
     if isinstance(node, (sym.Const, sym.BoolConst)):
         return node.value
     if isinstance(node, sym.Var):
@@ -267,10 +269,9 @@ def concrete_oracle(node, val):
         return -concrete_oracle(node.inner, val)
     if isinstance(node, sym.Not):
         return not concrete_oracle(node.inner, val)
-    if isinstance(node, sym.And):
-        return concrete_oracle(node.lhs, val) and concrete_oracle(node.rhs, val)
-    if isinstance(node, sym.Or):
-        return concrete_oracle(node.lhs, val) or concrete_oracle(node.rhs, val)
+    if isinstance(node, (sym.And, sym.Or)):
+        pair = concrete_oracle(node.lhs, val), concrete_oracle(node.rhs, val)
+        return all(pair) if isinstance(node, sym.And) else any(pair)
     a, b = concrete_oracle(node.lhs, val), concrete_oracle(node.rhs, val)
     if isinstance(node, sym.Cmp):
         return {"lt": a < b, "le": a <= b, "gt": a > b,

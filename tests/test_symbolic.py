@@ -3,6 +3,7 @@ recording, branch-and-prune, and the driver's verdict mapping."""
 
 import enum
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -33,15 +34,17 @@ from tricheck.symbolic import (
     DivMaybeZero,
     EvalError,
     Interval,
+    Mul,
+    Neg,
     Not,
     Or,
     Rem,
+    Sub,
     SymExpr,
     SymbolicCoercion,
     Truth3,
     Var,
     branch_and_prune,
-    compile,
     concrete_eval,
     concrete_truth,
     interval_eval,
@@ -498,6 +501,16 @@ def test_an_unsupported_corpus_detail_names_the_harness_line(name, detail, line)
     assert v.detail == f"{detail} at corpus.py:{number}"
 
 
+@pytest.mark.parametrize("n", [600, 900])
+def test_a_deep_falsified_formula_is_falsified(n):
+    """A sum of n copies of one variable nests n deep: the walk takes one
+    frame per level, and the witness is confirmed by a loop, not by
+    recursion."""
+    v = run(int_range(0, 1), lambda x: sum([x] * n) >= n + 1)
+    assert v.kind is VerdictKind.FALSIFIED
+    assert v.counterexample.original == 0
+
+
 def test_a_formula_too_deep_to_walk_is_unsupported():
     """A sum of 1000 terms nests 1000 deep; the formula walks give up on it
     instead of ending the run."""
@@ -772,6 +785,82 @@ def test_compiled_evaluation_matches_the_reference_walkers():
     assert raised["DivMaybeZero"] >= 100 and raised["EvalError"] >= 30, raised
 
 
+_SMALL = range(-5, 6)
+#: every interval with bounds in [-5, 5]
+_SMALL_INTERVALS = [(lo, hi) for lo in _SMALL for hi in _SMALL if lo <= hi]
+
+#: each rule's kind -> its value or truth at a point, from the oracles
+_POINT_ORACLES = {
+    Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+    Div: tdiv_oracle, Rem: trem_oracle, "lt": operator.lt, "le": operator.le,
+    "gt": operator.gt, "ge": operator.ge, "eq": operator.eq, "ne": operator.ne,
+}
+
+
+@pytest.mark.parametrize("kind", list(_POINT_ORACLES), ids=lambda k: getattr(k, "__name__", k))
+def test_every_rule_holds_on_every_small_interval(kind):
+    """Each rule, as compiled for one-shot evaluation, over every interval
+    with bounds in [-5, 5] and every operand pair: the point reading is the
+    oracle's value, the box reading's range holds the value at every point,
+    a decided comparison holds at every point, and a divisor range holding
+    zero aborts.  A one-node formula over each box goes through the search
+    kernel, which must agree: a comparison is proved exactly where it holds
+    at every point, and ``node < max`` is refuted at a point reaching the
+    maximum."""
+    fn = _POINT_ORACLES[kind]
+    unary = kind is Neg
+    divides = kind is Div or kind is Rem
+
+    def reading(point):
+        # the step reads its operands from a list, as it reads other steps' results
+        step = sym._rule(kind, point, "v" if unary else "vv")(0, 1, "here")
+        return lambda operands: step({}, operands)
+
+    over, at = reading(False), reading(True)
+    table = []  # table[x + 5][y + 5]: the point reading, None at a zero divisor
+    for x in _SMALL:
+        row = []
+        for y in _SMALL:
+            if divides and y == 0:
+                with pytest.raises(EvalError, match="div_by_zero at here"):
+                    at([x, y])
+                row.append(None)
+            else:
+                row.append(at([x] if unary else [x, y]))
+                assert row[-1] == (fn(x) if unary else fn(x, y)), (x, y)
+        table.append(row)
+    comparison = isinstance(kind, str)
+    searched = 0
+    for alo, ahi in _SMALL_INTERVALS:
+        rows = table[alo + 5:ahi + 6]
+        for blo, bhi in [(0, 0)] if unary else _SMALL_INTERVALS:
+            node = kind(X) if unary else Cmp(kind, X, Y) if comparison else kind(X, Y, "here")
+            b = {0: Interval(alo, ahi)} if unary else {0: Interval(alo, ahi), 1: Interval(blo, bhi)}
+            operands = [(alo, ahi)] if unary else [(alo, ahi), (blo, bhi)]
+            if divides and blo <= 0 <= bhi:
+                with pytest.raises(DivMaybeZero, match="divisor interval contains zero at here"):
+                    over(operands)
+                assert branch_and_prune(node < 0, b).status == "unsupported"
+                continue
+            values = [v for row in rows for v in row[blo + 5:bhi + 6]]
+            if comparison:
+                truth = over(operands)
+                assert truth == 0 or values.count(truth > 0) == len(values), (kind, b)
+                out = branch_and_prune(node, b)
+                assert (out.status == "proved") == all(values), (kind, b)
+                if out.status == "witness":
+                    assert not fn(*out.witness.values())
+            else:
+                lo, hi = over(operands)
+                top = max(values)
+                assert lo <= min(values) and top <= hi, (kind, b)
+                out = branch_and_prune(node < top, b)
+                assert out.status == "witness" and fn(*out.witness.values()) == top, (kind, b)
+            searched += 1
+    # 36 of the 66 intervals hold zero
+    assert searched == (66 if unary else 66 * 66 - 66 * 36 * divides)
+
+
 def _search_cases():
     """Inputs the random formulas rarely or never make: a node read twice
     (as ``_multiply_in_range`` reads its product), vids with holes, box
@@ -881,12 +970,64 @@ def test_every_early_exit_leaves_the_unevaluated_box_on_work(monkeypatch):
     assert sampled == [reference, reference]
 
 
-def test_compile_is_memoized_on_every_node():
+@pytest.fixture
+def walked(monkeypatch):
+    """The nodes ``_shape`` walks from, in order."""
+    nodes = []
+    shape = sym._shape
+
+    def counted(node, kinds, vids):
+        nodes.append(node)
+        return shape(node, kinds, vids)
+
+    monkeypatch.setattr(sym, "_shape", counted)
+    return nodes
+
+
+def test_a_node_walks_its_shape_once(walked):
+    """A node evaluated over a box and then at points keeps its walk and
+    each reading's program; an operand evaluated on its own is walked from
+    itself."""
     inner = X * Y
     formula = (inner >= 0) | (X < 3)
-    fns = compile(formula)
-    assert compile(formula) is fns
-    assert inner._compiled is compile(inner)  # built while compiling the formula
+    b = box((-2, 4), (-1, 3))
+    assert truth_eval(formula, b) is Truth3.MAYBE
+    assert [concrete_truth(formula, {0: x, 1: -1}) for x in range(-2, 5)] == [True] * 5 + [
+        False] * 2
+    assert truth_eval(formula, b) is Truth3.MAYBE
+    assert len(walked) == 1 and walked[0] is formula
+    assert interval_eval(inner, b) == Interval(-6, 12)
+    assert concrete_eval(inner, {0: 4, 1: 3}) == 12
+    assert len(walked) == 2 and walked[1] is inner
+
+
+@pytest.mark.parametrize("evaluate, node, env", [
+    (interval_eval, X + Var(3), box((0, 5))),
+    (truth_eval, X < Var(3), box((0, 5))),
+    (concrete_eval, X + Var(3), {0: 1}),
+    (concrete_truth, X < Var(3), {0: 1}),
+], ids=["interval_eval", "truth_eval", "concrete_eval", "concrete_truth"])
+def test_a_variable_the_box_or_valuation_lacks_raises_the_same_every_time(evaluate, node, env):
+    # the first call walks the node and builds its program; the later ones
+    # find both on the node
+    for _ in range(3):
+        with pytest.raises(KeyError):
+            evaluate(node, env)
+
+
+def test_both_sides_of_a_connective_are_evaluated_at_a_point():
+    """At a point, as over a box, ``&`` and ``|`` evaluate both operands: a
+    zero divisor on the right raises even where the left side decides."""
+    x = Var(0)
+    for formula in ((x >= 0) | (tdiv(10, x) > 0), (x < 0) & (tdiv(10, x) > 0)):
+        where = formula.rhs.lhs.location
+        assert where.startswith("test_symbolic.py:")
+        with pytest.raises(EvalError) as raised:
+            concrete_truth(formula, {0: 0})
+        assert raised.value.location == where
+        out = branch_and_prune(formula, {0: Interval(0, 0)})
+        assert (out.status, out.note) == (
+            "unsupported", f"divisor interval contains zero at {where}")
 
 
 def test_the_kernel_cache_is_emptied_when_full(monkeypatch):
@@ -967,11 +1108,17 @@ def test_a_second_run_over_the_corpus_writes_no_kernel(written):
 
 def test_interval_rules_are_compiled_on_first_use():
     # in a fresh interpreter: this one has compiled them already
+    # one rule per kind, reading and operand forms: the inner Add of x + x + 1
+    # reads two variables, the outer one a step's result and a constant
     script = ("import tricheck, tricheck.symbolic as sym\n"
-              "assert sym._one_shot.cache_info().currsize == 0\n"
+              "assert sym._rule.cache_info().currsize == 0\n"
               "x = sym.Var(0)\n"
               "assert sym.interval_eval(x + x + 1, {0: sym.Interval(0, 2)}) == sym.Interval(1, 5)\n"
-              "assert sym._one_shot.cache_info()[:4] == (1, 1, None, 1)\n")
+              "assert sym._rule.cache_info()[:4] == (0, 2, None, 2)\n"
+              "assert sym.interval_eval(x + x + 3, {0: sym.Interval(0, 2)}) == sym.Interval(3, 7)\n"
+              "assert sym._rule.cache_info()[:4] == (2, 2, None, 2)\n"
+              "assert sym.concrete_eval(x + x + 1, {0: 2}) == 5\n"
+              "assert sym._rule.cache_info()[:4] == (2, 4, None, 4)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
