@@ -40,6 +40,8 @@ from .runner import (
 
 #: Config-file keys.  The flag spellings plus the two knobs that deliberately
 #: have no flag (they belong in version control, not on the command line).
+#: ``repetition_cap`` shapes only the built-in corpus's patterns, though a
+#: run over a harness module still records and hashes it.
 CONFIG_KEYS: dict[str, type] = {
     "backend": str,
     "seed": int,
@@ -109,16 +111,19 @@ def _add_run_arguments(parser: argparse.ArgumentParser, backends: list[str]) -> 
 # --------------------------------------------------------------------------
 # config and registry loading
 
-def read_config_file(path: str) -> dict[str, Any]:
-    """Validated raw key/value pairs from a JSON config file."""
+def _read_json(path: str, what: str) -> Any:
+    """The JSON document in file ``path``, a ``what`` in messages."""
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def read_config_file(path: str) -> dict[str, Any]:
+    """Validated raw key/value pairs from a JSON config file."""
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must be a JSON object")
     for key, value in data.items():
@@ -174,12 +179,7 @@ def load_registry(module_path: str | None, repetition_cap: int,
 
 
 def load_waivers(path: str) -> list[Waiver]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read waivers {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in {path}: {exc}") from exc
+    data = _read_json(path, "waivers")
     if not isinstance(data, list):
         raise UsageError(f"waiver file {path} must be a JSON list")
     try:
@@ -263,19 +263,13 @@ def update_history(path: str, report: RunReport) -> list[str]:
     except OSError as exc:
         raise UsageError(f"cannot write history {path}: {exc}") from exc
 
-    kinds_by_property: dict[str, set[str]] = {}
-    runs_by_property: dict[str, set[str]] = {}
+    seen: dict[str, tuple[set[str], set[str]]] = {}  # property -> verdict kinds, run ids
     for record in _read_history(path):
-        if record.get("code_fingerprint") != fingerprint:
-            continue
-        if record.get("config_hash") != chash:
-            continue
-        name = record["property"]
-        kinds_by_property.setdefault(name, set()).add(record["verdict"])
-        runs_by_property.setdefault(name, set()).add(record["run_id"])
-    return sorted(
-        name for name, kinds in kinds_by_property.items()
-        if len(kinds) > 1 and len(runs_by_property[name]) >= 2)
+        if (record.get("code_fingerprint"), record.get("config_hash")) == (fingerprint, chash):
+            kinds, runs = seen.setdefault(record["property"], (set(), set()))
+            kinds.add(record["verdict"])
+            runs.add(record["run_id"])
+    return sorted(name for name, (kinds, runs) in seen.items() if len(kinds) > 1 and len(runs) >= 2)
 
 
 def _read_history(path: str):

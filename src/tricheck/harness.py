@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from .patterns import DEFAULT_REPETITION_CAP
-from .results import Verdict
-from .strategies import Strategy, TupleOf
+from .results import UnknownReason, Verdict
+from .strategies import Strategy, TupleOf, Uninterpreted
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_.:-]+\Z")
 
@@ -102,6 +102,8 @@ class RunConfig:
 
     Two runs with equal configs (and equal code) are comparable; the history
     file hashes this to decide which runs may be judged against each other.
+    ``repetition_cap`` bounds ``*``/``+`` in the built-in corpus's patterns
+    only: a harness module's ``pattern`` calls keep their own cap.
     """
 
     backend: str = "fuzz"
@@ -176,11 +178,16 @@ def backend(name: str) -> Callable[[Callable[..., Verdict]], Callable[..., Verdi
     """Decorator making a backend body ``run(prop, config, ticker)`` the entry
     point ``(prop, config, *, deadline=None)``: the deadline becomes the run's
     Ticker, and every verdict is stamped with the backend's ``name`` and the
-    run's wall time, so no backend builds or records any of them."""
+    run's wall time, so no backend builds or records any of them.  A strategy
+    node without an interpretation the body reads (a user ``Strategy`` with
+    only ``_draw``, under exhaustive) is Unknown{Unsupported}, naming both."""
     def decorate(run: Callable[[Property, RunConfig, Ticker], Verdict]) -> Callable[..., Verdict]:
         def stamped(prop: Property, config: RunConfig, *, deadline: float | None = None) -> Verdict:
             t0 = time.monotonic()
-            verdict = run(prop, config, Ticker(deadline))
+            try:
+                verdict = run(prop, config, Ticker(deadline))
+            except Uninterpreted as exc:
+                verdict = Verdict.unknown(UnknownReason.UNSUPPORTED, detail=str(exc))
             verdict.backend = name
             verdict.duration_ms = int((time.monotonic() - t0) * 1000)
             return verdict

@@ -118,6 +118,10 @@ class NotEnumerable(RuntimeError):
     """Enumeration requested without a budget on a too-large domain."""
 
 
+class Uninterpreted(NotImplementedError):
+    """A strategy node lacks an interpretation that a backend reads."""
+
+
 class RejectionExhausted(RuntimeError):
     """A filter rejected too many draws; carries the filter's label."""
 
@@ -631,25 +635,28 @@ class Strategy:
         return _DrawWriter().factory(self)
 
     # interpretation hooks ------------------------------------------------
+    def _uninterpreted(self, hook: str) -> Uninterpreted:
+        return Uninterpreted(f"strategy {type(self).__name__} has no {hook} interpretation")
+
     def _cardinality(self) -> Cardinality:
-        raise NotImplementedError
+        raise self._uninterpreted("_cardinality")
 
     def _draw(self, ctx: _Context) -> Any:
         """One value: each random decision is one ``ctx.choice(lo, hi)``, and
         a list or map is built by one ``ctx.many``."""
-        raise NotImplementedError
+        raise self._uninterpreted("_draw")
 
     def _values(self, stats: EnumStats | None) -> Iterator[Any]:
         """The plain value at every base position, lazily; rejections as ``_Skip``."""
-        raise NotImplementedError
+        raise self._uninterpreted("_values")
 
     def _unrank(self, index: int) -> list[int]:
         """The choices that draw the value at base position ``index``."""
-        raise NotImplementedError
+        raise self._uninterpreted("_unrank")
 
     def _span(self, stats: EnumStats | None = None) -> int:
         """The number of base positions."""
-        raise NotImplementedError
+        raise self._uninterpreted("_span")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ list of nodes, operands first and a shared node once.  Each operator's rule
 is written once as source, in two readings: over a box of ``(lo, hi)``
 pairs (a range, or a truth: 1 true, -1 false, 0 maybe, with comparisons
 decided by interval separation) and at a point of plain ints.  One-shot
-evaluation loops over the nodes, calling each one's rule compiled once per
-kind, reading and operand forms.  ``branch_and_prune`` instead generates
+evaluation runs one step per node, each its kind's rule compiled once per
+reading.  ``branch_and_prune`` instead generates
 the source of one search kernel for the formula's shape and its box layout:
 the whole loop, with the formula as straight-line interval code over the
 bounds of the box it searches, held in locals, and as plain integer code
@@ -530,25 +530,30 @@ def _reading(kind: type | str, a, b, k: int, abort: str | None,
 
 
 @functools.cache
-def _rule(kind: type | str, point: bool, forms: str) -> Any:
-    """``kind``'s ``_reading`` at a point or over a box, compiled on first
-    use into ``make(i, j, location)``, which returns a node's step:
-    ``step(e, v)`` is its result from its operands', read as ``forms`` says,
-    "v" from ``v[i]`` (a step's result), "e" from ``e[i]`` (a variable of
-    the box or valuation ``e``) or "c" as ``i`` (a constant).  Where the
+def _rule(kind: type | str, point: bool) -> Any:
+    """A ``kind`` node's step at a point or over a box, compiled on first
+    use into ``make(i, j, location)``, which returns ``step(e, v)``: the
+    node's result, given ``v``, the results of the steps before it.  A node
+    with operands runs its ``_reading`` over ``v[i]`` and ``v[j]`` (Neg and
+    Not over ``v[i]``), a Var reads ``e[i]`` from the box or valuation
+    ``e``, and a constant is ``i`` as the reading holds it.  Where the
     kernel aborts, a step raises EvalError at a point, else DivMaybeZero."""
-    if point or kind in (Not, And, Or):  # ints, bools or truths
-        a, b = names = "a", "b"
-    else:  # (lo, hi) pairs
-        a, b = ("alo", "ahi"), ("blo", "bhi")
-        names = "alo, ahi", "blo, bhi"
-    abort = "raise EvalError('div_by_zero', location)" if point else "raise DivMaybeZero(location)"
-    lines, result = _reading(kind, a, b, 0, abort, point)
-    sources = {"v": "v[{}]", "e": "e[{}]", "c": "{}"}
-    reads = [f"{name} = {sources[form].format(x)}" for name, form, x in zip(names, forms, "ij")]
+    if kind is Var or kind is Const or kind is BoolConst:
+        lines, result = [], ("e[i]" if kind is Var else "i" if point
+                             else "i, i" if kind is Const else "1 if i else -1")
+    else:
+        if point or kind in (Not, And, Or):  # ints, bools or truths
+            a, b = names = "a", "b"
+        else:  # (lo, hi) pairs
+            a, b = ("alo", "ahi"), ("blo", "bhi")
+            names = "alo, ahi", "blo, bhi"
+        abort = "raise EvalError('div_by_zero', location)" if point else "raise DivMaybeZero(location)"
+        lines, result = _reading(kind, a, b, 0, abort, point)
+        arity = 1 if kind is Neg or kind is Not else 2
+        lines = [f"{name} = v[{x}]" for name, x in zip(names[:arity], "ij")] + lines
     result = result if isinstance(result, str) else ", ".join(result)
-    body = "".join(f"        {line}\n" for line in (*reads, *lines, f"return {result}"))
-    source = f"def make(i, j, location):\n    def step(e, v=None):\n{body}    return step\n"
+    body = "".join(f"        {line}\n" for line in (*lines, f"return {result}"))
+    source = f"def make(i, j, location):\n    def step(e, v):\n{body}    return step\n"
     namespace = {"DivMaybeZero": DivMaybeZero, "EvalError": EvalError}
     exec(builtins.compile(source, "<tricheck rule>", "exec"), namespace)
     return namespace["make"]
@@ -563,43 +568,25 @@ class Truth3(Enum):
     MAYBE = "maybe"
 
 
-def _program(nodes: list, locations: list, point: bool, vids: list[int] | None) -> Any:
+def _program(nodes: list, locations: list, point: bool) -> Any:
     """``run(env)``: the result of the last of ``nodes`` (walked by
-    ``_shape`` with ``locations``) at a point, ``env`` ``{vid: int}``, or
-    over a box, ``{vid: (lo, hi)}``.  It loops over the nodes but leaves,
-    in the kernel's order, calling each one's ``_rule`` step; a step reads
-    a Var from ``env`` (a vid it lacks raises KeyError) and a constant as
-    built in.  A Var's entry is its index in ``vids``, or its vid."""
+    ``_shape`` with ``locations``) at a point, ``env`` holding ints, or
+    over a box, ``env`` holding ``(lo, hi)`` pairs: one ``_rule`` step per
+    node, in the kernel's order.  A Var's step reads its entry's vid or
+    position from ``env`` (a key it lacks raises)."""
     steps = []
-    reads = []  # per node: how a step reads it, as ``_rule``'s form and index
     divisions = iter(locations)
-    for entry in nodes:
-        kind, arg = entry[0], entry[1]  # a leaf's vid or value, else an operand's position
-        if kind is Var:
-            reads.append(("e", arg if vids is None else vids[arg]))
-        elif kind is Const or kind is BoolConst:
-            reads.append(("c", arg if point else (arg, arg) if kind is Const else 1 if arg else -1))
-        else:  # entry[-1] is entry[1] for Neg and Not
-            (fa, i), (fb, j) = reads[arg], reads[entry[-1]]
-            forms = fa if kind is Neg or kind is Not else fa + fb
-            location = next(divisions) if kind is Div or kind is Rem else None
-            reads.append(("v", len(steps)))
-            steps.append(_rule(kind, point, forms)(i, j, location))
-    form, leaf = reads[-1]
-    if form == "e":  # the whole formula is one leaf
-        return lambda env: env[leaf]
-    if form == "c":
-        return lambda env: leaf
-    *body, root = steps
-    if not body:  # one step, whose operands are leaves: it is the program
-        return root
+    for kind, *operands in nodes:
+        i, j = (*operands, None)[:2]  # a leaf's vid, index or value, else operand positions
+        location = next(divisions) if kind is Div or kind is Rem else None
+        steps.append(_rule(kind, point)(i, j, location))
 
     def run(env):
         values = []
         push = values.append
-        for step in body:
+        for step in steps:
             push(step(env, values))
-        return root(env, values)
+        return values[-1]
     return run
 
 
@@ -608,15 +595,12 @@ def _evaluate(node, kinds: tuple, env: dict, point: bool):
     keeps its ``_shape`` and each reading's program in ``_compiled``, so
     later calls neither walk nor build.  A node outside ``kinds`` raises
     TypeError."""
-    try:
-        memo = node._compiled
-    except AttributeError:
-        memo = None
+    memo = getattr(node, "_compiled", None)
     if memo is None or memo[0] is not kinds:
         memo = node._compiled = [kinds, *_shape(node, kinds, None), None, None]
     run = memo[3 + point]
     if run is None:  # another thread may build an equivalent program
-        run = memo[3 + point] = _program(memo[1], memo[2], point, None)
+        run = memo[3 + point] = _program(memo[1], memo[2], point)
     return run(env)
 
 
@@ -846,7 +830,10 @@ def branch_and_prune(formula: SymBool, box: Box,
     if status == "unsupported":
         return SolveOutcome(status, boxes=boxes, splits=splits,
                             note=str(DivMaybeZero(locations[last])))
-    holds = _program(nodes, locations, True, vids)
+    run = _program(nodes, locations, True)
+
+    def holds(val: dict) -> bool:  # the walk's Var entries are positions in vids
+        return run([val[v] for v in vids])
 
     def by_vid(flat: tuple) -> dict:
         return dict(zip(vids, zip(flat[::2], flat[1::2])))
@@ -1042,8 +1029,7 @@ class _KernelWriter:
             if kind is Const or kind is Var or kind is BoolConst:
                 (leaf,) = operands
                 if kind is Const:
-                    text = int.__repr__(leaf)
-                    text = f"({text})" if text[0] == "-" else text
+                    text = f"({hex(leaf)})"  # no digit limit, and an IntEnum is its int
                     over_box.append((text, text))
                     at_point.append(text)
                 elif kind is Var:

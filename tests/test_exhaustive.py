@@ -12,6 +12,7 @@ from tricheck.fuzz import run_fuzz
 from tricheck.harness import Property, RunConfig
 from tricheck.patterns import pattern
 from tricheck.results import UnknownReason, VerdictKind
+from tricheck.runner import ENSEMBLE_ORDER, run_ensemble
 from tricheck.strategies import (enumerate_values, int_range, iter_positions, just, list_of,
                                  ordered_map_of, tuple_of)
 
@@ -281,6 +282,34 @@ def test_oversized_key_universe_is_unknown_not_a_hang(monkeypatch):
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.BUDGET_EXCEEDED
     assert "key universe" in v.detail
+
+
+class _DrawOnly(st.Strategy):
+    """A user strategy with nothing but a ``_draw``."""
+
+    def _draw(self, ctx):
+        return ctx.choice(1, 6)
+
+
+class _Counted(_DrawOnly):
+    """One that sizes its domain but cannot list it."""
+
+    def _cardinality(self):
+        return st.Cardinality.finite(6)
+
+
+def test_a_strategy_without_enumeration_is_unsupported_not_a_crash():
+    for strategy, name, hook in [
+            (_DrawOnly(), "_DrawOnly", "_cardinality"), (_Counted(), "_Counted", "_values"),
+            (tuple_of(int_range(0, 1), _DrawOnly()), "_DrawOnly", "_cardinality"),
+            (tuple_of(int_range(0, 1), _Counted()), "_Counted", "_values")]:
+        v = run_exhaustive(prop(strategy, lambda *xs: True), RunConfig())
+        assert (v.kind, v.reason, v.detail) == (
+            VerdictKind.UNKNOWN, UnknownReason.UNSUPPORTED,
+            f"strategy {name} has no {hook} interpretation")
+    # the ensemble goes on to fuzz, which needs only the draw
+    v = run_ensemble(prop(_DrawOnly(), lambda x: 1 <= x <= 6), ENSEMBLE_ORDER, RunConfig())
+    assert (v.kind, v.backend) == (VerdictKind.PASS_SAMPLED, "fuzz")
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from tricheck.symbolic import (
 
 from _oracles import (branch_and_prune_oracle, concrete_oracle, interval_oracle,
                       tdiv_oracle, trem_oracle, truth_oracle)
-from test_acceptance import _gen_expr
+from test_acceptance import _SMALL_INTERVALS, _gen_expr
 
 X, Y = Var(0), Var(1)
 
@@ -369,18 +369,6 @@ def test_prune_division_straddling_zero_is_unsupported():
     v = run(int_range(-3, 3).map(lambda a: (a, tdiv(6, a))), lambda t: t[0] != 0)
     assert v.describe().startswith(
         "unknown: unsupported (witness value aborts during evaluation: div_by_zero at ")
-
-
-def _gen_formula(rng: SplitMix64, depth: int, nvars: int):
-    kind = rng.uniform_in(0, 3 if depth > 0 else 0)
-    if kind == 0:
-        op = ("lt", "le", "gt", "ge", "eq", "ne")[rng.uniform_in(0, 5)]
-        return Cmp(op, _gen_expr(rng, rng.uniform_in(0, 3), nvars),
-                   _gen_expr(rng, rng.uniform_in(0, 3), nvars))
-    if kind == 1:
-        return Not(_gen_formula(rng, depth - 1, nvars))
-    a, b = _gen_formula(rng, depth - 1, nvars), _gen_formula(rng, depth - 1, nvars)
-    return And(a, b) if kind == 2 else Or(a, b)
 
 
 def test_a_point_box_always_decides():
@@ -707,6 +695,17 @@ def test_int_subclass_constants_search_like_ints(name, strategy, predicate, expe
     assert (v.kind.value, v.cases, v.splits, witness) == expected
 
 
+def test_a_constant_of_any_size_enters_the_kernel():
+    # the kernel writes constants in hex, which has no digit limit; a
+    # decimal literal past 4300 digits raises ValueError as it is written
+    big = 10 ** 5000
+    v = run_symbolic(Property("huge.bound", int_range(0, 1), lambda x: x < big), RunConfig())
+    assert (v.kind, v.cases) == (VerdictKind.PROVED, 1)
+    v = run_symbolic(Property("huge.product", int_range(-1, 1), lambda x: x * big > -big),
+                     RunConfig())
+    assert (v.kind, v.counterexample.original) == (VerdictKind.FALSIFIED, -1)
+
+
 # --------------------------------------------------------------------------
 # compiled closures against the reference tree walkers
 
@@ -785,10 +784,6 @@ def test_compiled_evaluation_matches_the_reference_walkers():
     assert raised["DivMaybeZero"] >= 100 and raised["EvalError"] >= 30, raised
 
 
-_SMALL = range(-5, 6)
-#: every interval with bounds in [-5, 5]
-_SMALL_INTERVALS = [(lo, hi) for lo in _SMALL for hi in _SMALL if lo <= hi]
-
 #: each rule's kind -> its value or truth at a point, from the oracles
 _POINT_ORACLES = {
     Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul,
@@ -799,61 +794,34 @@ _POINT_ORACLES = {
 
 @pytest.mark.parametrize("kind", list(_POINT_ORACLES), ids=lambda k: getattr(k, "__name__", k))
 def test_every_rule_holds_on_every_small_interval(kind):
-    """Each rule, as compiled for one-shot evaluation, over every interval
-    with bounds in [-5, 5] and every operand pair: the point reading is the
-    oracle's value, the box reading's range holds the value at every point,
-    a decided comparison holds at every point, and a divisor range holding
-    zero aborts.  A one-node formula over each box goes through the search
-    kernel, which must agree: a comparison is proved exactly where it holds
-    at every point, and ``node < max`` is refuted at a point reaching the
-    maximum."""
+    """Each rule as a one-node formula through the search kernel, over
+    every interval with bounds in [-5, 5] and every operand pair: a
+    comparison is proved exactly where it holds at every point, ``node <
+    max`` is refuted at a point reaching the maximum, and a divisor range
+    holding zero reads unsupported.  Criterion 05 holds one-shot evaluation
+    to the same rules over the same intervals."""
     fn = _POINT_ORACLES[kind]
     unary = kind is Neg
     divides = kind is Div or kind is Rem
-
-    def reading(point):
-        # the step reads its operands from a list, as it reads other steps' results
-        step = sym._rule(kind, point, "v" if unary else "vv")(0, 1, "here")
-        return lambda operands: step({}, operands)
-
-    over, at = reading(False), reading(True)
-    table = []  # table[x + 5][y + 5]: the point reading, None at a zero divisor
-    for x in _SMALL:
-        row = []
-        for y in _SMALL:
-            if divides and y == 0:
-                with pytest.raises(EvalError, match="div_by_zero at here"):
-                    at([x, y])
-                row.append(None)
-            else:
-                row.append(at([x] if unary else [x, y]))
-                assert row[-1] == (fn(x) if unary else fn(x, y)), (x, y)
-        table.append(row)
     comparison = isinstance(kind, str)
     searched = 0
     for alo, ahi in _SMALL_INTERVALS:
-        rows = table[alo + 5:ahi + 6]
         for blo, bhi in [(0, 0)] if unary else _SMALL_INTERVALS:
             node = kind(X) if unary else Cmp(kind, X, Y) if comparison else kind(X, Y, "here")
             b = {0: Interval(alo, ahi)} if unary else {0: Interval(alo, ahi), 1: Interval(blo, bhi)}
-            operands = [(alo, ahi)] if unary else [(alo, ahi), (blo, bhi)]
             if divides and blo <= 0 <= bhi:
-                with pytest.raises(DivMaybeZero, match="divisor interval contains zero at here"):
-                    over(operands)
-                assert branch_and_prune(node < 0, b).status == "unsupported"
+                out = branch_and_prune(node < 0, b)
+                assert (out.status, out.note) == ("unsupported", "divisor interval contains zero at here")
                 continue
-            values = [v for row in rows for v in row[blo + 5:bhi + 6]]
+            values = [fn(x) if unary else fn(x, y)
+                      for x in range(alo, ahi + 1) for y in range(blo, bhi + 1)]
             if comparison:
-                truth = over(operands)
-                assert truth == 0 or values.count(truth > 0) == len(values), (kind, b)
                 out = branch_and_prune(node, b)
                 assert (out.status == "proved") == all(values), (kind, b)
                 if out.status == "witness":
                     assert not fn(*out.witness.values())
             else:
-                lo, hi = over(operands)
                 top = max(values)
-                assert lo <= min(values) and top <= hi, (kind, b)
                 out = branch_and_prune(node < top, b)
                 assert out.status == "witness" and fn(*out.witness.values()) == top, (kind, b)
             searched += 1
@@ -1108,17 +1076,17 @@ def test_a_second_run_over_the_corpus_writes_no_kernel(written):
 
 def test_interval_rules_are_compiled_on_first_use():
     # in a fresh interpreter: this one has compiled them already
-    # one rule per kind, reading and operand forms: the inner Add of x + x + 1
-    # reads two variables, the outer one a step's result and a constant
+    # one rule per kind and reading: x + x + 1 takes a step per node, a
+    # variable, two additions and a constant
     script = ("import tricheck, tricheck.symbolic as sym\n"
               "assert sym._rule.cache_info().currsize == 0\n"
               "x = sym.Var(0)\n"
               "assert sym.interval_eval(x + x + 1, {0: sym.Interval(0, 2)}) == sym.Interval(1, 5)\n"
-              "assert sym._rule.cache_info()[:4] == (0, 2, None, 2)\n"
+              "assert sym._rule.cache_info()[:4] == (1, 3, None, 3)\n"
               "assert sym.interval_eval(x + x + 3, {0: sym.Interval(0, 2)}) == sym.Interval(3, 7)\n"
-              "assert sym._rule.cache_info()[:4] == (2, 2, None, 2)\n"
+              "assert sym._rule.cache_info()[:4] == (5, 3, None, 3)\n"
               "assert sym.concrete_eval(x + x + 1, {0: 2}) == 5\n"
-              "assert sym._rule.cache_info()[:4] == (2, 4, None, 4)\n")
+              "assert sym._rule.cache_info()[:4] == (6, 6, None, 6)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
