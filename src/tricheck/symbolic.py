@@ -16,11 +16,11 @@ is written once as source, in two readings: over a box of ``(lo, hi)``
 pairs (a range, or a truth: 1 true, -1 false, 0 maybe, with comparisons
 decided by interval separation) and at a point of plain ints.  One-shot
 evaluation runs one step per node, each its kind's rule compiled once per
-reading.  ``branch_and_prune`` instead generates
-the source of one search kernel for the formula's shape and its box layout:
-the whole loop, with the formula as straight-line interval code over the
-bounds of the box it searches, held in locals, and as plain integer code
-for a box of one point.  It splits undecided boxes along their widest
+reading.  ``branch_and_prune`` instead generates the source of one search
+kernel for the formula's shape and its box layout: the whole loop, with
+the formula as straight-line interval code over the bounds of the box it
+searches, held in locals, and as plain integer code at each point of a
+small undecided box.  It splits larger undecided boxes along their widest
 dimension until every box is decided, a concrete witness refutes the
 property, or the box budget runs out.  Interval division truncates toward
 zero and a divisor interval that straddles zero aborts the analysis
@@ -50,6 +50,9 @@ from .results import Counterexample, UnknownReason, Verdict
 
 #: Default box budget for a single branch_and_prune call.
 DEFAULT_BOX_BUDGET = 100_000
+
+#: The most points of a MAYBE box that is decided point by point, not split.
+LEAF_POINTS = 32
 
 #: Concrete valuations sampled from the remaining boxes when the budget or
 #: deadline runs out before the search decides.
@@ -94,8 +97,9 @@ _NODE_REPR_CAP = 80
 
 
 def _inexpressible(s: st.Strategy) -> _Unsupported:
-    """The give-up for a strategy node that has no carrier, naming it."""
-    node = repr(s)
+    """The give-up for a node that has no carrier, naming it (a user's node
+    by its class: a default repr holds a memory address)."""
+    node = repr(s) if type(s).__module__.startswith(f"{__package__}.") else type(s).__name__
     if len(node) > _NODE_REPR_CAP:
         node = node[:_NODE_REPR_CAP - 1] + "…"
     return _Unsupported(f"strategy {node} is not expressible over the symbolic carrier")
@@ -803,14 +807,16 @@ def branch_and_prune(formula: SymBool, box: Box,
     """Decide ``formula`` over ``box`` by splitting boxes, searched depth
     first from a work stack.
 
-    Proved means every sub-box evaluated TRUE.  A FALSE box yields a witness,
-    always re-checked concretely before being returned.  Budget or deadline
-    exhaustion first probes the remaining region with concrete samples.
-    Splits take the widest dimension (ties to the lowest vid) and search the
-    lower half first; a point box is always decided, since interval
-    arithmetic is exact there, and the kernel decides it with plain integer
-    code.  The search runs in a kernel generated for this formula's shape
-    and box layout, and cached by that shape (see ``_kernel``).
+    One unit of ``budget`` (and of the ticker's lease) is a box evaluated
+    over intervals or a point of a leaf: a MAYBE box of at most LEAF_POINTS
+    points that fit the budget left, evaluated in ``itertools.product``
+    order over the vids.  Other MAYBE boxes are split along their widest
+    dimension (ties to the lowest vid), the lower half searched first.
+    Proved means every sub-box evaluated TRUE or held at each of its points.
+    A FALSE box (at its midpoint) or failing point yields a witness, always
+    re-checked concretely before being returned.  Budget or deadline
+    exhaustion first probes the remaining region with concrete samples.  The
+    search runs in a kernel cached by the formula's shape (see ``_kernel``).
     """
     keys = list(box)  # witnesses and samples follow the caller's order
     vids = sorted(keys)
@@ -818,8 +824,7 @@ def branch_and_prune(formula: SymBool, box: Box,
         raise ValueError(f"variable id {vids[0]} is negative")
     kernel, nodes, locations = _kernel(formula, vids)
     work = [tuple(end for v in vids for end in (box[v].lo, box[v].hi))]
-    if ticker is None:
-        ticker = Ticker()
+    ticker = ticker or Ticker()
     left = ticker.lease()
     try:
         status, boxes, splits, left, last = kernel(work, budget, left, ticker.renew)
@@ -870,19 +875,21 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     ``kernel(work, budget, left, renew)`` searches the stack ``work`` of flat
     boxes ``(lo, hi)`` per vid in ``vids`` order, depth first, and returns
     ``(status, boxes, splits, left, last)``: ``status`` is SolveOutcome's,
-    ``last`` the FALSE box for "witness" and the index into ``locations`` of
-    the division whose divisor range held zero for "unsupported".  The box
-    being searched lives in the ``l<i>``/``h<i>`` locals, not in ``work``:
-    the search pops the next box only after a TRUE one, and a split pushes
-    the upper half and narrows the box to the lower half.  On "undecided" and
-    "timeout" the unevaluated box is pushed back, so ``work`` then holds
-    every box not yet evaluated.  ``left``/``renew`` are a Ticker lease,
-    spent one unit per box; a deadline ``renew`` finds passed reads
-    "timeout".  The formula is straight-line code, each node evaluated once
-    per box in ``_shape``'s order, the order one-shot evaluation runs too, so
-    the first division to abort is the same in both: over a box as interval
-    code, and on a box of one point (every ``l<i> == h<i>``) as plain
-    integer code with the same truth.
+    ``last`` the FALSE box or failing point (as a box) for "witness" and the
+    index into ``locations`` of the division whose divisor range held zero
+    for "unsupported".  The box being searched lives in the ``l<i>``/``h<i>``
+    locals, not in ``work``: the search pops the next box only after a TRUE
+    one or a leaf, and a split pushes the upper half and narrows the box to
+    the lower half.  On "undecided" and "timeout" the unevaluated box is
+    pushed back, so ``work`` then holds every box not yet evaluated.
+    ``left``/``renew`` are a Ticker lease, spent one unit per box or point
+    up to box count ``end``; each box compares ``boxes`` with ``stop``, the
+    earlier of the budget and ``end - 1``, whose unit polls before its box
+    is searched, or after the leaf that spent it, up to LEAF_POINTS - 1
+    units late.  A deadline found passed reads "timeout".  The formula is
+    straight-line code, each node evaluated once per box or point in
+    ``_shape``'s order, as in one-shot evaluation, so the first division to
+    abort is the same.
 
     Kernels are cached by ``len(vids)`` and ``_shape``'s nodes, so a formula
     whose shape was seen before costs one walk and no source.
@@ -959,42 +966,13 @@ def _shape(node, kinds: tuple, vids: list[int] | None) -> tuple[list, list]:
     return nodes, locations
 
 
-def _box_source(n: int) -> str:
-    """The box held in the locals, as a tuple display."""
-    return "(" + "".join(f"l{i}, h{i}, " for i in range(n)) + ")"
-
-
-def _kernel_head(n: int) -> str:
-    """The loop's head for boxes of ``n`` variables.  The lease ends at box
-    count ``end`` (``left`` is ``end - boxes``), and the one compare per box
-    is against ``stop``, the earlier of the budget and the lease's last box,
-    whose unit polls before the box is searched."""
-    box = _box_source(n)
-    return f"""\
-def kernel(work, budget, left, renew):
-    pop = work.pop
-    push = work.append
-    {box} = pop()
-    boxes = splits = 0
-    end = left
-    stop = min(end - 1, budget)
-    while True:
-        if boxes >= stop:
-            if boxes >= budget:
-                push({box})
-                return 'undecided', boxes, splits, end - boxes, None
-            try:
-                end = boxes + 1 + renew()
-            except DeadlineReached:
-                push({box})
-                return 'timeout', boxes, splits, 0, None
-            stop = min(end - 1, budget)
-        boxes += 1
-"""
+def _box_source(n: int, name: str = "l{0}, h{0}, ") -> str:
+    """The box held in the locals (by ``name``, a leaf's point) as a tuple display."""
+    return "(" + "".join(name.format(i) for i in range(n)) + ")"
 
 
 def _split_lines(n: int) -> list[str]:
-    """A MAYBE box of ``n`` > 0 variables is split along its widest
+    """A MAYBE box of ``n`` variables is split along its widest
     dimension (ties to the lowest vid): the upper half is pushed and the
     lower half searched next in place."""
     lines = ["splits += 1"]
@@ -1014,9 +992,8 @@ def _split_lines(n: int) -> list[str]:
 class _KernelWriter:
     """The ``source`` of the search kernel for one ``_kernel`` key.  Each
     node is read twice (``_reading``) into fresh locals named by its
-    position in the key: over the box held in ``l<i>``/``h<i>`` and at a
-    point.  The point reading runs while every ``l<i> == h<i>``, and
-    decides the box on its own."""
+    position in the key: over the box held in ``l<i>``/``h<i>``, and at the
+    point ``p<i>`` of a leaf, in loops nested in vid order."""
 
     def __init__(self, key: tuple) -> None:
         n, *nodes = key
@@ -1034,7 +1011,7 @@ class _KernelWriter:
                     at_point.append(text)
                 elif kind is Var:
                     over_box.append((f"l{leaf}", f"h{leaf}"))
-                    at_point.append(f"l{leaf}")
+                    at_point.append(f"p{leaf}")
                 else:
                     over_box.append("1" if leaf else "(-1)")
                     at_point.append(repr(leaf))
@@ -1050,18 +1027,41 @@ class _KernelWriter:
                                          k, abort, point)
                 out += lines
                 results.append(result)
-        box = _box_source(n)
-        true = ["    if not work:", "        return 'proved', boxes, splits, end - boxes, None",
-                f"    {box} = pop()", "    continue"]
-        false = f"return 'witness', boxes, splits, end - boxes, {box}"
-        lines = [*point_lines, f"if {at_point[-1]}:", *true, false]
-        if n:  # else every box is a point
-            truth = over_box[-1]
-            same = " and ".join(f"l{i} == h{i}" for i in range(n))
-            lines = [f"if {same}:", *(f"    {line}" for line in lines), *box_lines,
-                     f"if {truth} > 0:", *true, f"if {truth} < 0:", f"    {false}",
-                     *_split_lines(n)]
-        self.source = _kernel_head(n) + "".join(f"        {line}\n" for line in lines)
+        box, truth = _box_source(n), over_box[-1]
+        witness = "return 'witness', boxes, splits, end - boxes, "
+        leaf = [f"size = {' * '.join(f'(h{i} - l{i} + 1)' for i in range(n)) or 1}",
+                f"if size > {LEAF_POINTS} or size > budget - boxes:",
+                *(f"    {line}" for line in _split_lines(n)), "    continue",
+                *(f"{'    ' * i}for p{i} in range(l{i}, h{i} + 1):" for i in range(n)),
+                *(f"{'    ' * n}{line}" for line in ["boxes += 1", *point_lines,
+                  f"if not {at_point[-1]}:", f"    {witness}{_box_source(n, 'p{0}, p{0}, ')}"])]
+        lines = [*box_lines, f"if not {truth}:", *(f"    {line}" for line in leaf),
+                 f"elif {truth} < 0:", f"    {witness}{box}",
+                 "if not work:", "    if boxes >= end:  # a leaf spent the lease's last unit",
+                 "        try:", "            end += renew()", "        except DeadlineReached:",
+                 "            return 'timeout', boxes, splits, end - boxes, None",
+                 "    return 'proved', boxes, splits, end - boxes, None", f"{box} = pop()"]
+        self.source = f"""\
+def kernel(work, budget, left, renew):
+    pop = work.pop
+    push = work.append
+    {box} = pop()
+    boxes = splits = 0
+    end = left
+    stop = min(end - 1, budget)
+    while True:
+        if boxes >= stop:
+            if boxes >= budget:
+                push({box})
+                return 'undecided', boxes, splits, end - boxes, None
+            try:
+                end += renew()
+            except DeadlineReached:
+                push({box})
+                return 'timeout', boxes, splits, min(end - boxes, 0), None
+            stop = min(end - 1, budget)
+        boxes += 1
+""" + "".join(f"        {line}\n" for line in lines)
 
 
 # --------------------------------------------------------------------------

@@ -284,12 +284,15 @@ def concrete_oracle(node, val):
 
 
 def branch_and_prune_oracle(formula, box, budget, seed=0, remaining=None, points=None):
-    """(status, witness, boxes, splits, note) from dict-box splitting: widest
-    dimension first (ties to the lowest vid), lower half searched first,
-    seeded samples from the remaining boxes once the budget runs out.  The
-    list ``remaining``, when given, receives those boxes, bottom of the
-    stack first; the list ``points`` receives every box of one point that
-    is evaluated."""
+    """(status, witness, boxes, splits, note) from dict-box splitting.  A box
+    left maybe is a leaf when it holds at most ``sym.LEAF_POINTS`` points
+    and they fit the budget left: each point, in ``itertools.product`` order
+    over the sorted vids, is one more box, and the first that fails is the
+    witness.  Any other maybe box is split along its widest dimension (ties
+    to the lowest vid), lower half searched first.  Once the budget runs out,
+    seeded samples from the remaining boxes.  The list ``remaining``, when
+    given, receives those boxes, bottom of the stack first; the list
+    ``points`` receives every point a leaf evaluates."""
     work, boxes, splits = [dict(box)], 0, 0
     while work:
         if boxes >= budget:
@@ -307,8 +310,6 @@ def branch_and_prune_oracle(formula, box, budget, seed=0, remaining=None, points
             return "undecided", None, boxes, splits, f"box budget {budget} exhausted"
         current = work.pop()
         boxes += 1
-        if points is not None and all(iv.lo == iv.hi for iv in current.values()):
-            points.append(current)
         try:
             truth = truth_oracle(formula, current)
         except sym.DivMaybeZero as exc:
@@ -318,16 +319,21 @@ def branch_and_prune_oracle(formula, box, budget, seed=0, remaining=None, points
             return "witness", val, boxes, splits, None
         if truth == "true":
             continue
-        widths = [(iv.hi - iv.lo, -v) for v, iv in current.items() if iv.hi > iv.lo]
-        if not widths:
-            val = {v: iv.lo for v, iv in current.items()}
-            try:
-                if not concrete_oracle(formula, val):
+        vids = sorted(current)
+        axes = [range(current[v].lo, current[v].hi + 1) for v in vids]
+        size = 1
+        for axis in axes:
+            size *= axis.stop - axis.start  # len() refuses a range a word wide
+        if size <= min(sym.LEAF_POINTS, budget - boxes):
+            for point in itertools.product(*axes):
+                val = dict(zip(vids, point))
+                boxes += 1
+                if points is not None:
+                    points.append(val)
+                if not concrete_oracle(formula, val):  # a zero divisor here raises
                     return "witness", val, boxes, splits, None
-            except sym.EvalError:
-                return ("unsupported", None, boxes, splits,
-                        "division by zero at a concrete point")
             continue
+        widths = [(iv.hi - iv.lo, -v) for v, iv in current.items()]
         dim = -max(widths)[1]
         iv = current[dim]
         mid = (iv.lo + iv.hi) // 2

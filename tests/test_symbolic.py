@@ -17,11 +17,11 @@ from hypothesis import strategies as hst
 
 import tricheck.symbolic as sym
 from tricheck.corpus import REGISTRY
-from tricheck.harness import Property, RunConfig, Ticker
+from tricheck.harness import POLL_INTERVAL, Property, RunConfig, Ticker
 from tricheck.patterns import pattern
 from tricheck.prng import SplitMix64
 from tricheck.results import UnknownReason, VerdictKind
-from tricheck.strategies import (int_range, just, list_of, one_of,
+from tricheck.strategies import (Strategy, int_range, just, list_of, one_of,
                                  optional_of, ordered_map_of, tuple_of)
 from tricheck.symbolic import (
     Add,
@@ -469,6 +469,20 @@ def test_an_inexpressible_node_is_named_in_the_detail(strategy, node):
     assert v.detail == f"strategy {node} is not expressible over the symbolic carrier"
 
 
+class Dice(Strategy):
+    """A user strategy with nothing but a ``_draw``."""
+
+    def _draw(self, ctx):
+        return ctx.choice(1, 6)
+
+
+def test_a_user_node_is_named_by_its_class():
+    """A user node's default repr holds its memory address, so two runs
+    would report different details; its class names it instead."""
+    details = {run(tuple_of(int_range(0, 9), Dice()), lambda x: True).detail for _ in range(2)}
+    assert details == {"strategy Dice is not expressible over the symbolic carrier"}
+
+
 @pytest.mark.parametrize("name, detail, line", [
     ("clamp.idem", "predicate not symbolically evaluable: symbolic boolean used in a"
      " native branch; use &, |, ~", "return min(max(x, 0), 100)"),
@@ -625,15 +639,17 @@ def test_driver_polls_the_deadline_on_the_interval(monkeypatch):
 
 
 def test_preset_stop_is_polled_across_alternatives():
-    # 200 alternatives of 19 boxes each: none reaches a poll on its own,
-    # so only a cadence carried across them sees the expired deadline
-    s = one_of(*[int_range(10 * k, 10 * k + 9) for k in range(200)])
+    # 200 alternatives of 13 units each (a box and a leaf of 12 points):
+    # none reaches a poll on its own, so only a cadence carried across them
+    # sees the expired deadline; the 79th spends the lease's last unit in
+    # its leaf, so it polls as its search ends, 3 units late
+    s = one_of(*[int_range(12 * k, 12 * k + 11) for k in range(200)])
     p = Property("t", s, lambda x: x - x == 0)
-    assert run_symbolic(p, RunConfig()).cases == 3800
+    assert run_symbolic(p, RunConfig()).cases == 2600
     v = run_symbolic(p, RunConfig(), deadline=time.monotonic() - 1.0)
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.TIMEOUT
-    assert v.cases <= 1024
+    assert v.cases == 79 * 13 <= POLL_INTERVAL + sym.LEAF_POINTS - 1
 
 
 # --------------------------------------------------------------------------
@@ -641,20 +657,20 @@ def test_preset_stop_is_polled_across_alternatives():
 # symbolic backend decides, at the default config
 
 CORPUS_SYMBOLIC_WORK = {
-    "div.recompose": ("proved", 8014, 4006, None),
-    "even.rebuild": ("proved", 401, 200, None),
+    "div.recompose": ("proved", 4346, 162, None),
+    "even.rebuild": ("proved", 216, 7, None),
     "filter.vacuous": ("proved", 1, 0, None),
     "multiply": ("proved", 1, 0, None),
-    "multiply.strict": ("falsified", 37, 18, (1000, 1000)),
-    "neg.involution": ("proved", 255, 127, None),
-    "ordered.pair": ("proved", 151, 75, None),
-    "rem.range": ("proved", 1521, 760, None),
-    "scale.range": ("proved", 9, 4, None),
+    "multiply.strict": ("falsified", 52, 15, (1000, 1000)),
+    "neg.involution": ("proved", 135, 3, None),
+    "ordered.pair": ("proved", 268, 13, None),
+    "rem.range": ("proved", 910, 31, None),
+    "scale.range": ("proved", 6, 0, None),
     "sign.cases": ("proved", 2, 0, None),
     "square.nonneg": ("proved", 3, 1, None),
-    "sub.self_zero": ("proved", 199, 99, None),
-    "sum.assoc": ("proved", 8191, 4095, None),
-    "threshold.wide": ("falsified", 19, 12, 50007),
+    "sub.self_zero": ("proved", 107, 3, None),
+    "sum.assoc": ("proved", 4351, 127, None),
+    "threshold.wide": ("falsified", 34, 11, 50000),
 }
 
 
@@ -667,10 +683,11 @@ def test_corpus_symbolic_work_is_pinned(name):
 
 def test_identity_wide_spends_its_whole_budget():
     # x == x never separates on intervals, so every box up to the budget is
-    # split; at the default budget this reads 1048576 boxes, 524312 splits
+    # split or, once small enough, evaluated point by point; at the default
+    # budget this reads 1048576 boxes, 30889 splits
     v = run_symbolic(REGISTRY.get("identity.wide"), RunConfig(budget=4096))
     assert (v.kind, v.reason, v.cases, v.splits) == (
-        VerdictKind.UNKNOWN, UnknownReason.UNDECIDED, 4096, 2076)
+        VerdictKind.UNKNOWN, UnknownReason.UNDECIDED, 4096, 176)
 
 
 class Color(enum.IntEnum):
@@ -682,9 +699,9 @@ class Color(enum.IntEnum):
     ("enum.shift", tuple_of(just(Color.RED), int_range(-50, 50)),
      lambda c, x: c * x + c >= -49, ("proved", 1, 0, None)),
     ("enum.square", one_of(just(Color.RED), int_range(0, 9)),
-     lambda x: x * x < 50, ("falsified", 6, 2, 8)),
+     lambda x: x * x < 50, ("falsified", 11, 0, 8)),
     ("enum.recompose", tuple_of(int_range(-20, 20), just(Color.NEG)),
-     lambda x, c: tdiv(x, c) * c + trem(x, c) == x, ("proved", 81, 40, None)),
+     lambda x, c: tdiv(x, c) * c + trem(x, c) == x, ("proved", 44, 1, None)),
     ("enum.bounds", int_range(Color.NEG, 40).map(lambda x: x * Color.NEG),
      lambda y: y <= 9, ("proved", 1, 0, None)),
 ])
@@ -833,10 +850,15 @@ def _search_cases():
     """Inputs the random formulas rarely or never make: a node read twice
     (as ``_multiply_in_range`` reads its product), vids with holes, box
     variables the formula never reads, no variables at all, divisions that
-    carry their location, and boxes a whole word wide.  The later ones are
-    decided by the kernel's point branch: a zero divisor on the right of a
-    connective whose left side is already TRUE, the second of two divisions
-    aborting, points at ±2^63, and a quotient read by two comparisons."""
+    carry their location, and boxes a whole word wide.  Then boxes of one
+    point, which the interval reading decides exactly: a zero divisor on
+    the right of a connective whose left side is already TRUE, the second of
+    two divisions aborting, and points at ±2^63.  Then leaves, decided point
+    by point: points at ±2^63, a quotient read by two comparisons, a leaf
+    whose witness is its first failing point in product order over the vids
+    (not the box's insertion order), a box of LEAF_POINTS + 1 points (split
+    into leaves), a box of 64 points whose second leaf does not fit a budget
+    of 60 (split again), and a leaf whose divisor range holds zero."""
     x, z = Var(0), Var(2)
     r = x * z
     q = Div(x, z, "shared.py:5")
@@ -876,6 +898,11 @@ def _search_cases():
         (x * z > -(2**126), {0: Interval(-2**63, -2**63 + 2), 2: Interval(2**63 - 2, 2**63)}),
         ((q * z <= x + 2) & (q != 7), {0: Interval(-9, 30), 2: Interval(2, 4)}),
         (((q >= 2) | (q <= 1)) & (q != 5), {0: Interval(0, 12), 2: Interval(1, 3)}),
+        (x * z != -(2**126), {2: Interval(-2**63, -2**63), 0: Interval(2**63, 2**63)}),
+        (x * z != 12, {2: Interval(2, 5), 0: Interval(2, 5)}),
+        (x * x >= x, {0: Interval(-(sym.LEAF_POINTS // 2), sym.LEAF_POINTS // 2)}),
+        (x - x == 0, {0: Interval(0, 63)}),
+        (Div(Const(12), z, "leaf.py:1") != 5, {2: Interval(-2, 2)}),
     ]
 
 
@@ -890,7 +917,7 @@ def test_branch_and_prune_matches_the_reference_search():
         cases.append((formula, _gen_box(rng, nvars, 40), (4, 60, 400)[i % 3]))
     random_cases = len(cases)
     cases += [(f, b, budget) for f, b in _search_cases() for budget in (4, 60, 400, 5000)]
-    points = []  # boxes of one point, which the kernel decides with plain ints
+    points = []  # the points of leaves, which the kernel decides with plain ints
     for i, (formula, b, budget) in enumerate(cases):
         out = branch_and_prune(formula, b, budget, sample_seed=i)
         expected = branch_and_prune_oracle(formula, b, budget, seed=i, points=points)
@@ -900,18 +927,46 @@ def test_branch_and_prune_matches_the_reference_search():
         if i == random_cases - 1:
             random_points = len(points)
     assert statuses == {"proved", "witness", "undecided", "unsupported"}
-    # the point branch runs, on the random formulas as well as the hand-made
-    # ones (457 and 3678 point boxes when this was written)
-    assert random_points >= 400 and len(points) >= 3000, (random_points, len(points))
+    # leaves run, on the random formulas as well as the hand-made ones (3238
+    # and 14699 points when this was written)
+    assert random_points >= 2800 and len(points) >= 12000, (random_points, len(points))
 
-    # the lease is counted down once per box and handed back on the way
-    # out; an expired deadline is seen at the first poll
+    # the lease is counted down once per box or point and handed back on the
+    # way out; an expired deadline is seen at the first poll, here made 15
+    # units late by the leaf that spent the lease's last unit
     for ticker, status, boxes, count in ((Ticker(deadline=time.monotonic() - 1.0),
-                                          "timeout", 1018, 1024),
+                                          "timeout", 1033, 1038),
                                          (Ticker(), "undecided", 3000, 3005)):
         ticker.tick(5)
         out = branch_and_prune(X == X, box((0, 1 << 20)), 3000, ticker=ticker)
         assert (out.status, out.boxes, ticker.count) == (status, boxes, count)
+
+
+def test_the_search_ignores_the_lease_phase():
+    """Whether a box is a leaf depends on the budget left, never on how much
+    of the ticker's lease is left, so a ticker part way through its poll
+    interval searches the same boxes and hands back every unit it did not
+    spend; a passed deadline is seen at most LEAF_POINTS - 1 units after the
+    poll that was due."""
+    b = box((0, 127), (0, 63))
+    same = (X + Y) - Y == X  # MAYBE on every box of more than one point
+    for formula in (same, same & (X * Y != 127 * 63)):  # proved; the last point fails
+        outcomes = set()
+        for phase in (0, 1, 500, 1023):
+            ticker = Ticker()
+            ticker.tick(phase)
+            out = branch_and_prune(formula, b, 1 << 20, ticker=ticker)
+            outcomes.add((out.status, str(out.witness), out.boxes, out.splits))
+            assert ticker.count == phase + out.boxes
+        assert len(outcomes) == 1 and out.boxes > 2 * POLL_INTERVAL, outcomes
+    late = []
+    for phase in (0, 1, 500, 1023):
+        ticker = Ticker(deadline=time.monotonic() - 1.0)
+        ticker.tick(phase)
+        out = branch_and_prune(same, b, 1 << 20, ticker=ticker)
+        assert out.status == "timeout"
+        late.append(out.boxes - (POLL_INTERVAL - 1 - phase % POLL_INTERVAL))
+    assert late == [0, 1, 24, 0] and max(late) <= sym.LEAF_POINTS - 1
 
 
 def test_every_early_exit_leaves_the_unevaluated_box_on_work(monkeypatch):
@@ -929,7 +984,8 @@ def test_every_early_exit_leaves_the_unevaluated_box_on_work(monkeypatch):
     timed = branch_and_prune(formula, b, 1 << 20, ticker=Ticker(deadline=time.monotonic() - 1.0))
     budgeted = branch_and_prune(formula, b, timed.boxes)
     assert (timed.status, budgeted.status) == ("timeout", "undecided")
-    assert timed.boxes == budgeted.boxes == 1023  # the first poll is at the lease's last box
+    # the first poll, after the leaf that spent the lease's last unit
+    assert timed.boxes == budgeted.boxes == 1026
     assert timed.splits == budgeted.splits
     reference = []
     branch_and_prune_oracle(formula, b, timed.boxes, remaining=reference)
