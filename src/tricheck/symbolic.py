@@ -873,7 +873,8 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     walk of it.
 
     ``kernel(work, budget, left, renew)`` searches the stack ``work`` of flat
-    boxes ``(lo, hi)`` per vid in ``vids`` order, depth first, and returns
+    boxes, tuples or lists of ``lo, hi`` per vid in ``vids`` order (a split
+    pushes a list), depth first, and returns
     ``(status, boxes, splits, left, last)``: ``status`` is SolveOutcome's,
     ``last`` the FALSE box or failing point (as a box) for "witness" and the
     index into ``locations`` of the division whose divisor range held zero
@@ -898,7 +899,7 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     key = (len(vids), *nodes)
     kernel = _KERNELS.get(key)
     if kernel is None:
-        namespace = {"DeadlineReached": DeadlineReached}
+        namespace = {"DeadlineReached": DeadlineReached, "product": itertools.product}
         source = _KernelWriter(key).source
         exec(builtins.compile(source, "<tricheck search kernel>", "exec"), namespace)
         if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
@@ -973,27 +974,21 @@ def _box_source(n: int, name: str = "l{0}, h{0}, ") -> str:
 
 def _split_lines(n: int) -> list[str]:
     """A MAYBE box of ``n`` variables is split along its widest
-    dimension (ties to the lowest vid): the upper half is pushed and the
-    lower half searched next in place."""
-    lines = ["splits += 1"]
-    if n > 1:
-        lines.append("d = 0; w = h0 - l0")
-        lines += [f"if h{i} - l{i} > w: d = {i}; w = h{i} - l{i}" for i in range(1, n)]
-    for i in range(n):
-        upper = "".join(f"m + 1, h{j}, " if j == i else f"l{j}, h{j}, " for j in range(n))
-        pad = "    " * (n > 1)
-        if n > 1:
-            lines.append(f"if d == {i}:" if i == 0
-                         else "else:" if i == n - 1 else f"elif d == {i}:")
-        lines += [f"{pad}m = (l{i} + h{i}) // 2", f"{pad}push(({upper}))", f"{pad}h{i} = m"]
-    return lines
+    dimension (ties to the lowest vid): the upper half is pushed, as a
+    list, and the lower half searched next in place."""
+    lines = ["splits += 1", "d = 0; w = h0 - l0"]
+    lines += [f"if h{i} - l{i} > w: d = {i}; w = h{i} - l{i}" for i in range(1, n)]
+    lines.append(f"b = [{_box_source(n)[1:-1]}]")
+    lines += [f"if d == {i}: m = (l{i} + h{i}) // 2; b[{2 * i}] = m + 1; h{i} = m"
+              for i in range(n)]
+    return [*lines, "push(b)"]
 
 
 class _KernelWriter:
     """The ``source`` of the search kernel for one ``_kernel`` key.  Each
     node is read twice (``_reading``) into fresh locals named by its
     position in the key: over the box held in ``l<i>``/``h<i>``, and at the
-    point ``p<i>`` of a leaf, in loops nested in vid order."""
+    point ``p<i>`` of a leaf, in one ``product`` loop over the vids."""
 
     def __init__(self, key: tuple) -> None:
         n, *nodes = key
@@ -1032,8 +1027,9 @@ class _KernelWriter:
         leaf = [f"size = {' * '.join(f'(h{i} - l{i} + 1)' for i in range(n)) or 1}",
                 f"if size > {LEAF_POINTS} or size > budget - boxes:",
                 *(f"    {line}" for line in _split_lines(n)), "    continue",
-                *(f"{'    ' * i}for p{i} in range(l{i}, h{i} + 1):" for i in range(n)),
-                *(f"{'    ' * n}{line}" for line in ["boxes += 1", *point_lines,
+                f"for {_box_source(n, 'p{0}, ')} in product("
+                f"{''.join(f'range(l{i}, h{i} + 1), ' for i in range(n))}):",
+                *(f"    {line}" for line in ["boxes += 1", *point_lines,
                   f"if not {at_point[-1]}:", f"    {witness}{_box_source(n, 'p{0}, p{0}, ')}"])]
         lines = [*box_lines, f"if not {truth}:", *(f"    {line}" for line in leaf),
                  f"elif {truth} < 0:", f"    {witness}{box}",

@@ -1,18 +1,23 @@
-"""Mutation check of the interval rules: does the suite notice an unsound one?
+"""Mutation check of the interval rules and the search kernel: does the
+suite notice an unsound one?
 
-Each mutant below is one textual edit of ``src/tricheck/symbolic.py`` that
-makes interval or point evaluation wrong.  For each, the script copies
-``src/`` into a temporary directory, edits the copy (never the checkout),
-and runs pytest with that copy first on ``PYTHONPATH``:
+Each mutant below is one textual edit of ``src/tricheck/symbolic.py``.  A
+rule mutant (``MUTANTS``) makes interval or point evaluation wrong; a kernel
+mutant (``KERNEL_MUTANTS``) makes the search kernel's leaf or split wrong.
+For each, the script copies ``src/`` into a temporary directory, edits the
+copy (never the checkout), and runs pytest with that copy first on
+``PYTHONPATH``:
 
-1. criterion 05 (``test_criterion_05_interval_arithmetic_is_sound``) alone;
+1. criterion 05 (``test_criterion_05_interval_arithmetic_is_sound``) alone,
+   for rule mutants only: it checks one-shot evaluation, which runs no
+   kernel, so kernel mutants must be killed by the suites alone;
 2. ``tests/test_symbolic.py`` and ``tests/test_acceptance.py`` with ``-x``.
 
 A run that fails kills the mutant.  The script prints, per mutant, the
-first test that failed in each run.  It exits 1 if a mutant survives
-either run, or if a mutant's target text is not in the source exactly once
-(the code moved, so the mutant must be rewritten); a run that cannot
-collect its tests stops it.  The name keeps pytest from collecting this
+first test that failed in each run.  It exits 1 if a mutant survives a
+run it must fail, or if a mutant's target text is not in the source
+exactly once (the code moved, so the mutant must be rewritten); a run that
+cannot collect its tests stops it.  The name keeps pytest from collecting this
 file.
 
     python tests/interval_mutants.py            # from the repository root
@@ -84,6 +89,22 @@ MUTANTS = [
      "i, j = (*operands[::-1], None)[:2]"),
 ]
 
+#: the same, for the search kernel's leaf and split
+KERNEL_MUTANTS = [
+    ("the leaf drops each range's last point",
+     "f'range(l{i}, h{i} + 1), '",
+     "f'range(l{i}, h{i}), '"),
+    ("the pushed upper half starts at m + 2",
+     "b[{2 * i}] = m + 1;",
+     "b[{2 * i}] = m + 2;"),
+    ("the lower half narrows to m - 1",
+     "h{i} = m\"",
+     "h{i} = m - 1\""),
+    ("split ties go to the highest vid",
+     'f"if h{i} - l{i} > w:',
+     'f"if h{i} - l{i} >= w:'),
+]
+
 
 def _killer(src: Path, tests: list[str]) -> str | None:
     """The first test of ``tests`` that fails under pytest importing from
@@ -103,22 +124,24 @@ def _killer(src: Path, tests: list[str]) -> str | None:
 
 def main() -> int:
     original = (ROOT / "src" / SOURCE).read_text()
+    mutants = [(*m, True) for m in MUTANTS] + [(*m, False) for m in KERNEL_MUTANTS]
     failed = []
     with tempfile.TemporaryDirectory() as scratch:
         src = Path(scratch) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        for n, (what, old, new) in enumerate(MUTANTS, 1):
+        for n, (what, old, new, rule) in enumerate(mutants, 1):
             if original.count(old) != 1:
                 print(f"{n:2}  {what}: target text found {original.count(old)} times, not once")
                 failed.append(n)
                 continue
             (src / SOURCE).write_text(original.replace(old, new))
-            alone, suites = _killer(src, CRITERION_05), _killer(src, SUITES)
+            alone = _killer(src, CRITERION_05) if rule else "not run (a kernel mutant)"
+            suites = _killer(src, SUITES)
             print(f"{n:2}  {what}\n      criterion 05 alone: {alone or 'SURVIVED'}\n"
                   f"      symbolic and acceptance: {suites or 'SURVIVED'}", flush=True)
             if not (alone and suites):
                 failed.append(n)
-    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed by both runs")
+    print(f"{len(mutants) - len(failed)} of {len(mutants)} mutants killed by every run they must fail")
     return 1 if failed else 0
 
 

@@ -175,6 +175,23 @@ def test_a_crash_during_a_check_exits_three(tmp_path, capsys):
     assert "b.map_raises: unknown: unsupported" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("backend", ["symbolic", "ensemble"])
+def test_a_twenty_field_harness_is_proved_and_reported(tmp_path, capsys, backend):
+    """Twenty fields are one box of twenty variables: its search kernel
+    compiles, where twenty nested loops would not."""
+    mod = tmp_path / "wide.py"
+    mod.write_text(
+        "from tricheck import PropertyRegistry, int_range, tuple_of\n"
+        "REGISTRY = PropertyRegistry()\n"
+        "REGISTRY.register('wide.sum', tuple_of(*[int_range(0, 255)] * 20),\n"
+        "                  lambda *fields: sum(fields) <= 5100)\n"
+    )
+    report = tmp_path / "r.json"
+    assert main(["run", str(mod), "--backend", backend, "--report", str(report)]) == 0
+    assert "wide.sum: proved (symbolic, 1 boxes)" in capsys.readouterr().out
+    assert json.loads(report.read_text())["results"][0]["verdict"] == "proved"
+
+
 # --------------------------------------------------------------------------
 # config file handling
 

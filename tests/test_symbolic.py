@@ -522,6 +522,31 @@ def test_a_formula_too_deep_to_walk_is_unsupported():
     assert v.detail == "formula nests too deeply"
 
 
+@pytest.mark.parametrize("n", [20, 64, 300])
+def test_a_wide_tuple_is_decided(n):
+    """A leaf is one ``product`` loop and a split one push, whatever the
+    box's width: CPython compiles at most 20 nested loops."""
+    fields = tuple_of(*[int_range(0, 1)] * n)
+    assert run(fields, lambda *xs: sum(xs) >= 0).describe() == "proved (symbolic, 1 boxes)"
+    v = run(fields, lambda *xs: sum(xs) <= n - 1)
+    assert v.kind is VerdictKind.FALSIFIED
+    assert v.counterexample.original == (1,) * n
+
+
+def test_the_kernel_source_is_linear_in_the_variables_and_nests_no_deeper():
+    def source(n):
+        xs = [Var(i) for i in range(n)]
+        nodes, _ = sym._shape(sum(xs) >= 0, sym._FORMULA_KINDS, list(range(n)))
+        return sym._KernelWriter((n, *nodes)).source
+
+    def deepest(text):
+        return max(len(line) - len(line.lstrip()) for line in text.splitlines())
+
+    assert deepest(source(3)) == deepest(source(100))
+    # a branch per variable that pushes all 2n bounds would make it 4 times longer
+    assert len(source(200)) < 2.2 * len(source(100))
+
+
 def test_driver_budget_exhaustion_is_undecided(monkeypatch):
     v = run(int_range(0, 2**48), lambda x: (x * x) >= x, budget=5)
     assert v.kind in (VerdictKind.UNKNOWN, VerdictKind.PROVED)
