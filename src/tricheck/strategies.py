@@ -609,6 +609,15 @@ def _unrank_combination(n: int, k: int, rank: int) -> list[int]:
 class Strategy:
     """Immutable description of a value domain.  See module docstring."""
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """A class that overrides ``_draw`` inherits no ``_values``,
+        ``_unrank`` or ``_span``: those read the draw it replaced."""
+        super().__init_subclass__(**kwargs)
+        if "_draw" in vars(cls):
+            for hook in ("_values", "_unrank", "_span"):
+                if hook not in vars(cls):
+                    setattr(cls, hook, vars(Strategy)[hook])
+
     def map(self, transform: Callable[[Any], Any]) -> "Strategy":
         """Image of this domain under ``transform`` (cardinality becomes an
         upper bound; shrinking happens on the pre-image)."""

@@ -22,9 +22,9 @@ the formula as straight-line interval code over the bounds of the box it
 searches, held in locals, and as plain integer code at each point of a
 small undecided box.  It splits larger undecided boxes along their widest
 dimension until every box is decided, a concrete witness refutes the
-property, or the box budget runs out.  Interval division truncates toward
-zero and a divisor interval that straddles zero aborts the analysis
-(soundly) instead.  Both readings evaluate both sides of ``&`` and ``|``.
+property, or the box budget or the deadline runs out.  Interval division
+truncates toward zero and a divisor interval that straddles zero aborts
+the analysis (soundly) instead.  Both readings evaluate both sides of ``&`` and ``|``.
 
 Every verdict is anchored concretely.  A witness must fail the recorded
 formula under integer evaluation, and then the real predicate too; a proof
@@ -41,11 +41,10 @@ import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from . import strategies as st
 from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
-from .prng import SplitMix64
 from .results import Counterexample, UnknownReason, Verdict
 
 #: Default box budget for a single branch_and_prune call.
@@ -53,10 +52,6 @@ DEFAULT_BOX_BUDGET = 100_000
 
 #: The most points of a MAYBE box that is decided point by point, not split.
 LEAF_POINTS = 32
-
-#: Concrete valuations sampled from the remaining boxes when the budget or
-#: deadline runs out before the search decides.
-FALLBACK_SAMPLES = 1000
 
 
 # --------------------------------------------------------------------------
@@ -685,7 +680,8 @@ def _conj(a: SymBool | None, b: SymBool | None) -> SymBool | None:
 
 def symbolize(strategy: st.Strategy) -> list[SymAlternative] | None:
     """Carrier values and boxes for ``strategy``, or None when the domain is
-    not expressible (containers, strings, opaque transforms/filters).
+    not expressible (containers, strings, opaque transforms/filters, a node
+    whose class draws its own way).
 
     ``one_of`` produces one alternative per branch; a tuple crosses its
     components' alternatives.  Maps and filters run over the carrier through
@@ -694,25 +690,29 @@ def symbolize(strategy: st.Strategy) -> list[SymAlternative] | None:
     symbolic boolean or bool becomes a hypothesis.
     """
     try:
-        return _alternatives(strategy, itertools.count())
+        return list(_alternatives(strategy, itertools.count()))
     except _Unsupported:
         return None
 
 
-def _alternatives(s: st.Strategy, vids: Iterator[int]) -> list[SymAlternative]:
+def _alternatives(s: st.Strategy, vids: Iterator[int]) -> Iterable[SymAlternative]:
     """``symbolize``'s walk, numbering variables from ``vids``; it gives up
-    by raising _Unsupported."""
-    if isinstance(s, st.Just):
+    by raising _Unsupported.  A node is read by its ``_draw``, so a subclass
+    that draws its own way is read as no built-in node.  A tuple builds its
+    components' alternatives here and crosses them lazily, first component
+    slowest, so a caller builds only the alternatives it reaches."""
+    draw = getattr(type(s), "_draw", None)
+    if draw is st.Just._draw:
         if isinstance(s.value, bool) or not isinstance(s.value, (int, SymExpr)):
             raise _inexpressible(s)
         return [SymAlternative(_coerce_carrier(s.value), {}, None)]
-    if isinstance(s, st.IntRange):
+    if draw is st.IntRange._draw:
         vid = next(vids)
         return [SymAlternative(Var(vid), {vid: Interval(s.lo, s.hi)}, None)]
-    if isinstance(s, st.Map):
+    if draw is st.Map._draw:
         return [SymAlternative(_coerce_carrier(_record(s.transform, (alt.carrier,), "map")),
                                alt.box, alt.hypothesis) for alt in _alternatives(s.inner, vids)]
-    if isinstance(s, st.Filter):
+    if draw is st.Filter._draw:
         out = []
         for alt in _alternatives(s.inner, vids):
             raw = _record(s.predicate, (alt.carrier,), f"filter {s.label!r}")
@@ -721,16 +721,14 @@ def _alternatives(s: st.Strategy, vids: Iterator[int]) -> list[SymAlternative]:
             out.append(SymAlternative(alt.carrier, alt.box,
                                       _conj(alt.hypothesis, _as_bool(raw))))
         return out
-    if isinstance(s, st.OneOf):
+    if draw is st.OneOf._draw:
         return [alt for branch in s.alternatives for alt in _alternatives(branch, vids)]
-    if isinstance(s, st.TupleOf):
-        combos = [SymAlternative((), {}, None)]
-        for component in s.components:
-            parts = _alternatives(component, vids)
-            combos = [SymAlternative(c.carrier + (p.carrier,), {**c.box, **p.box},
-                                     _conj(c.hypothesis, p.hypothesis))
-                      for c in combos for p in parts]
-        return combos
+    if draw is st.TupleOf._draw:
+        parts = [list(_alternatives(component, vids)) for component in s.components]
+        return (SymAlternative(tuple(p.carrier for p in combo),
+                               {vid: iv for p in combo for vid, iv in p.box.items()},
+                               functools.reduce(_conj, (p.hypothesis for p in combo), None))
+                for combo in itertools.product(*parts))
     raise _inexpressible(s)  # ListOf, OrderedMapOf, Pattern, unknown nodes
 
 
@@ -783,27 +781,9 @@ class SolveOutcome:
     note: str | None = None
 
 
-def _sample_remaining(holds, work: list, keys: list, seed: int) -> dict | None:
-    """Last-ditch concrete probing of the undecided region."""
-    if not work:
-        return None
-    rng = SplitMix64(seed)
-    for i in range(FALLBACK_SAMPLES):
-        box = work[i % len(work)]
-        val = {vid: rng.uniform_in(*box[vid]) for vid in keys}
-        try:
-            if not holds(val):
-                return val
-        except EvalError:
-            # a div-by-zero here does not witness anything about the formula
-            continue
-    return None
-
-
 def branch_and_prune(formula: SymBool, box: Box,
                      budget: int = DEFAULT_BOX_BUDGET, *,
-                     ticker: Ticker | None = None,
-                     sample_seed: int = 0) -> SolveOutcome:
+                     ticker: Ticker | None = None) -> SolveOutcome:
     """Decide ``formula`` over ``box`` by splitting boxes, searched depth
     first from a work stack.
 
@@ -814,11 +794,13 @@ def branch_and_prune(formula: SymBool, box: Box,
     dimension (ties to the lowest vid), the lower half searched first.
     Proved means every sub-box evaluated TRUE or held at each of its points.
     A FALSE box (at its midpoint) or failing point yields a witness, always
-    re-checked concretely before being returned.  Budget or deadline
-    exhaustion first probes the remaining region with concrete samples.  The
+    re-checked concretely before being returned.  The budget and the
+    deadline end the search, as "undecided" and "timeout", whose note counts
+    the boxes left unevaluated and names the widest variable range among
+    them (the first met, from the bottom of the stack and by vid).  The
     search runs in a kernel cached by the formula's shape (see ``_kernel``).
     """
-    keys = list(box)  # witnesses and samples follow the caller's order
+    keys = list(box)  # witnesses follow the caller's order
     vids = sorted(keys)
     if vids and vids[0] < 0:
         raise ValueError(f"variable id {vids[0]} is negative")
@@ -835,25 +817,19 @@ def branch_and_prune(formula: SymBool, box: Box,
     if status == "unsupported":
         return SolveOutcome(status, boxes=boxes, splits=splits,
                             note=str(DivMaybeZero(locations[last])))
-    run = _program(nodes, locations, True)
-
-    def holds(val: dict) -> bool:  # the walk's Var entries are positions in vids
-        return run([val[v] for v in vids])
-
-    def by_vid(flat: tuple) -> dict:
-        return dict(zip(vids, zip(flat[::2], flat[1::2])))
-
-    if status == "witness":
-        current = by_vid(last)
-        val = {vid: (current[vid][0] + current[vid][1]) // 2 for vid in keys}
-        if holds(val):  # pragma: no cover - soundness guard
+    if status == "witness":  # a FALSE box, read at its midpoint, or a failing point
+        mid = [(lo + hi) // 2 for lo, hi in zip(last[::2], last[1::2])]
+        if _program(nodes, locations, True)(mid):  # pragma: no cover - soundness guard
             raise AssertionError("interval refutation failed concrete confirmation")
-        return SolveOutcome(status, witness=val, boxes=boxes, splits=splits)
-    # out of budget or time: probe what is left before giving up
-    note = f"box budget {budget} exhausted" if status == "undecided" else None
-    val = _sample_remaining(holds, [by_vid(b) for b in work], keys, sample_seed)
-    if val is not None:
-        return SolveOutcome("witness", witness=val, boxes=boxes, splits=splits)
+        val = dict(zip(vids, mid))
+        return SolveOutcome(status, witness={v: val[v] for v in keys}, boxes=boxes, splits=splits)
+    # out of budget or time: say what is left, naming the first widest range
+    ranges = [(v, b[2 * i], b[2 * i + 1]) for b in work for i, v in enumerate(vids)]
+    note = f"box budget {budget} exhausted; " if status == "undecided" else ""
+    note += f"{len(work)} boxes left"
+    if ranges:
+        v, lo, hi = max(ranges, key=lambda r: r[2] - r[1])
+        note += f", widest v{v} in [{lo}, {hi}]"
     return SolveOutcome(status, boxes=boxes, splits=splits, note=note)
 
 
@@ -1121,8 +1097,7 @@ def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
                 verdict = Verdict.unknown(UnknownReason.UNDECIDED,
                                           detail=f"box budget {budget} exhausted")
                 break
-            out = branch_and_prune(formula, alt.box, budget - boxes,
-                                   ticker=ticker, sample_seed=config.seed)
+            out = branch_and_prune(formula, alt.box, budget - boxes, ticker=ticker)
             boxes += out.boxes
             splits += out.splits
             if out.status == "proved":

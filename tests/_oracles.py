@@ -21,7 +21,6 @@ import re
 from tricheck import strategies as st
 from tricheck import patterns as pat
 from tricheck import symbolic as sym
-from tricheck.prng import SplitMix64
 
 
 # --------------------------------------------------------------------------
@@ -283,31 +282,32 @@ def concrete_oracle(node, val):
     return _tq(a, b) if isinstance(node, sym.Div) else a - b * _tq(a, b)
 
 
-def branch_and_prune_oracle(formula, box, budget, seed=0, remaining=None, points=None):
+def branch_and_prune_oracle(formula, box, budget, remaining=None, points=None):
     """(status, witness, boxes, splits, note) from dict-box splitting.  A box
     left maybe is a leaf when it holds at most ``sym.LEAF_POINTS`` points
     and they fit the budget left: each point, in ``itertools.product`` order
     over the sorted vids, is one more box, and the first that fails is the
     witness.  Any other maybe box is split along its widest dimension (ties
-    to the lowest vid), lower half searched first.  Once the budget runs out,
-    seeded samples from the remaining boxes.  The list ``remaining``, when
-    given, receives those boxes, bottom of the stack first; the list
-    ``points`` receives every point a leaf evaluates."""
+    to the lowest vid), lower half searched first.  Once the budget runs
+    out the search is undecided, and its note counts the boxes left and
+    names the widest range in them, the first met from the bottom of the
+    stack and by vid.  The list ``remaining``, when given, receives those
+    boxes, bottom of the stack first; the list ``points`` receives every
+    point a leaf evaluates."""
     work, boxes, splits = [dict(box)], 0, 0
     while work:
         if boxes >= budget:
             if remaining is not None:
                 remaining.extend(work)
-            rng = SplitMix64(seed)
-            for i in range(sym.FALLBACK_SAMPLES):
-                b = work[i % len(work)]
-                val = {v: rng.uniform_in(iv.lo, iv.hi) for v, iv in b.items()}
-                try:
-                    if not concrete_oracle(formula, val):
-                        return "witness", val, boxes, splits, None
-                except sym.EvalError:
-                    continue
-            return "undecided", None, boxes, splits, f"box budget {budget} exhausted"
+            note = f"box budget {budget} exhausted; {len(work)} boxes left"
+            widest = None
+            for b in work:
+                for v in sorted(b):
+                    if widest is None or b[v].hi - b[v].lo > widest[1].hi - widest[1].lo:
+                        widest = (v, b[v])
+            if widest is not None:
+                note += f", widest v{widest[0]} in {widest[1]!r}"
+            return "undecided", None, boxes, splits, note
         current = work.pop()
         boxes += 1
         try:

@@ -500,6 +500,21 @@ def test_symbolic_unobserved_input_is_unsupported_not_proved(tmp_path, capsys):
     assert result["counterexample"]["shrunk"] == "-5"
 
 
+def test_a_predicate_that_returns_none_passes():
+    """None passes, as a true result does, and False fails: a predicate that
+    only returns None passes under every concrete backend and the ensemble,
+    and one that returns False from 5 up is falsified at 5."""
+    passes = Property("acc.none", st.int_range(0, 9), lambda x: None)
+    assert run_fuzz(passes, RunConfig()).kind is VerdictKind.PASS_SAMPLED
+    assert run_exhaustive(passes, RunConfig()).kind is VerdictKind.PROVED
+    v = run_ensemble(passes, ENSEMBLE_ORDER, RunConfig())
+    assert (v.kind, v.backend) == (VerdictKind.PROVED, "exhaustive")
+    fails = Property("acc.none_below_5", st.int_range(0, 9), lambda x: None if x < 5 else False)
+    for run in (run_fuzz, run_exhaustive):
+        v = run(fails, RunConfig())
+        assert (v.kind, v.counterexample.shrunk) == (VerdictKind.FALSIFIED, 5), run
+
+
 def test_symbolic_witness_is_confirmed_on_the_real_predicate(tmp_path, capsys):
     """A witness of the recorded formula that the real predicate accepts is
     not a counterexample: the verdict is Unsupported, and the ensemble no

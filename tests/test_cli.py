@@ -192,6 +192,33 @@ def test_a_twenty_field_harness_is_proved_and_reported(tmp_path, capsys, backend
     assert json.loads(report.read_text())["results"][0]["verdict"] == "proved"
 
 
+def test_a_class_that_draws_its_own_way_is_checked_by_its_draws_alone(tmp_path, capsys):
+    """A subclass that overrides a built-in node's ``_draw`` keeps that
+    node's cardinality but neither its enumeration nor its symbolic
+    reading, which describe another domain: exhaustive and symbolic give up
+    naming it, and the ensemble reports fuzz's counterexample."""
+    mod = tmp_path / "plus_one.py"
+    mod.write_text(
+        "from tricheck import PropertyRegistry\n"
+        "from tricheck.strategies import IntRange\n"
+        "class PlusOne(IntRange):\n"
+        "    def _draw(self, ctx):\n"
+        "        return super()._draw(ctx) + 1\n"
+        "REGISTRY = PropertyRegistry()\n"
+        "REGISTRY.register('plus_one.le9', PlusOne(0, 9), lambda x: x <= 9)\n"
+    )
+    falsified = "plus_one.le9: falsified shrunk=10 original=10 "
+    for backend, code, line in [
+            ("fuzz", 1, falsified),
+            ("exhaustive", 0, "plus_one.le9: unknown: unsupported "
+                              "(strategy PlusOne has no _values interpretation)\n"),
+            ("symbolic", 0, "plus_one.le9: unknown: unsupported "
+                            "(strategy PlusOne is not expressible over the symbolic carrier)\n"),
+            ("ensemble", 1, falsified)]:
+        assert main(["run", str(mod), "--backend", backend]) == code, backend
+        assert line in capsys.readouterr().out, backend
+
+
 # --------------------------------------------------------------------------
 # config file handling
 

@@ -348,13 +348,20 @@ def test_prune_budget_exhaustion_is_undecided():
         assert "budget" in out.note
 
 
-def test_prune_samples_can_refute_after_budget():
-    # almost everything fails, so the post-budget sampler finds a witness
-    formula = X < Const(-10**6)
-    wide = box((-2**40, 2**40))
-    out = branch_and_prune(formula, wide, budget=1)
-    assert out.status == "witness"
-    assert not concrete_truth(formula, out.witness)
+def test_the_budget_and_the_deadline_end_the_search():
+    """No point is probed past the budget: a box that almost every point
+    refutes, given one unit, is undecided, and a corpus run's symbolic
+    verdicts are the same at any seed."""
+    out = branch_and_prune(X < Const(-10**6), box((-2**40, 2**40)), budget=1)
+    assert (out.status, out.witness, out.boxes, out.splits, out.note) == (
+        "undecided", None, 1, 1, "box budget 1 exhausted; 2 boxes left, "
+        f"widest v0 in [{-2**40}, 0]")
+
+    def verdicts(seed):
+        return [(v.kind, v.reason, v.detail, v.cases, v.splits,
+                 v.counterexample and v.counterexample.original)
+                for v in (run_symbolic(p, RunConfig(seed=seed)) for p in REGISTRY)]
+    assert verdicts(0) == verdicts(1)
 
 
 def test_prune_division_straddling_zero_is_unsupported():
@@ -568,6 +575,25 @@ def test_driver_budget_exhaustion_is_undecided(monkeypatch):
     assert run(s, lambda a: a != 70, budget=2).describe() == "proved (symbolic, 2 boxes)"
 
 
+def test_a_tuple_builds_only_the_alternatives_the_search_reaches(monkeypatch):
+    """16 fields of two alternatives each cross into 2**16 alternatives; at
+    a budget of 100 the driver reaches 101 of them, one box each and one
+    past the budget, and builds no more."""
+    built = []
+
+    class Counted(sym.SymAlternative):
+        def __init__(self, carrier, box, hypothesis):
+            super().__init__(carrier, box, hypothesis)
+            if isinstance(carrier, tuple):
+                built.append(carrier)
+
+    monkeypatch.setattr(sym, "SymAlternative", Counted)
+    s = tuple_of(*[one_of(int_range(0, 1), int_range(5, 6))] * 16)
+    v = run(s, lambda *xs: sum(xs) >= 0, budget=100)
+    assert v.describe() == "unknown: undecided (box budget 100 exhausted)"
+    assert len(built) == 101
+
+
 def test_driver_reports_boxes_as_cases():
     v = run(int_range(0, 65535), lambda x: x < 50_000)
     assert v.kind is VerdictKind.FALSIFIED
@@ -661,6 +687,8 @@ def test_driver_polls_the_deadline_on_the_interval(monkeypatch):
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.TIMEOUT
     assert v.cases == 3  # the deadline check fires before the fourth box
+    # the fourth box and the upper halves of the three splits above it
+    assert v.detail == "4 boxes left, widest v0 in [501, 1000]"
 
 
 def test_preset_stop_is_polled_across_alternatives():
@@ -713,6 +741,9 @@ def test_identity_wide_spends_its_whole_budget():
     v = run_symbolic(REGISTRY.get("identity.wide"), RunConfig(budget=4096))
     assert (v.kind, v.reason, v.cases, v.splits) == (
         VerdictKind.UNKNOWN, UnknownReason.UNDECIDED, 4096, 176)
+    # the upper half of the first split, never searched, is the widest left
+    assert v.detail == (f"box budget 4096 exhausted; 57 boxes left, widest v0 in "
+                        f"[{2**63}, {2**64 - 1}]")
 
 
 class Color(enum.IntEnum):
@@ -944,8 +975,8 @@ def test_branch_and_prune_matches_the_reference_search():
     cases += [(f, b, budget) for f, b in _search_cases() for budget in (4, 60, 400, 5000)]
     points = []  # the points of leaves, which the kernel decides with plain ints
     for i, (formula, b, budget) in enumerate(cases):
-        out = branch_and_prune(formula, b, budget, sample_seed=i)
-        expected = branch_and_prune_oracle(formula, b, budget, seed=i, points=points)
+        out = branch_and_prune(formula, b, budget)
+        expected = branch_and_prune_oracle(formula, b, budget, points=points)
         got = (out.status, out.witness, out.boxes, out.splits, out.note)
         assert got == expected, (formula, b)
         statuses.add(out.status)
@@ -994,16 +1025,9 @@ def test_the_search_ignores_the_lease_phase():
     assert late == [0, 1, 24, 0] and max(late) <= sym.LEAF_POINTS - 1
 
 
-def test_every_early_exit_leaves_the_unevaluated_box_on_work(monkeypatch):
+def test_every_early_exit_leaves_the_unevaluated_box_on_work():
     # the kernel carries the box it searches outside ``work``; an exit before
-    # that box is evaluated must put it back for the samples to probe
-    sampled = []
-
-    def capture(holds, work, keys, seed):
-        sampled.append(work)
-        return None
-
-    monkeypatch.setattr("tricheck.symbolic._sample_remaining", capture)
+    # that box is evaluated must put it back, for the note to read
     formula = (X - Y) * (X - Y) >= 0  # true, but MAYBE along the diagonal
     b = box((0, 1 << 12), (-7, 1 << 12))
     timed = branch_and_prune(formula, b, 1 << 20, ticker=Ticker(deadline=time.monotonic() - 1.0))
@@ -1013,10 +1037,19 @@ def test_every_early_exit_leaves_the_unevaluated_box_on_work(monkeypatch):
     assert timed.boxes == budgeted.boxes == 1026
     assert timed.splits == budgeted.splits
     reference = []
-    branch_and_prune_oracle(formula, b, timed.boxes, remaining=reference)
+    expected = branch_and_prune_oracle(formula, b, timed.boxes, remaining=reference)
     reference = [{v: (iv.lo, iv.hi) for v, iv in r.items()} for r in reference]
     assert len(reference) > 1
-    assert sampled == [reference, reference]
+    assert budgeted.note == expected[4] == f"box budget 1026 exhausted; {timed.note}"
+    assert timed.note.startswith(f"{len(reference)} boxes left, widest v")
+    # and the stack the kernel leaves, read directly
+    kernel = sym._kernel(formula, [0, 1])[0]
+    for ticker, budget, status in ((Ticker(deadline=time.monotonic() - 1.0), 1 << 20, "timeout"),
+                                   (Ticker(), timed.boxes, "undecided")):
+        work = [(0, 1 << 12, -7, 1 << 12)]
+        assert kernel(work, budget, ticker.lease(), ticker.renew)[:3] == (
+            status, timed.boxes, timed.splits)
+        assert [{0: (w[0], w[1]), 1: (w[2], w[3])} for w in work] == reference
 
 
 @pytest.fixture
