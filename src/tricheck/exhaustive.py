@@ -61,7 +61,8 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
         while True:
             size = left if limit is None else min(left, limit - count)
             start = count
-            for count, (index, value) in enumerate(islice(positions, size), count + 1):
+            for index, value in islice(positions, size):
+                count += 1
                 ok, message = eval_predicate(prop, value)
                 # checked before the poll, so a failure on a poll boundary is
                 # reported even when time is up; the failing unit still counts

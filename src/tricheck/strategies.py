@@ -575,7 +575,7 @@ def _chained_product(comps: Sequence["Strategy"], stats: EnumStats | None,
             _chained_product(right, stats, h)
             for h in _chained_product(comps[:mid], stats, prefix))
     if comps:
-        return map(prefix.__add__, zip(comps[0]._values(stats)))
+        return zip(*map(itertools.repeat, prefix), comps[0]._values(stats))
     return iter((prefix,))
 
 

@@ -37,11 +37,12 @@ from __future__ import annotations
 import builtins
 import functools
 import itertools
+import math
 import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from . import strategies as st
 from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
@@ -51,7 +52,7 @@ from .results import Counterexample, UnknownReason, Verdict
 DEFAULT_BOX_BUDGET = 100_000
 
 #: The most points of a MAYBE box that is decided point by point, not split.
-LEAF_POINTS = 32
+LEAF_POINTS = 128
 
 
 # --------------------------------------------------------------------------
@@ -151,6 +152,8 @@ def tdiv(a, b):
     operands, so shared predicate sources must use this helper (and ``trem``)
     for division under every backend.
     """
+    if type(a) is int and type(b) is int:  # the common case, inline
+        return a // b if (a < 0) == (b < 0) else -(-a // b)
     if isinstance(a, SymExpr) or isinstance(b, SymExpr):
         return Div(_as_expr(a), _as_expr(b), _caller_location())
     return _tq(a, b)
@@ -158,6 +161,8 @@ def tdiv(a, b):
 
 def trem(a, b):
     """Remainder with the sign of the dividend (pairs with ``tdiv``)."""
+    if type(a) is int and type(b) is int:  # the common case, inline
+        return a - b * (a // b if (a < 0) == (b < 0) else -(-a // b))
     if isinstance(a, SymExpr) or isinstance(b, SymExpr):
         return Rem(_as_expr(a), _as_expr(b), _caller_location())
     return a - b * _tq(a, b)
@@ -695,12 +700,27 @@ def symbolize(strategy: st.Strategy) -> list[SymAlternative] | None:
         return None
 
 
-def _alternatives(s: st.Strategy, vids: Iterator[int]) -> Iterable[SymAlternative]:
+class _Crossing:
+    """A tuple's alternatives: its components' (``parts``), crossed lazily,
+    first component slowest, so a caller builds only the alternatives it
+    reaches; ``total`` counts them all."""
+
+    def __init__(self, parts: list[list[SymAlternative]]) -> None:
+        self.parts = parts
+        self.total = math.prod(map(len, parts))
+
+    def __iter__(self) -> Iterator[SymAlternative]:
+        for combo in itertools.product(*self.parts):
+            yield SymAlternative(tuple(p.carrier for p in combo),
+                                 {vid: iv for p in combo for vid, iv in p.box.items()},
+                                 functools.reduce(_conj, (p.hypothesis for p in combo), None))
+
+
+def _alternatives(s: st.Strategy, vids: Iterator[int]) -> list[SymAlternative] | _Crossing:
     """``symbolize``'s walk, numbering variables from ``vids``; it gives up
     by raising _Unsupported.  A node is read by its ``_draw``, so a subclass
     that draws its own way is read as no built-in node.  A tuple builds its
-    components' alternatives here and crosses them lazily, first component
-    slowest, so a caller builds only the alternatives it reaches."""
+    components' alternatives here and crosses them lazily (``_Crossing``)."""
     draw = getattr(type(s), "_draw", None)
     if draw is st.Just._draw:
         if isinstance(s.value, bool) or not isinstance(s.value, (int, SymExpr)):
@@ -724,17 +744,15 @@ def _alternatives(s: st.Strategy, vids: Iterator[int]) -> Iterable[SymAlternativ
     if draw is st.OneOf._draw:
         return [alt for branch in s.alternatives for alt in _alternatives(branch, vids)]
     if draw is st.TupleOf._draw:
-        parts = [list(_alternatives(component, vids)) for component in s.components]
-        return (SymAlternative(tuple(p.carrier for p in combo),
-                               {vid: iv for p in combo for vid, iv in p.box.items()},
-                               functools.reduce(_conj, (p.hypothesis for p in combo), None))
-                for combo in itertools.product(*parts))
+        return _Crossing([list(_alternatives(component, vids)) for component in s.components])
     raise _inexpressible(s)  # ListOf, OrderedMapOf, Pattern, unknown nodes
 
 
 def _carrier_value(carrier, valuation: dict):
     if isinstance(carrier, tuple):
         return tuple(_carrier_value(c, valuation) for c in carrier)
+    if type(carrier) is Var:  # a drawn int as it was drawn: nothing to evaluate
+        return valuation[carrier.vid]
     return concrete_eval(carrier, valuation)
 
 
@@ -790,11 +808,13 @@ def branch_and_prune(formula: SymBool, box: Box,
     One unit of ``budget`` (and of the ticker's lease) is a box evaluated
     over intervals or a point of a leaf: a MAYBE box of at most LEAF_POINTS
     points that fit the budget left, evaluated in ``itertools.product``
-    order over the vids.  Other MAYBE boxes are split along their widest
-    dimension (ties to the lowest vid), the lower half searched first.
-    Proved means every sub-box evaluated TRUE or held at each of its points.
-    A FALSE box (at its midpoint) or failing point yields a witness, always
-    re-checked concretely before being returned.  The budget and the
+    order over the vids (the highest fastest).  A leaf is charged all its
+    points at once, less those after a point that ends the search, so the
+    count is what charging each point would give.  Other MAYBE boxes are
+    split along their widest dimension (ties to the lowest vid), the lower
+    half searched first.  Proved means every sub-box evaluated TRUE or held
+    at each of its points.  A FALSE box (at its midpoint) or failing point
+    yields a witness, always re-checked concretely before being returned.  The budget and the
     deadline end the search, as "undecided" and "timeout", whose note counts
     the boxes left unevaluated and names the widest variable range among
     them (the first met, from the bottom of the stack and by vid).  The
@@ -860,7 +880,9 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     the lower half.  On "undecided" and "timeout" the unevaluated box is
     pushed back, so ``work`` then holds every box not yet evaluated.
     ``left``/``renew`` are a Ticker lease, spent one unit per box or point
-    up to box count ``end``; each box compares ``boxes`` with ``stop``, the
+    up to box count ``end``: a leaf adds its ``size`` to ``boxes`` before
+    its points run, and a point that returns takes back, through ``rank``,
+    the points after it.  Each box compares ``boxes`` with ``stop``, the
     earlier of the budget and ``end - 1``, whose unit polls before its box
     is searched, or after the leaf that spent it, up to LEAF_POINTS - 1
     units late.  A deadline found passed reads "timeout".  The formula is
@@ -875,7 +897,8 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     key = (len(vids), *nodes)
     kernel = _KERNELS.get(key)
     if kernel is None:
-        namespace = {"DeadlineReached": DeadlineReached, "product": itertools.product}
+        namespace = {"DeadlineReached": DeadlineReached, "product": itertools.product,
+                     "rank": _rank}
         source = _KernelWriter(key).source
         exec(builtins.compile(source, "<tricheck search kernel>", "exec"), namespace)
         if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
@@ -948,6 +971,15 @@ def _box_source(n: int, name: str = "l{0}, h{0}, ") -> str:
     return "(" + "".join(name.format(i) for i in range(n)) + ")"
 
 
+def _rank(point: tuple, box: tuple) -> int:
+    """The position of ``point`` among the points of the flat ``box`` (``lo,
+    hi`` per variable) in ``product`` order, the last variable fastest."""
+    rank = 0
+    for p, lo, hi in zip(point, box[::2], box[1::2]):
+        rank = rank * (hi - lo + 1) + p - lo
+    return rank
+
+
 def _split_lines(n: int) -> list[str]:
     """A MAYBE box of ``n`` variables is split along its widest
     dimension (ties to the lowest vid): the upper half is pushed, as a
@@ -964,10 +996,15 @@ class _KernelWriter:
     """The ``source`` of the search kernel for one ``_kernel`` key.  Each
     node is read twice (``_reading``) into fresh locals named by its
     position in the key: over the box held in ``l<i>``/``h<i>``, and at the
-    point ``p<i>`` of a leaf, in one ``product`` loop over the vids."""
+    point ``p<i>`` of a leaf, in a ``product`` loop over the first ``n - 1``
+    vids around a plain ``range`` loop over the last."""
 
     def __init__(self, key: tuple) -> None:
         n, *nodes = key
+        box = _box_source(n)
+        # a leaf charges all its points up front; a point that ends the
+        # search takes back those after it, as if each point were charged
+        spent = f"boxes += 1 + rank({_box_source(n, 'p{0}, ')}, {box}) - size"
         over_box: list = []  # per node: its bounds' sources, or its truth's
         at_point: list[str] = []  # per node: its value's source
         box_lines: list[str] = []
@@ -992,21 +1029,26 @@ class _KernelWriter:
             if kind is Div or kind is Rem:
                 abort = f"return 'unsupported', boxes, splits, end - boxes, {aborts}"
                 aborts += 1
-            for point, results, out in ((False, over_box, box_lines),
-                                        (True, at_point, point_lines)):
+            for point, results, out, leave in (
+                    (False, over_box, box_lines, abort),
+                    (True, at_point, point_lines, abort and f"{spent}; {abort}")):
                 lines, result = _reading(kind, results[a], None if b is None else results[b],
-                                         k, abort, point)
+                                         k, leave, point)
                 out += lines
                 results.append(result)
-        box, truth = _box_source(n), over_box[-1]
+        truth = over_box[-1]
         witness = "return 'witness', boxes, splits, end - boxes, "
+        inner = f"for p{n - 1} in range(l{n - 1}, h{n - 1} + 1):" if n else "for _ in range(1):"
         leaf = [f"size = {' * '.join(f'(h{i} - l{i} + 1)' for i in range(n)) or 1}",
                 f"if size > {LEAF_POINTS} or size > budget - boxes:",
                 *(f"    {line}" for line in _split_lines(n)), "    continue",
-                f"for {_box_source(n, 'p{0}, ')} in product("
-                f"{''.join(f'range(l{i}, h{i} + 1), ' for i in range(n))}):",
-                *(f"    {line}" for line in ["boxes += 1", *point_lines,
-                  f"if not {at_point[-1]}:", f"    {witness}{_box_source(n, 'p{0}, p{0}, ')}"])]
+                "boxes += size",
+                f"for {_box_source(n - 1, 'p{0}, ')} in product("
+                f"{''.join(f'range(l{i}, h{i} + 1), ' for i in range(n - 1))}):",
+                f"    {inner}",
+                *(f"        {line}" for line in [*point_lines, f"if not {at_point[-1]}:",
+                                                 f"    {spent}",
+                                                 f"    {witness}{_box_source(n, 'p{0}, p{0}, ')}"])]
         lines = [*box_lines, f"if not {truth}:", *(f"    {line}" for line in leaf),
                  f"elif {truth} < 0:", f"    {witness}{box}",
                  "if not work:", "    if boxes >= end:  # a leaf spent the lease's last unit",
@@ -1039,11 +1081,19 @@ def kernel(work, budget, left, renew):
 # --------------------------------------------------------------------------
 # driver
 
-_OUTCOME_REASON = {
-    "undecided": UnknownReason.UNDECIDED,
-    "unsupported": UnknownReason.UNSUPPORTED,
-    "timeout": UnknownReason.TIMEOUT,
-}
+def _stopped(status: str, budget: int, left: str | None, unsearched: int,
+             total: int) -> Verdict:
+    """The verdict of a run that ran out of budget (``status`` "undecided")
+    or time ("timeout"): its detail names the run's ``budget``, what the
+    search that ran out ``left`` (None when the budget ran out between
+    searches) and how many of the ``total`` alternatives were not searched."""
+    detail = [f"box budget {budget} exhausted"] if status == "undecided" else []
+    if left:
+        detail.append(left)
+    if unsearched:
+        detail.append(f"{unsearched} of {total} alternatives not searched")
+    reason = UnknownReason.UNDECIDED if status == "undecided" else UnknownReason.TIMEOUT
+    return Verdict.unknown(reason, detail="; ".join(detail))
 
 
 def _goal(prop: Property, alt: SymAlternative) -> SymBool | None:
@@ -1087,17 +1137,18 @@ def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     alts = None
     try:
         alts = _alternatives(prop.strategy, itertools.count())
-        for alt in alts:
+        total = alts.total if isinstance(alts, _Crossing) else len(alts)
+        for searched, alt in enumerate(alts):  # ``searched`` alternatives before this one
             formula = _goal(prop, alt)
             if formula is None:
                 vacuous = True  # the whole box violates the filter: nothing to check
                 boxes += 1
                 continue
             if boxes >= budget:
-                verdict = Verdict.unknown(UnknownReason.UNDECIDED,
-                                          detail=f"box budget {budget} exhausted")
+                verdict = _stopped("undecided", budget, None, total - searched, total)
                 break
-            out = branch_and_prune(formula, alt.box, budget - boxes, ticker=ticker)
+            share = budget - boxes
+            out = branch_and_prune(formula, alt.box, share, ticker=ticker)
             boxes += out.boxes
             splits += out.splits
             if out.status == "proved":
@@ -1108,8 +1159,11 @@ def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
                         f"the recorded formula holds at {value!r} but the "
                         f"predicate fails there ({message}): they disagree")
                 continue
-            if out.status != "witness":
-                verdict = Verdict.unknown(_OUTCOME_REASON[out.status], detail=out.note)
+            if out.status == "unsupported":
+                raise _Unsupported(out.note)
+            if out.status != "witness":  # the note names the share of the budget it was given
+                left = out.note.removeprefix(f"box budget {share} exhausted; ")
+                verdict = _stopped(out.status, budget, left, total - searched - 1, total)
                 break
             try:
                 value = _carrier_value(alt.carrier, out.witness)

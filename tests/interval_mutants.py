@@ -4,8 +4,8 @@ predicate's concrete reading: does the suite notice an unsound one?
 Each mutant below is one textual edit of one file under
 ``src/tricheck/``, which the mutant names.  A rule mutant (``MUTANTS``)
 makes interval or point evaluation wrong; the others (``SUITE_MUTANTS``)
-make the search kernel's leaf or split wrong, or let a predicate that
-returns None fail.  For each, the script copies ``src/`` into a temporary
+make the search kernel's leaf, the units it charges or its split wrong,
+or let a predicate that returns None fail.  For each, the script copies ``src/`` into a temporary
 directory, edits the copy (never the checkout), and runs pytest with that
 copy first on ``PYTHONPATH``:
 
@@ -91,12 +91,21 @@ MUTANTS = [
      "i, j = (*operands[::-1], None)[:2]"),
 ]
 
-#: the same, for what criterion 05 does not run: the search kernel's leaf
-#: and split, and the concrete reading of a predicate's result
+#: the same, for what criterion 05 does not run: the search kernel's leaf,
+#: its charge and its split, and the concrete reading of a predicate's result
 SUITE_MUTANTS = [
     ("symbolic.py", "the leaf drops each range's last point",
      "f'range(l{i}, h{i} + 1), '",
      "f'range(l{i}, h{i}), '"),
+    ("symbolic.py", "the innermost range drops its last point",
+     'range(l{n - 1}, h{n - 1} + 1)',
+     'range(l{n - 1}, h{n - 1})'),
+    ("symbolic.py", "a leaf charges one point fewer than it holds",
+     '"boxes += size",',
+     '"boxes += size - 1",'),
+    ("symbolic.py", "a failing point in a leaf is charged one rank short",
+     'spent = f"boxes += 1 + rank(',
+     'spent = f"boxes += rank('),
     ("symbolic.py", "the pushed upper half starts at m + 2",
      "b[{2 * i}] = m + 1;",
      "b[{2 * i}] = m + 2;"),

@@ -87,6 +87,25 @@ def test_tdiv_truncates_toward_zero_unlike_floor():
     assert trem(7, -2) == 1
 
 
+class _Step(enum.IntEnum):
+    BACK = -3
+    NONE = 0
+    ON = 5
+
+
+def test_tdiv_trem_agree_on_plain_ints_bools_and_int_enums():
+    """Two plain ints take an inline path, a bool or an IntEnum the general
+    one: both agree with ``_tq``, and a zero divisor raises on both."""
+    for a in [*range(-20, 21), True, False, *_Step]:
+        for b in [*range(-8, 0), *range(1, 9), True, _Step.BACK, _Step.ON]:
+            q = sym._tq(a, b)
+            assert (tdiv(a, b), trem(a, b)) == (q, a - b * q), (a, b)
+    for a, b in ((7, 0), (-7, 0), (7, False), (True, 0), (-4, _Step.NONE)):
+        for divide in (tdiv, trem):
+            with pytest.raises(ZeroDivisionError):
+                divide(a, b)
+
+
 def test_tdiv_on_carriers_builds_nodes():
     node = tdiv(X, 3)
     assert concrete_eval(node, {0: -7}) == -2
@@ -540,6 +559,46 @@ def test_a_wide_tuple_is_decided(n):
     assert v.counterexample.original == (1,) * n
 
 
+def test_a_proof_confirms_bare_variable_fields_without_evaluating_them(monkeypatch):
+    """A proof is confirmed at up to 2n + 3 distinct points; a field that is
+    a drawn int is read from each point as it is, so 300 of them evaluate
+    no formula."""
+    evaluated, confirmed = [], []
+    evaluate = sym._evaluate
+
+    def counted(node, *args):
+        evaluated.append(node)
+        return evaluate(node, *args)
+
+    def holds(*xs):
+        if not isinstance(xs[0], Var):
+            confirmed.append(xs)
+        return sum(xs) >= 0
+
+    monkeypatch.setattr(sym, "_evaluate", counted)
+    v = run(tuple_of(*[int_range(0, 1)] * 300), holds)
+    assert v.describe() == "proved (symbolic, 1 boxes)"
+    # both corners and each field at 1 (the midpoint is the low corner)
+    assert (len(evaluated), len(confirmed)) == (0, 300 + 2)
+
+
+def test_a_wide_witness_inside_a_leaf_is_charged_as_point_by_point():
+    """A leaf charges all its points at once and takes back those after a
+    failing one.  Over 300 fields, 293 fixed and 7 free, the whole box is a
+    leaf of 128 points whose point of rank 7, the first with three free
+    ones, fails: one box and eight points, as the reference charges them."""
+    fields = [int_range(1, 1)] * 293 + [int_range(0, 1)] * 7
+    v = run(tuple_of(*fields), lambda *xs: sum(xs) != 296)
+    assert (v.kind, v.cases, v.splits) == (VerdictKind.FALSIFIED, 1 + 8, 0)
+    assert v.counterexample.original == (1,) * 293 + (0, 0, 0, 0, 1, 1, 1)
+    formula = sum(Var(i) for i in range(300)) != 296
+    b = {i: Interval(1 - (i >= 293), 1) for i in range(300)}
+    for budget in (4, 9, 100):  # too small for the leaf, just enough, plenty
+        out = branch_and_prune(formula, b, budget)
+        assert (out.status, out.witness, out.boxes, out.splits, out.note) == (
+            branch_and_prune_oracle(formula, b, budget)), budget
+
+
 def test_the_kernel_source_is_linear_in_the_variables_and_nests_no_deeper():
     def source(n):
         xs = [Var(i) for i in range(n)]
@@ -570,7 +629,8 @@ def test_driver_budget_exhaustion_is_undecided(monkeypatch):
     monkeypatch.setattr("tricheck.symbolic.branch_and_prune", counted)
     s = one_of(just(5), int_range(0, 9))
     v = run(s, lambda a: a != 70, budget=1)
-    assert v.describe() == "unknown: undecided (box budget 1 exhausted)"
+    assert v.describe() == ("unknown: undecided (box budget 1 exhausted; "
+                            "1 of 2 alternatives not searched)")
     assert (v.cases, len(searches)) == (1, 1)
     assert run(s, lambda a: a != 70, budget=2).describe() == "proved (symbolic, 2 boxes)"
 
@@ -590,7 +650,8 @@ def test_a_tuple_builds_only_the_alternatives_the_search_reaches(monkeypatch):
     monkeypatch.setattr(sym, "SymAlternative", Counted)
     s = tuple_of(*[one_of(int_range(0, 1), int_range(5, 6))] * 16)
     v = run(s, lambda *xs: sum(xs) >= 0, budget=100)
-    assert v.describe() == "unknown: undecided (box budget 100 exhausted)"
+    assert v.describe() == ("unknown: undecided (box budget 100 exhausted; "
+                            "65436 of 65536 alternatives not searched)")
     assert len(built) == 101
 
 
@@ -703,6 +764,23 @@ def test_preset_stop_is_polled_across_alternatives():
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.TIMEOUT
     assert v.cases == 79 * 13 <= POLL_INTERVAL + sym.LEAF_POINTS - 1
+    assert v.detail == "0 boxes left; 121 of 200 alternatives not searched"
+
+
+def test_a_run_that_stops_names_its_budget_and_the_alternatives_left():
+    """An Undecided detail names the run's budget, not the share of it left
+    to the search that ran out, then what that search left, and counts the
+    alternatives that were never searched (a Timeout's, in the test above)."""
+    # the second of two alternatives runs out, with 1923 of the 4096 left
+    v = run_symbolic(REGISTRY.get("div.recompose"), RunConfig(budget=4096))
+    assert (v.reason, v.cases, v.detail) == (
+        UnknownReason.UNDECIDED, 4096,
+        "box budget 4096 exhausted; 6 boxes left, widest v2 in [-5, -1]")
+    s = one_of(int_range(0, 10**6), int_range(0, 5), int_range(7, 9))
+    v = run(s, lambda x: x - x == 0, budget=100)
+    assert (v.reason, v.cases, v.detail) == (
+        UnknownReason.UNDECIDED, 100, "box budget 100 exhausted; 19 boxes left, widest v0 in "
+        "[500001, 1000000]; 2 of 3 alternatives not searched")
 
 
 # --------------------------------------------------------------------------
@@ -710,20 +788,20 @@ def test_preset_stop_is_polled_across_alternatives():
 # symbolic backend decides, at the default config
 
 CORPUS_SYMBOLIC_WORK = {
-    "div.recompose": ("proved", 4346, 162, None),
-    "even.rebuild": ("proved", 216, 7, None),
+    "div.recompose": ("proved", 4118, 48, None),
+    "even.rebuild": ("proved", 204, 1, None),
     "filter.vacuous": ("proved", 1, 0, None),
     "multiply": ("proved", 1, 0, None),
-    "multiply.strict": ("falsified", 52, 15, (1000, 1000)),
-    "neg.involution": ("proved", 135, 3, None),
-    "ordered.pair": ("proved", 268, 13, None),
-    "rem.range": ("proved", 910, 31, None),
+    "multiply.strict": ("falsified", 132, 13, (1000, 1000)),
+    "neg.involution": ("proved", 129, 0, None),
+    "ordered.pair": ("proved", 492, 5, None),
+    "rem.range": ("proved", 862, 7, None),
     "scale.range": ("proved", 6, 0, None),
     "sign.cases": ("proved", 2, 0, None),
     "square.nonneg": ("proved", 3, 1, None),
-    "sub.self_zero": ("proved", 107, 3, None),
-    "sum.assoc": ("proved", 4351, 127, None),
-    "threshold.wide": ("falsified", 34, 11, 50000),
+    "sub.self_zero": ("proved", 101, 0, None),
+    "sum.assoc": ("proved", 4159, 31, None),
+    "threshold.wide": ("falsified", 95, 9, 50000),
 }
 
 
@@ -737,10 +815,10 @@ def test_corpus_symbolic_work_is_pinned(name):
 def test_identity_wide_spends_its_whole_budget():
     # x == x never separates on intervals, so every box up to the budget is
     # split or, once small enough, evaluated point by point; at the default
-    # budget this reads 1048576 boxes, 30889 splits
+    # budget this reads 1048576 boxes, 8121 splits
     v = run_symbolic(REGISTRY.get("identity.wide"), RunConfig(budget=4096))
     assert (v.kind, v.reason, v.cases, v.splits) == (
-        VerdictKind.UNKNOWN, UnknownReason.UNDECIDED, 4096, 176)
+        VerdictKind.UNKNOWN, UnknownReason.UNDECIDED, 4096, 88)
     # the upper half of the first split, never searched, is the widest left
     assert v.detail == (f"box budget 4096 exhausted; 57 boxes left, widest v0 in "
                         f"[{2**63}, {2**64 - 1}]")
@@ -757,7 +835,7 @@ class Color(enum.IntEnum):
     ("enum.square", one_of(just(Color.RED), int_range(0, 9)),
      lambda x: x * x < 50, ("falsified", 11, 0, 8)),
     ("enum.recompose", tuple_of(int_range(-20, 20), just(Color.NEG)),
-     lambda x, c: tdiv(x, c) * c + trem(x, c) == x, ("proved", 44, 1, None)),
+     lambda x, c: tdiv(x, c) * c + trem(x, c) == x, ("proved", 42, 0, None)),
     ("enum.bounds", int_range(Color.NEG, 40).map(lambda x: x * Color.NEG),
      lambda y: y <= 9, ("proved", 1, 0, None)),
 ])
@@ -983,15 +1061,15 @@ def test_branch_and_prune_matches_the_reference_search():
         if i == random_cases - 1:
             random_points = len(points)
     assert statuses == {"proved", "witness", "undecided", "unsupported"}
-    # leaves run, on the random formulas as well as the hand-made ones (3238
-    # and 14699 points when this was written)
+    # leaves run, on the random formulas as well as the hand-made ones (4062
+    # and 16610 points when this was written)
     assert random_points >= 2800 and len(points) >= 12000, (random_points, len(points))
 
     # the lease is counted down once per box or point and handed back on the
-    # way out; an expired deadline is seen at the first poll, here made 15
+    # way out; an expired deadline is seen at the first poll, here made 34
     # units late by the leaf that spent the lease's last unit
     for ticker, status, boxes, count in ((Ticker(deadline=time.monotonic() - 1.0),
-                                          "timeout", 1033, 1038),
+                                          "timeout", 1052, 1057),
                                          (Ticker(), "undecided", 3000, 3005)):
         ticker.tick(5)
         out = branch_and_prune(X == X, box((0, 1 << 20)), 3000, ticker=ticker)
@@ -1022,7 +1100,7 @@ def test_the_search_ignores_the_lease_phase():
         out = branch_and_prune(same, b, 1 << 20, ticker=ticker)
         assert out.status == "timeout"
         late.append(out.boxes - (POLL_INTERVAL - 1 - phase % POLL_INTERVAL))
-    assert late == [0, 1, 24, 0] and max(late) <= sym.LEAF_POINTS - 1
+    assert late == [19, 20, 0, 0] and max(late) <= sym.LEAF_POINTS - 1
 
 
 def test_every_early_exit_leaves_the_unevaluated_box_on_work():
@@ -1034,13 +1112,13 @@ def test_every_early_exit_leaves_the_unevaluated_box_on_work():
     budgeted = branch_and_prune(formula, b, timed.boxes)
     assert (timed.status, budgeted.status) == ("timeout", "undecided")
     # the first poll, after the leaf that spent the lease's last unit
-    assert timed.boxes == budgeted.boxes == 1026
+    assert timed.boxes == budgeted.boxes == 1109
     assert timed.splits == budgeted.splits
     reference = []
     expected = branch_and_prune_oracle(formula, b, timed.boxes, remaining=reference)
     reference = [{v: (iv.lo, iv.hi) for v, iv in r.items()} for r in reference]
     assert len(reference) > 1
-    assert budgeted.note == expected[4] == f"box budget 1026 exhausted; {timed.note}"
+    assert budgeted.note == expected[4] == f"box budget 1109 exhausted; {timed.note}"
     assert timed.note.startswith(f"{len(reference)} boxes left, widest v")
     # and the stack the kernel leaves, read directly
     kernel = sym._kernel(formula, [0, 1])[0]
