@@ -139,13 +139,16 @@ class Ticker:
     runs through the whole run, shrinking and every symbolic alternative
     included.  A deadline that has already passed when the run starts, as for
     an ensemble member after the winner, still leaves the first POLL_INTERVAL
-    units to run: the run ends at its first poll."""
+    units to run: the run ends at its first poll.  A lessee that spends its
+    lease's last unit, or more, without renewing leaves the poll owed
+    (``owed``): the next lease is empty, so its first unit renews."""
 
-    __slots__ = ("deadline", "count")
+    __slots__ = ("deadline", "count", "owed")
 
     def __init__(self, deadline: float | None = None) -> None:
         self.deadline = deadline
         self.count = 0
+        self.owed = False
 
     def tick(self, n: int = 1) -> None:
         before = self.count
@@ -154,7 +157,11 @@ class Ticker:
             self.poll()
 
     def lease(self) -> int:
-        """Count ahead to the next poll boundary; returns the units leased."""
+        """Count ahead to the next poll boundary; returns the units leased,
+        none while a poll is owed."""
+        if self.owed:
+            self.owed = False
+            return 0
         left = POLL_INTERVAL - self.count % POLL_INTERVAL
         self.count += left
         return left
@@ -166,8 +173,10 @@ class Ticker:
         return POLL_INTERVAL
 
     def release(self, left: int) -> None:
-        """Hand back ``left`` leased units that were not used."""
+        """Hand back ``left`` leased units that were not used; 0 or fewer
+        (units spent past the lease) leaves the poll owed."""
         self.count -= left
+        self.owed = left <= 0
 
     def poll(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:

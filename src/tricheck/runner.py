@@ -40,6 +40,11 @@ BUILTIN_BACKENDS: dict[str, BackendFn] = {
 #: fuzz, which only samples, goes last.
 ENSEMBLE_ORDER: tuple[str, ...] = ("symbolic", "exhaustive", "fuzz")
 
+#: Ensemble members that only sample, so never return Proved: after a
+#: Falsified winner, whose counterexample the real predicate has already
+#: failed, they cannot contradict it, and the ensemble does not run them.
+SAMPLERS: frozenset[str] = frozenset({"fuzz"})
+
 
 class InconsistentBackends(Exception):
     """Two backends returned contradictory definitive verdicts for the same
@@ -68,7 +73,8 @@ def run_ensemble(prop: Property, backends: Sequence[str], config: RunConfig, *,
     cannot starve the ones after it and time a member leaves unused passes
     on.  Every member after the winner gets a deadline that has already
     passed, so it ends at its first poll, with one poll interval of work done:
-    enough to finish a small domain or sample.  Definitive verdicts that
+    enough to finish a small domain or sample; after a Falsified winner a
+    member in SAMPLERS is not run at all.  Definitive verdicts that
     completed are cross-checked: one Proved plus one Falsified raises
     InconsistentBackends.  With no definitive verdict at all, PassSampled
     beats Unknown, and among Unknowns the most informative reason wins.
@@ -85,6 +91,8 @@ def run_ensemble(prop: Property, backends: Sequence[str], config: RunConfig, *,
     for i, name in enumerate(backends):
         share = deadline
         if winner is not None:
+            if name in SAMPLERS and winner.kind is VerdictKind.FALSIFIED:
+                continue  # it cannot say Proved, the one verdict that would contradict
             share = -math.inf  # already passed: it ends at its first poll
         elif deadline is not None:
             now = time.monotonic()

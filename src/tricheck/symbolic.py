@@ -11,10 +11,10 @@ test such as ``isinstance(x, int)`` reads the carrier's ``__class__``, which
 than silently checked for the wrong thing.
 
 A recorded formula is wired in one place: ``_shape`` walks it once into a
-list of nodes, operands first and a shared node once.  Each operator's rule
-is written once as source, in two readings: over a box of ``(lo, hi)``
-pairs (a range, or a truth: 1 true, -1 false, 0 maybe, with comparisons
-decided by interval separation) and at a point of plain ints.  One-shot
+list of nodes, operands first and each distinct subterm once.  Each
+operator's rule is written once as source, in two readings: over a box of
+``(lo, hi)`` pairs (a range, or a truth: 1 true, -1 false, 0 maybe, with
+comparisons decided by interval separation) and at a point of plain ints.  One-shot
 evaluation runs one step per node, each its kind's rule compiled once per
 reading.  ``branch_and_prune`` instead generates the source of one search
 kernel for the formula's shape and its box layout: the whole loop, with
@@ -430,7 +430,9 @@ def _range_rule(kind: type, a: tuple, b: tuple | None, x: str, y: str,
     """Statements setting ``x``, ``y`` to a sound range of a ``kind`` node
     (Neg, Add, Sub, Mul, Div or Rem) whose operands range over ``a`` and
     ``b``, each the sources of a ``(lo, hi)`` pair (``b`` is None for Neg).
-    A divisor range holding zero runs the statement ``abort`` instead."""
+    A divisor range holding zero runs the statement ``abort`` instead; with
+    ``abort`` None the divisor is not checked, as an earlier node already
+    checked the same range."""
     alo, ahi = a
     if kind is Neg:
         return [f"{x} = -{ahi}", f"{y} = -{alo}"]
@@ -442,12 +444,13 @@ def _range_rule(kind: type, a: tuple, b: tuple | None, x: str, y: str,
     if kind is Mul:
         return _hull(x, y, *(f"{p} * {q}" for p in a for q in b))
     guard = f"if {blo} <= 0 <= {bhi}: {abort}"
+    checked = [guard] if abort else []
     if kind is Div:
         # with the divisor's sign fixed the quotient is monotone in each
         # argument, so endpoint combinations bound the image
-        return [guard, *_hull(x, y, *(_tq_source(p, q) for p in a for q in b))]
+        return [*checked, *_hull(x, y, *(_tq_source(p, q) for p in a for q in b))]
     # Rem: |remainder| < |divisor|, sign of the dividend; exact on a point
-    return [guard,
+    return [*checked,
             f"if {alo} == {ahi} and {blo} == {bhi}:",
             f"    {x} = {y} = {alo} - {blo} * {_tq_source(alo, blo)}",
             "else:",
@@ -487,18 +490,21 @@ def _compare_rule(op: str, a: tuple, b: tuple, t: str) -> str:
 
 
 def _point_rule(kind: type | str, a: str, b: str | None, x: str,
-                abort: str | None) -> list[str]:
+                abort: str | None, quotient: str | None = None) -> list[str]:
     """Statements setting ``x`` to the value at a point of a ``kind`` node
     (Neg to Rem, an int) or comparison (``kind`` is its op, a bool), whose
     operands' values are the sources ``a`` and ``b`` (``b`` is None for
     Neg).  On a box of one point this is what ``_range_rule`` and
     ``_compare_rule`` compute, since interval arithmetic is exact there, and
-    a zero divisor runs ``abort`` as a divisor range holding zero does."""
+    a zero divisor runs ``abort`` as a divisor range holding zero does (with
+    ``abort`` None, an earlier node checked this divisor).  Div and Rem read
+    ``tdiv(a, b)`` from ``quotient`` where an earlier node computed it."""
     if kind is Neg:
         return [f"{x} = -{a}"]
     if kind is Div or kind is Rem:
-        quotient = _tq_source(a, b)
-        return [f"if {b} == 0: {abort}",
+        checked = [] if abort is None else [f"if {b} == 0: {abort}"]
+        quotient = quotient or _tq_source(a, b)
+        return [*checked,
                 f"{x} = {quotient}" if kind is Div else f"{x} = {a} - {b} * {quotient}"]
     op = _CMP_SYMBOLS[kind] if isinstance(kind, str) else kind.op  # Add, Sub, Mul
     return [f"{x} = {a} {op} {b}"]
@@ -506,20 +512,22 @@ def _point_rule(kind: type | str, a: str, b: str | None, x: str,
 
 _EXPR_KINDS = (Const, Var, Neg, Add, Sub, Mul, Div, Rem)
 _FORMULA_KINDS = (BoolConst, Not, And, Or, Cmp)
+_CARRIER_KINDS = (*_EXPR_KINDS, tuple)  # a carrier tuple's entry is its components'
 
 
 def _reading(kind: type | str, a, b, k: int, abort: str | None,
-             point: bool) -> tuple[list[str], Any]:
+             point: bool, quotient: str | None = None) -> tuple[list[str], Any]:
     """``(statements, result)`` reading node ``k`` of ``kind`` (Neg to Rem, a
     comparison op, Not, And or Or) from its operands' results ``a`` and
     ``b`` (None for Neg and Not), all sources.  At a point a result is an
     int or a bool; over a box a ``(lo, hi)`` pair or a truth, 1 TRUE, -1
     FALSE, 0 MAYBE, so ``&``/``|``/``~`` are min, max and negation.
-    ``abort`` runs where a divisor may be zero."""
+    ``abort`` runs where a divisor may be zero, and a Div or Rem at a point
+    reads ``quotient`` (see ``_point_rule``)."""
     if kind in _EXPR_KINDS:
         x, y = f"x{k}", f"y{k}"
         if point:
-            return _point_rule(kind, a, b, x, abort), x
+            return _point_rule(kind, a, b, x, abort, quotient), x
         return _range_rule(kind, a, b, x, y, abort), (x, y)
     t = f"t{k}"
     if kind is Not:
@@ -577,10 +585,14 @@ def _program(nodes: list, locations: list, point: bool) -> Any:
     ``_shape`` with ``locations``) at a point, ``env`` holding ints, or
     over a box, ``env`` holding ``(lo, hi)`` pairs: one ``_rule`` step per
     node, in the kernel's order.  A Var's step reads its entry's vid or
-    position from ``env`` (a key it lacks raises)."""
+    position from ``env`` (a key it lacks raises), and a carrier tuple's
+    step gathers its components' results into a tuple."""
     steps = []
     divisions = iter(locations)
     for kind, *operands in nodes:
+        if kind is tuple:  # a carrier tuple, of its components' values
+            steps.append(lambda e, v, parts=operands: tuple([v[p] for p in parts]))
+            continue
         i, j = (*operands, None)[:2]  # a leaf's vid, index or value, else operand positions
         location = next(divisions) if kind is Div or kind is Rem else None
         steps.append(_rule(kind, point)(i, j, location))
@@ -748,12 +760,12 @@ def _alternatives(s: st.Strategy, vids: Iterator[int]) -> list[SymAlternative] |
     raise _inexpressible(s)  # ListOf, OrderedMapOf, Pattern, unknown nodes
 
 
-def _carrier_value(carrier, valuation: dict):
-    if isinstance(carrier, tuple):
-        return tuple(_carrier_value(c, valuation) for c in carrier)
-    if type(carrier) is Var:  # a drawn int as it was drawn: nothing to evaluate
-        return valuation[carrier.vid]
-    return concrete_eval(carrier, valuation)
+def _carrier_reader(carrier) -> Any:
+    """``read(valuation)``: ``carrier``'s value at a valuation (vid -> int),
+    from one program over one walk of the whole carrier, so a value costs
+    one run however many components it has, and each distinct subterm among
+    them is computed once.  A zero divisor raises EvalError."""
+    return _program(*_shape(carrier, _CARRIER_KINDS, None), True)
 
 
 def _confirmation_points(box: Box) -> list[dict]:
@@ -774,11 +786,12 @@ def _failing_point(prop: Property, alt: SymAlternative) -> tuple | None:
     the filter hypothesis, or where building the value aborts, are skipped.
     The formula held there, so a failure means the predicate and the formula
     it recorded over the carrier disagree."""
+    read = _carrier_reader(alt.carrier)
     for val in _confirmation_points(alt.box):
         try:
             if alt.hypothesis is not None and not concrete_truth(alt.hypothesis, val):
                 continue
-            value = _carrier_value(alt.carrier, val)
+            value = read(val)
         except EvalError:
             continue
         ok, message = eval_predicate(prop, value)
@@ -885,13 +898,18 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
     the points after it.  Each box compares ``boxes`` with ``stop``, the
     earlier of the budget and ``end - 1``, whose unit polls before its box
     is searched, or after the leaf that spent it, up to LEAF_POINTS - 1
-    units late.  A deadline found passed reads "timeout".  The formula is
-    straight-line code, each node evaluated once per box or point in
-    ``_shape``'s order, as in one-shot evaluation, so the first division to
-    abort is the same.
+    units late; a search that ends in that leaf is complete and returns
+    "proved" with ``left`` at 0 or below, so the ticker owes the poll to
+    the next search.  A deadline found passed reads "timeout".  The formula
+    is straight-line code, each distinct subterm evaluated once per box or
+    point in ``_shape``'s order, as in one-shot evaluation, so the first
+    division to abort is the same.  Each divisor is checked for zero once,
+    by the first division by it, and at a point ``tdiv(a, b)`` and
+    ``trem(a, b)`` share one quotient.
 
     Kernels are cached by ``len(vids)`` and ``_shape``'s nodes, so a formula
-    whose shape was seen before costs one walk and no source.
+    whose shape was seen before costs one walk and no source, and a subterm
+    written twice shares the kernel of one computed once.
     """
     nodes, locations = _shape(formula, _FORMULA_KINDS, vids)
     key = (len(vids), *nodes)
@@ -909,25 +927,29 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
 
 def _shape(node, kinds: tuple, vids: list[int] | None) -> tuple[list, list]:
     """``(nodes, locations)`` for ``node``, a formula (``kinds`` is
-    _FORMULA_KINDS) or an expression (_EXPR_KINDS), over boxes whose
-    variables are ``vids``: the one walk that wires a formula, for the
-    search kernel and for one-shot evaluation alike.  ``nodes`` has one
-    entry per node, operands first and a shared node once, with ``node``
-    last: its kind, or its op for a comparison, then its operands'
-    positions among the entries, a Var's index in ``vids`` (its vid when
-    ``vids`` is None), a Const's value or a BoolConst's truth.  With
-    ``len(vids)`` that is everything the kernel's source depends on.
-    ``locations`` are the Div/Rem locations in the same order.  A node
-    outside ``kinds`` raises TypeError, and a Var outside ``vids`` or a
-    comparison with an unknown op raises ValueError."""
+    _FORMULA_KINDS), an expression (_EXPR_KINDS) or a carrier (_CARRIER_KINDS:
+    an expression or a tuple of carriers), over boxes whose variables are
+    ``vids``: the one walk that wires a formula, for the search kernel and
+    for one-shot evaluation alike.  ``nodes`` has one entry per distinct
+    subterm, operands first, with ``node`` last: its kind, or its op for a
+    comparison, then its operands' positions among the entries, a Var's
+    index in ``vids`` (its vid when ``vids`` is None), a Const's value or a
+    BoolConst's truth.  The walk is hash-consed: a subterm whose entry an
+    earlier one has, a shared node or one written twice, is that entry, so
+    each distinct subterm is evaluated once.  With ``len(vids)`` that is
+    everything the kernel's source depends on.  ``locations`` are the
+    Div/Rem locations in the same order, so an entry written twice keeps
+    its first location, which is where it aborts first.  A node outside
+    ``kinds`` raises TypeError, and a Var outside ``vids`` or a comparison
+    with an unknown op raises ValueError."""
     index = None if vids is None else {vid: i for i, vid in enumerate(vids)}
     nodes: list[tuple] = []
     seen: dict[int, int] = {}  # id(node) -> its position in nodes
+    entries: dict[tuple, int] = {}  # entry -> its position in nodes
     locations: list[str | None] = []
 
     def walk(node, kinds: tuple) -> int:
-        key = id(node)
-        at = seen.get(key)
+        at = seen.get(id(node))
         if at is not None:
             return at
         kind = type(node)
@@ -953,12 +975,19 @@ def _shape(node, kinds: tuple, vids: list[int] | None) -> tuple[list, list]:
             if node.op not in _CMP_SYMBOLS:
                 raise ValueError(f"unknown comparison {node.op!r}")
             entry = (node.op, walk(node.lhs, _EXPR_KINDS), walk(node.rhs, _EXPR_KINDS))
+        elif kind is tuple:
+            entry = (tuple, *(walk(part, kinds) for part in node))
         else:
             entry = (kind, walk(node.lhs, kinds), walk(node.rhs, kinds))
+        # a Const keys on its type too, so a carrier's IntEnum member stays one
+        key = (*entry, type(node.value)) if kind is Const else entry
+        at = entries.get(key)
+        if at is None:
+            at = entries[key] = len(nodes)
+            nodes.append(entry)
             if kind is Div or kind is Rem:
                 locations.append(node.location)
-        at = seen[key] = len(nodes)
-        nodes.append(entry)
+        seen[id(node)] = at
         return at
 
     walk(node, kinds)
@@ -997,7 +1026,10 @@ class _KernelWriter:
     node is read twice (``_reading``) into fresh locals named by its
     position in the key: over the box held in ``l<i>``/``h<i>``, and at the
     point ``p<i>`` of a leaf, in a ``product`` loop over the first ``n - 1``
-    vids around a plain ``range`` loop over the last."""
+    vids around a plain ``range`` loop over the last.  Only the first
+    division by a node checks it for zero, and at a point the first of
+    ``tdiv(a, b)`` and ``trem(a, b)`` computes the quotient both read (in
+    ``q<k>`` when the Rem comes first)."""
 
     def __init__(self, key: tuple) -> None:
         n, *nodes = key
@@ -1010,6 +1042,8 @@ class _KernelWriter:
         box_lines: list[str] = []
         point_lines: list[str] = []
         aborts = 0
+        checked: set[int] = set()  # divisors already checked for zero
+        quotients: dict[Any, str] = {}  # (dividend, divisor) -> its quotient's local at a point
         for k, (kind, *operands) in enumerate(nodes):
             if kind is Const or kind is Var or kind is BoolConst:
                 (leaf,) = operands
@@ -1025,15 +1059,27 @@ class _KernelWriter:
                     at_point.append(repr(leaf))
                 continue
             a, b = (*operands, None)[:2]  # b is None for Neg and Not
-            abort = None
+            abort = quotient = None
             if kind is Div or kind is Rem:
-                abort = f"return 'unsupported', boxes, splits, end - boxes, {aborts}"
+                if b not in checked:  # the first division by b checks it for zero
+                    checked.add(b)
+                    abort = f"return 'unsupported', boxes, splits, end - boxes, {aborts}"
                 aborts += 1
-            for point, results, out, leave in (
-                    (False, over_box, box_lines, abort),
-                    (True, at_point, point_lines, abort and f"{spent}; {abort}")):
+                pair = (a, b)
+                quotient = quotients.get(pair)
+                if quotient is None and kind is Rem and (Div, a, b) in nodes:
+                    # tdiv(a, b) comes later: one quotient at a point serves both
+                    quotient = quotients[pair] = f"q{k}"
+                    point_lines += _point_rule(Div, at_point[a], at_point[b], quotient,
+                                               abort and f"{spent}; {abort}")
+                elif kind is Div:
+                    quotients[pair] = f"x{k}"
+            # a quotient computed earlier checked its divisor there
+            at_abort = None if quotient else abort and f"{spent}; {abort}"
+            for point, results, out, leave in ((False, over_box, box_lines, abort),
+                                               (True, at_point, point_lines, at_abort)):
                 lines, result = _reading(kind, results[a], None if b is None else results[b],
-                                         k, leave, point)
+                                         k, leave, point, quotient)
                 out += lines
                 results.append(result)
         truth = over_box[-1]
@@ -1051,10 +1097,8 @@ class _KernelWriter:
                                                  f"    {witness}{_box_source(n, 'p{0}, p{0}, ')}"])]
         lines = [*box_lines, f"if not {truth}:", *(f"    {line}" for line in leaf),
                  f"elif {truth} < 0:", f"    {witness}{box}",
-                 "if not work:", "    if boxes >= end:  # a leaf spent the lease's last unit",
-                 "        try:", "            end += renew()", "        except DeadlineReached:",
-                 "            return 'timeout', boxes, splits, end - boxes, None",
-                 "    return 'proved', boxes, splits, end - boxes, None", f"{box} = pop()"]
+                 "if not work:", "    return 'proved', boxes, splits, end - boxes, None",
+                 f"{box} = pop()"]
         self.source = f"""\
 def kernel(work, budget, left, renew):
     pop = work.pop
@@ -1166,7 +1210,7 @@ def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
                 verdict = _stopped(out.status, budget, left, total - searched - 1, total)
                 break
             try:
-                value = _carrier_value(alt.carrier, out.witness)
+                value = _carrier_reader(alt.carrier)(out.witness)
             except EvalError as exc:
                 raise _Unsupported(f"witness value aborts during evaluation: {exc}") from exc
             if eval_predicate(prop, value)[0]:

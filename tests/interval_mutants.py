@@ -5,7 +5,8 @@ Each mutant below is one textual edit of one file under
 ``src/tricheck/``, which the mutant names.  A rule mutant (``MUTANTS``)
 makes interval or point evaluation wrong; the others (``SUITE_MUTANTS``)
 make the search kernel's leaf, the units it charges or its split wrong,
-or let a predicate that returns None fail.  For each, the script copies ``src/`` into a temporary
+merge subterms that differ, share a quotient between divisions that
+differ, or let a predicate that returns None fail.  For each, the script copies ``src/`` into a temporary
 directory, edits the copy (never the checkout), and runs pytest with that
 copy first on ``PYTHONPATH``:
 
@@ -92,7 +93,8 @@ MUTANTS = [
 ]
 
 #: the same, for what criterion 05 does not run: the search kernel's leaf,
-#: its charge and its split, and the concrete reading of a predicate's result
+#: its charge, its split and its shared quotients, the walk's matching of
+#: equal subterms, and the concrete reading of a predicate's result
 SUITE_MUTANTS = [
     ("symbolic.py", "the leaf drops each range's last point",
      "f'range(l{i}, h{i} + 1), '",
@@ -115,6 +117,12 @@ SUITE_MUTANTS = [
     ("symbolic.py", "split ties go to the highest vid",
      'f"if h{i} - l{i} > w:',
      'f"if h{i} - l{i} >= w:'),
+    ("symbolic.py", "equal subterms are matched by kind and left operand only",
+     "if kind is Const else entry\n",
+     "if kind is Const else entry[:2]\n"),
+    ("symbolic.py", "a shared quotient is looked up by its dividend only",
+     "pair = (a, b)",
+     "pair = a"),
     ("harness.py", "a predicate that returns None fails",
      "if result is None or result is True or result:",
      "if result is True or result:"),

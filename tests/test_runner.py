@@ -2,6 +2,7 @@
 the config/report bookkeeping the CLI builds on."""
 
 import datetime as dt
+import math
 import re
 import threading
 import time
@@ -120,6 +121,28 @@ def test_a_real_member_after_the_winner_evaluates_one_poll_interval(monkeypatch)
                      RunConfig(), deadline=time.monotonic() + 60.0, backend_table=table)
     assert v.backend == "winner"
     assert calls == list(range(8))
+
+
+def test_a_sampler_is_not_run_after_a_falsified_winner():
+    """A member that only samples never says Proved, so it cannot contradict
+    a Falsified winner and is not run after one; after a Proved winner it
+    runs once, to cross-check."""
+    reg = make_registry()
+    for verdict, runs in ((falsified(), 0), (Verdict.proved("exhaustive", 100), 1)):
+        calls = []
+
+        def fuzz(prop, config, *, deadline=None):
+            calls.append(deadline)
+            return Verdict.pass_sampled(8)
+
+        table = {"winner": fake_backend(verdict, name="winner"), "fuzz": fuzz}
+        v = run_ensemble(reg.get("alg.add_commutes"), ["winner", "fuzz"], RunConfig(),
+                         backend_table=table)
+        assert (v.kind, v.backend) == (verdict.kind, "winner")
+        assert calls == [-math.inf] * runs
+    from tricheck.runner import SAMPLERS
+
+    assert SAMPLERS == {"fuzz"}
 
 
 def test_pass_sampled_beats_unknown():

@@ -582,6 +582,50 @@ def test_a_proof_confirms_bare_variable_fields_without_evaluating_them(monkeypat
     assert (len(evaluated), len(confirmed)) == (0, 300 + 2)
 
 
+def test_a_proof_confirms_mapped_fields_with_one_program_run_per_point(monkeypatch):
+    """A field that is a map of a drawn int is evaluated, but all 300 fields
+    at a confirmation point are one run of one program, over one walk of
+    the whole carrier tuple: no node is evaluated on its own."""
+    evaluated, runs, confirmed = [], [], []
+    evaluate, program = sym._evaluate, sym._program
+
+    def counted_evaluate(node, *args):
+        evaluated.append(node)
+        return evaluate(node, *args)
+
+    def counted_program(*args):
+        run = program(*args)
+
+        def counted_run(env):
+            runs.append(env)
+            return run(env)
+        return counted_run
+
+    def holds(*xs):
+        if type(xs[0]) is int:
+            confirmed.append(xs)
+        return sum(xs) >= 0
+
+    monkeypatch.setattr(sym, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(sym, "_program", counted_program)
+    v = run(tuple_of(*[int_range(0, 1).map(lambda x: x + 1)] * 300), holds)
+    assert v.describe() == "proved (symbolic, 1 boxes)"
+    assert (len(evaluated), len(runs), len(confirmed)) == (0, 300 + 2, 300 + 2)
+    assert confirmed[:2] == [(1,) * 300, (2,) * 300]
+
+
+def test_a_carrier_is_read_with_its_constants_as_written():
+    """Equal subterms of a carrier are read once, but a constant keeps its
+    type: an IntEnum member and the int it equals stay two components."""
+    x = Var(0)
+    read = sym._carrier_reader((Const(1), Const(Color.RED), x + 1, (x + 1, x)))
+    value = read({0: 4})
+    assert value == (1, 1, 5, (5, 4))
+    assert [type(c) for c in value[:2]] == [int, Color]
+    with pytest.raises(EvalError):
+        sym._carrier_reader((x, tdiv(7, x)))({0: 0})
+
+
 def test_a_wide_witness_inside_a_leaf_is_charged_as_point_by_point():
     """A leaf charges all its points at once and takes back those after a
     failing one.  Over 300 fields, 293 fixed and 7 free, the whole box is a
@@ -756,7 +800,8 @@ def test_preset_stop_is_polled_across_alternatives():
     # 200 alternatives of 13 units each (a box and a leaf of 12 points):
     # none reaches a poll on its own, so only a cadence carried across them
     # sees the expired deadline; the 79th spends the lease's last unit in
-    # its leaf, so it polls as its search ends, 3 units late
+    # its leaf, where its search ends, so the 80th polls before it searches,
+    # 3 units late, and its whole box is left
     s = one_of(*[int_range(12 * k, 12 * k + 11) for k in range(200)])
     p = Property("t", s, lambda x: x - x == 0)
     assert run_symbolic(p, RunConfig()).cases == 2600
@@ -764,7 +809,26 @@ def test_preset_stop_is_polled_across_alternatives():
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.TIMEOUT
     assert v.cases == 79 * 13 <= POLL_INTERVAL + sym.LEAF_POINTS - 1
-    assert v.detail == "0 boxes left; 121 of 200 alternatives not searched"
+    assert v.detail == ("1 boxes left, widest v79 in [948, 959]; "
+                        "120 of 200 alternatives not searched")
+
+
+def test_a_search_that_ends_in_the_leaf_that_spends_the_lease_is_proved(monkeypatch):
+    """A leaf that spends the lease's last unit and empties the work stack
+    ends the search: the search is complete, so it reads proved, and the
+    poll it owes comes before the next search, if there is one."""
+    monkeypatch.setattr("tricheck.harness.POLL_INTERVAL", 4)
+    passed = time.monotonic() - 1.0
+    # a box and a leaf of 10 points: 11 units against a lease of 4
+    p = Property("t", int_range(0, 9), lambda x: x - x == 0)
+    assert run_symbolic(p, RunConfig(), deadline=passed).describe() == (
+        "proved (symbolic, 11 boxes)")
+    # the second alternative polls first, so only the first was searched
+    p = Property("t", one_of(int_range(0, 9), int_range(20, 29)), lambda x: x - x == 0)
+    v = run_symbolic(p, RunConfig(), deadline=passed)
+    assert (v.reason, v.cases, v.detail) == (
+        UnknownReason.TIMEOUT, 11, "1 boxes left, widest v1 in [20, 29]")
+    assert v.cases - 4 <= sym.LEAF_POINTS - 1
 
 
 def test_a_run_that_stops_names_its_budget_and_the_alternatives_left():
@@ -992,8 +1056,11 @@ def _search_cases():
     whose witness is its first failing point in product order over the vids
     (not the box's insertion order), a box of LEAF_POINTS + 1 points (split
     into leaves), a box of 64 points whose second leaf does not fit a budget
-    of 60 (split again), and a leaf whose divisor range holds zero."""
-    x, z = Var(0), Var(2)
+    of 60 (split again), and a leaf whose divisor range holds zero.  Last,
+    subterms and divisions that share a kind and a left operand but not a
+    right one (``a - b``/``a - c``, ``tdiv(a, b)``/``trem(a, c)``), which
+    the walk must keep apart, and a quotient two comparisons read twice."""
+    x, z, w = Var(0), Var(2), Var(3)
     r = x * z
     q = Div(x, z, "shared.py:5")
     word = Interval(-2**63, 2**63 - 1)
@@ -1037,6 +1104,12 @@ def _search_cases():
         (x * x >= x, {0: Interval(-(sym.LEAF_POINTS // 2), sym.LEAF_POINTS // 2)}),
         (x - x == 0, {0: Interval(0, 63)}),
         (Div(Const(12), z, "leaf.py:1") != 5, {2: Interval(-2, 2)}),
+        ((x - z) - (x - w) == w - z,
+         {0: Interval(0, 3), 2: Interval(0, 3), 3: Interval(0, 3)}),
+        ((Div(x, z, "q.py:1") <= x) & (Rem(x, w, "r.py:2") >= 0),
+         {0: Interval(0, 20), 2: Interval(1, 3), 3: Interval(4, 6)}),
+        ((Rem(x, z, "r.py:1") < z) & (Rem(x, z, "r.py:2") > -z) & (Div(x, z, "q.py:3") * z <= x),
+         {0: Interval(0, 40), 2: Interval(1, 8)}),
     ]
 
 
@@ -1226,28 +1299,62 @@ def test_one_shape_is_written_once_and_each_note_names_its_own_division(written)
     assert len(written) == 1
 
 
-def _shared_product():
-    r = X * Y
-    return (r >= 0) & (r <= 9)
-
-
 @pytest.mark.parametrize("first, second", [
     ((lambda: X < 3, [0]), (lambda: X < 4, [0])),
     ((lambda: X < 3, [0]), (lambda: X < -3, [0])),
     ((lambda: X < Var(2), [0, 2]), (lambda: Var(2) < X, [0, 2])),
     ((lambda: X < Var(2), [0, 2]), (lambda: X < Var(2), [0, 1, 2])),
-    ((_shared_product, [0, 1]), (lambda: (X * Y >= 0) & (X * Y <= 9), [0, 1])),
-], ids=["const", "const_sign", "vid_order", "vid_count", "shared_product"])
+], ids=["const", "const_sign", "vid_order", "vid_count"])
 def test_a_different_shape_gets_a_kernel_of_its_own(written, first, second):
-    """A different Const, variables at other places in the box, or a product
-    computed once against twice: each changes the kernel's source, so each
-    has a key and a kernel of its own.  Rebuilt nodes of one shape share."""
+    """A different Const, or variables at other places in the box: each
+    changes the kernel's source, so each has a key and a kernel of its own.
+    Rebuilt nodes of one shape share."""
     (build, vids), (build_other, other_vids) = first, second
     kernel = sym._kernel(build(), vids)[0]
     assert sym._kernel(build_other(), other_vids)[0] is not kernel
     assert len(written) == 2 and written[0] != written[1]
     assert sym._kernel(build(), vids)[0] is kernel
     assert len(written) == 2
+
+
+def test_a_subterm_written_twice_shares_the_kernel_of_one_computed_once(written):
+    """The walk is hash-consed: a product written twice is one node, as a
+    product computed once and read twice is, so the two share a kernel, and
+    the kernel reads the product once per box and once per point."""
+    r = X * Y
+    kernel = sym._kernel((r >= 0) & (r <= 9), [0, 1])[0]
+    assert sym._kernel((X * Y >= 0) & (X * Y <= 9), [0, 1])[0] is kernel
+    assert len(written) == 1 and sum(entry[0] is Mul for entry in written[0][1:]) == 1
+    source = sym._KernelWriter(written[0]).source
+    assert (source.count(" = p0 * p1"), source.count(" = l0 * l1")) == (1, 1)
+
+
+def test_equal_divisions_keep_the_first_location_and_share_one_quotient(written):
+    """Two equal remainders are one node, whose location is the first one's,
+    where it aborts first.  At a point, ``tdiv(a, b)`` and ``trem(a, b)``
+    check the divisor and compute the quotient once; over a box, each
+    divisor is checked once.  A different dividend or divisor gets its own."""
+    z, w = Var(2), Var(3)
+    formula = (Rem(X, z, "first.py:1") < z) & (Rem(X, z, "second.py:2") > -z)
+    nodes, locations = sym._shape(formula, sym._FORMULA_KINDS, [0, 2])
+    assert sum(entry[0] is Rem for entry in nodes) == 1 and locations == ["first.py:1"]
+    out = branch_and_prune(formula, {0: Interval(0, 9), 2: Interval(-1, 1)})
+    assert (out.status, out.note) == (
+        "unsupported", "divisor interval contains zero at first.py:1")
+    for recompose in (Div(X, z, "q.py:1") * z + Rem(X, z, "r.py:2") == X,
+                      Rem(X, z, "r.py:2") + Div(X, z, "q.py:1") * z == X):
+        source = _kernel_source(recompose, [0, 2])
+        assert [source.count(text) for text in (
+            "if p1 == 0:", "(p0 < 0) == (p1 < 0)", "if l1 <= 0 <= h1:")] == [1, 1, 1]
+        out = branch_and_prune(recompose, {0: Interval(-40, 40), 2: Interval(1, 9)})
+        assert out.status == "proved"
+    source = _kernel_source((Div(X, z, "q.py:1") <= X) & (Rem(X, w, "r.py:2") >= 0), [0, 2, 3])
+    assert [source.count(text) for text in ("if p1 == 0:", "if p2 == 0:", "(p0 < 0) == (p1 < 0)",
+                                            "(p0 < 0) == (p2 < 0)")] == [1, 1, 1, 1]
+
+
+def _kernel_source(formula, vids: list[int]) -> str:
+    return sym._KernelWriter((len(vids), *sym._shape(formula, sym._FORMULA_KINDS, vids)[0])).source
 
 
 def test_a_variable_outside_the_box_is_refused_after_a_cache_hit(written):
