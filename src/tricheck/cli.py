@@ -8,9 +8,10 @@ and tracked over time.
 
 Exit codes: 0 — everything passed, proved, or was waived; 1 — at least one
 unwaived falsification; 2 — only with --strict, when unwaived Unknowns
-remain; 3 — usage or configuration errors, backend disagreement, and any
-exception that escapes a subcommand (a crash in the tool or in a strategy is
-not a harness verdict).
+remain; 3 — usage or configuration errors, backend disagreement, a check
+that crashed (waived or not: its Unknown{Crashed} is reported, but a crash
+in the tool or in a strategy is no harness verdict), and any exception that
+escapes a subcommand.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def report_as_dict(report: RunReport) -> dict[str, Any]:
         entry["vacuity_warning"] = v.vacuity_warning
         results.append(entry)
     return {
-        "version": 1,
+        "version": 2,
         "run_id": report.run_id,
         "timestamp": report.timestamp,
         "config": config_as_dict(report.config),
@@ -337,6 +338,11 @@ def cmd_run(args: argparse.Namespace,
     flaky = update_history(history_path, report) if history_path else []
     _summarize(report, flaky)
 
+    crashed = [r for r in report.results if r.crash is not None]
+    for r in crashed:
+        _print_crash(r.crash, r.name)
+    if crashed:
+        return 3
     if report.unwaived(VerdictKind.FALSIFIED):
         return 1
     if settings.get("strict") and report.unwaived(VerdictKind.UNKNOWN):
@@ -410,13 +416,18 @@ def main(argv: list[str] | None = None, *,
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - a crash must not read as a verdict
-        import traceback  # only a crash pays for the import
-        traceback.print_exc()
-        where = getattr(exc, "while_checking", None)
-        print(f"error: {type(exc).__name__}: {exc}"
-              + (f" (while checking {where})" if where else ""), file=sys.stderr)
+        _print_crash(exc, getattr(exc, "while_checking", None))
         return 3
     raise AssertionError(f"unhandled subcommand {args.command!r}")
+
+
+def _print_crash(exc: Exception, where: str | None) -> None:
+    """``exc``'s traceback, then an ``error:`` line naming the property being
+    checked, if any, on stderr."""
+    import traceback  # only a crash pays for the import
+    traceback.print_exception(exc)
+    print(f"error: {type(exc).__name__}: {exc}"
+          + (f" (while checking {where})" if where else ""), file=sys.stderr)
 
 
 def console_main() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -16,6 +17,11 @@ NAME_PATTERN = re.compile(r"[A-Za-z0-9_.:-]+\Z")
 
 #: Backends poll the deadline once per this many evaluations.
 POLL_INTERVAL = 1024
+
+#: The checker's own directory; of its modules only the built-in corpus is
+#: a harness.
+_PACKAGE = os.path.dirname(__file__)
+_CORPUS = os.path.join(_PACKAGE, "corpus.py")
 
 
 class DuplicateName(ValueError):
@@ -204,6 +210,20 @@ def backend(name: str) -> Callable[[Callable[..., Verdict]], Callable[..., Verdi
         del stamped.__wrapped__  # its signature is the keyword, not the body's
         return stamped
     return decorate
+
+
+def raised_at(exc: BaseException) -> str:
+    """`` at <file>:<line>`` of the innermost harness frame of ``exc``'s
+    traceback, or ``""``: a frame outside the checker's own modules and the
+    code it generates (``<tricheck …>``), or in the built-in corpus."""
+    at, tb = "", exc.__traceback__
+    while tb is not None:
+        name = tb.tb_frame.f_code.co_filename
+        if name == _CORPUS or not (name.startswith("<tricheck")
+                                   or os.path.dirname(name) == _PACKAGE):
+            at = f" at {name.rsplit('/', 1)[-1]}:{tb.tb_lineno}"
+        tb = tb.tb_next
+    return at
 
 
 def eval_predicate(prop: Property, value: Any) -> tuple[bool, str | None]:

@@ -2,8 +2,9 @@
 
 A backend never returns "it crashed" or "ran out of something" ad hoc; it
 returns one of four kinds, and anything short of a definitive answer must say
-why it is Unknown.  Falsified always carries a concretely re-checkable
-counterexample; Proved never carries one.
+why it is Unknown.  A check that raises is the runner's Unknown{Crashed}.
+Falsified always carries a concretely re-checkable counterexample; Proved
+never carries one.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class UnknownReason(Enum):
     UNSUPPORTED = "unsupported"
     UNDECIDED = "undecided"
     FILTER_EXHAUSTED = "filter_exhausted"
+    CRASHED = "crashed"
 
 
 #: Informativeness order used to pick among Unknowns, best first.

@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 from .exhaustive import run_exhaustive
 from .fuzz import run_fuzz
-from .harness import Property, PropertyRegistry, RunConfig
-from .results import UNKNOWN_PREFERENCE, Verdict, VerdictKind
+from .harness import Property, PropertyRegistry, RunConfig, raised_at
+from .results import UNKNOWN_PREFERENCE, UnknownReason, Verdict, VerdictKind
 from .symbolic import run_symbolic
 
 BackendFn = Callable[..., Verdict]
@@ -120,7 +120,7 @@ def run_property(prop: Property, config: RunConfig) -> Verdict:
     """Check one property under config.backend (ensemble included); its
     deadline, ``config.timeout_ms`` from now, is set here and nowhere else.
     An exception the check raises leaves with ``while_checking`` set to the
-    property's name, which the CLI's error line shows."""
+    property's name, which the CLI's error line shows under ``replay``."""
     deadline = time.monotonic() + config.timeout_ms / 1000.0
     try:
         if config.backend == "ensemble":
@@ -140,6 +140,8 @@ class PropertyResult:
     verdict: Verdict
     waived: bool = False
     waiver_reason: str | None = None
+    #: what the check raised, for an Unknown{Crashed} verdict
+    crash: Exception | None = None
 
 
 @dataclass
@@ -196,13 +198,31 @@ def config_hash(config: RunConfig) -> str:
 def run_suite(registry: PropertyRegistry, config: RunConfig,
               waivers: Iterable["Waiver"] = ()) -> RunReport:
     """Run every selected property under its own deadline; never aborts on a
-    failing property (failures are verdicts), only on backend disagreement."""
+    failing or crashing property (both are verdicts), only on backend
+    disagreement or an interrupt."""
     props = sorted(registry.select(config.filter))
     report = RunReport(run_id=new_run_id(), timestamp=utc_timestamp(), config=config)
     for prop in props:
-        report.results.append(PropertyResult(prop.name, run_property(prop, config)))
+        report.results.append(_checked(prop, config))
     apply_waivers(report, waivers)
     return report
+
+
+def _checked(prop: Property, config: RunConfig) -> PropertyResult:
+    """``prop``'s result; an exception that escapes its check is
+    Unknown{Crashed}, its detail naming the exception and the harness line
+    it came through."""
+    t0 = time.monotonic()
+    try:
+        return PropertyResult(prop.name, run_property(prop, config))
+    except InconsistentBackends:
+        raise
+    except Exception as exc:  # noqa: BLE001 - a crash is this property's verdict
+        verdict = Verdict.unknown(UnknownReason.CRASHED,
+                                  detail=f"{type(exc).__name__}: {exc}{raised_at(exc)}")
+        verdict.backend = config.backend
+        verdict.duration_ms = int((time.monotonic() - t0) * 1000)
+        return PropertyResult(prop.name, verdict, crash=exc)
 
 
 # --------------------------------------------------------------------------

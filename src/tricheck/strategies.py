@@ -48,8 +48,8 @@ hold the two to the same values, words and errors.
 Enumeration is index-addressed.  A node's base positions are its values in
 canonical order, except that a filter keeps its inner domain's positions
 (rejected ones too) and ``ordered_map_of`` deduplicates its keys.  ``_span()``
-counts them, ``_values(stats)`` streams the plain value at each lazily (rejected
-ones as ``_Skip``), and ``_unrank(i)`` gives the choices that draw position
+counts them, ``_values(stats, skip)`` streams the plain value at each
+accepted one lazily, and ``_unrank(i)`` gives the choices that draw position
 ``i``: mixed-radix digits for products (last component fastest), offsets for
 sums and sizes, and for maps the key and value choices of the combination
 that a combinadic rank picks.  An empty domain raises ``IndexError`` for
@@ -57,19 +57,20 @@ that a combinadic rank picks.  An empty domain raises ``IndexError`` for
 reads a span and products unrank their components in enumeration order, so
 rebuilding it walks no key universe that enumeration did not.
 
-A node with no filter below it (``_skip_free``: its cardinality is not
-unknown) yields no ``_Skip``, so its stream is built from chained C
-iterators (``chain``, ``map``, ``zip``), with no generator frame and no
-``_Skip`` test per value; ``_chained_product`` is ``_product`` in that form.
-Every other stream goes through the generators that carry ``_Skip``.
+A stream holds only values, built from chained C iterators (``chain``,
+``map``, ``zip``) except where a filter or a map's entries need a
+generator.  A filter reports each value it rejects as ``skip(())``, and a
+product's left half reports a rejection as ``skip(rest + right)``: the
+rejected position heads the whole product of the components in ``rest``.
 ``iter_positions`` pairs each value with its base position and builds
-nothing per value: a skip-free stream is counted by ``enumerate``, in C,
-and the ``_Skip`` markers of any other are summed into the positions they
-stand for by one generator.  The exhaustive backend and a map's key
+nothing per value: a domain of known size has no filter, so ``enumerate``
+counts it in C, and any other goes through one generator that sizes what
+``skip`` was told only once the next accepted value comes, so a skipped
+tail is never walked for nothing.  The exhaustive backend and a map's key
 walk go through it; ``iter_trees`` wraps each pair in an ``_IndexedTree``
 for callers that want trees.  ``enumerate_values`` needs no positions, so
-it reads the stream itself and only drops the ``_Skip`` markers.  A tree
-is replayed only where one is asked, from its position (``_tree_at``).
+its ``skip`` drops what it is told.  A tree is replayed only where one is
+asked, from its position (``_tree_at``).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .prng import SplitMix64
 
@@ -524,58 +525,28 @@ class EnumStats:
                 label, f"filter {label!r}: base-domain traversal bound exceeded")
 
 
-class _Skip(NamedTuple):
-    """A rejected value in a ``_values`` stream, heading the whole product of
-    ``rest``.  The span is resolved only once an accepted value follows, so a
-    skipped tail is never walked for nothing."""
-
-    rest: tuple = ()
-
-    def span(self, stats: EnumStats | None) -> int:
-        return math.prod(c._span(stats) for c in self.rest)
+#: Where a rejection goes: ``skip(rest)`` for a rejected position that heads
+#: the whole product of the components in ``rest``.
+Skip = Callable[[tuple], None]
 
 
-#: What a filter yields for each value it rejects.
-_SKIP = _Skip()
-
-
-def _product(comps: Sequence["Strategy"], stats: EnumStats | None,
-             prefix: tuple = ()) -> Iterator[Any]:
+def _product(comps: Sequence["Strategy"], stats: EnumStats | None, skip: Skip,
+             prefix: tuple = ()) -> Iterator[tuple]:
     """``prefix`` extended by each tuple of the row-major product of
-    ``comps`` (last component fastest), or a ``_Skip``.  Unlike
+    ``comps`` (last component fastest), as chained C iterators.  Unlike
     itertools.product this never materializes a component stream: the right
-    half is walked afresh for each tuple of the left half, and a skipped left
-    tuple skips it whole.  Halving keeps the nesting at log2 of the number
-    of components.  This generator walks products with a filter below them;
-    ``_chained_product`` walks the others."""
-    if len(comps) > 1:
-        mid = len(comps) // 2
-        right = comps[mid:]
-        for h in _product(comps[:mid], stats, prefix):
-            if type(h) is _Skip:
-                yield _Skip(h.rest + right)
-            else:
-                yield from _product(right, stats, h)
-    elif comps:
-        for h in comps[0]._values(stats):
-            yield h if type(h) is _Skip else prefix + (h,)
-    else:
-        yield prefix
-
-
-def _chained_product(comps: Sequence["Strategy"], stats: EnumStats | None,
-                     prefix: tuple = ()) -> Iterator[tuple]:
-    """``_product`` of components that yield no ``_Skip``, as chained C
-    iterators: the same halving, laziness and order, but no generator frame
-    and no ``_Skip`` test per value, only a generator step per left tuple."""
+    half is walked afresh for each tuple of the left half, and a rejection
+    on the left reaches ``skip`` with the right half added, since it skips
+    that half whole.  Halving keeps the nesting at log2 of the number of
+    components, and costs a generator step per left tuple only."""
     if len(comps) > 1:
         mid = len(comps) // 2
         right = comps[mid:]
         return itertools.chain.from_iterable(
-            _chained_product(right, stats, h)
-            for h in _chained_product(comps[:mid], stats, prefix))
+            _product(right, stats, skip, h)
+            for h in _product(comps[:mid], stats, lambda rest: skip(rest + right), prefix))
     if comps:
-        return zip(*map(itertools.repeat, prefix), comps[0]._values(stats))
+        return zip(*map(itertools.repeat, prefix), comps[0]._values(stats, skip))
     return iter((prefix,))
 
 
@@ -632,12 +603,6 @@ class Strategy:
         return self._cardinality()
 
     @cached_property
-    def _skip_free(self) -> bool:
-        """Whether ``_values`` never yields a ``_Skip``: no filter below, so
-        the stream may be walked by chained C iterators."""
-        return self._cardinality().kind != "unknown"
-
-    @cached_property
     def _draw_factory(self) -> Callable[[_Context], Callable[[], Any]]:
         """``make(ctx)``: the draw under ``_GenContext`` ``ctx``, written and
         compiled on first use; ``make`` binds the run's ``next_u64`` each call."""
@@ -655,8 +620,9 @@ class Strategy:
         a list or map is built by one ``ctx.many``."""
         raise self._uninterpreted("_draw")
 
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        """The plain value at every base position, lazily; rejections as ``_Skip``."""
+    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
+        """The plain value at every accepted base position, lazily; a rejected
+        one is reported as ``skip(())``, never yielded."""
         raise self._uninterpreted("_values")
 
     def _unrank(self, index: int) -> list[int]:
@@ -678,7 +644,7 @@ class Just(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return self.value
 
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
         return iter((self.value,))
 
     def _unrank(self, index: int) -> list[int]:
@@ -720,7 +686,7 @@ class IntRange(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return ctx.choice(self.lo, self.hi)
 
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
         return iter(range(self.lo, self.hi + 1))
 
     def _unrank(self, index: int) -> list[int]:
@@ -745,11 +711,8 @@ class Map(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return self.transform(self.inner._draw(ctx))
 
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        fn, values = self.transform, self.inner._values(stats)
-        if self._skip_free:
-            return map(fn, values)
-        return (v if type(v) is _Skip else fn(v) for v in values)
+    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
+        return map(self.transform, self.inner._values(stats, skip))
 
     def _unrank(self, index: int) -> list[int]:
         return self.inner._unrank(index)
@@ -786,14 +749,14 @@ class Filter(Strategy):
             ctx.charge_rejection(self.label)
         raise RejectionExhausted(self.label)
 
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        for v in self.inner._values(stats):
-            if type(v) is _Skip or self._accepts(v):
+    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
+        for v in self.inner._values(stats, skip):
+            if self._accepts(v):
                 yield v
             else:
                 if stats is not None:
                     stats.note_reject(self.label)
-                yield _SKIP
+                skip(())
 
     def _unrank(self, index: int) -> list[int]:
         return self.inner._unrank(index)
@@ -822,8 +785,9 @@ class OneOf(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return self.alternatives[ctx.choice(0, len(self.alternatives) - 1)]._draw(ctx)
 
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        return itertools.chain.from_iterable(alt._values(stats) for alt in self.alternatives)
+    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
+        return itertools.chain.from_iterable(
+            alt._values(stats, skip) for alt in self.alternatives)
 
     def _unrank(self, index: int) -> list[int]:
         for i, alt in enumerate(self.alternatives):
@@ -858,8 +822,8 @@ class TupleOf(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return tuple([c._draw(ctx) for c in self.components])
 
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        return (_chained_product if self._skip_free else _product)(self.components, stats)
+    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
+        return _product(self.components, stats, skip)
 
     def _unrank(self, index: int) -> list[int]:
         return list(itertools.chain.from_iterable(_unrank_digits(self.components, index)))
@@ -887,13 +851,10 @@ class ListOf(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return ctx.many(self.min_len, self.max_len, self.element._draw)
 
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
-        sizes = range(self.min_len, self.max_len + 1)
-        if self._skip_free:
-            return itertools.chain.from_iterable(
-                map(list, _chained_product((self.element,) * n, stats)) for n in sizes)
-        return (v if type(v) is _Skip else list(v)
-                for n in sizes for v in _product((self.element,) * n, stats))
+    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
+        return itertools.chain.from_iterable(
+            map(list, _product((self.element,) * n, stats, skip))
+            for n in range(self.min_len, self.max_len + 1))
 
     def _unrank(self, index: int) -> list[int]:
         for n in range(self.min_len, self.max_len + 1):
@@ -993,14 +954,12 @@ class OrderedMapOf(Strategy):
     def _sizes(self, n_keys: int) -> range:
         return range(self.min_size, min(self.max_size, n_keys) + 1)
 
-    def _values(self, stats: EnumStats | None) -> Iterator[Any]:
+    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
         keys = [k for _, k in self._key_universe(stats)]
-        product = _chained_product if self.values._skip_free else _product
         for size in self._sizes(len(keys)):
             for key_combo in itertools.combinations(keys, size):
-                for vals in product((self.values,) * size, stats):
-                    yield vals if type(vals) is _Skip else dict(
-                        _key_sorted(list(zip(key_combo, vals)), lambda kv: kv[0]))
+                for vals in _product((self.values,) * size, stats, skip):
+                    yield dict(_key_sorted(list(zip(key_combo, vals)), lambda kv: kv[0]))
 
     def _unrank(self, index: int) -> list[int]:
         positions = self._key_positions()
@@ -1099,28 +1058,25 @@ def iter_positions(strategy: Strategy,
                    stats: EnumStats | None = None) -> Iterator[tuple[int, Any]]:
     """Canonical enumeration as ``(base position, value)`` pairs, building no
     tree.  No budget gating; callers that rely on finiteness check
-    ``cardinality``.  A stream with no filter below it has no ``_Skip``, so
-    each value's position is its count, paired in C by ``enumerate``.
-    Otherwise each accepted value's position is the count of positions
-    before it, the rejected ones summed from their ``_Skip`` markers once the
-    next accepted value comes."""
-    values = strategy._values(stats)
-    if strategy._skip_free:
+    ``cardinality``.  A domain of known size has no filter below it, so
+    nothing reaches ``skip`` and each value's position is its count, paired
+    in C by ``enumerate``.  Otherwise each accepted value's position is the
+    count of positions before it, the rejected ones sized from what ``skip``
+    was told once the next accepted value comes."""
+    skipped: list[tuple] = []
+    values = strategy._values(stats, skipped.append)
+    if strategy._cardinality().kind != "unknown":
         return enumerate(values)
-    return _skipping_positions(values, stats)
+    return _skipping_positions(values, skipped, stats)
 
 
-def _skipping_positions(values: Iterator[Any],
+def _skipping_positions(values: Iterator[Any], skipped: list[tuple],
                         stats: EnumStats | None) -> Iterator[tuple[int, Any]]:
-    """``iter_positions`` of a stream that may hold ``_Skip`` markers."""
-    skip, index = _Skip, 0
-    skipped: list[_Skip] = []
+    """``iter_positions`` of a stream whose rejections land in ``skipped``."""
+    index = 0
     for v in values:
-        if type(v) is skip:
-            skipped.append(v)
-            continue
         if skipped:
-            index += sum(s.span(stats) for s in skipped)
+            index += sum(math.prod(c._span(stats) for c in rest) for rest in skipped)
             skipped.clear()
         yield index, v
         index += 1
@@ -1148,7 +1104,5 @@ def enumerate_values(strategy: Strategy, budget: int | None = None) -> Iterator[
     card = strategy._cardinality()
     if card.kind == "too_large" and budget is None:
         raise NotEnumerable(f"{strategy!r} has more than 2**63 elements; pass a budget")
-    values = strategy._values(None)
-    if not strategy._skip_free:
-        values = (v for v in values if type(v) is not _Skip)
+    values = strategy._values(None, lambda rest: None)  # no positions, so no skip to size
     return values if budget is None else itertools.islice(values, budget)

@@ -45,7 +45,8 @@ from enum import Enum
 from typing import Any, Iterator
 
 from . import strategies as st
-from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
+from .harness import (DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate,
+                      raised_at)
 from .results import Counterexample, UnknownReason, Verdict
 
 #: Default box budget for a single branch_and_prune call.
@@ -107,18 +108,6 @@ def _caller_location() -> str | None:
         return f"{frame.f_code.co_filename.rsplit('/', 1)[-1]}:{frame.f_lineno}"
     except Exception:  # pragma: no cover - platforms without frame access
         return None
-
-
-def _raised_at(exc: BaseException) -> str:
-    """`` at <file>:<line>`` of the innermost frame of ``exc``'s traceback
-    outside this module, in ``_caller_location``'s format, or ``""``."""
-    at, tb = "", exc.__traceback__
-    while tb is not None:
-        code = tb.tb_frame.f_code
-        if code.co_filename != __file__:
-            at = f" at {code.co_filename.rsplit('/', 1)[-1]}:{tb.tb_lineno}"
-        tb = tb.tb_next
-    return at
 
 
 # --------------------------------------------------------------------------
@@ -683,7 +672,7 @@ def _record(fn, args: tuple, what: str) -> Any:
     try:
         result = fn(*args)
     except Exception as exc:
-        raise _Unsupported(f"{what} not symbolically evaluable: {exc}{_raised_at(exc)}") from exc
+        raise _Unsupported(f"{what} not symbolically evaluable: {exc}{raised_at(exc)}") from exc
     finally:
         type_tested = _recording.pop(me)
     if type_tested:

@@ -1,20 +1,22 @@
-"""Mutation check of the interval rules, the search kernel and the
-predicate's concrete reading: does the suite notice an unsound one?
+"""Mutation check of the interval rules, the search kernel, the
+predicate's concrete reading and the enumeration layer: does the suite
+notice an unsound one?
 
 Each mutant below is one textual edit of one file under
-``src/tricheck/``, which the mutant names.  A rule mutant (``MUTANTS``)
-makes interval or point evaluation wrong; the others (``SUITE_MUTANTS``)
-make the search kernel's leaf, the units it charges or its split wrong,
-merge subterms that differ, share a quotient between divisions that
-differ, or let a predicate that returns None fail.  For each, the script copies ``src/`` into a temporary
-directory, edits the copy (never the checkout), and runs pytest with that
-copy first on ``PYTHONPATH``:
+``src/tricheck/``, which the mutant names, with the test files that must
+kill it.  A rule mutant (``MUTANTS``) makes interval or point evaluation
+wrong; the others (``SUITE_MUTANTS``) make the search kernel's leaf, the
+units it charges or its split wrong, merge subterms that differ, share a
+quotient between divisions that differ, let a predicate that returns None
+fail, or misplace the positions an enumeration skips.  For each, the
+script copies ``src/`` into a temporary directory, edits the copy (never
+the checkout), and runs pytest with that copy first on ``PYTHONPATH``:
 
 1. criterion 05 (``test_criterion_05_interval_arithmetic_is_sound``) alone,
    for rule mutants only: it checks one-shot evaluation, which runs no
-   kernel and no predicate, so the other mutants must be killed by the
+   kernel and no predicate, so the other mutants must be killed by their
    suites alone;
-2. ``tests/test_symbolic.py`` and ``tests/test_acceptance.py`` with ``-x``.
+2. the test files the mutant names, and only those, with ``-x``.
 
 A run that fails kills the mutant.  The script prints, per mutant, the
 first test that failed in each run.  It exits 1 if a mutant survives a
@@ -41,91 +43,112 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("tricheck")
 
 CRITERION_05 = ["tests/test_acceptance.py::test_criterion_05_interval_arithmetic_is_sound"]
-SUITES = ["tests/test_symbolic.py", "tests/test_acceptance.py"]
+SYMBOLIC = ["tests/test_symbolic.py", "tests/test_acceptance.py"]
+ENUMERATION = ["tests/test_enumeration.py"]
 
-#: (source file under src/tricheck, what goes wrong, target text, its replacement)
+#: (source file under src/tricheck, what goes wrong, target text, its
+#: replacement, the test files that must kill it)
 MUTANTS = [
     ("symbolic.py", "Mul's hull drops the hi*hi corner",
      'return _hull(x, y, *(f"{p} * {q}" for p in a for q in b))',
-     'return _hull(x, y, *[f"{p} * {q}" for p in a for q in b][:3], f"{alo} * {blo}")'),
+     'return _hull(x, y, *[f"{p} * {q}" for p in a for q in b][:3], f"{alo} * {blo}")', SYMBOLIC),
     ("symbolic.py", "Sub's bounds are swapped",
      'return [f"{x} = {alo} - {bhi}", f"{y} = {ahi} - {blo}"]',
-     'return [f"{x} = {alo} - {blo}", f"{y} = {ahi} - {bhi}"]'),
+     'return [f"{x} = {alo} - {blo}", f"{y} = {ahi} - {bhi}"]', SYMBOLIC),
     ("symbolic.py", "Add's upper bound uses blo",
      'f"{y} = {ahi} + {bhi}"',
-     'f"{y} = {ahi} + {blo}"'),
+     'f"{y} = {ahi} + {blo}"', SYMBOLIC),
     ("symbolic.py", "Neg's bounds are taken from the wrong end",
      'return [f"{x} = -{ahi}", f"{y} = -{alo}"]',
-     'return [f"{x} = -{alo}", f"{y} = -{ahi}"]'),
+     'return [f"{x} = -{alo}", f"{y} = -{ahi}"]', SYMBOLIC),
     ("symbolic.py", "Rem's m is one smaller",
      'f"    m = ({bhi} if {blo} > 0 else -{blo}) - 1"',
-     'f"    m = ({bhi} if {blo} > 0 else -{blo}) - 2"'),
+     'f"    m = ({bhi} if {blo} > 0 else -{blo}) - 2"', SYMBOLIC),
     ("symbolic.py", "Rem takes its exact branch when only the dividend is a point",
      'f"if {alo} == {ahi} and {blo} == {bhi}:"',
-     'f"if {alo} == {ahi}:"'),
+     'f"if {alo} == {ahi}:"', SYMBOLIC),
     ("symbolic.py", "Rem's lower bound is one higher",
      'else {alo} if {alo} > -m else -m"',
-     'else {alo} if {alo} > -m else -m + 1"'),
+     'else {alo} if {alo} > -m else -m + 1"', SYMBOLIC),
     ("symbolic.py", "the Div guard misses a divisor range that ends at 0",
      'guard = f"if {blo} <= 0 <= {bhi}: {abort}"',
-     'guard = f"if {blo} <= 0 < {bhi}: {abort}"'),
+     'guard = f"if {blo} <= 0 < {bhi}: {abort}"', SYMBOLIC),
     ("symbolic.py", "the Div hull floors instead of truncating",
      '*_hull(x, y, *(_tq_source(p, q) for p in a for q in b))',
-     '*_hull(x, y, *(f"{p} // {q}" for p in a for q in b))'),
+     '*_hull(x, y, *(f"{p} // {q}" for p in a for q in b))', SYMBOLIC),
     ("symbolic.py", "< reads TRUE when ahi <= blo",
      'return f"{t} = {yes} if {ahi} < {blo} else',
-     'return f"{t} = {yes} if {ahi} <= {blo} else'),
+     'return f"{t} = {yes} if {ahi} <= {blo} else', SYMBOLIC),
     ("symbolic.py", "== reads TRUE on boxes with equal bounds",
      'f"else {yes} if {alo} == {ahi} == {blo} == {bhi} else 0"',
-     'f"else {yes} if {alo} == {blo} and {ahi} == {bhi} else 0"'),
+     'f"else {yes} if {alo} == {blo} and {ahi} == {bhi} else 0"', SYMBOLIC),
     ("symbolic.py", "Or is min and And is max",
      "{'<' if kind is And else '>'}",
-     "{'>' if kind is And else '<'}"),
+     "{'>' if kind is And else '<'}", SYMBOLIC),
     ("symbolic.py", "point Div floors",
      'f"{x} = {quotient}" if kind is Div',
-     'f"{x} = {a} // {b}" if kind is Div'),
+     'f"{x} = {a} // {b}" if kind is Div', SYMBOLIC),
     ("symbolic.py", "point Rem is %",
      'else f"{x} = {a} - {b} * {quotient}"',
-     'else f"{x} = {a} % {b}"'),
+     'else f"{x} = {a} % {b}"', SYMBOLIC),
     ("symbolic.py", "_program swaps the operands",
      "i, j = (*operands, None)[:2]",
-     "i, j = (*operands[::-1], None)[:2]"),
+     "i, j = (*operands[::-1], None)[:2]", SYMBOLIC),
 ]
 
 #: the same, for what criterion 05 does not run: the search kernel's leaf,
 #: its charge, its split and its shared quotients, the walk's matching of
-#: equal subterms, and the concrete reading of a predicate's result
+#: equal subterms, the concrete reading of a predicate's result, and where
+#: an enumeration's rejections go and what they count
 SUITE_MUTANTS = [
     ("symbolic.py", "the leaf drops each range's last point",
      "f'range(l{i}, h{i} + 1), '",
-     "f'range(l{i}, h{i}), '"),
+     "f'range(l{i}, h{i}), '", SYMBOLIC),
     ("symbolic.py", "the innermost range drops its last point",
      'range(l{n - 1}, h{n - 1} + 1)',
-     'range(l{n - 1}, h{n - 1})'),
+     'range(l{n - 1}, h{n - 1})', SYMBOLIC),
     ("symbolic.py", "a leaf charges one point fewer than it holds",
      '"boxes += size",',
-     '"boxes += size - 1",'),
+     '"boxes += size - 1",', SYMBOLIC),
     ("symbolic.py", "a failing point in a leaf is charged one rank short",
      'spent = f"boxes += 1 + rank(',
-     'spent = f"boxes += rank('),
+     'spent = f"boxes += rank(', SYMBOLIC),
     ("symbolic.py", "the pushed upper half starts at m + 2",
      "b[{2 * i}] = m + 1;",
-     "b[{2 * i}] = m + 2;"),
+     "b[{2 * i}] = m + 2;", SYMBOLIC),
     ("symbolic.py", "the lower half narrows to m - 1",
      "h{i} = m\"",
-     "h{i} = m - 1\""),
+     "h{i} = m - 1\"", SYMBOLIC),
     ("symbolic.py", "split ties go to the highest vid",
      'f"if h{i} - l{i} > w:',
-     'f"if h{i} - l{i} >= w:'),
+     'f"if h{i} - l{i} >= w:', SYMBOLIC),
     ("symbolic.py", "equal subterms are matched by kind and left operand only",
      "if kind is Const else entry\n",
-     "if kind is Const else entry[:2]\n"),
+     "if kind is Const else entry[:2]\n", SYMBOLIC),
     ("symbolic.py", "a shared quotient is looked up by its dividend only",
      "pair = (a, b)",
-     "pair = a"),
+     "pair = a", SYMBOLIC),
     ("harness.py", "a predicate that returns None fails",
      "if result is None or result is True or result:",
-     "if result is True or result:"),
+     "if result is True or result:", SYMBOLIC),
+    ("strategies.py", "a product's left half reports a rejection without its right half",
+     "lambda rest: skip(rest + right)",
+     "lambda rest: skip(rest)", ENUMERATION),
+    ("strategies.py", "a pending rejection counts as one position",
+     "index += sum(math.prod(c._span(stats) for c in rest) for rest in skipped)",
+     "index += len(skipped)", ENUMERATION),
+    ("strategies.py", "a filter reports nothing to skip",
+     "stats.note_reject(self.label)\n                skip(())",
+     "stats.note_reject(self.label)", ENUMERATION),
+    ("strategies.py", "a product's right half reports through the left half's wrapper",
+     "_product(right, stats, skip, h)",
+     "_product(right, stats, lambda rest: skip(rest + right), h)", ENUMERATION),
+    ("strategies.py", "a rejection is not counted",
+     "stats.note_reject(self.label)\n",
+     "pass\n", ENUMERATION),
+    ("strategies.py", "pending rejections are never cleared",
+     "skipped.clear()",
+     "pass", ENUMERATION),
 ]
 
 
@@ -151,7 +174,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         src = Path(scratch) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        for n, (source, what, old, new, rule) in enumerate(mutants, 1):
+        for n, (source, what, old, new, suites, rule) in enumerate(mutants, 1):
             path = src / PACKAGE / source
             original = (ROOT / "src" / PACKAGE / source).read_text()
             if original.count(old) != 1:
@@ -161,12 +184,13 @@ def main() -> int:
             path.write_text(original.replace(old, new))
             try:
                 alone = _killer(src, CRITERION_05) if rule else "not run (not an interval rule)"
-                suites = _killer(src, SUITES)
+                killer = _killer(src, suites)
             finally:
                 path.write_text(original)
             print(f"{n:2}  {what} ({source})\n      criterion 05 alone: {alone or 'SURVIVED'}\n"
-                  f"      symbolic and acceptance: {suites or 'SURVIVED'}", flush=True)
-            if not (alone and suites):
+                  f"      {', '.join(Path(t).name for t in suites)}: {killer or 'SURVIVED'}",
+                  flush=True)
+            if not (alone and killer):
                 failed.append(n)
     print(f"{len(mutants) - len(failed)} of {len(mutants)} mutants killed by every run they must fail")
     return 1 if failed else 0

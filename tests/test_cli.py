@@ -175,6 +175,48 @@ def test_a_crash_during_a_check_exits_three(tmp_path, capsys):
     assert "b.map_raises: unknown: unsupported" in capsys.readouterr().out
 
 
+CRASHING = (
+    "from tricheck import PropertyRegistry, int_range\n"
+    "REGISTRY = PropertyRegistry()\n"
+    "REGISTRY.register('a.fine', int_range(0, 9), lambda x: x >= 0)\n"
+    "REGISTRY.register('b.map_raises', int_range(-3, 3).map(lambda a: 6 // a),\n"
+    "                  lambda q: q != 100)\n"
+    "REGISTRY.register('c.fine', int_range(0, 9), lambda x: x < 100)\n"
+)
+
+
+@pytest.mark.parametrize("backend", ["fuzz", "exhaustive", "ensemble"])
+def test_a_crash_is_reported_and_the_run_goes_on(tmp_path, capsys, backend):
+    """The crashing property reads Unknown{Crashed}; the report and one
+    history line per property are written, the fine properties read as they
+    do alone, and the run still exits 3, waived or not, its traceback and
+    error line last on stderr."""
+    mod, report, history = tmp_path / "crashing.py", tmp_path / "r.json", tmp_path / "h.jsonl"
+    mod.write_text(CRASHING)
+    waivers = tmp_path / "w.json"
+    waivers.write_text('[{"glob": "b.*", "reason": "known", "expires": "2999-01-01"}]')
+    run = ["run", str(mod), "--backend", backend]
+    assert main([*run, "--report", str(report), "--history", str(history)]) == 3
+    out, err = capsys.readouterr()
+    crash = "ZeroDivisionError: integer division or modulo by zero"
+    assert f"b.map_raises: unknown: crashed ({crash} at crashing.py:4)" in out
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == f"error: {crash} (while checking b.map_raises)"
+    results = {r["name"]: r for r in json.loads(report.read_text())["results"]}
+    assert (results["b.map_raises"]["verdict"], results["b.map_raises"]["reason"]) == (
+        "unknown", "crashed")
+    assert [json.loads(line)["property"] for line in history.read_text().splitlines()] == [
+        "a.fine", "b.map_raises", "c.fine"]
+    for name in ("a.fine", "c.fine"):
+        alone = tmp_path / f"{name}.json"
+        assert main([*run, "--filter", name, "--report", str(alone)]) == 0
+        [expected] = json.loads(alone.read_text())["results"]
+        assert {**results[name], "duration_ms": 0} == {**expected, "duration_ms": 0}
+    capsys.readouterr()
+    assert main([*run, "--waivers", str(waivers)]) == 3
+    assert "b.map_raises: unknown: crashed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("backend", ["symbolic", "ensemble"])
 def test_a_twenty_field_harness_is_proved_and_reported(tmp_path, capsys, backend):
     """Twenty fields are one box of twenty variables: its search kernel
@@ -286,7 +328,7 @@ def test_report_schema_is_fixed(tmp_path, mixed_registry):
 
     assert list(doc) == ["version", "run_id", "timestamp", "config", "results",
                          "totals", "stale_waivers", "unused_waivers"]
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert list(doc["config"]) == ["backend", "seed", "cases", "budget",
                                    "timeout_ms", "repetition_cap", "filter",
                                    "code_fingerprint"]

@@ -405,19 +405,39 @@ def test_positions_are_what_the_trees_carry(name):
 
 
 def test_products_halve_their_components(monkeypatch):
-    """A chained product nests as halves (8 components as 4 + 4, each as
-    2 + 2, ...): walking eight bits takes 358 ``_chained_product`` calls,
-    where one component per level would take 382."""
+    """A product nests as halves (8 components as 4 + 4, each as 2 + 2,
+    ...): walking eight bits takes 358 ``_product`` calls, where one
+    component per level would take 382."""
     calls = []
-    chained = st._chained_product
+    product = st._product
 
     def counted(*args):
         calls.append(1)
-        return chained(*args)
+        return product(*args)
 
-    monkeypatch.setattr(st, "_chained_product", counted)
+    monkeypatch.setattr(st, "_product", counted)
     assert len(list(st.enumerate_values(tuple_of(*[int_range(0, 1)] * 8)))) == 256
     assert len(calls) == 358
+
+
+def test_a_rejected_head_sizes_its_tail_only_when_a_value_follows(monkeypatch):
+    """A rejection on the left of a product stands for the whole right half,
+    and its span is read only once an accepted value comes: a rejection
+    that ends the walk is never sized."""
+    sized = []
+    span = st.IntRange._span
+
+    def counted(self, stats=None):
+        sized.append(repr(self))
+        return span(self, stats)
+
+    monkeypatch.setattr(st.IntRange, "_span", counted)
+    tail = int_range(0, 9)
+    for keep, first in ((0, 0), (1, 10)):
+        sized.clear()
+        s = tuple_of(int_range(0, 1).filter("head", lambda x, keep=keep: x == keep), tail)
+        assert list(st.iter_positions(s)) == [(first + i, (keep, i)) for i in range(10)]
+        assert sized == ([] if keep == 0 else [repr(tail)])
 
 
 @pytest.mark.parametrize("name", sorted(DRAWN_ZOO))

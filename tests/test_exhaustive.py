@@ -268,7 +268,7 @@ def test_completeness_check_holds_the_span_to_the_cardinality(monkeypatch):
     import tricheck.strategies as st
     monkeypatch.setattr(st.IntRange, "_span", lambda self, stats=None: self.hi - self.lo + 2)
     monkeypatch.setattr(st.IntRange, "_values",
-                        lambda self, stats: iter(range(self.lo, self.hi + 2)))
+                        lambda self, stats, skip: iter(range(self.lo, self.hi + 2)))
     with pytest.raises(AssertionError, match="cardinality said at most 3"):
         run_exhaustive(prop(int_range(0, 2), lambda x: True), RunConfig())
 

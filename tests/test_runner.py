@@ -291,6 +291,40 @@ def test_suite_is_deterministic_for_equal_configs():
     assert a.run_id != b.run_id  # identity differs even when content repeats
 
 
+def test_a_crash_is_that_propertys_verdict_and_the_suite_goes_on():
+    """An exception that escapes one property's check is its
+    Unknown{Crashed}, naming the exception and the harness line; the
+    properties after it are checked as if it were not there."""
+    reg = make_registry()
+    reg.register("alg.crashes", int_range(-1, 1).map(lambda a: 6 // a), lambda q: True)
+    for backend in ("fuzz", "exhaustive", "ensemble"):
+        report = run_suite(reg, RunConfig(backend=backend))
+        alone = run_suite(make_registry(), RunConfig(backend=backend))
+        crashed = report.results[1]
+        assert (crashed.name, crashed.verdict.kind, crashed.verdict.reason,
+                crashed.verdict.backend) == (
+            "alg.crashes", VerdictKind.UNKNOWN, UnknownReason.CRASHED, backend)
+        assert re.fullmatch(r"ZeroDivisionError: integer division or modulo by zero "
+                            r"at test_runner\.py:\d+", crashed.verdict.detail)
+        assert type(crashed.crash) is ZeroDivisionError
+        others = [r for r in report.results if r is not crashed]
+        assert [(r.name, r.verdict.describe(), r.crash) for r in others] == [
+            (r.name, r.verdict.describe(), None) for r in alone.results]
+
+
+@pytest.mark.parametrize("abort", [
+    KeyboardInterrupt(),
+    InconsistentBackends("p", Verdict.proved("exhaustive", 1),
+                         Verdict.falsified(Counterexample(original=1, shrunk=1)))])
+def test_an_interrupt_or_a_disagreement_still_ends_the_suite(monkeypatch, abort):
+    def check(prop, config):
+        raise abort
+
+    monkeypatch.setattr("tricheck.runner.run_property", check)
+    with pytest.raises(type(abort)):
+        run_suite(make_registry(), RunConfig())
+
+
 def test_suite_totals_buckets():
     reg = make_registry()
     report = run_suite(reg, RunConfig(backend="exhaustive"))
