@@ -23,7 +23,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 from .corpus import build_registry
 from .harness import PropertyRegistry, RunConfig
@@ -39,24 +39,14 @@ from .runner import (
     run_suite,
 )
 
-#: Config-file keys.  The flag spellings plus the two knobs that deliberately
-#: have no flag (they belong in version control, not on the command line).
-#: ``repetition_cap`` shapes only the built-in corpus's patterns, though a
-#: run over a harness module still records and hashes it.
-CONFIG_KEYS: dict[str, type] = {
-    "backend": str,
-    "seed": int,
-    "cases": int,
-    "budget": int,
-    "timeout_ms": int,
-    "filter": str,
-    "report": str,
-    "history": str,
-    "waivers": str,
-    "strict": bool,
-    "repetition_cap": int,
-    "code_fingerprint": str,
-}
+#: Config-file keys and the types their values must have: every RunConfig
+#: field, two of which deliberately have no flag (``repetition_cap`` and
+#: ``code_fingerprint`` belong in version control, not on the command line),
+#: and the settings only the CLI reads.  ``repetition_cap`` shapes only the
+#: built-in corpus's patterns, though a run over a harness module still
+#: records and hashes it.
+CONFIG_KEYS: dict[str, Any] = {**get_type_hints(RunConfig),
+                               "report": str, "history": str, "waivers": str, "strict": bool}
 
 
 class UsageError(Exception):
@@ -130,14 +120,12 @@ def read_config_file(path: str) -> dict[str, Any]:
     for key, value in data.items():
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}: unknown key: {key}")
-        if key == "filter" and value is None:
-            continue  # RunConfig's default, as a report's config block writes it
         want = CONFIG_KEYS[key]
         if want is int and isinstance(value, bool):
             raise UsageError(f"{path}: key {key} must be an integer")
         if not isinstance(value, want):
             raise UsageError(
-                f"{path}: key {key} must be {want.__name__}, "
+                f"{path}: key {key} must be {getattr(want, '__name__', want)}, "
                 f"got {type(value).__name__}")
     return data
 

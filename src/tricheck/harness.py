@@ -212,18 +212,34 @@ def backend(name: str) -> Callable[[Callable[..., Verdict]], Callable[..., Verdi
     return decorate
 
 
+def _harness_line(name: str, line: int) -> str:
+    """`` at <file>:<line>`` if file ``name`` is a harness's, else ``""``: a
+    file outside the checker's own modules and the code it generates
+    (``<tricheck …>``), or the built-in corpus."""
+    if name == _CORPUS or not (name.startswith("<tricheck") or os.path.dirname(name) == _PACKAGE):
+        return f" at {name.rsplit('/', 1)[-1]}:{line}"
+    return ""
+
+
 def raised_at(exc: BaseException) -> str:
     """`` at <file>:<line>`` of the innermost harness frame of ``exc``'s
-    traceback, or ``""``: a frame outside the checker's own modules and the
-    code it generates (``<tricheck …>``), or in the built-in corpus."""
+    traceback, or ``""`` (see ``_harness_line``)."""
     at, tb = "", exc.__traceback__
     while tb is not None:
-        name = tb.tb_frame.f_code.co_filename
-        if name == _CORPUS or not (name.startswith("<tricheck")
-                                   or os.path.dirname(name) == _PACKAGE):
-            at = f" at {name.rsplit('/', 1)[-1]}:{tb.tb_lineno}"
+        at = _harness_line(tb.tb_frame.f_code.co_filename, tb.tb_lineno) or at
         tb = tb.tb_next
     return at
+
+
+def called_at(frame: Any) -> str:
+    """`` at <file>:<line>`` of the innermost harness frame among ``frame``
+    and its callers, or ``""`` (see ``_harness_line``)."""
+    while frame is not None:
+        at = _harness_line(frame.f_code.co_filename, frame.f_lineno)
+        if at:
+            return at
+        frame = frame.f_back
+    return ""
 
 
 def eval_predicate(prop: Property, value: Any) -> tuple[bool, str | None]:

@@ -76,8 +76,10 @@ asked, from its position (``_tree_at``).
 from __future__ import annotations
 
 import itertools
+import linecache
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
@@ -378,6 +380,9 @@ class _Recorder(_Context):
 #: writer takes a frame or two per node.
 _MAX_INDENT, _MAX_LEVEL = 15, 64
 
+#: numbers each written draw's file name
+_DRAW_NAMES = itertools.count(1)
+
 
 class _DrawWriter:
     """Writes a strategy's draw under ``_GenContext`` as straight-line source,
@@ -401,9 +406,17 @@ class _DrawWriter:
         self.indent, self.locals = 0, 0  # suites open in ``draw``
 
     def factory(self, s: "Strategy") -> Callable[[_Context], Callable[[], Any]]:
+        """Compiles the draw under a name of its own, whose source is in
+        ``linecache`` until ``make`` is collected (a draw, or a traceback
+        through one, holds ``make`` through its globals), so a traceback
+        through it shows the line it was on."""
         self.node(s, "x", 0)
         self.lines += ["  return x", " return draw"]
-        exec(compile("\n".join(self.lines), "<tricheck draw>", "exec"), self.names)
+        name = f"<tricheck draw {next(_DRAW_NAMES)}>"
+        source = "".join(line + "\n" for line in self.lines)
+        linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+        exec(compile(source, name, "exec"), self.names)
+        weakref.finalize(self.names["make"], linecache.cache.pop, name, None)
         return self.names["make"]
 
     def emit(self, line: str) -> None:

@@ -26,10 +26,12 @@ property, or the box budget or the deadline runs out.  Interval division
 truncates toward zero and a divisor interval that straddles zero aborts
 the analysis (soundly) instead.  Both readings evaluate both sides of ``&`` and ``|``.
 
-Every verdict is anchored concretely.  A witness must fail the recorded
-formula under integer evaluation, and then the real predicate too; a proof
-stands only once the real predicate also holds at a few points of each box
-(its corners, its midpoint and each variable's bounds).
+Every verdict is anchored concretely, on values the strategy's own draw
+builds (``_drawn``), never read from a carrier.  A witness must fail the
+recorded formula under integer evaluation, and then the real predicate too;
+a proof, vacuous or not, stands only once the real filters agree with the
+hypothesis, and the real predicate holds, at a few points of each box (its
+corners, its midpoint and each variable's bounds).
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from enum import Enum
 from typing import Any, Iterator
 
 from . import strategies as st
-from .harness import (DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate,
-                      raised_at)
+from .harness import (DeadlineReached, Property, RunConfig, Ticker, backend, called_at,
+                      eval_predicate, raised_at)
 from .results import Counterexample, UnknownReason, Verdict
 
 #: Default box budget for a single branch_and_prune call.
@@ -86,8 +88,6 @@ class _Unsupported(Exception):
     """Internal control flow: the harness cannot be checked symbolically;
     the message is the verdict's detail."""
 
-
-_INEXPRESSIBLE = "strategy is not expressible over the symbolic carrier"
 
 #: The longest node repr a detail prints; a longer one is cut to end in "…".
 _NODE_REPR_CAP = 80
@@ -170,10 +170,10 @@ _CMP_SYMBOLS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": 
 _CMP_OPS = tuple(_CMP_SYMBOLS)
 
 
-#: thread ident -> whether the user code ``_record`` runs in that thread has
-#: read a carrier's ``__class__``; per thread, so a caller may check from
-#: several threads at once, and empty while no thread records
-_recording: dict[int, bool] = {}
+#: thread ident -> False, or once the user code ``_record`` runs in that
+#: thread reads a carrier's ``__class__``, where (``called_at``); per thread,
+#: so a caller may check from several threads at once; empty while none records
+_recording: dict[int, bool | str] = {}
 
 
 def _class(self) -> type:
@@ -181,8 +181,8 @@ def _class(self) -> type:
     such as ``isinstance(x, int)`` reads it once the exact-type check fails."""
     if _recording:
         me = threading.get_ident()
-        if me in _recording:
-            _recording[me] = True
+        if _recording.get(me) is False:
+            _recording[me] = called_at(sys._getframe(1))
     return type(self)
 
 
@@ -501,7 +501,6 @@ def _point_rule(kind: type | str, a: str, b: str | None, x: str,
 
 _EXPR_KINDS = (Const, Var, Neg, Add, Sub, Mul, Div, Rem)
 _FORMULA_KINDS = (BoolConst, Not, And, Or, Cmp)
-_CARRIER_KINDS = (*_EXPR_KINDS, tuple)  # a carrier tuple's entry is its components'
 
 
 def _reading(kind: type | str, a, b, k: int, abort: str | None,
@@ -574,14 +573,10 @@ def _program(nodes: list, locations: list, point: bool) -> Any:
     ``_shape`` with ``locations``) at a point, ``env`` holding ints, or
     over a box, ``env`` holding ``(lo, hi)`` pairs: one ``_rule`` step per
     node, in the kernel's order.  A Var's step reads its entry's vid or
-    position from ``env`` (a key it lacks raises), and a carrier tuple's
-    step gathers its components' results into a tuple."""
+    position from ``env`` (a key it lacks raises)."""
     steps = []
     divisions = iter(locations)
     for kind, *operands in nodes:
-        if kind is tuple:  # a carrier tuple, of its components' values
-            steps.append(lambda e, v, parts=operands: tuple([v[p] for p in parts]))
-            continue
         i, j = (*operands, None)[:2]  # a leaf's vid, index or value, else operand positions
         location = next(divisions) if kind is Div or kind is Rem else None
         steps.append(_rule(kind, point)(i, j, location))
@@ -643,21 +638,22 @@ def concrete_truth(formula: SymBool, valuation: dict) -> bool:
 @dataclass
 class SymAlternative:
     """One disjunct of a symbolized strategy: the carrier shape, the box of
-    variable ranges, and any filter hypothesis to assume."""
+    variable ranges, any filter hypothesis to assume, and its draw's template."""
 
     carrier: Any  # SymExpr or tuple of them
     box: Box
     hypothesis: SymBool | None
+    template: tuple  # per choice of the draw: its one_of branch, or the Var it reads
 
 
-def _coerce_carrier(value) -> Any:
-    """``value`` as a carrier: nodes and ints, or tuples of them."""
+def _coerce_carrier(value, s: st.Strategy) -> Any:
+    """``value``, a result of node ``s``, as a carrier: nodes and ints, or tuples of them."""
     if isinstance(value, SymExpr):
         return value
     if isinstance(value, tuple):
-        return tuple(map(_coerce_carrier, value))
+        return tuple(_coerce_carrier(part, s) for part in value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _Unsupported(_INEXPRESSIBLE)
+        raise _inexpressible(s)
     return Const(value)
 
 
@@ -665,8 +661,8 @@ def _record(fn, args: tuple, what: str) -> Any:
     """``fn(*args)`` for user code ``fn`` (a map, a filter or the predicate)
     over carriers ``args``: the one place the two meet.  A raise, or a type
     test of a carrier (which cannot take an int's branch), gives up with
-    _Unsupported, its detail naming the code as ``what`` (and a raise, the
-    line of user code it came through)."""
+    _Unsupported, its detail naming the code as ``what`` and the line of
+    user code the raise came through or the type test was made on."""
     me = threading.get_ident()
     _recording[me] = False
     try:
@@ -675,8 +671,8 @@ def _record(fn, args: tuple, what: str) -> Any:
         raise _Unsupported(f"{what} not symbolically evaluable: {exc}{raised_at(exc)}") from exc
     finally:
         type_tested = _recording.pop(me)
-    if type_tested:
-        raise _Unsupported(f"{what} tests the type of a symbolic value")
+    if type_tested is not False:
+        raise _Unsupported(f"{what} tests the type of a symbolic value{type_tested}")
     return result
 
 
@@ -704,7 +700,7 @@ def symbolize(strategy: st.Strategy) -> list[SymAlternative] | None:
 class _Crossing:
     """A tuple's alternatives: its components' (``parts``), crossed lazily,
     first component slowest, so a caller builds only the alternatives it
-    reaches; ``total`` counts them all."""
+    reaches (templates joined in draw order); ``total`` counts them all."""
 
     def __init__(self, parts: list[list[SymAlternative]]) -> None:
         self.parts = parts
@@ -714,7 +710,8 @@ class _Crossing:
         for combo in itertools.product(*self.parts):
             yield SymAlternative(tuple(p.carrier for p in combo),
                                  {vid: iv for p in combo for vid, iv in p.box.items()},
-                                 functools.reduce(_conj, (p.hypothesis for p in combo), None))
+                                 functools.reduce(_conj, (p.hypothesis for p in combo), None),
+                                 tuple(c for p in combo for c in p.template))
 
 
 def _alternatives(s: st.Strategy, vids: Iterator[int]) -> list[SymAlternative] | _Crossing:
@@ -726,35 +723,29 @@ def _alternatives(s: st.Strategy, vids: Iterator[int]) -> list[SymAlternative] |
     if draw is st.Just._draw:
         if isinstance(s.value, bool) or not isinstance(s.value, (int, SymExpr)):
             raise _inexpressible(s)
-        return [SymAlternative(_coerce_carrier(s.value), {}, None)]
+        return [SymAlternative(_coerce_carrier(s.value, s), {}, None, ())]
     if draw is st.IntRange._draw:
-        vid = next(vids)
-        return [SymAlternative(Var(vid), {vid: Interval(s.lo, s.hi)}, None)]
+        var = Var(next(vids))
+        return [SymAlternative(var, {var.vid: Interval(s.lo, s.hi)}, None, (var,))]
     if draw is st.Map._draw:
-        return [SymAlternative(_coerce_carrier(_record(s.transform, (alt.carrier,), "map")),
-                               alt.box, alt.hypothesis) for alt in _alternatives(s.inner, vids)]
+        return [SymAlternative(_coerce_carrier(_record(s.transform, (alt.carrier,), "map"), s),
+                               alt.box, alt.hypothesis, alt.template)
+                for alt in _alternatives(s.inner, vids)]
     if draw is st.Filter._draw:
         out = []
         for alt in _alternatives(s.inner, vids):
             raw = _record(s.predicate, (alt.carrier,), f"filter {s.label!r}")
             if not isinstance(raw, (SymBool, bool)):
-                raise _Unsupported(_INEXPRESSIBLE)
+                raise _inexpressible(s)
             out.append(SymAlternative(alt.carrier, alt.box,
-                                      _conj(alt.hypothesis, _as_bool(raw))))
+                                      _conj(alt.hypothesis, _as_bool(raw)), alt.template))
         return out
     if draw is st.OneOf._draw:
-        return [alt for branch in s.alternatives for alt in _alternatives(branch, vids)]
+        return [SymAlternative(alt.carrier, alt.box, alt.hypothesis, (i, *alt.template))
+                for i, branch in enumerate(s.alternatives) for alt in _alternatives(branch, vids)]
     if draw is st.TupleOf._draw:
         return _Crossing([list(_alternatives(component, vids)) for component in s.components])
     raise _inexpressible(s)  # ListOf, OrderedMapOf, Pattern, unknown nodes
-
-
-def _carrier_reader(carrier) -> Any:
-    """``read(valuation)``: ``carrier``'s value at a valuation (vid -> int),
-    from one program over one walk of the whole carrier, so a value costs
-    one run however many components it has, and each distinct subterm among
-    them is computed once.  A zero divisor raises EvalError."""
-    return _program(*_shape(carrier, _CARRIER_KINDS, None), True)
 
 
 def _confirmation_points(box: Box) -> list[dict]:
@@ -769,24 +760,45 @@ def _confirmation_points(box: Box) -> list[dict]:
     return list({tuple(p.values()): p for p in points}.values())
 
 
-def _failing_point(prop: Property, alt: SymAlternative) -> tuple | None:
-    """(value, message) at the first confirmation point of a proved
-    alternative where the real predicate fails, or None.  Points outside
-    the filter hypothesis, or where building the value aborts, are skipped.
-    The formula held there, so a failure means the predicate and the formula
-    it recorded over the carrier disagree."""
-    read = _carrier_reader(alt.carrier)
+def _drawn(prop: Property, alt: SymAlternative, val: dict, what: str) -> tuple[bool, Any]:
+    """``(admitted, value)`` at valuation ``val`` of ``alt``'s box: the value
+    the strategy's own draw builds from ``alt.template``, each choice a
+    branch or a variable's value less its range's ``lo``, and whether the
+    recorded hypothesis holds there (a zero divisor in it rejects, as it
+    does in a real filter).  Gives up naming ``what`` where the draw
+    raises, or where the real filters and the hypothesis disagree."""
+    choices = [c if type(c) is int else val[c.vid] - alt.box[c.vid].lo for c in alt.template]
+    try:
+        tree = st._replay(prop.strategy, choices, limit=len(choices))
+    except Exception as exc:
+        raise _Unsupported(f"{what} value aborts during evaluation: "
+                           f"{type(exc).__name__}: {exc}{raised_at(exc)}") from exc
+    try:
+        admitted = alt.hypothesis is None or concrete_truth(alt.hypothesis, val)
+    except EvalError:
+        admitted = False
+    if tree is None and admitted:
+        at = ", ".join(f"v{vid}={x}" for vid, x in val.items())
+        raise _Unsupported(f"the recorded hypothesis holds at {at} but the filters "
+                           "reject the value drawn there: they disagree")
+    if tree is not None and not admitted:
+        raise _Unsupported(f"the filters accept {tree.current!r} but the recorded "
+                           "hypothesis rejects it: they disagree")
+    return admitted, None if tree is None else tree.current
+
+
+def _confirm(prop: Property, alt: SymAlternative) -> None:
+    """Check ``alt`` at its confirmation points, after its formula held on
+    its whole box, or its hypothesis failed there (a vacuous proof): give
+    up where ``_drawn`` does, or where the real predicate fails on a value
+    the filters admit, as the predicate and its recorded formula disagree."""
     for val in _confirmation_points(alt.box):
-        try:
-            if alt.hypothesis is not None and not concrete_truth(alt.hypothesis, val):
-                continue
-            value = read(val)
-        except EvalError:
-            continue
-        ok, message = eval_predicate(prop, value)
-        if not ok:
-            return value, message
-    return None
+        admitted, value = _drawn(prop, alt, val, "a confirmation point's")
+        if admitted:
+            ok, message = eval_predicate(prop, value)
+            if not ok:
+                raise _Unsupported(f"the recorded formula holds at {value!r} but the "
+                                   f"predicate fails there ({message}): they disagree")
 
 
 # --------------------------------------------------------------------------
@@ -916,21 +928,20 @@ def _kernel(formula: SymBool, vids: list[int]) -> tuple:
 
 def _shape(node, kinds: tuple, vids: list[int] | None) -> tuple[list, list]:
     """``(nodes, locations)`` for ``node``, a formula (``kinds`` is
-    _FORMULA_KINDS), an expression (_EXPR_KINDS) or a carrier (_CARRIER_KINDS:
-    an expression or a tuple of carriers), over boxes whose variables are
-    ``vids``: the one walk that wires a formula, for the search kernel and
-    for one-shot evaluation alike.  ``nodes`` has one entry per distinct
-    subterm, operands first, with ``node`` last: its kind, or its op for a
-    comparison, then its operands' positions among the entries, a Var's
-    index in ``vids`` (its vid when ``vids`` is None), a Const's value or a
-    BoolConst's truth.  The walk is hash-consed: a subterm whose entry an
-    earlier one has, a shared node or one written twice, is that entry, so
-    each distinct subterm is evaluated once.  With ``len(vids)`` that is
-    everything the kernel's source depends on.  ``locations`` are the
-    Div/Rem locations in the same order, so an entry written twice keeps
-    its first location, which is where it aborts first.  A node outside
-    ``kinds`` raises TypeError, and a Var outside ``vids`` or a comparison
-    with an unknown op raises ValueError."""
+    _FORMULA_KINDS) or an expression (_EXPR_KINDS), over boxes whose
+    variables are ``vids``: the one walk that wires a formula, for the
+    search kernel and for one-shot evaluation alike.  ``nodes`` has one
+    entry per distinct subterm, operands first, with ``node`` last: its
+    kind, or its op for a comparison, then its operands' positions among the
+    entries, a Var's index in ``vids`` (its vid when ``vids`` is None), a
+    Const's value or a BoolConst's truth.  The walk is hash-consed: a
+    subterm whose entry an earlier one has, a shared node or one written
+    twice, is that entry, so each distinct subterm is evaluated once.  With
+    ``len(vids)`` that is everything the kernel's source depends on.
+    ``locations`` are the Div/Rem locations in the same order, so an entry
+    written twice keeps its first location, which is where it aborts first.
+    A node outside ``kinds`` raises TypeError, and a Var outside ``vids`` or
+    a comparison with an unknown op raises ValueError."""
     index = None if vids is None else {vid: i for i, vid in enumerate(vids)}
     nodes: list[tuple] = []
     seen: dict[int, int] = {}  # id(node) -> its position in nodes
@@ -964,15 +975,10 @@ def _shape(node, kinds: tuple, vids: list[int] | None) -> tuple[list, list]:
             if node.op not in _CMP_SYMBOLS:
                 raise ValueError(f"unknown comparison {node.op!r}")
             entry = (node.op, walk(node.lhs, _EXPR_KINDS), walk(node.rhs, _EXPR_KINDS))
-        elif kind is tuple:
-            entry = (tuple, *(walk(part, kinds) for part in node))
         else:
             entry = (kind, walk(node.lhs, kinds), walk(node.rhs, kinds))
-        # a Const keys on its type too, so a carrier's IntEnum member stays one
-        key = (*entry, type(node.value)) if kind is Const else entry
-        at = entries.get(key)
-        if at is None:
-            at = entries[key] = len(nodes)
+        at = entries.setdefault(entry, len(nodes))
+        if at == len(nodes):
             nodes.append(entry)
             if kind is Div or kind is Rem:
                 locations.append(node.location)
@@ -1161,8 +1167,7 @@ def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     false over its whole box is vacuously proved and flags the verdict.
     Witnesses are reported unshrunk, and only once the real predicate fails
     on them too.  A plain bool or None from the carrier is unsupported, and
-    so is a proved alternative whose box has a confirmation point where the
-    real predicate fails.
+    so is a proved or vacuous alternative that ``_confirm`` finds wrong.
     """
     budget = config.budget
     boxes = splits = 0
@@ -1173,8 +1178,9 @@ def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
         total = alts.total if isinstance(alts, _Crossing) else len(alts)
         for searched, alt in enumerate(alts):  # ``searched`` alternatives before this one
             formula = _goal(prop, alt)
-            if formula is None:
-                vacuous = True  # the whole box violates the filter: nothing to check
+            if formula is None:  # the whole box violates the filter: check only that
+                _confirm(prop, alt)
+                vacuous = True
                 boxes += 1
                 continue
             if boxes >= budget:
@@ -1185,12 +1191,7 @@ def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
             boxes += out.boxes
             splits += out.splits
             if out.status == "proved":
-                failing = _failing_point(prop, alt)
-                if failing is not None:
-                    value, message = failing
-                    raise _Unsupported(
-                        f"the recorded formula holds at {value!r} but the "
-                        f"predicate fails there ({message}): they disagree")
+                _confirm(prop, alt)
                 continue
             if out.status == "unsupported":
                 raise _Unsupported(out.note)
@@ -1198,10 +1199,7 @@ def run_symbolic(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
                 left = out.note.removeprefix(f"box budget {share} exhausted; ")
                 verdict = _stopped(out.status, budget, left, total - searched - 1, total)
                 break
-            try:
-                value = _carrier_reader(alt.carrier)(out.witness)
-            except EvalError as exc:
-                raise _Unsupported(f"witness value aborts during evaluation: {exc}") from exc
+            value = _drawn(prop, alt, out.witness, "witness")[1]
             if eval_predicate(prop, value)[0]:
                 raise _Unsupported(f"the recorded formula fails at {value!r} but the "
                                    "predicate passes there: they disagree")

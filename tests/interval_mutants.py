@@ -7,8 +7,10 @@ Each mutant below is one textual edit of one file under
 kill it.  A rule mutant (``MUTANTS``) makes interval or point evaluation
 wrong; the others (``SUITE_MUTANTS``) make the search kernel's leaf, the
 units it charges or its split wrong, merge subterms that differ, share a
-quotient between divisions that differ, let a predicate that returns None
-fail, or misplace the positions an enumeration skips.  For each, the
+quotient between divisions that differ, check a symbolic verdict on values
+the strategy did not draw there or without its filters' agreement, let a
+predicate that returns None fail, or misplace the positions an enumeration
+skips.  For each, the
 script copies ``src/`` into a temporary directory, edits the copy (never
 the checkout), and runs pytest with that copy first on ``PYTHONPATH``:
 
@@ -98,8 +100,9 @@ MUTANTS = [
 
 #: the same, for what criterion 05 does not run: the search kernel's leaf,
 #: its charge, its split and its shared quotients, the walk's matching of
-#: equal subterms, the concrete reading of a predicate's result, and where
-#: an enumeration's rejections go and what they count
+#: equal subterms, how a symbolic verdict's values are drawn and checked,
+#: the concrete reading of a predicate's result, and where an
+#: enumeration's rejections go and what they count
 SUITE_MUTANTS = [
     ("symbolic.py", "the leaf drops each range's last point",
      "f'range(l{i}, h{i} + 1), '",
@@ -123,11 +126,20 @@ SUITE_MUTANTS = [
      'f"if h{i} - l{i} > w:',
      'f"if h{i} - l{i} >= w:', SYMBOLIC),
     ("symbolic.py", "equal subterms are matched by kind and left operand only",
-     "if kind is Const else entry\n",
-     "if kind is Const else entry[:2]\n", SYMBOLIC),
+     "entries.setdefault(entry, len(nodes))",
+     "entries.setdefault(entry[:2], len(nodes))", SYMBOLIC),
     ("symbolic.py", "a shared quotient is looked up by its dividend only",
      "pair = (a, b)",
      "pair = a", SYMBOLIC),
+    ("symbolic.py", "a checked value is drawn with every variable at its range's lo",
+     "else val[c.vid] - alt.box[c.vid].lo for c in alt.template]",
+     "else 0 for c in alt.template]", SYMBOLIC),
+    ("symbolic.py", "the filters alone admit a drawn value, the hypothesis unchecked",
+     "admitted = alt.hypothesis is None or concrete_truth(alt.hypothesis, val)",
+     "admitted = tree is not None", SYMBOLIC),
+    ("symbolic.py", "a vacuous alternative is left unconfirmed",
+     "check only that\n                _confirm(prop, alt)\n",
+     "check only that\n", SYMBOLIC),
     ("harness.py", "a predicate that returns None fails",
      "if result is None or result is True or result:",
      "if result is True or result:", SYMBOLIC),

@@ -575,7 +575,8 @@ def test_symbolic_proof_is_confirmed_inside_the_box():
     v = run_symbolic(Property("acc.by_type_inside", st.int_range(-5, 5), by_type), RunConfig())
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.UNSUPPORTED
-    assert v.detail == "predicate tests the type of a symbolic value"
+    line = by_type.__code__.co_firstlineno + 1  # the line that tests the type
+    assert v.detail == f"predicate tests the type of a symbolic value at test_acceptance.py:{line}"
 
 
 def test_symbolic_filter_that_tests_types_is_unsupported():
@@ -588,7 +589,8 @@ def test_symbolic_filter_that_tests_types_is_unsupported():
     v = run_symbolic(prop, RunConfig())
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.UNSUPPORTED
-    assert v.detail == "filter 'not_3' tests the type of a symbolic value"
+    line = s.predicate.__code__.co_firstlineno
+    assert v.detail == f"filter 'not_3' tests the type of a symbolic value at test_acceptance.py:{line}"
     assert run_exhaustive(prop, RunConfig()).kind is VerdictKind.PROVED
     assert run_ensemble(prop, ["symbolic", "exhaustive"], RunConfig()).kind is VerdictKind.PROVED
 
@@ -608,18 +610,67 @@ def test_symbolic_filter_that_is_a_type_test_is_not_vacuously_proved():
 
 def test_symbolic_map_that_tests_types_is_unsupported():
     """A map that branches on ``isinstance`` records ``a * 0`` over the
-    carrier, which never equals 3, while on ints it is the identity.  A
-    proof's confirmation evaluates the recorded carrier, not the real map,
-    so it could not catch this: symbolic proved what fuzz and exhaustive
-    falsify at 3."""
+    carrier, which never equals 3, while on ints it is the identity.  The
+    proof's confirmation points (-5, 5 and 0) miss 3, so only the noted type
+    test keeps symbolic from proving what fuzz and exhaustive falsify at 3."""
     s = st.int_range(-5, 5).map(lambda a: a if isinstance(a, int) else a * 0)
     prop = Property("acc.map_by_type", s, lambda a: a != 3)
     v = run_symbolic(prop, RunConfig())
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.UNSUPPORTED
-    assert v.detail == "map tests the type of a symbolic value"
+    line = s.transform.__code__.co_firstlineno
+    assert v.detail == f"map tests the type of a symbolic value at test_acceptance.py:{line}"
     assert run_exhaustive(prop, RunConfig()).counterexample.shrunk == 3
     assert run_fuzz(prop, RunConfig()).counterexample.shrunk == 3
+
+
+def test_symbolic_map_that_tests_types_invisibly_is_confirmed_through_its_draw(tmp_path, capsys):
+    """``type(x) is int`` reads no ``__class__``, so the carrier records the
+    map as the identity and ``y <= 9`` held on the whole box.  Symbolic used
+    to confirm the proof on the recorded carrier, read 9 at the top corner
+    and proved what exhaustive falsifies at 10, so the ensemble aborted with
+    InconsistentBackends.  Each confirmation point is now drawn by the
+    strategy, through the real map."""
+    s = st.int_range(0, 9).map(lambda x: x + 1 if type(x) is int else x)
+    v = run_symbolic(Property("m.shift", s, lambda y: y <= 9), RunConfig())
+    assert v.describe() == (
+        "unknown: unsupported (the recorded formula holds at 10 but the predicate fails "
+        "there (predicate returned a falsy value): they disagree)")
+    rc, result = _ensemble_report(tmp_path, capsys, "m.shift", s, lambda y: y <= 9)
+    assert rc == 1  # falsified, not 3 (InconsistentBackends)
+    assert (result["verdict"], result["counterexample"]["shrunk"]) == ("falsified", "10")
+
+
+def test_symbolic_filter_that_tests_types_invisibly_is_not_vacuously_proved(tmp_path, capsys):
+    """``type(x) is int and x > 5`` is False on the carrier, so the
+    hypothesis was false over the whole box and symbolic proved ``x < 7``
+    vacuously, which exhaustive falsifies at 7.  A vacuous alternative is
+    now drawn at its confirmation points too: the real filter accepts 9."""
+    s = st.int_range(0, 9).filter("big", lambda x: type(x) is int and x > 5)
+    v = run_symbolic(Property("f.big", s, lambda x: x < 7), RunConfig())
+    assert v.describe() == (
+        "unknown: unsupported (the filters accept 9 but the recorded hypothesis "
+        "rejects it: they disagree)")
+    rc, result = _ensemble_report(tmp_path, capsys, "f.big", s, lambda x: x < 7)
+    assert rc == 1
+    assert (result["verdict"], result["counterexample"]["shrunk"]) == ("falsified", "7")
+
+
+def test_symbolic_filters_and_hypothesis_must_agree_where_the_formula_held():
+    """Inside a proof, a confirmation point where the recorded hypothesis
+    and the real filters disagree gives up, whichever way they disagree."""
+    admits_more = st.int_range(0, 9).filter("low", lambda x: x < 5 if type(x) is not int else True)
+    v = run_symbolic(Property("f.admits_more", admits_more, lambda x: x < 5), RunConfig())
+    assert v.detail == ("the filters accept 9 but the recorded hypothesis rejects it: "
+                        "they disagree")
+    rejects_more = st.int_range(0, 9).filter("high", lambda x: x > 5 if type(x) is int else x < 5)
+    v = run_symbolic(Property("f.rejects_more", rejects_more, lambda x: x < 5), RunConfig())
+    assert v.detail == ("the recorded hypothesis holds at v0=0 but the filters reject the "
+                        "value drawn there: they disagree")
+    # a witness the filters reject is no counterexample
+    v = run_symbolic(Property("f.witness", rejects_more, lambda x: x < 3), RunConfig())
+    assert v.detail == ("the recorded hypothesis holds at v0=3 but the filters reject the "
+                        "value drawn there: they disagree")
 
 
 # --------------------------------------------------------------------------

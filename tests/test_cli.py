@@ -290,6 +290,13 @@ def test_config_file_types_are_checked(tmp_path):
     cfg.write_text("[1, 2]")
     with pytest.raises(UsageError, match="must be a JSON object"):
         read_config_file(str(cfg))
+    # a key's type is its RunConfig field's: filter may be null, as a
+    # report's config block writes it, but not a number
+    cfg.write_text(json.dumps({"filter": None}))
+    assert read_config_file(str(cfg)) == {"filter": None}
+    cfg.write_text(json.dumps({"filter": 5}))
+    with pytest.raises(UsageError, match=r"key filter must be str \| None, got int"):
+        read_config_file(str(cfg))
 
 
 def test_a_reports_config_block_is_a_valid_config_file(tmp_path, passing_registry):

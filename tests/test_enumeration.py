@@ -16,7 +16,10 @@ state, rejection budget and error, and a replay of the recorded choices
 with no PRNG draws the same values again.
 """
 
+import gc
 import itertools
+import linecache
+import traceback
 
 import pytest
 
@@ -485,6 +488,28 @@ def test_the_generated_draw_reaches_every_edge():
                             for d in _draws(DRAWN_ZOO[name]._draw_factory(ctx)))
     assert outcomes == {"generated.map_raises", "generated.filter_raises",
                         "ZeroDivisionError: integer division or modulo by zero"}
+
+
+def test_a_crash_in_a_generated_draw_shows_the_line_it_was_on():
+    """Each written draw's source is registered under a name of its own, so
+    a traceback through it shows the generated line (which map it was
+    calling), not a bare ``File "<tricheck draw>"``."""
+    crashing = int_range(0, 9).map(lambda x: 1 // (x - x))
+    with pytest.raises(ZeroDivisionError) as caught:
+        run_fuzz(Property("crash", crashing, lambda y: y >= 0), RunConfig())
+    (frame,) = [f for f in traceback.extract_tb(caught.value.__traceback__)
+                if f.filename.startswith("<tricheck draw")]
+    assert frame.name == "draw" and frame.line.startswith("x = k")
+    # each draw has a name of its own, whose source is its own
+    assert frame.filename == crashing._draw_factory.__code__.co_filename
+    other = int_range(0, 9)
+    name = other._draw_factory.__code__.co_filename
+    assert name != frame.filename and name in linecache.cache
+    # and kept only while the draw can run: a strategy rebuilt on every run
+    # leaves nothing behind
+    del other
+    gc.collect()
+    assert name not in linecache.cache
 
 
 def _counted():

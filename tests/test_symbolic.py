@@ -391,10 +391,13 @@ def test_prune_division_straddling_zero_is_unsupported():
     v = run(int_range(-5, 5).filter("d", lambda a: tdiv(10, a) > 0), lambda a: a > 0)
     assert v.describe().startswith("unknown: unsupported (divisor interval contains zero at ")
     assert v.cases == 0
-    # in a map, the witness found is a point where the map divides by zero
-    v = run(int_range(-3, 3).map(lambda a: (a, tdiv(6, a))), lambda t: t[0] != 0)
-    assert v.describe().startswith(
-        "unknown: unsupported (witness value aborts during evaluation: div_by_zero at ")
+    # in a map, the witness found is a point where the real map divides by
+    # zero as the strategy draws it: the detail names the map's line
+    shift = lambda a: (a, tdiv(6, a))  # noqa: E731
+    v = run(int_range(-3, 3).map(shift), lambda t: t[0] != 0)
+    assert v.describe() == (
+        "unknown: unsupported (witness value aborts during evaluation: ZeroDivisionError: "
+        f"integer division or modulo by zero at test_symbolic.py:{shift.__code__.co_firstlineno})")
 
 
 def test_a_point_box_always_decides():
@@ -486,10 +489,14 @@ def test_driver_container_domain_is_unsupported():
     (one_of(int_range(0, 9), just(None)), "just(None)"),
     (list_of(tuple_of(*[int_range(0, 1)] * 1000), 0, 2),
      "list_of(tuple_of(" + "int_range(0, 1, i64), " * 2 + "int_range(0, 1, i6…"),
-], ids=["list", "ordered_map", "pattern", "just", "long"])
+    (tuple_of(int_range(0, 9).map(lambda x: True), int_range(0, 1)),
+     "int_range(0, 9, i64).map(<lambda>)"),
+    (int_range(0, 9).filter("none", lambda x: None), "int_range(0, 9, i64).filter('none')"),
+], ids=["list", "ordered_map", "pattern", "just", "long", "map_result", "filter_result"])
 def test_an_inexpressible_node_is_named_in_the_detail(strategy, node):
     """The detail names the node that has no carrier, not the whole domain,
-    and cuts a name longer than 80 characters."""
+    and cuts a name longer than 80 characters; a map or filter whose result
+    has no carrier is that node."""
     v = run(strategy, lambda x: True)
     assert v.reason is UnknownReason.UNSUPPORTED
     assert v.detail == f"strategy {node} is not expressible over the symbolic carrier"
@@ -582,24 +589,20 @@ def test_a_proof_confirms_bare_variable_fields_without_evaluating_them(monkeypat
     assert (len(evaluated), len(confirmed)) == (0, 300 + 2)
 
 
-def test_a_proof_confirms_mapped_fields_with_one_program_run_per_point(monkeypatch):
-    """A field that is a map of a drawn int is evaluated, but all 300 fields
-    at a confirmation point are one run of one program, over one walk of
-    the whole carrier tuple: no node is evaluated on its own."""
-    evaluated, runs, confirmed = [], [], []
-    evaluate, program = sym._evaluate, sym._program
+def test_a_proof_confirms_mapped_fields_with_one_replay_per_point(monkeypatch):
+    """A field that is a map of a drawn int is built by the real map: each
+    confirmation point is one replay of the strategy's own draw, reading
+    exactly the 300 choices of the template, and evaluates no formula."""
+    evaluated, replays, confirmed = [], [], []
+    evaluate, replay = sym._evaluate, sym.st._replay
 
     def counted_evaluate(node, *args):
         evaluated.append(node)
         return evaluate(node, *args)
 
-    def counted_program(*args):
-        run = program(*args)
-
-        def counted_run(env):
-            runs.append(env)
-            return run(env)
-        return counted_run
+    def counted_replay(strategy, prefix, limit=None):
+        replays.append((len(prefix), limit))
+        return replay(strategy, prefix, limit)
 
     def holds(*xs):
         if type(xs[0]) is int:
@@ -607,23 +610,21 @@ def test_a_proof_confirms_mapped_fields_with_one_program_run_per_point(monkeypat
         return sum(xs) >= 0
 
     monkeypatch.setattr(sym, "_evaluate", counted_evaluate)
-    monkeypatch.setattr(sym, "_program", counted_program)
+    monkeypatch.setattr(sym.st, "_replay", counted_replay)
     v = run(tuple_of(*[int_range(0, 1).map(lambda x: x + 1)] * 300), holds)
     assert v.describe() == "proved (symbolic, 1 boxes)"
-    assert (len(evaluated), len(runs), len(confirmed)) == (0, 300 + 2, 300 + 2)
+    assert (len(evaluated), len(replays), len(confirmed)) == (0, 300 + 2, 300 + 2)
+    assert set(replays) == {(300, 300)}
     assert confirmed[:2] == [(1,) * 300, (2,) * 300]
 
 
-def test_a_carrier_is_read_with_its_constants_as_written():
-    """Equal subterms of a carrier are read once, but a constant keeps its
-    type: an IntEnum member and the int it equals stay two components."""
-    x = Var(0)
-    read = sym._carrier_reader((Const(1), Const(Color.RED), x + 1, (x + 1, x)))
-    value = read({0: 4})
-    assert value == (1, 1, 5, (5, 4))
-    assert [type(c) for c in value[:2]] == [int, Color]
-    with pytest.raises(EvalError):
-        sym._carrier_reader((x, tdiv(7, x)))({0: 0})
+def test_a_value_keeps_the_constants_its_map_wrote():
+    """A witness is the strategy's own draw, so an IntEnum member a map
+    returns stays one, beside the int it equals."""
+    v = run(int_range(0, 4).map(lambda x: (1, Color.RED, x + 1, (x + 1, x))),
+            lambda t: t[3][1] < 4)
+    assert v.counterexample.original == (1, 1, 5, (5, 4))
+    assert [type(c) for c in v.counterexample.original[:2]] == [int, Color]
 
 
 def test_a_wide_witness_inside_a_leaf_is_charged_as_point_by_point():
@@ -686,8 +687,8 @@ def test_a_tuple_builds_only_the_alternatives_the_search_reaches(monkeypatch):
     built = []
 
     class Counted(sym.SymAlternative):
-        def __init__(self, carrier, box, hypothesis):
-            super().__init__(carrier, box, hypothesis)
+        def __init__(self, carrier, *rest):
+            super().__init__(carrier, *rest)
             if isinstance(carrier, tuple):
                 built.append(carrier)
 
