@@ -13,26 +13,25 @@ from itertools import islice
 from .fuzz import falsified, shrink_failure
 from .harness import DeadlineReached, Property, RunConfig, Ticker, backend, eval_predicate
 from .results import UnknownReason, Verdict
-# ``iter_trees`` here is the position walk, under the name through which
+# ``iter_trees`` here is the walk of values, under the name through which
 # ``bench/tracing.py`` and ``tests/test_hooks.py`` count one step per
 # enumerated value; ROADMAP item 2 renames it once the benchmark reads
 # counters from verdicts
-from .strategies import (EnumStats, NotEnumerable, RejectionExhausted, _tree_at,
-                         cardinality, iter_positions as iter_trees)
+from .strategies import (EnumStats, NotEnumerable, RejectionExhausted, _replay, cardinality,
+                         walk as iter_trees)
 
 
 @backend("exhaustive")
 def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict:
     """Prove by enumerating every value, or refute with the first failure.
 
-    The walk yields (base position, value) pairs and builds no tree; only a
-    failing position is rebuilt (``_tree_at``), replayed from its choices,
-    and shrunk.
+    The walk yields values and builds no tree; only a failing value is
+    rebuilt, replayed from the choices the walk gives for it, and shrunk.
 
     * Finite cardinality n <= budget: full enumeration; Proved only after
-      one evaluation per base position walked, and no more positions than
-      n (asserted).  Under ``map``, n is an upper bound, so fewer positions
-      than n may be walked.
+      one evaluation per value walked, and no more values than n
+      (asserted).  Under ``map``, n is an upper bound, so fewer values than
+      n may be walked.
     * Finite n > budget, or TooLarge: Unknown{BudgetExceeded} without
       evaluating anything, reporting the needed count when known.
     * Unknown cardinality (a filter is present): enumerate the filtered
@@ -53,7 +52,7 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
 
     # a finite cardinality means no filter, so the bound only binds under one
     stats = EnumStats(max_rejected=10 * budget, on_reject=ticker.tick)
-    positions = iter_trees(prop.strategy, stats)
+    values = iter_trees(prop.strategy, stats)
     limit = None if card.is_finite else budget  # a finite domain is within budget
     count, left = 0, ticker.lease()
     try:
@@ -61,7 +60,7 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
         while True:
             size = left if limit is None else min(left, limit - count)
             start = count
-            for index, value in islice(positions, size):
+            for value in islice(values, size):
                 count += 1
                 ok, message = eval_predicate(prop, value)
                 # checked before the poll, so a failure on a poll boundary is
@@ -69,8 +68,9 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
                 if not ok:
                     ticker.release(left - (count - start))
                     # the predicate may mutate what it is given, so it sees only
-                    # fresh replays; the position replayed here never is
-                    root = _tree_at(prop.strategy, index)
+                    # fresh replays; the walk's choices, read from ``stats`` (a
+                    # caller may wrap its iterator), never read a value
+                    root = _replay(prop.strategy, stats.choices())
                     return falsified(root, shrink_failure(prop, root, ticker),
                                      None, count - 1, message)
             if count - start < size:
@@ -78,20 +78,19 @@ def run_exhaustive(prop: Property, config: RunConfig, ticker: Ticker) -> Verdict
             if size == left:
                 left = ticker.renew()
             if count == limit:
-                if next(positions, None) is None:
-                    break
-                return Verdict.unknown(
-                    UnknownReason.BUDGET_EXCEEDED,
-                    detail=f"accepted values exceeded budget {budget}")
+                for _ in values:  # a value may be None, so no default of next() marks the end
+                    return Verdict.unknown(
+                        UnknownReason.BUDGET_EXCEEDED,
+                        detail=f"accepted values exceeded budget {budget}")
+                break
     except (RejectionExhausted, NotEnumerable) as exc:
         return Verdict.unknown(UnknownReason.BUDGET_EXCEEDED, detail=str(exc), cases=count)
     except DeadlineReached:
         return Verdict.unknown(UnknownReason.TIMEOUT, cases=count)
 
-    if card.is_finite and not count == (span := prop.strategy._span()) <= card.count:
-        raise AssertionError(
-            f"enumeration of {prop.name!r} yielded {count} values, "
-            f"its span is {span}, cardinality said at most {card.count}")
+    if card.is_finite and count > card.count:
+        raise AssertionError(f"enumeration of {prop.name!r} yielded {count} values, "
+                             f"cardinality said at most {card.count}")
     verdict = Verdict.proved("exhaustive", count)
     verdict.vacuity_warning = count == 0  # nothing satisfied the filters
     return verdict

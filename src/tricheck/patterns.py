@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from .strategies import (Cardinality, EnumStats, Skip, Strategy, _Context, int_range, just,
+from .strategies import (Cardinality, EnumStats, Strategy, Walk, _Context, int_range, just,
                          list_of, one_of, tuple_of)
 
 PRINTABLE_LO = 0x20
@@ -273,14 +273,8 @@ class Pattern(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return self._compiled._draw(ctx)
 
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        return self._compiled._values(stats, skip)
-
-    def _unrank(self, index: int) -> list[int]:
-        return self._compiled._unrank(index)
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        return self._compiled._span(stats)
+    def _walk(self, stats: EnumStats) -> Walk:
+        return self._compiled._walk(stats)
 
     def __repr__(self) -> str:
         return f"pattern({self.text!r})"

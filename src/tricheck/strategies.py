@@ -10,11 +10,12 @@ every backend shares them:
 * ``random_tree``     -- a seeded draw with its choices recorded, as a
                          :class:`ValueTree` (the value plus its ordered shrink
                          candidates);
-* ``iter_positions``  -- the canonical, deterministic enumeration of the
-                         whole domain, walked as (base position, plain
-                         value) pairs (below), and ``iter_trees`` the same
-                         walk as trees;
+* ``_walk``           -- the canonical, deterministic enumeration of the
+                         whole domain, each value with the choices that draw
+                         it (below);
 * ``cardinality``     -- the exact or bounding size of the domain.
+
+So each node has three readings: ``_cardinality``, ``_draw`` and ``_walk``.
 
 The symbolic interpretation lives in :mod:`tricheck.symbolic` so this module
 stays free of solver machinery.
@@ -45,32 +46,19 @@ shrinking and outside strategies use it, the generated draw calls it for
 any node it does not write or that nests too deep to compile, and the tests
 hold the two to the same values, words and errors.
 
-Enumeration is index-addressed.  A node's base positions are its values in
-canonical order, except that a filter keeps its inner domain's positions
-(rejected ones too) and ``ordered_map_of`` deduplicates its keys.  ``_span()``
-counts them, ``_values(stats, skip)`` streams the plain value at each
-accepted one lazily, and ``_unrank(i)`` gives the choices that draw position
-``i``: mixed-radix digits for products (last component fastest), offsets for
-sums and sizes, and for maps the key and value choices of the combination
-that a combinadic rank picks.  An empty domain raises ``IndexError`` for
-``_unrank(0)``, as for any position out of range; at position 0 no node
-reads a span and products unrank their components in enumeration order, so
-rebuilding it walks no key universe that enumeration did not.
-
-A stream holds only values, built from chained C iterators (``chain``,
-``map``, ``zip``) except where a filter or a map's entries need a
-generator.  A filter reports each value it rejects as ``skip(())``, and a
-product's left half reports a rejection as ``skip(rest + right)``: the
-rejected position heads the whole product of the components in ``rest``.
-``iter_positions`` pairs each value with its base position and builds
-nothing per value: a domain of known size has no filter, so ``enumerate``
-counts it in C, and any other goes through one generator that sizes what
-``skip`` was told only once the next accepted value comes, so a skipped
-tail is never walked for nothing.  The exhaustive backend and a map's key
-walk go through it; ``iter_trees`` wraps each pair in an ``_IndexedTree``
-for callers that want trees.  ``enumerate_values`` needs no positions, so
-its ``skip`` drops what it is told.  A tree is replayed only where one is
-asked, from its position (``_tree_at``).
+Enumeration walks each node once.  ``_walk(stats)`` returns the node's
+values in canonical order as a lazy stream of chained C iterators, and
+``choices()``, the choices that draw the value last yielded, never read
+from that value, which the predicate may have mutated: an ``int_range``
+reads how many values its range iterator has left; a ``one_of``, a list
+size and each half of a product note the walk they started last; and a
+map notes each distinct key's choices as it walks its keys, once, before
+its first entry.  A filter drops, and notes in ``stats``, each value its
+predicate rejects, so it never walks what that value would have been
+combined with.  ``walk`` puts a walk's ``choices`` in ``stats``: the
+exhaustive backend walks values through it and replays only a failing
+value, from its choices.  ``iter_trees`` and ``enumerate_values`` are views
+of the same walk, as shrinkable trees carrying their choices and as values.
 """
 
 from __future__ import annotations
@@ -94,7 +82,7 @@ TOO_LARGE_LIMIT = 2 ** 63
 #: Per-value retry budget when a filter (or a distinct-key draw) rejects.
 MAX_REJECTIONS_PER_VALUE = 100
 
-#: Safety cap when a key-ordered map has to materialize its key universe.
+#: Safety cap on the distinct keys a key-ordered map's enumeration walks.
 _KEY_UNIVERSE_CAP = 1_000_000
 
 
@@ -286,6 +274,9 @@ def _edits(choices: tuple[int, ...],
                 step //= 2
 
 
+_first = operator.itemgetter(0)
+
+
 def _key_sorted(entries: list, key: Callable[[Any], Any]) -> list:
     try:
         return sorted(entries, key=key)
@@ -402,7 +393,7 @@ class _DrawWriter:
         self.lines = ["def make(ctx):", " u, charge = ctx.rng.next_u64, ctx.charge_rejection",
                       " def draw():"]
         self.names = {"RejectionExhausted": RejectionExhausted, "_key_sorted": _key_sorted,
-                      "_first": operator.itemgetter(0)}
+                      "_first": _first}
         self.indent, self.locals = 0, 0  # suites open in ``draw``
 
     def factory(self, s: "Strategy") -> Callable[[_Context], Callable[[], Any]]:
@@ -519,15 +510,16 @@ class _DrawWriter:
 
 class EnumStats:
     """Counters threaded through enumeration; lets callers bound the filter
-    rejections walked."""
+    rejections walked, and read the choices of the value last walked."""
 
-    __slots__ = ("rejected", "max_rejected", "on_reject")
+    __slots__ = ("rejected", "max_rejected", "on_reject", "choices")
 
     def __init__(self, max_rejected: int | None = None,
                  on_reject: Callable[[], None] | None = None) -> None:
         self.rejected = 0
         self.max_rejected = max_rejected
         self.on_reject = on_reject
+        self.choices: Callable[[], list[int]] | None = None  # set by ``walk``
 
     def note_reject(self, label: str) -> None:
         self.rejected += 1
@@ -538,53 +530,54 @@ class EnumStats:
                 label, f"filter {label!r}: base-domain traversal bound exceeded")
 
 
-#: Where a rejection goes: ``skip(rest)`` for a rejected position that heads
-#: the whole product of the components in ``rest``.
-Skip = Callable[[tuple], None]
+#: a node's values in canonical order, lazily, and ``choices()``, the
+#: choices that draw the value last yielded
+Walk = tuple[Iterator[Any], Callable[[], list[int]]]
 
 
-def _product(comps: Sequence["Strategy"], stats: EnumStats | None, skip: Skip,
-             prefix: tuple = ()) -> Iterator[tuple]:
-    """``prefix`` extended by each tuple of the row-major product of
-    ``comps`` (last component fastest), as chained C iterators.  Unlike
-    itertools.product this never materializes a component stream: the right
-    half is walked afresh for each tuple of the left half, and a rejection
-    on the left reaches ``skip`` with the right half added, since it skips
-    that half whole.  Halving keeps the nesting at log2 of the number of
-    components, and costs a generator step per left tuple only."""
-    if len(comps) > 1:
-        mid = len(comps) // 2
-        right = comps[mid:]
-        return itertools.chain.from_iterable(
-            _product(right, stats, skip, h)
-            for h in _product(comps[:mid], stats, lambda rest: skip(rest + right), prefix))
-    if comps:
-        return zip(*map(itertools.repeat, prefix), comps[0]._values(stats, skip))
-    return iter((prefix,))
+def _product(walks: Sequence[Callable[[EnumStats], Walk]], stats: EnumStats,
+             prefix: tuple = ()) -> Walk:
+    """``prefix`` extended by each tuple of the row-major product of what
+    ``walks`` start (last fastest), and the choices of the tuple last
+    yielded.  No component is materialized: the right half is walked afresh
+    per left tuple, and halving nests log2 of the component count deep.
+    ``zip`` repeats a short prefix into each tuple; a long one is copied."""
+    if len(walks) > 1:
+        mid = len(walks) // 2
+        right = walks[mid:]
+        heads, head_choices = _product(walks[:mid], stats, prefix)
+        tail_choices, head = list, None  # the head's choices, read once per head
+
+        def tails(h: tuple) -> Iterator[tuple]:
+            nonlocal tail_choices, head
+            values, tail_choices = _product(right, stats, h)
+            head = None
+            return values
+
+        def choices() -> list[int]:
+            nonlocal head
+            if head is None:
+                head = head_choices()
+            return head + tail_choices()
+        return itertools.chain.from_iterable(map(tails, heads)), choices
+    if walks:
+        values, choices = walks[0](stats)
+        if len(prefix) > 4:
+            return map(prefix.__add__, zip(values)), choices
+        return zip(*map(itertools.repeat, prefix), values), choices
+    return iter((prefix,)), list
 
 
-def _unrank_digits(comps: Sequence["Strategy"], index: int) -> list[list[int]]:
-    """The choices of each component at the mixed-radix digits of ``index``,
-    last component fastest, unranked first to last as enumeration meets them.
-    Once what is left of ``index`` is 0, so is every digit, and no span is
-    needed (a map's span may walk its whole key universe)."""
-    digits = []
-    for c in reversed(comps):
-        index, digit = divmod(index, c._span()) if index else (0, 0)
-        digits.append(digit)
-    return [c._unrank(d) for c, d in zip(comps, reversed(digits))]
+def _sum(walks: Iterator[tuple[int, Iterator[Any], Callable[[], list[int]]]]) -> Walk:
+    """The streams of ``walks``, each ``(choice, values, choices)``, chained:
+    a value's choices are its walk's choice, then that walk's own."""
+    last: tuple = ()
 
-
-def _unrank_combination(n: int, k: int, rank: int) -> list[int]:
-    """The ``rank``-th k-subset of range(n) in itertools.combinations order."""
-    out, x = [], 0
-    for left in range(k, 0, -1):
-        while rank >= (block := math.comb(n - x - 1, left - 1)):
-            rank -= block
-            x += 1
-        out.append(x)
-        x += 1
-    return out
+    def start(walk: tuple) -> Iterator[Any]:
+        nonlocal last
+        last = walk
+        return walk[1]
+    return itertools.chain.from_iterable(map(start, walks)), lambda: [last[0], *last[2]()]
 
 
 # --------------------------------------------------------------------------
@@ -594,13 +587,10 @@ class Strategy:
     """Immutable description of a value domain.  See module docstring."""
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
-        """A class that overrides ``_draw`` inherits no ``_values``,
-        ``_unrank`` or ``_span``: those read the draw it replaced."""
+        """A class that overrides ``_draw`` inherits no ``_walk`` of the draw it replaced."""
         super().__init_subclass__(**kwargs)
-        if "_draw" in vars(cls):
-            for hook in ("_values", "_unrank", "_span"):
-                if hook not in vars(cls):
-                    setattr(cls, hook, vars(Strategy)[hook])
+        if "_draw" in vars(cls) and "_walk" not in vars(cls):
+            cls._walk = vars(Strategy)["_walk"]
 
     def map(self, transform: Callable[[Any], Any]) -> "Strategy":
         """Image of this domain under ``transform`` (cardinality becomes an
@@ -633,18 +623,10 @@ class Strategy:
         a list or map is built by one ``ctx.many``."""
         raise self._uninterpreted("_draw")
 
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        """The plain value at every accepted base position, lazily; a rejected
-        one is reported as ``skip(())``, never yielded."""
-        raise self._uninterpreted("_values")
-
-    def _unrank(self, index: int) -> list[int]:
-        """The choices that draw the value at base position ``index``."""
-        raise self._uninterpreted("_unrank")
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        """The number of base positions."""
-        raise self._uninterpreted("_span")
+    def _walk(self, stats: EnumStats) -> Walk:
+        """The domain's values and their choices (``Walk``); a filter's
+        rejection is noted in ``stats``, never yielded."""
+        raise self._uninterpreted("_walk")
 
 
 @dataclass(frozen=True)
@@ -657,14 +639,8 @@ class Just(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return self.value
 
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        return iter((self.value,))
-
-    def _unrank(self, index: int) -> list[int]:
-        return []
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        return 1
+    def _walk(self, stats: EnumStats) -> Walk:
+        return iter((self.value,)), list
 
     def __repr__(self) -> str:
         return f"just({self.value!r})"
@@ -699,14 +675,10 @@ class IntRange(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return ctx.choice(self.lo, self.hi)
 
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        return iter(range(self.lo, self.hi + 1))
-
-    def _unrank(self, index: int) -> list[int]:
-        return [index]
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        return self.hi - self.lo + 1
+    def _walk(self, stats: EnumStats) -> Walk:
+        values, top = iter(range(self.lo, self.hi + 1)), self.hi - self.lo
+        left = values.__length_hint__  # exact past 2**63, where operator.length_hint raises
+        return values, lambda: [top - left()]
 
     def __repr__(self) -> str:
         kind = "i" if self.signed else "u"
@@ -724,14 +696,9 @@ class Map(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return self.transform(self.inner._draw(ctx))
 
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        return map(self.transform, self.inner._values(stats, skip))
-
-    def _unrank(self, index: int) -> list[int]:
-        return self.inner._unrank(index)
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        return self.inner._span(stats)
+    def _walk(self, stats: EnumStats) -> Walk:
+        values, choices = self.inner._walk(stats)
+        return map(self.transform, values), choices
 
     def __repr__(self) -> str:
         name = getattr(self.transform, "__name__", "<fn>")
@@ -762,20 +729,12 @@ class Filter(Strategy):
             ctx.charge_rejection(self.label)
         raise RejectionExhausted(self.label)
 
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        for v in self.inner._values(stats, skip):
-            if self._accepts(v):
-                yield v
-            else:
-                if stats is not None:
-                    stats.note_reject(self.label)
-                skip(())
+    def _walk(self, stats: EnumStats) -> Walk:
+        values, choices = self.inner._walk(stats)
 
-    def _unrank(self, index: int) -> list[int]:
-        return self.inner._unrank(index)
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        return self.inner._span(stats)
+        def kept(v: Any) -> bool:  # a rejection is noted, and ``note_reject`` returns None
+            return self._accepts(v) or stats.note_reject(self.label)
+        return filter(kept, values), choices
 
     def __repr__(self) -> str:
         return f"{self.inner!r}.filter({self.label!r})"
@@ -798,25 +757,8 @@ class OneOf(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return self.alternatives[ctx.choice(0, len(self.alternatives) - 1)]._draw(ctx)
 
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        return itertools.chain.from_iterable(
-            alt._values(stats, skip) for alt in self.alternatives)
-
-    def _unrank(self, index: int) -> list[int]:
-        for i, alt in enumerate(self.alternatives):
-            if not index:  # the first alternative with a position 0; no span is read
-                try:
-                    return [i, *alt._unrank(0)]
-                except IndexError:
-                    continue
-            span = alt._span()
-            if index < span:
-                return [i, *alt._unrank(index)]
-            index -= span
-        raise IndexError("one_of: base position out of range")
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        return sum(alt._span(stats) for alt in self.alternatives)
+    def _walk(self, stats: EnumStats) -> Walk:
+        return _sum((i, *alt._walk(stats)) for i, alt in enumerate(self.alternatives))
 
     def __repr__(self) -> str:
         return f"one_of({', '.join(map(repr, self.alternatives))})"
@@ -835,14 +777,8 @@ class TupleOf(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return tuple([c._draw(ctx) for c in self.components])
 
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        return _product(self.components, stats, skip)
-
-    def _unrank(self, index: int) -> list[int]:
-        return list(itertools.chain.from_iterable(_unrank_digits(self.components, index)))
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        return math.prod(c._span(stats) for c in self.components)
+    def _walk(self, stats: EnumStats) -> Walk:
+        return _product([c._walk for c in self.components], stats)
 
     def __repr__(self) -> str:
         return f"tuple_of({', '.join(map(repr, self.components))})"
@@ -864,23 +800,11 @@ class ListOf(Strategy):
     def _draw(self, ctx: _Context) -> Any:
         return ctx.many(self.min_len, self.max_len, self.element._draw)
 
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        return itertools.chain.from_iterable(
-            map(list, _product((self.element,) * n, stats, skip))
-            for n in range(self.min_len, self.max_len + 1))
-
-    def _unrank(self, index: int) -> list[int]:
-        for n in range(self.min_len, self.max_len + 1):
-            block = self.element._span() ** n if index else 1  # position 0 needs no span
-            if index < block:
-                return [n - self.min_len,
-                        *itertools.chain.from_iterable(_unrank_digits((self.element,) * n, index))]
-            index -= block
-        raise IndexError("list_of: base position out of range")
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        span = self.element._span(stats)
-        return sum(span ** n for n in range(self.min_len, self.max_len + 1))
+    def _walk(self, stats: EnumStats) -> Walk:
+        def sized(n: int) -> tuple:
+            values, choices = _product([self.element._walk] * n, stats)
+            return n - self.min_len, map(list, values), choices
+        return _sum(map(sized, range(self.min_len, self.max_len + 1)))
 
     def __repr__(self) -> str:
         return f"list_of({self.element!r}, {self.min_len}, {self.max_len})"
@@ -944,55 +868,30 @@ class OrderedMapOf(Strategy):
             return k, self.values._draw(ctx)
 
         entries = ctx.many(self.min_size, self._max_drawn_size, entry)
-        return dict(_key_sorted(entries, operator.itemgetter(0)))
+        return dict(_key_sorted(entries, _first))
 
-    def _key_universe(self, stats: EnumStats | None) -> list[tuple[int, Any]]:
-        """(base position, key) of each distinct accepted key, first occurrence
-        first.  Every call walks (filter calls count); a completed walk memoizes."""
-        universe: list[tuple[int, Any]] = []
-        seen: set[Any] = set()  # keys end up as dict keys, so hashable by contract
-        for index, k in iter_positions(self.keys, stats):
-            if k not in seen:
-                seen.add(k)
-                universe.append((index, k))
-                if len(universe) > _KEY_UNIVERSE_CAP:
-                    raise NotEnumerable("ordered_map_of: key universe too large to enumerate")
-        self.__dict__["_walked_key_positions"] = [i for i, _ in universe]
-        return universe
+    def _walk(self, stats: EnumStats) -> Walk:
+        def entry(key_choices: list[int]) -> Callable[[EnumStats], Walk]:
+            def walk(stats: EnumStats) -> Walk:
+                values, choices = self.values._walk(stats)
+                return values, lambda: key_choices + choices()
+            return walk
 
-    def _key_positions(self, stats: EnumStats | None = None) -> list[int]:
-        memo = self.__dict__.get("_walked_key_positions")
-        return [i for i, _ in self._key_universe(stats)] if memo is None else memo
-
-    def _sizes(self, n_keys: int) -> range:
-        return range(self.min_size, min(self.max_size, n_keys) + 1)
-
-    def _values(self, stats: EnumStats | None, skip: Skip) -> Iterator[Any]:
-        keys = [k for _, k in self._key_universe(stats)]
-        for size in self._sizes(len(keys)):
-            for key_combo in itertools.combinations(keys, size):
-                for vals in _product((self.values,) * size, stats, skip):
-                    yield dict(_key_sorted(list(zip(key_combo, vals)), lambda kv: kv[0]))
-
-    def _unrank(self, index: int) -> list[int]:
-        positions = self._key_positions()
-        vspan = self.values._span() if index else 1  # position 0 needs no value span
-        for size in self._sizes(len(positions)):
-            block = vspan ** size
-            count = math.comb(len(positions), size) * block
-            if index < count:
-                rank, index = divmod(index, block)
-                keys = [self.keys._unrank(positions[j])
-                        for j in _unrank_combination(len(positions), size, rank)]
-                vals = _unrank_digits((self.values,) * size, index)
-                return [size - self.min_size,
-                        *itertools.chain.from_iterable(k + v for k, v in zip(keys, vals))]
-            index -= count
-        raise IndexError("ordered_map_of: base position out of range")
-
-    def _span(self, stats: EnumStats | None = None) -> int:
-        n, vspan = len(self._key_positions(stats)), self.values._span(stats)
-        return sum(math.comb(n, k) * vspan ** k for k in self._sizes(n))
+        def combos() -> Iterator[tuple]:
+            keys, key_choices = self.keys._walk(stats)
+            universe: dict[Any, list[int]] = {}  # keys end up as dict keys, so hashable
+            for k in keys:
+                if k not in universe:
+                    universe[k] = key_choices()
+                    if len(universe) > _KEY_UNIVERSE_CAP:
+                        raise NotEnumerable("ordered_map_of: key universe too large to enumerate")
+            for size in range(self.min_size, min(self.max_size, len(universe)) + 1):
+                for combo in itertools.combinations(universe, size):
+                    values, choices = _product([entry(universe[k]) for k in combo], stats)
+                    yield size - self.min_size, map(
+                        lambda vals, combo=combo: dict(_key_sorted(list(zip(combo, vals)), _first)),
+                        values), choices
+        return _sum(combos())
 
     def __repr__(self) -> str:
         return (f"ordered_map_of({self.keys!r}, {self.values!r}, "
@@ -1048,74 +947,38 @@ def random_tree(strategy: Strategy, rng: SplitMix64,
     return _ChoiceTree(strategy, strategy._draw(rec), rec)
 
 
-def _tree_at(strategy: Strategy, index: int) -> _ChoiceTree:
-    """The tree at base position ``index``, replayed from its choices."""
-    return _replay(strategy, strategy._unrank(index))
+class _WalkedTree(_ChoiceTree):
+    """An enumerated value and the choices that draw it, replayed only when
+    its candidates are asked for."""
 
+    __slots__ = ()
 
-class _IndexedTree(ValueTree):
-    """An enumerated value and its base position; its tree is replayed on demand.
-    ``iter_trees`` builds one per value by slot stores, with no ``__init__``
-    (a bare call of the class costs about half of ``object.__new__``'s)."""
-
-    __slots__ = ("current", "strategy", "index")
+    def __init__(self, strategy: Strategy, value: Any, choices: list[int]) -> None:
+        self.current, self.strategy, self.choices = value, strategy, tuple(choices)
 
     def candidates(self) -> Iterator[ValueTree]:
-        return _tree_at(self.strategy, self.index).candidates()
-
-    def complexity(self) -> tuple:
-        return _tree_at(self.strategy, self.index).complexity()
+        return self.replay().candidates()
 
 
-def iter_positions(strategy: Strategy,
-                   stats: EnumStats | None = None) -> Iterator[tuple[int, Any]]:
-    """Canonical enumeration as ``(base position, value)`` pairs, building no
-    tree.  No budget gating; callers that rely on finiteness check
-    ``cardinality``.  A domain of known size has no filter below it, so
-    nothing reaches ``skip`` and each value's position is its count, paired
-    in C by ``enumerate``.  Otherwise each accepted value's position is the
-    count of positions before it, the rejected ones sized from what ``skip``
-    was told once the next accepted value comes."""
-    skipped: list[tuple] = []
-    values = strategy._values(stats, skipped.append)
-    if strategy._cardinality().kind != "unknown":
-        return enumerate(values)
-    return _skipping_positions(values, skipped, stats)
-
-
-def _skipping_positions(values: Iterator[Any], skipped: list[tuple],
-                        stats: EnumStats | None) -> Iterator[tuple[int, Any]]:
-    """``iter_positions`` of a stream whose rejections land in ``skipped``."""
-    index = 0
-    for v in values:
-        if skipped:
-            index += sum(math.prod(c._span(stats) for c in rest) for rest in skipped)
-            skipped.clear()
-        yield index, v
-        index += 1
+def walk(strategy: Strategy, stats: EnumStats) -> Iterator[Any]:
+    """Canonical enumeration of values, building no tree; ``stats.choices()``
+    gives the value last yielded's choices.  Callers check ``cardinality``."""
+    values, stats.choices = strategy._walk(stats)
+    return values
 
 
 def iter_trees(strategy: Strategy, stats: EnumStats | None = None) -> Iterator[ValueTree]:
-    """``iter_positions`` as shrinkable trees carrying their base ``index``;
-    each tree replays its choices only when its candidates are asked for."""
-    tree_type = _IndexedTree
-    for index, v in iter_positions(strategy, stats):
-        tree = tree_type()
-        tree.current = v
-        tree.strategy = strategy
-        tree.index = index
-        yield tree
+    """The walk as shrinkable trees, each carrying its value's choices."""
+    values, choices = strategy._walk(EnumStats() if stats is None else stats)
+    for v in values:
+        yield _WalkedTree(strategy, v, choices())
 
 
 def enumerate_values(strategy: Strategy, budget: int | None = None) -> Iterator[Any]:
-    """Canonical enumeration of values.
-
-    Raises NotEnumerable for a domain already known to exceed 2**63 unless a
-    ``budget`` is supplied, in which case at most ``budget`` (accepted)
-    values are yielded.
-    """
+    """Canonical enumeration of values.  Raises NotEnumerable for a domain
+    known to exceed 2**63 unless a ``budget`` caps the (accepted) values."""
     card = strategy._cardinality()
     if card.kind == "too_large" and budget is None:
         raise NotEnumerable(f"{strategy!r} has more than 2**63 elements; pass a budget")
-    values = strategy._values(None, lambda rest: None)  # no positions, so no skip to size
+    values, _ = strategy._walk(EnumStats())
     return values if budget is None else itertools.islice(values, budget)

@@ -5,10 +5,11 @@ The predicate, and each map and filter of its strategy, is run once over
 tree over {Const, Var, Add, Sub, Mul, Div, Rem, Neg} and comparisons and
 connectives over those.  ``_record`` is the one place user code meets
 carriers.  Carriers refuse to be coerced into native control flow: branching
-on a symbolic boolean, ``int()``, ``len()`` and friends raise, and a type
-test such as ``isinstance(x, int)`` reads the carrier's ``__class__``, which
-``_record`` notes.  Either way the harness is reported as unsupported rather
-than silently checked for the wrong thing.
+on a symbolic boolean, ``int()``, ``len()``, ``str()`` and friends raise,
+and a type test such as ``isinstance(x, int)`` reads the carrier's
+``__class__``, and ``repr(x)`` its text, which ``_record`` notes.  Either
+way the harness is reported as unsupported rather than silently checked
+for the wrong thing.
 
 A recorded formula is wired in one place: ``_shape`` walks it once into a
 list of nodes, operands first and each distinct subterm once.  Each
@@ -170,20 +171,37 @@ _CMP_SYMBOLS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": 
 _CMP_OPS = tuple(_CMP_SYMBOLS)
 
 
-#: thread ident -> False, or once the user code ``_record`` runs in that
-#: thread reads a carrier's ``__class__``, where (``called_at``); per thread,
-#: so a caller may check from several threads at once; empty while none records
+#: thread ident -> False, or once the user code ``_record`` runs in that thread
+#: reads a carrier's ``__class__`` or ``repr``, what and where (``called_at``);
+#: per thread, so callers may check in several threads; empty while none records
 _recording: dict[int, bool | str] = {}
+
+
+def _note(read: str) -> None:
+    """Notes the first ``read`` of a carrier by the user code ``_record``
+    runs in this thread, with the line it was made on."""
+    if _recording and _recording.get(me := threading.get_ident()) is False:
+        _recording[me] = f"{read}{called_at(sys._getframe(2))}"
 
 
 def _class(self) -> type:
     """A carrier's ``__class__``, noted while user code runs: a type test
     such as ``isinstance(x, int)`` reads it once the exact-type check fails."""
-    if _recording:
-        me = threading.get_ident()
-        if _recording.get(me) is False:
-            _recording[me] = called_at(sys._getframe(1))
+    _note("tests the type of a symbolic value")
     return type(self)
+
+
+def _repr(self) -> str:
+    """A carrier's text, noted while user code runs, so tricheck's details can print it."""
+    _note("reads the repr of a symbolic value")
+    return self._text()
+
+
+def _str(self, spec: str = "") -> str:
+    """``str`` and ``format``, refused while user code runs: ``v0`` stands for any value."""
+    if _recording and threading.get_ident() in _recording:
+        raise SymbolicCoercion("symbolic value converted to a string")
+    return format(self._text(), spec)
 
 
 def _comparison(op: str):
@@ -223,6 +241,9 @@ class SymExpr:
     __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = map(_comparison, _CMP_OPS)
     __hash__ = None  # equality builds formulas, so these are not hashable
     __class__ = property(_class)
+    __repr__ = _repr
+    __str__ = __format__ = _str
+    _text = object.__repr__  # what a node kind without text of its own prints
 
     def __bool__(self):
         raise SymbolicCoercion("symbolic value used as a native boolean")
@@ -248,7 +269,7 @@ class Const(SymExpr):
     def __init__(self, value: int) -> None:
         self.value = value
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return repr(self.value)
 
 
@@ -260,7 +281,7 @@ class Var(SymExpr):
             raise ValueError(f"variable id {vid} is negative")
         self.vid = vid
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return f"v{self.vid}"
 
 
@@ -273,7 +294,7 @@ class _Bin(SymExpr):
         self.rhs = rhs
         self.location = location  # where a Div or Rem was written
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return f"({self.lhs!r} {self.op} {self.rhs!r})"
 
 
@@ -295,14 +316,14 @@ class Mul(_Bin):
 class Div(_Bin):
     __slots__ = ()
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return f"tdiv({self.lhs!r}, {self.rhs!r})"
 
 
 class Rem(_Bin):
     __slots__ = ()
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return f"trem({self.lhs!r}, {self.rhs!r})"
 
 
@@ -312,7 +333,7 @@ class Neg(SymExpr):
     def __init__(self, inner: SymExpr) -> None:
         self.inner = inner
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return f"(-{self.inner!r})"
 
 
@@ -330,6 +351,9 @@ class SymBool:
 
     __slots__ = ("_compiled",)
     __class__ = property(_class)
+    __repr__ = _repr
+    __str__ = __format__ = _str
+    _text = object.__repr__  # what a node kind without text of its own prints
 
     def __and__(self, other):
         return And(self, _as_bool(other))
@@ -355,7 +379,7 @@ class BoolConst(SymBool):
     def __init__(self, value: bool) -> None:
         self.value = value
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return repr(self.value)
 
 
@@ -367,7 +391,7 @@ class Cmp(SymBool):
         self.lhs = lhs
         self.rhs = rhs
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return f"({self.lhs!r} {_CMP_SYMBOLS[self.op]} {self.rhs!r})"
 
 
@@ -379,7 +403,7 @@ class _Junction(SymBool):
         self.lhs = lhs
         self.rhs = rhs
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return f"({self.lhs!r} {self.op} {self.rhs!r})"
 
 
@@ -399,7 +423,7 @@ class Not(SymBool):
     def __init__(self, inner: SymBool) -> None:
         self.inner = inner
 
-    def __repr__(self) -> str:
+    def _text(self) -> str:
         return f"~{self.inner!r}"
 
 
@@ -670,9 +694,9 @@ def _record(fn, args: tuple, what: str) -> Any:
     except Exception as exc:
         raise _Unsupported(f"{what} not symbolically evaluable: {exc}{raised_at(exc)}") from exc
     finally:
-        type_tested = _recording.pop(me)
-    if type_tested is not False:
-        raise _Unsupported(f"{what} tests the type of a symbolic value{type_tested}")
+        noted = _recording.pop(me)
+    if noted is not False:
+        raise _Unsupported(f"{what} {noted}")
     return result
 
 

@@ -9,8 +9,9 @@ combinators that parser built; ``test_patterns.py`` pins their languages by
 hand).  When a test says "matches the oracle", this module is the other side
 of that comparison.  The reference enumeration at the end is
 the one exception: it is the library's previous per-node streams, written
-over plain values, kept as the baseline that index-addressed enumeration
-must reproduce.
+over plain values, kept as the baseline that the walk must reproduce, and
+beside it the choices that draw each value, read off the draw's documented
+choices rather than the walk.
 """
 
 from __future__ import annotations
@@ -345,8 +346,8 @@ def branch_and_prune_oracle(formula, box, budget, remaining=None, points=None):
 
 # --------------------------------------------------------------------------
 # reference enumeration: the per-node streams that enumeration used before
-# it became index-addressed, kept as the other side of the differential
-# tests.  Each node's stream is transcribed from the ``_iter_trees`` method
+# it was index-addressed and then walked, kept as the other side of the
+# differential tests.  Each node's stream is transcribed from the ``_iter_trees`` method
 # it once had, over plain values instead of trees.
 
 def lazy_product_reference(stream_fns):
@@ -418,3 +419,53 @@ def iter_trees_reference(s, stats=None):
                     yield _key_sorted_reference(list(zip(key_combo, val_combo)))
     else:
         raise TypeError(f"no reference enumeration for {s!r}")
+
+
+def choices_reference(s):
+    """Each value of ``s`` in canonical order with the choices that draw it,
+    as an eager list of pairs, taken from the draw's documented choices: an
+    integer's offset from ``lo``, a ``one_of``'s alternative, a list's size
+    offset from ``min_len`` and then each element's choices, and a map's size
+    offset from ``min_size`` and then each entry's key and value choices, its
+    entries in the order the keys first came and each key drawn by the
+    choices of its first value."""
+    if isinstance(s, pat.Pattern):
+        return choices_reference(s._compiled)
+    if isinstance(s, st.Just):
+        return [(s.value, [])]
+    if isinstance(s, st.IntRange):
+        return [(v, [v - s.lo]) for v in range(s.lo, s.hi + 1)]
+    if isinstance(s, st.Map):
+        return [(s.transform(v), c) for v, c in choices_reference(s.inner)]
+    if isinstance(s, st.Filter):
+        return [(v, c) for v, c in choices_reference(s.inner) if _accepts(s, v)]
+    if isinstance(s, st.OneOf):
+        return [(v, [i, *c]) for i, alt in enumerate(s.alternatives)
+                for v, c in choices_reference(alt)]
+
+    def product(pools):
+        return [([v for v, _ in combo], [x for _, c in combo for x in c])
+                for combo in itertools.product(*pools)]
+    if isinstance(s, st.TupleOf):
+        return [(tuple(vs), c) for vs, c in product([choices_reference(c)
+                                                      for c in s.components])]
+    if isinstance(s, st.ListOf):
+        pool = choices_reference(s.element)
+        return [(vs, [n - s.min_len, *c]) for n in range(s.min_len, s.max_len + 1)
+                for vs, c in product([pool] * n)]
+    if isinstance(s, st.OrderedMapOf):
+        keys = []
+        for k, c in choices_reference(s.keys):
+            if all(k != seen for seen, _ in keys):
+                keys.append((k, c))
+        pool = choices_reference(s.values)
+        out = []
+        for size in range(s.min_size, min(s.max_size, len(keys)) + 1):
+            for key_combo in itertools.combinations(keys, size):
+                for val_combo in itertools.product(pool, repeat=size):
+                    entries = list(zip(key_combo, val_combo))
+                    out.append((_key_sorted_reference([(k, v) for (k, _), (v, _) in entries]),
+                                [size - s.min_size,
+                                 *(x for (_, kc), (_, vc) in entries for x in kc + vc)]))
+        return out
+    raise TypeError(f"no reference choices for {s!r}")

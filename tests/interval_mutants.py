@@ -1,6 +1,6 @@
 """Mutation check of the interval rules, the search kernel, the
-predicate's concrete reading and the enumeration layer: does the suite
-notice an unsound one?
+carriers, the predicate's concrete reading and the enumeration layer: does
+the suite notice an unsound one?
 
 Each mutant below is one textual edit of one file under
 ``src/tricheck/``, which the mutant names, with the test files that must
@@ -8,9 +8,10 @@ kill it.  A rule mutant (``MUTANTS``) makes interval or point evaluation
 wrong; the others (``SUITE_MUTANTS``) make the search kernel's leaf, the
 units it charges or its split wrong, merge subterms that differ, share a
 quotient between divisions that differ, check a symbolic verdict on values
-the strategy did not draw there or without its filters' agreement, let a
-predicate that returns None fail, or misplace the positions an enumeration
-skips.  For each, the
+the strategy did not draw there or without its filters' agreement, let user
+code read a carrier's text unnoticed, let a predicate that returns None
+fail, or give an enumerated value choices that do not draw it, or miscount
+its filters' rejections.  For each, the
 script copies ``src/`` into a temporary directory, edits the copy (never
 the checkout), and runs pytest with that copy first on ``PYTHONPATH``:
 
@@ -101,8 +102,9 @@ MUTANTS = [
 #: the same, for what criterion 05 does not run: the search kernel's leaf,
 #: its charge, its split and its shared quotients, the walk's matching of
 #: equal subterms, how a symbolic verdict's values are drawn and checked,
-#: the concrete reading of a predicate's result, and where an
-#: enumeration's rejections go and what they count
+#: what user code may read of a carrier, the concrete reading of a
+#: predicate's result, and the choices an enumeration gives each value and
+#: the rejections it counts
 SUITE_MUTANTS = [
     ("symbolic.py", "the leaf drops each range's last point",
      "f'range(l{i}, h{i} + 1), '",
@@ -140,27 +142,33 @@ SUITE_MUTANTS = [
     ("symbolic.py", "a vacuous alternative is left unconfirmed",
      "check only that\n                _confirm(prop, alt)\n",
      "check only that\n", SYMBOLIC),
+    ("symbolic.py", "a carrier's repr is read unnoticed",
+     '    _note("reads the repr of a symbolic value")\n',
+     "", SYMBOLIC),
     ("harness.py", "a predicate that returns None fails",
      "if result is None or result is True or result:",
      "if result is True or result:", SYMBOLIC),
-    ("strategies.py", "a product's left half reports a rejection without its right half",
-     "lambda rest: skip(rest + right)",
-     "lambda rest: skip(rest)", ENUMERATION),
-    ("strategies.py", "a pending rejection counts as one position",
-     "index += sum(math.prod(c._span(stats) for c in rest) for rest in skipped)",
-     "index += len(skipped)", ENUMERATION),
-    ("strategies.py", "a filter reports nothing to skip",
-     "stats.note_reject(self.label)\n                skip(())",
-     "stats.note_reject(self.label)", ENUMERATION),
-    ("strategies.py", "a product's right half reports through the left half's wrapper",
-     "_product(right, stats, skip, h)",
-     "_product(right, stats, lambda rest: skip(rest + right), h)", ENUMERATION),
-    ("strategies.py", "a rejection is not counted",
-     "stats.note_reject(self.label)\n",
-     "pass\n", ENUMERATION),
-    ("strategies.py", "pending rejections are never cleared",
-     "skipped.clear()",
-     "pass", ENUMERATION),
+    ("strategies.py", "a filter's rejection is not noted",
+     "return self._accepts(v) or stats.note_reject(self.label)",
+     "return self._accepts(v)", ENUMERATION),
+    ("strategies.py", "a range's choice is read one past its value",
+     "lambda: [top - left()]",
+     "lambda: [top - left() + 1]", ENUMERATION),
+    ("strategies.py", "a one_of names the alternative before the one it walks",
+     "(i, *alt._walk(stats))",
+     "(i - 1, *alt._walk(stats))", ENUMERATION),
+    ("strategies.py", "a product's choices drop its left half",
+     "return head + tail_choices()",
+     "return tail_choices()", ENUMERATION),
+    ("strategies.py", "a product keeps its first head's choices for every head",
+     "            head = None\n            return values",
+     "            return values", ENUMERATION),
+    ("strategies.py", "a list's size choice is not offset by min_len",
+     "return n - self.min_len, map(list, values)",
+     "return n, map(list, values)", ENUMERATION),
+    ("strategies.py", "a map takes every key's choices from its first key",
+     "[entry(universe[k]) for k in combo]",
+     "[entry(universe[combo[0]]) for k in combo]", ENUMERATION),
 ]
 
 

@@ -253,12 +253,32 @@ def test_a_class_that_draws_its_own_way_is_checked_by_its_draws_alone(tmp_path, 
     for backend, code, line in [
             ("fuzz", 1, falsified),
             ("exhaustive", 0, "plus_one.le9: unknown: unsupported "
-                              "(strategy PlusOne has no _values interpretation)\n"),
+                              "(strategy PlusOne has no _walk interpretation)\n"),
             ("symbolic", 0, "plus_one.le9: unknown: unsupported "
                             "(strategy PlusOne is not expressible over the symbolic carrier)\n"),
             ("ensemble", 1, falsified)]:
         assert main(["run", str(mod), "--backend", backend]) == code, backend
         assert line in capsys.readouterr().out, backend
+
+
+def test_a_map_that_reads_its_value_as_text_is_falsified_not_disputed(tmp_path, capsys,
+                                                                       monkeypatch):
+    """Symbolic refuses a carrier read by ``str``, an f-string or ``repr``,
+    so the ensemble takes exhaustive's counterexample and exits 1, not 3
+    for backends that disagree."""
+    monkeypatch.chdir(tmp_path)
+    mod = tmp_path / "as_text.py"
+    mod.write_text(
+        "from tricheck import PropertyRegistry, int_range\n"
+        "REGISTRY = PropertyRegistry()\n"
+        "for name, read in (('str', str), ('fstr', '{}'.format), ('repr', repr)):\n"
+        "    REGISTRY.register('m.' + name, int_range(0, 999).map(\n"
+        "        lambda x, read=read: 1000 if read(x) == '500' else x), lambda y: y <= 999)\n"
+    )
+    assert main(["run", str(mod), "--backend", "ensemble"]) == 1
+    out = capsys.readouterr().out
+    for name in ("str", "fstr", "repr"):
+        assert f"m.{name}: falsified shrunk=1000 original=1000 case=500 " in out
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Index-addressed enumeration against the per-node streams it replaced.
+"""The walk against the per-node streams it replaced.
 
 ``_oracles.iter_trees_reference`` is the enumeration as it was before
-strategies learned ``_values``/``_unrank``/``_span``, written over plain
-values.  Over a zoo of every combinator (filters nested everywhere a filter
-can sit, patterns, and every corpus domain that is not too large) the two
-must agree on accepted values, rejection counts and labels, and the choices
-``_unrank`` gives for every position must replay into the value the stream
-has there.  ``iter_positions`` is the one reader of a ``_values`` stream
-that needs positions, and ``iter_trees`` a view over it, so map key walks
-are checked through them; ``enumerate_values`` is checked against both.
+strategies learned to walk, written over plain values, and
+``_oracles.choices_reference`` gives each value's choices from the draw's
+documented choices.  Over a zoo of every combinator (filters nested
+everywhere a filter can sit, patterns, and every corpus domain that is not
+too large) the walk must agree with them on accepted values, rejection
+counts and labels, and the choices it gives for every value must be the
+reference's and replay into that value.  ``walk`` reads a walk's choices
+through ``EnumStats``, and ``iter_trees`` and ``enumerate_values`` are views
+of the same walk, so each is checked against the others.
 
 The same zoo, with the pinned draws of ``test_pins``, holds the plain fuzz
 context and the recording context to the same draws: the same values, PRNG
@@ -24,7 +25,7 @@ import traceback
 import pytest
 
 import tricheck.strategies as st
-from _oracles import iter_trees_reference
+from _oracles import choices_reference, iter_trees_reference
 from test_pins import DRAWN
 from tricheck.corpus import REGISTRY
 from tricheck.exhaustive import run_exhaustive
@@ -37,7 +38,7 @@ from tricheck.strategies import (
     EnumStats,
     RejectionExhausted,
     ValueTree,
-    _tree_at,
+    _replay,
     int_range,
     iter_trees,
     just,
@@ -88,7 +89,7 @@ ZOO = {
     "tuple.late_pair": tuple_of(LATE, LATE),
     "tuple.filtered": tuple_of(D, D).filter("ordered", lambda t: t[0] <= t[1]),
     "tuple.nested_filtered_head": tuple_of(tuple_of(ODD, D), int_range(0, 1)),
-    # where the chained walk of filter-free nodes meets the skipping one
+    # a product with no filter nested in a product with one
     "tuple.skip_free_in_filtered": tuple_of(tuple_of(D, D), ODD),
     "tuple.of_filtered_key_map": tuple_of(ordered_map_of(ODD, D, 0, 2), int_range(0, 1)),
     "tuple.nine_bits": tuple_of(*[int_range(0, 1)] * 9),
@@ -132,8 +133,10 @@ for _prop in REGISTRY:
         _corpus.setdefault(repr(_prop.strategy), _prop)
 ZOO.update((f"corpus.{p.name}", p.strategy) for p in _corpus.values())
 
-#: every position is replayed on domains up to this many positions; beyond
-#: it, the first ones and then every 997th (the corpus' 10^6-pair products)
+#: every value's choices are replayed, and checked against the eager
+#: ``choices_reference``, on domains up to this many values; beyond it, the
+#: first ones and then every 997th are replayed (the corpus' 10^6-pair
+#: products)
 EVERY_TREE_UP_TO = 5000
 
 def _shown(value):
@@ -143,8 +146,9 @@ def _shown(value):
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_same_walk_as_the_reference(name):
     """Same accepted values in the same order and the same rejection count;
-    the choices at every index replay, all of them and no more, into the
-    value there (past ``EVERY_TREE_UP_TO``, at a stride)."""
+    each value's choices are the reference's, and replay, all of them and no
+    more, into that value (past ``EVERY_TREE_UP_TO``, at a stride and with
+    no reference)."""
     s = ZOO[name]
     ref_stats, stats = EnumStats(), EnumStats()
     ref = list(iter_trees_reference(s, ref_stats))
@@ -152,17 +156,16 @@ def test_same_walk_as_the_reference(name):
     assert [_shown(t.current) for t in got] == [_shown(v) for v in ref]
     assert [_shown(v) for v in st.enumerate_values(s)] == [_shown(v) for v in ref]
     assert stats.rejected == ref_stats.rejected
-    indices = [t.index for t in got]
-    assert indices == sorted(set(indices))
-    if s.cardinality().is_finite:
-        assert s._span() == len(got)
     big = len(ref) > EVERY_TREE_UP_TO
+    if not big:
+        assert [(_shown(t.current), list(t.choices)) for t in got] == [
+            (_shown(v), c) for v, c in choices_reference(s)]
     for i, (r, g) in enumerate(zip(ref, got)):
         if big and i >= 1000 and i % 997:
             continue
-        tree = _tree_at(s, g.index)
+        tree = _replay(s, g.choices)
         assert _shown(tree.current) == _shown(r)
-        assert tree.choices == tuple(s._unrank(g.index))
+        assert tree.choices == g.choices
         assert g.complexity() == tree.complexity()
 
 
@@ -221,17 +224,16 @@ def test_same_filter_calls_as_the_reference():
         assert seen[0] == seen[1]
 
 
-def test_unranking_agrees_with_the_stream_past_the_first_size():
-    """Mixed radix and combinadic unranking at every base position against
-    the values the stream walks; sums and sizes refuse a position past the
-    end."""
+def test_choices_agree_with_the_reference_past_the_first_size():
+    """Past the first list size, map size and alternative, each value's
+    choices are the reference's and replay into it, and the walk ends where
+    the reference does."""
     for s in (list_of(int_range(0, 2), 0, 3),
               ordered_map_of(int_range(0, 5), int_range(0, 2), 0, 3),
               one_of(just(0), tuple_of(int_range(0, 2), optional_of(D)))):
-        values = list(st.enumerate_values(s))
-        assert [_tree_at(s, i).current for i in range(s._span())] == values
-        with pytest.raises(IndexError):
-            s._unrank(len(values))
+        walked = [(t.current, list(t.choices)) for t in iter_trees(s)]
+        assert walked == choices_reference(s)
+        assert [_replay(s, c).current for _, c in walked] == list(st.enumerate_values(s))
 
 
 def test_enumeration_walks_values_without_building_trees(monkeypatch):
@@ -247,8 +249,9 @@ def test_enumeration_walks_values_without_building_trees(monkeypatch):
 
 
 def test_position_0_of_a_one_of_sizes_no_key_universe():
-    """A failure at ``[]`` rebuilds position 0, whose first alternative holds
-    a map: enumeration never walked its 100001 keys, nor does the rebuild."""
+    """A failure at ``[]`` rebuilds the first value, whose first alternative
+    holds a map: enumeration never walked its 100001 keys, nor does the
+    rebuild."""
     keys = []
 
     def few(k):
@@ -262,7 +265,7 @@ def test_position_0_of_a_one_of_sizes_no_key_universe():
     assert keys == []
 
 
-#: strategies with no position at all: a map with fewer keys than its
+#: strategies with no value at all: a map with fewer keys than its
 #: ``min_size``, a map whose values have none, and what is built over them
 EMPTY = ordered_map_of(int_range(0, 5).filter("first", lambda k: k < 1), D, 2, 2)
 OF_EMPTY = ordered_map_of(int_range(0, 3), EMPTY, 1, 1)
@@ -279,20 +282,21 @@ EMPTIES = {
 
 
 def test_position_0_falls_through_empty_alternatives():
-    """An alternative with no position at all is passed over at position 0,
-    as enumeration passes over it."""
+    """An alternative with no value at all is passed over, and the first
+    value's choices name the alternative after it."""
     for s in (*(one_of(e, just("next")) for e in EMPTIES.values()),
               one_of(*EMPTIES.values(), just("next"))):
         assert list(st.enumerate_values(s)) == ["next"]
-        assert _tree_at(s, 0).current == "next"
+        (tree,) = iter_trees(s)
+        assert _replay(s, tree.choices).current == "next"
         v = run_exhaustive(Property("p", s, lambda x: False), RunConfig(backend="exhaustive"))
         assert v.counterexample.original == v.counterexample.shrunk == "next"
 
 
 def test_position_0_unranks_no_component_after_an_empty_one():
     """Enumeration of ``tuple_of(EMPTY, big)`` stops at ``EMPTY`` and never
-    walks ``big``'s keys; rebuilding position 0 of the ``one_of`` stops
-    there too."""
+    walks ``big``'s keys; rebuilding the ``one_of``'s first value walks
+    nothing."""
     keys = []
 
     def few(k):
@@ -308,14 +312,13 @@ def test_position_0_unranks_no_component_after_an_empty_one():
 
 @pytest.mark.parametrize("name", sorted(ZOO) + [f"empty.{n}" for n in sorted(EMPTIES)])
 def test_nonempty_is_a_positive_span(name):
-    """A strategy is nonempty (position 0 exists) exactly when its span is
-    positive."""
+    """A strategy is nonempty exactly when its walk yields a first value,
+    as the reference's does, and that value's choices replay into it."""
     s = EMPTIES[name[6:]] if name.startswith("empty.") else ZOO[name]
-    if s._span() > 0:
-        s._unrank(0)
-    else:
-        with pytest.raises(IndexError):
-            s._unrank(0)
+    first, end = next(iter_trees(s), None), object()
+    assert (first is None) == (next(iter_trees_reference(s), end) is end)
+    if first is not None:
+        assert _shown(_replay(s, first.choices).current) == _shown(first.current)
 
 
 class _PlusOne(st.IntRange):
@@ -372,13 +375,13 @@ def _draws(draw, n=4):
 
 
 def _walked(walk, n=3000):
-    """The first ``n`` (position, value) pairs that ``walk()`` yields, and
+    """The first ``n`` (choices, value) pairs that ``walk()`` yields, and
     the error, with its filter label, that ended it, even one raised as the
-    walk starts (a node that draws its own way has no positions)."""
+    walk starts (a node that draws its own way has no walk)."""
     out = []
     try:
-        for index, value in itertools.islice(walk(), n):
-            out.append((index, _shown(value)))
+        for choices, value in itertools.islice(walk(), n):
+            out.append((tuple(choices), _shown(value)))
     except Exception as exc:  # noqa: BLE001 - zoo maps raise, zoo filters run dry
         out.append((type(exc).__name__, str(exc), getattr(exc, "label", None)))
     return out
@@ -386,15 +389,20 @@ def _walked(walk, n=3000):
 
 @pytest.mark.parametrize("name", sorted(DRAWN_ZOO))
 def test_positions_are_what_the_trees_carry(name):
-    """The position walk is ``iter_trees`` without the trees: the same base
-    positions and values, the same rejection count, and at each rejection
-    bound the same values before the same ``RejectionExhausted`` label."""
+    """``walk`` is ``iter_trees`` without the trees: after each value,
+    ``stats.choices()`` gives the choices its tree carries, with the same
+    rejection count, and at each rejection bound the same values before the
+    same ``RejectionExhausted`` label."""
     s = DRAWN_ZOO[name]
+
+    def walked(stats):
+        for value in st.walk(s, stats):
+            yield stats.choices(), value
 
     def both(make_stats):
         stats = [make_stats(), make_stats()]
-        walks = (_walked(lambda: st.iter_positions(s, stats[0])),
-                 _walked(lambda: ((t.index, t.current) for t in iter_trees(s, stats[1]))))
+        walks = (_walked(lambda: walked(stats[0])),
+                 _walked(lambda: ((t.choices, t.current) for t in iter_trees(s, stats[1]))))
         assert walks[0] == walks[1]
         assert stats[0].rejected == stats[1].rejected
         return walks[0], stats[0].rejected
@@ -423,24 +431,25 @@ def test_products_halve_their_components(monkeypatch):
     assert len(calls) == 358
 
 
-def test_a_rejected_head_sizes_its_tail_only_when_a_value_follows(monkeypatch):
+def test_a_rejected_head_walks_no_tail(monkeypatch):
     """A rejection on the left of a product stands for the whole right half,
-    and its span is read only once an accepted value comes: a rejection
-    that ends the walk is never sized."""
-    sized = []
-    span = st.IntRange._span
+    which is walked only for an accepted head, and a value's choices name
+    the head it came with."""
+    walked = []
+    walk = st.IntRange._walk
 
-    def counted(self, stats=None):
-        sized.append(repr(self))
-        return span(self, stats)
+    def counted(self, stats):
+        walked.append(repr(self))
+        return walk(self, stats)
 
-    monkeypatch.setattr(st.IntRange, "_span", counted)
+    monkeypatch.setattr(st.IntRange, "_walk", counted)
     tail = int_range(0, 9)
-    for keep, first in ((0, 0), (1, 10)):
-        sized.clear()
+    for keep in (0, 1):
+        walked.clear()
         s = tuple_of(int_range(0, 1).filter("head", lambda x, keep=keep: x == keep), tail)
-        assert list(st.iter_positions(s)) == [(first + i, (keep, i)) for i in range(10)]
-        assert sized == ([] if keep == 0 else [repr(tail)])
+        assert [(t.current, t.choices) for t in iter_trees(s)] == [
+            ((keep, i), (keep, i)) for i in range(10)]
+        assert walked == [repr(int_range(0, 1)), repr(tail)]
 
 
 @pytest.mark.parametrize("name", sorted(DRAWN_ZOO))

@@ -12,9 +12,10 @@ from tricheck.fuzz import run_fuzz
 from tricheck.harness import Property, RunConfig
 from tricheck.patterns import pattern
 from tricheck.results import UnknownReason, VerdictKind
+from _oracles import choices_reference, iter_trees_reference
 from tricheck.runner import ENSEMBLE_ORDER, run_ensemble
-from tricheck.strategies import (enumerate_values, int_range, iter_positions, just, list_of,
-                                 ordered_map_of, tuple_of)
+from tricheck.strategies import (enumerate_values, int_range, just, list_of, one_of,
+                                 optional_of, ordered_map_of, tuple_of)
 
 
 def prop(strategy, predicate, name="p"):
@@ -60,7 +61,7 @@ def test_empty_refinement_is_a_vacuous_proof():
 
 
 #: a product, and a product with a filter below it, over which the walk
-#: builds no tree: only a failing position is rebuilt
+#: builds no tree: only a failing value is rebuilt
 UNBUILT = {
     "product": tuple_of(int_range(0, 9), int_range(-4, 4)),
     "filtered": tuple_of(int_range(0, 9).filter("odd", lambda x: x % 2), int_range(0, 3)),
@@ -73,10 +74,11 @@ def _no_tree(*args, **kw):
 
 @pytest.mark.parametrize("name", sorted(UNBUILT))
 def test_a_passing_walk_builds_no_tree(monkeypatch, name):
-    """The walk yields positions and values; it neither builds an indexed
-    tree per value nor replays a position that did not fail."""
-    monkeypatch.setattr(st, "_IndexedTree", _no_tree)
+    """The walk yields values; it neither builds a tree per value nor
+    replays a value that did not fail."""
+    monkeypatch.setattr(st, "_WalkedTree", _no_tree)
     monkeypatch.setattr(st, "_replay", _no_tree)
+    monkeypatch.setattr(exhaustive, "_replay", _no_tree)
     v = run_exhaustive(prop(UNBUILT[name], lambda *a: True), RunConfig())
     assert v.kind is VerdictKind.PROVED
     assert v.cases == len(list(enumerate_values(UNBUILT[name])))
@@ -84,29 +86,28 @@ def test_a_passing_walk_builds_no_tree(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(UNBUILT))
 def test_a_failing_walk_rebuilds_only_the_failing_position(monkeypatch, name):
-    """A falsified walk builds no indexed tree, and its first replay is the
-    failing position's choices, rebuilt once from its base position."""
+    """A falsified walk builds no tree, and rebuilds the failing value once,
+    from the choices the reference gives for it; every later replay is a
+    shrink candidate's."""
     s = UNBUILT[name]
-    index, value = next((i, v) for i, v in iter_positions(s) if v[0] * v[1] >= 6)
-    replayed, rebuilt = [], []
-    original_replay, original_tree_at = st._replay, exhaustive._tree_at
+    value, choices = next((v, c) for v, c in choices_reference(s) if v[0] * v[1] >= 6)
+    rebuilt, replayed = [], []
+    original_replay = st._replay
 
-    def replay(strategy, prefix, limit=None):
-        replayed.append(list(prefix))
-        return original_replay(strategy, prefix, limit)
+    def noting(into):
+        def replay(strategy, prefix, limit=None):
+            into.append(list(prefix))
+            return original_replay(strategy, prefix, limit)
+        return replay
 
-    def tree_at(strategy, i):
-        rebuilt.append(i)
-        return original_tree_at(strategy, i)
-
-    monkeypatch.setattr(st, "_IndexedTree", _no_tree)
-    monkeypatch.setattr(st, "_replay", replay)
-    monkeypatch.setattr(exhaustive, "_tree_at", tree_at)
+    monkeypatch.setattr(st, "_WalkedTree", _no_tree)
+    monkeypatch.setattr(st, "_replay", noting(replayed))
+    monkeypatch.setattr(exhaustive, "_replay", noting(rebuilt))
     v = run_exhaustive(prop(s, lambda a, b: a * b < 6), RunConfig())
     assert v.kind is VerdictKind.FALSIFIED
     assert v.counterexample.original == value
-    assert rebuilt == [index]
-    assert replayed[0] == s._unrank(index)
+    assert rebuilt == [choices]
+    assert replayed and all(len(r) <= len(choices) for r in replayed)
 
 
 # --------------------------------------------------------------------------
@@ -138,6 +139,89 @@ def test_counterexample_is_shrunk():
     v = run_exhaustive(p, RunConfig())
     assert v.kind is VerdictKind.FALSIFIED
     assert v.counterexample.shrunk == [0, 0, 0]
+
+
+def _below_six(xs):
+    assert sum(xs) < 6, f"sum of {xs} is {sum(xs)}"
+
+
+#: a tuple, a list, a filter, a one_of and an ordered map, each with a
+#: predicate that first fails past its first value, by returning False or by
+#: raising
+REBUILT = {
+    "tuple": (tuple_of(list_of(int_range(0, 3), 0, 2), int_range(0, 4)),
+              lambda xs, n: sum(xs) + n < 6),
+    "list": (list_of(int_range(0, 3), 0, 3), _below_six),
+    "filter": (list_of(int_range(0, 4), 0, 3).filter("sorted", lambda xs: xs == sorted(xs)),
+               lambda xs: len(xs) < 3 or xs[1] < 2),
+    "one_of": (one_of(just(None), optional_of(list_of(int_range(0, 3), 1, 3))),
+               lambda xs: xs is None or _below_six(xs)),
+    "map": (ordered_map_of(int_range(0, 3), int_range(0, 2), 0, 3),
+            lambda m: sum(m.values()) + len(m) < 5),
+}
+
+
+def _scramble(value):
+    """Mutates every list and dict in ``value``."""
+    if isinstance(value, list):
+        value.append(-7)
+    elif isinstance(value, dict):
+        value.clear()
+    elif isinstance(value, tuple):
+        for part in value:
+            _scramble(part)
+
+
+def _mutating(check):
+    """``check``, which scrambles its argument before it fails."""
+    def predicate(*args):
+        try:
+            ok = check(*args)
+        except AssertionError:
+            _scramble(args)
+            raise
+        if ok is False:
+            _scramble(args)
+        return ok
+    return predicate
+
+
+def _falsification(v):
+    assert v.kind is VerdictKind.FALSIFIED
+    c = v.counterexample
+    return c.original, c.shrunk, c.case_index, c.message
+
+
+@pytest.mark.parametrize("name", sorted(REBUILT))
+def test_a_failure_is_rebuilt_from_the_walks_choices(monkeypatch, name):
+    """The failing value is the reference's first failing one, and is
+    rebuilt alike when the predicate mutates it before failing, and when
+    ``exhaustive.iter_trees`` is wrapped in a plain generator, as
+    ``bench/tracing.py`` wraps it: the rebuild reads the walk's choices
+    from ``EnumStats``, not from the value or the iterator."""
+    s, check = REBUILT[name]
+    expected = _falsification(run_exhaustive(prop(s, check), RunConfig()))
+    unpack = isinstance(s, st.TupleOf)
+    first = next(i for i, v in enumerate(iter_trees_reference(s))
+                 if _fails(check, v, unpack))
+    assert expected[0] == list(iter_trees_reference(s))[first]
+    assert expected[2] == first
+    assert _falsification(run_exhaustive(prop(s, _mutating(check)), RunConfig())) == expected
+    walk = exhaustive.iter_trees
+
+    def wrapped(strategy, stats):
+        yield from walk(strategy, stats)
+
+    monkeypatch.setattr(exhaustive, "iter_trees", wrapped)
+    assert _falsification(run_exhaustive(prop(s, check), RunConfig())) == expected
+    assert _falsification(run_exhaustive(prop(s, _mutating(check)), RunConfig())) == expected
+
+
+def _fails(check, value, unpack):
+    try:
+        return check(*value) is False if unpack else check(value) is False
+    except AssertionError:
+        return True
 
 
 @pytest.mark.parametrize("strategy, predicate, shrunk", [
@@ -186,6 +270,14 @@ def test_filtered_stream_counts_accepted_values_against_budget():
     assert "accepted values exceeded budget 5" in v.detail
 
 
+def test_a_none_past_the_budget_is_a_value_left():
+    """Five accepted values fill the budget, and the sixth is None: the
+    stream has not ended, so nothing is proved."""
+    s = one_of(int_range(0, 4), just(None)).filter("all", lambda x: True)
+    v = run_exhaustive(prop(s, lambda x: True), RunConfig(budget=5))
+    assert v.describe() == "unknown: budget_exceeded (accepted values exceeded budget 5)"
+
+
 @pytest.mark.parametrize("budget, described", [
     (5, "proved (exhaustive, 5 cases)"),
     (4, "unknown: budget_exceeded (accepted values exceeded budget 4)"),
@@ -226,9 +318,9 @@ def test_budgeted_walk_maps_only_the_heads_it_reaches():
 @pytest.mark.parametrize("tail", [lambda m: m, lambda m: list_of(m, 0, 1)],
                          ids=["map", "list_of_map"])
 def test_rejected_head_walks_no_keys_outside_the_rejection_bound(tail):
-    # head 0 is rejected and skips its tail, whose span needs the sparse key
-    # universe; it is resolved only once head 1 leads to an accepted value,
-    # and every key walk is charged to the 10x budget rejection bound
+    # head 0 is rejected and skips its tail, so the sparse key universe is
+    # walked only after head 1 (after (1, []) under a list), and every key
+    # walk is charged to the 10x budget rejection bound
     calls = []
 
     def needle(k):
@@ -238,7 +330,7 @@ def test_rejected_head_walks_no_keys_outside_the_rejection_bound(tail):
     keys = int_range(0, 10**8).filter("needle", needle)
     s = tuple_of(int_range(0, 1).filter("one", lambda x: x == 1),
                  tail(ordered_map_of(keys, int_range(0, 1), 0, 1)))
-    v = run_exhaustive(prop(s, lambda t: True), RunConfig(budget=100))
+    v = run_exhaustive(prop(s, lambda head, tail: True), RunConfig(budget=100))
     assert v.kind is VerdictKind.UNKNOWN
     assert v.reason is UnknownReason.BUDGET_EXCEEDED
     assert "needle" in v.detail
@@ -246,8 +338,8 @@ def test_rejected_head_walks_no_keys_outside_the_rejection_bound(tail):
 
 
 def test_failure_at_the_first_position_walks_no_keys():
-    """Rebuilding the failing value unranks position 0: every digit is 0 and
-    the empty list comes first, so no span is asked of the unwalked map."""
+    """The first value holds the empty list, so neither its walk nor its
+    rebuild walks the map's keys."""
     calls = []
 
     def sparse(k):
@@ -263,13 +355,11 @@ def test_failure_at_the_first_position_walks_no_keys():
 
 
 def test_completeness_check_holds_the_span_to_the_cardinality(monkeypatch):
-    # a span and a stream that agree with each other but overshoot the
-    # independently computed cardinality still fail the self-check
-    import tricheck.strategies as st
-    monkeypatch.setattr(st.IntRange, "_span", lambda self, stats=None: self.hi - self.lo + 2)
-    monkeypatch.setattr(st.IntRange, "_values",
-                        lambda self, stats, skip: iter(range(self.lo, self.hi + 2)))
-    with pytest.raises(AssertionError, match="cardinality said at most 3"):
+    # a walk that yields more values than the independently computed
+    # cardinality fails the self-check
+    monkeypatch.setattr(st.IntRange, "_walk",
+                        lambda self, stats: (iter(range(self.lo, self.hi + 2)), list))
+    with pytest.raises(AssertionError, match="yielded 4 values, cardinality said at most 3"):
         run_exhaustive(prop(int_range(0, 2), lambda x: True), RunConfig())
 
 
@@ -300,9 +390,9 @@ class _Counted(_DrawOnly):
 
 def test_a_strategy_without_enumeration_is_unsupported_not_a_crash():
     for strategy, name, hook in [
-            (_DrawOnly(), "_DrawOnly", "_cardinality"), (_Counted(), "_Counted", "_values"),
+            (_DrawOnly(), "_DrawOnly", "_cardinality"), (_Counted(), "_Counted", "_walk"),
             (tuple_of(int_range(0, 1), _DrawOnly()), "_DrawOnly", "_cardinality"),
-            (tuple_of(int_range(0, 1), _Counted()), "_Counted", "_values")]:
+            (tuple_of(int_range(0, 1), _Counted()), "_Counted", "_walk")]:
         v = run_exhaustive(prop(strategy, lambda *xs: True), RunConfig())
         assert (v.kind, v.reason, v.detail) == (
             VerdictKind.UNKNOWN, UnknownReason.UNSUPPORTED,

@@ -3,11 +3,10 @@
 ``bench/tracing.py`` counts ``harness.evals``, ``exhaustive.values`` and
 ``prng.u64`` by wrapping ``eval_predicate`` as bound in the fuzz and
 exhaustive modules, ``exhaustive.iter_trees`` and ``SplitMix64.next_u64``.
-``exhaustive.iter_trees`` names the position walk,
-``strategies.iter_positions``, which yields one (base position, value) pair
-per enumerated value, not a tree.  A backend loop that inlines one of them
-would silently zero that counter, so these tests hold every loop to one
-call per unit of work.
+``exhaustive.iter_trees`` names the walk, ``strategies.walk``, which
+yields one value per enumerated value, not a tree.  A backend loop that
+inlines one of them would silently zero that counter, so these tests hold
+every loop to one call per unit of work.
 """
 
 import contextlib
@@ -46,14 +45,14 @@ def calls(monkeypatch):
         monkeypatch.setattr(module, "eval_predicate",
                             counting("evals", module.eval_predicate))
     monkeypatch.setattr(SplitMix64, "next_u64", counting("u64", SplitMix64.next_u64))
-    iter_positions = exhaustive.iter_trees
+    walk = exhaustive.iter_trees
 
-    def counted_positions(*args):
-        for pair in iter_positions(*args):
+    def counted_walk(*args):
+        for value in walk(*args):
             n["next"] += 1
-            yield pair
+            yield value
 
-    monkeypatch.setattr(exhaustive, "iter_trees", counted_positions)
+    monkeypatch.setattr(exhaustive, "iter_trees", counted_walk)
     return n
 
 
@@ -93,8 +92,8 @@ def test_exhaustive_calls_every_hook_once_per_unit(calls):
     (list_of(one_of(int_range(0, 2), just(None)), 0, 3), 1 + 4 + 16 + 64),
 ], ids=["filtered", "skip_free_list_of_one_of"])
 def test_exhaustive_calls_every_hook_once_per_accepted_value(calls, strategy, accepted):
-    """Both walks, the one that skips rejected positions and the chained one
-    with nothing to skip, take one step and one evaluation per value."""
+    """A walk with a filter in it and one with none take one step and one
+    evaluation per value."""
     v = exhaustive.run_exhaustive(Property("t", strategy, lambda *a: True), RunConfig())
     assert v.kind is VerdictKind.PROVED
     assert v.cases == accepted

@@ -177,7 +177,7 @@ def test_a_too_large_product_is_walked_lazily():
     s = tuple_of(int_range(0, 2**40), int_range(0, 2**40))
     first = [(0, 0), (0, 1), (0, 2)]
     trees = list(itertools.islice(iter_trees(s), 3))
-    assert [(t.current, t.index) for t in trees] == list(zip(first, range(3)))
+    assert [(t.current, t.choices) for t in trees] == list(zip(first, first))
     assert list(enumerate_values(s, budget=3)) == first
 
 

@@ -783,6 +783,39 @@ def test_driver_reports_a_raise_before_a_type_test():
                         f" at test_symbolic.py:{pred.__code__.co_firstlineno + 1}")
 
 
+#: maps that send one value to 1000 by reading it as text, where a carrier
+#: reads ``v0`` whatever value it stands for; each first line is its own
+TEXT_READS = {
+    "str": lambda x: 1000 if str(x) == "500" else x,
+    "f-string": lambda x: 1000 if f"{x}" == "500" else x,
+    "repr": lambda x: 1000 if repr(x) == "500" else x,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_READS))
+def test_driver_refuses_a_carrier_read_as_text(name):
+    """``str`` and ``format`` raise while user code records and ``repr`` is
+    noted, so each map reads Unsupported, naming its line, not proved over
+    the one branch ``v0`` takes."""
+    transform = TEXT_READS[name]
+    v = run(int_range(0, 999).map(transform), lambda y: y <= 999)
+    at = f" at test_symbolic.py:{transform.__code__.co_firstlineno}"
+    assert (v.kind, v.reason) == (VerdictKind.UNKNOWN, UnknownReason.UNSUPPORTED)
+    assert v.detail == ("map reads the repr of a symbolic value" + at if name == "repr" else
+                        "map not symbolically evaluable: symbolic value converted to a string" + at)
+
+
+def test_carriers_print_as_text_outside_a_recording():
+    """Outside ``_record`` a carrier converts to its text as before, and the
+    details tricheck writes while recording still print it."""
+    x = Var(0)
+    assert (str(x), f"{x}", repr(x), f"{x + 1!r}", f"{x < 3}") == ("v0", "v0", "v0", "(v0 + 1)",
+                                                                   "(v0 < 3)")
+    v = run(int_range(0, 9), lambda x: x + (x < 3))
+    assert v.detail.startswith(
+        "predicate not symbolically evaluable: cannot use (v0 < 3) in a symbolic expression")
+
+
 # --------------------------------------------------------------------------
 # deadlines: one poll cadence per run
 
